@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, Feature, InputDomainError
+from .core import ConfigError, Feature, InputDomainError, feature_list
 from .environment import sample_feature
 from .epochs import EpochSchedule, epoch_length
 from .predictor import SidePool, PoolExhaustedError
@@ -97,7 +97,7 @@ def draw_bandit(
     zs = tuple(
         (1.0 / gamma) if rng.random() < gamma * K else 0.0 for _ in range(count)
     )
-    return BanditDraw(tuple(pool.features[i] for i in idx), signs, zs)
+    return BanditDraw(tuple(feature_list(pool.features[idx])), signs, zs)
 
 
 def phi_values(

@@ -3,12 +3,22 @@
 A feature is a scalar in [0,1] or a 1-d numpy vector with entries in [0,1].
 Hypothesis classes map features to [0,1] and expose a single `solve` entry
 point that minimizes a weighted empirical loss plus signed linear terms.
+
+A `MixedErmQuery` holds its terms as float64 arrays: pair features `xs`
+(shape (n,) for scalar features, (n, d) for d-vectors), labels `ys` and
+weights `ws`, signed-term features `signed_xs` and signs `signs`. It is built
+either from those arrays (used as given, not copied) or from sequences of
+`LabeledPair` / `SignedTerm` (converted once), and it is validated once, when
+built: non-finite features, labels outside [0,1], non-finite or negative
+weights, signs other than +-1 and a non-finite or negative coefficient raise
+`InputDomainError`. Solvers read the arrays and never re-check them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -49,6 +59,22 @@ def feature_as_array(x: Feature) -> np.ndarray:
     return arr
 
 
+def feature_rows(features) -> np.ndarray:
+    """Stack features into one float64 array: (n,) for scalars, (n, d) for d-vectors."""
+    try:
+        arr = np.asarray(features, dtype=float)
+    except ValueError as e:
+        raise InputDomainError("features must be all scalars or all vectors of one length") from e
+    if arr.ndim > 2:
+        raise InputDomainError(f"features must be scalars or 1-d vectors, got shape {arr.shape[1:]}")
+    return arr
+
+
+def feature_list(xs: np.ndarray) -> list:
+    """One Python object per feature (floats, or row vectors) for per-feature callables."""
+    return xs.tolist() if xs.ndim == 1 else list(xs)
+
+
 @dataclass(frozen=True)
 class LossFn:
     """A loss on [0,1]^2, convex in the prediction and Lipschitz in both arguments.
@@ -85,6 +111,14 @@ def loss_eval(loss: LossFn, prediction: float, label: float) -> float:
     return float(loss.evaluator(p, y))
 
 
+def loss_values(loss: LossFn, prediction: float, labels: np.ndarray) -> np.ndarray:
+    """loss(prediction, y) for each entry of a validated label array."""
+    p = check_unit(prediction, "prediction")
+    if loss.kind == "absolute":
+        return np.abs(p - labels)
+    return np.array([float(loss.evaluator(p, y)) for y in labels.tolist()])
+
+
 def signed_to_absolute(sign: int) -> tuple[float, float]:
     """Rewrite a signed term eps*h(x) as |h(x) - pseudo_label| + offset.
 
@@ -105,8 +139,8 @@ class LabeledPair:
 
     def __post_init__(self):
         check_unit(self.y, "label")
-        if self.weight < 0:
-            raise InputDomainError("weight must be nonnegative")
+        if not (0.0 <= self.weight < math.inf):
+            raise InputDomainError(f"weight must be finite and nonnegative, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -119,20 +153,111 @@ class SignedTerm:
             raise InputDomainError(f"sign must be -1 or +1, got {self.sign!r}")
 
 
-@dataclass(frozen=True)
+class _Terms(SequenceABC):
+    """Read-only per-term view of a query's arrays; len() is the term count."""
+
+    __slots__ = ("_term", "_n")
+
+    def __init__(self, term: Callable[[int], object], n: int):
+        self._term, self._n = term, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._term(k) for k in range(self._n)[i])
+        return self._term(range(self._n)[i])
+
+
+def _term_arrays(xs, values, name: str, what: str) -> tuple[np.ndarray, np.ndarray]:
+    xs = feature_rows(xs)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(xs),):
+        raise InputDomainError(f"{name} need one {what} per feature, got shapes {values.shape} and {xs.shape}")
+    if not np.logical_and.reduce(np.isfinite(xs), axis=None):
+        raise InputDomainError(f"{name} features must be finite")
+    return xs, values
+
+
 class MixedErmQuery:
-    """The oracle task: minimize sum_i w_i*loss(h(x_i), y_i) + C*sum_j eps_j*h(x~_j)."""
+    """The oracle task: minimize sum_i w_i*loss(h(x_i), y_i) + C*sum_j eps_j*h(x~_j).
 
-    pairs: tuple[LabeledPair, ...] = ()
-    signed: tuple[SignedTerm, ...] = ()
-    coefficient: float = 0.0
-    loss: LossFn = ABSOLUTE_LOSS
+    Give the pair terms either as `pairs` (LabeledPair sequence) or as arrays
+    `xs`, `ys` and optionally `ws` (default all 1), and the signed terms
+    either as `signed` (SignedTerm sequence) or as arrays `signed_xs` and
+    `signs`. `pairs` and `signed` stay readable as sequences of term objects.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        object.__setattr__(self, "signed", tuple(self.signed))
-        if self.coefficient < 0:
-            raise InputDomainError("coefficient C must be nonnegative")
+    __slots__ = ("xs", "ys", "ws", "signed_xs", "signs", "coefficient", "loss")
+
+    def __init__(
+        self,
+        pairs: Sequence[LabeledPair] = (),
+        signed: Sequence[SignedTerm] = (),
+        coefficient: float = 0.0,
+        loss: LossFn = ABSOLUTE_LOSS,
+        *,
+        xs=None,
+        ys=None,
+        ws=None,
+        signed_xs=None,
+        signs=None,
+    ):
+        if xs is None and ys is None and ws is None:
+            pairs = tuple(pairs)
+            xs = [p.x for p in pairs]
+            ys = [p.y for p in pairs]
+            ws = [p.weight for p in pairs]
+        elif len(pairs) or xs is None:
+            raise InputDomainError("give the pairs either as LabeledPair terms or as arrays xs, ys (, ws)")
+        if signed_xs is None and signs is None:
+            signed = tuple(signed)
+            signed_xs = [s.x for s in signed]
+            signs = [s.sign for s in signed]
+        elif len(signed) or signed_xs is None:
+            raise InputDomainError("give the signed terms either as SignedTerm terms or as arrays signed_xs, signs")
+
+        xs, ys = _term_arrays(xs, ys, "pairs", "label")
+        # y * (y - 1) <= 0 exactly for y in [0,1]; it is positive or NaN otherwise
+        if ys.size and not np.maximum.reduce(ys * (ys - 1.0)) <= 0.0:
+            raise InputDomainError("labels must lie in [0,1]")
+        if ws is None:
+            ws = np.full(len(xs), 1.0)
+        else:
+            ws = np.asarray(ws, dtype=float)
+            if ws.shape != ys.shape:
+                raise InputDomainError(f"pairs need one weight per label, got shapes {ws.shape} and {ys.shape}")
+            if ws.size and not (ws.min() >= 0.0 and ws.max() < math.inf):
+                raise InputDomainError("weights must be finite and nonnegative")
+        signed_xs, signs = _term_arrays(signed_xs, signs, "signed terms", "sign")
+        if not np.logical_and.reduce(np.abs(signs) == 1.0):
+            raise InputDomainError("signs must be -1 or +1")
+        coefficient = float(coefficient)
+        if not (0.0 <= coefficient < math.inf):
+            raise InputDomainError(f"coefficient C must be finite and nonnegative, got {coefficient!r}")
+
+        self.xs, self.ys, self.ws = xs, ys, ws
+        self.signed_xs, self.signs = signed_xs, signs
+        self.coefficient, self.loss = coefficient, loss
+
+    @property
+    def pairs(self) -> Sequence[LabeledPair]:
+        return _Terms(
+            lambda i: LabeledPair(_feature_at(self.xs, i), float(self.ys[i]), float(self.ws[i])),
+            len(self.xs),
+        )
+
+    @property
+    def signed(self) -> Sequence[SignedTerm]:
+        return _Terms(
+            lambda i: SignedTerm(int(self.signs[i]), _feature_at(self.signed_xs, i)),
+            len(self.signed_xs),
+        )
+
+
+def _feature_at(xs: np.ndarray, i: int) -> Feature:
+    return float(xs[i]) if xs.ndim == 1 else xs[i]
 
 
 @dataclass(frozen=True)
@@ -174,22 +299,42 @@ class HypothesisClass:
         return other
 
 
+def objective_fn(cls: HypothesisClass, query: MixedErmQuery) -> Callable[[object], float]:
+    """handle -> the mixed objective of `query` at that hypothesis, for scoring many handles."""
+    pairs = list(zip(feature_list(query.xs), query.ys.tolist(), query.ws.tolist()))
+    signed = list(zip(feature_list(query.signed_xs), query.signs.tolist()))
+    loss, C = query.loss, query.coefficient
+
+    def objective(handle) -> float:
+        total = 0.0
+        for x, y, w in pairs:
+            total += w * loss_eval(loss, cls.evaluate(handle, x), y)
+        for x, s in signed:
+            total += C * s * cls.evaluate(handle, x)
+        return total
+
+    return objective
+
+
 def query_objective(cls: HypothesisClass, handle, query: MixedErmQuery) -> float:
     """The mixed objective of `query` evaluated at a fixed hypothesis."""
-    total = 0.0
-    for p in query.pairs:
-        total += p.weight * loss_eval(query.loss, cls.evaluate(handle, p.x), p.y)
-    for s in query.signed:
-        total += query.coefficient * s.sign * cls.evaluate(handle, s.x)
-    return total
+    return objective_fn(cls, query)(handle)
 
 
 def best_in_hindsight(
-    cls: HypothesisClass, pairs: Sequence[LabeledPair], loss: LossFn = ABSOLUTE_LOSS
+    cls: HypothesisClass,
+    pairs: Sequence[LabeledPair] = (),
+    loss: LossFn = ABSOLUTE_LOSS,
+    *,
+    xs=None,
+    ys=None,
 ) -> tuple[object, float]:
-    """Class minimizer of the cumulative loss on `pairs` (the regret comparator)."""
-    pairs = tuple(pairs)
-    if not pairs:
+    """Class minimizer of the cumulative loss (the regret comparator).
+
+    The sample is `pairs` or the arrays `xs`, `ys`, as in `MixedErmQuery`.
+    """
+    query = MixedErmQuery(pairs, loss=loss, xs=xs, ys=ys)
+    if len(query.ys) == 0:
         raise InputDomainError("best_in_hindsight requires a nonempty sample")
-    res = cls.solve(MixedErmQuery(pairs=pairs, signed=(), coefficient=0.0, loss=loss))
+    res = cls.solve(query)
     return res.hypothesis, res.objective

@@ -206,10 +206,10 @@ def comparator_squeeze(cls_factory) -> AdaptiveAdversary:
         helper = fn.helper
         m = probe()
         if history:
-            from .core import LabeledPair, MixedErmQuery
+            from .core import MixedErmQuery, feature_rows
 
-            pairs = tuple(LabeledPair(x, y) for x, y in history)
-            h_best = helper.solve(MixedErmQuery(pairs=pairs)).hypothesis
+            xs, ys = zip(*history)
+            h_best = helper.solve(MixedErmQuery(xs=feature_rows(xs), ys=ys)).hypothesis
             hv = helper.evaluate(h_best, x_t)
         else:
             hv = 0.5

@@ -9,6 +9,7 @@ formula is logged in the trace metadata.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,9 +20,9 @@ from .core import (
     ABSOLUTE_LOSS,
     ConfigError,
     HypothesisClass,
-    LabeledPair,
     LossFn,
     best_in_hindsight,
+    feature_rows,
     loss_eval,
 )
 from .environment import Adversary, sample_feature
@@ -131,7 +132,11 @@ def _round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
 
 
 class _EpochPredictorState:
-    """Predictor-side state for one independent segment (one block or run)."""
+    """Predictor-side state for one independent segment (one block or run).
+
+    The current epoch's features and labels live in arrays of length
+    `epoch_len`; at each epoch boundary they join the side pool.
+    """
 
     def __init__(self, schedule, cls, loss, config: RunConfig, use_fast: bool):
         self.schedule = schedule
@@ -139,52 +144,57 @@ class _EpochPredictorState:
         self.loss = loss
         self.config = config
         self.use_fast = use_fast
-        self.features: list = []
-        self.rounds: list = []  # (x, y) pairs seen inside this segment
         self.n, self.j, self.start = 1, 0, 0
         self.pool = SidePool()
         self.epoch_len = epoch_length(schedule, 1)
         self.drift = abs(self.epoch_len - schedule.exact_length(1))
+        self.shortfall = 0  # rounds whose own draw the pool cut short
+        self.xs = self.ys = self.pconf = None
 
-    def advance(self) -> None:
-        """Move to the next local round; refresh the pool at epoch boundaries."""
+    def advance(self, x_t) -> None:
+        """Move to the next local round, whose feature is x_t."""
         self.j += 1
         if self.j > self.epoch_len:
+            self.pool = SidePool(np.concatenate((self.pool.features, self.xs)) if self.pool.size else self.xs)
             self.start += self.epoch_len
             self.n += 1
             self.j = 1
             self.epoch_len = epoch_length(self.schedule, self.n)
             self.drift += abs(self.epoch_len - self.schedule.exact_length(self.n))
         if self.j == 1:
-            self.pool = SidePool(self.features[: self.start])
+            self.xs = np.empty((self.epoch_len,) + np.shape(x_t))
+            self.ys = np.empty(self.epoch_len)
+            self.pconf = PredictorConfig(
+                horizon=self.epoch_len,
+                loss=self.loss,
+                y_grid_step=self.config.y_grid_step,
+                yhat_tolerance=self.config.yhat_tolerance,
+            )
+        self.xs[self.j - 1] = x_t
+        if self.pool.size < self.epoch_len - self.j:
+            self.shortfall += 1
 
-    def predict(self, x_t, rng: np.random.Generator, cls=None) -> float:
+    def predict(self, rng: np.random.Generator, cls=None) -> float:
+        """The current round's prediction; probes pass their own cloned `cls`."""
         cls = cls if cls is not None else self.cls
-        pconf = PredictorConfig(
-            horizon=self.epoch_len,
-            loss=self.loss,
-            y_grid_step=self.config.y_grid_step,
-            yhat_tolerance=self.config.yhat_tolerance,
-        )
         count = min(self.epoch_len - self.j, self.pool.size)
         draw = draw_halluc(self.pool, count, rng)
-        hist = GameHistory(rounds=self.rounds[self.start:], x_cur=x_t)
+        hist = GameHistory(self.xs[: self.j], self.ys[: self.j - 1])
         if self.use_fast:
-            return predict_binary_fast(hist, draw, cls, pconf)
-        return predict_general(hist, draw, cls, pconf)
+            return predict_binary_fast(hist, draw, cls, self.pconf)
+        return predict_general(hist, draw, cls, self.pconf)
 
-    def record(self, x_t, y_t) -> None:
-        self.features.append(x_t)
-        self.rounds.append((x_t, y_t))
+    def record(self, y_t) -> None:
+        self.ys[self.j - 1] = y_t
 
 
-def _probe_closure(state: _EpochPredictorState, x_t, seed: int, t: int, probe_mc: int):
+def _probe_closure(state: _EpochPredictorState, seed: int, t: int, probe_mc: int):
     """Monte-Carlo mean prediction on a forked RNG stream; never touches game RNG."""
 
     def probe() -> float:
         rng = _round_rng(seed, 3, t)
         cls = state.cls.clone()
-        vals = [state.predict(x_t, rng, cls=cls) for _ in range(probe_mc)]
+        vals = [state.predict(rng, cls=cls) for _ in range(probe_mc)]
         return float(np.mean(vals))
 
     return probe
@@ -221,18 +231,18 @@ def run_epoch_predictor(
     epochs_seen: list = []
 
     for t in range(1, T + 1):
-        state.advance()
         x_t = sample_feature(env, t, _round_rng(config.seed, 1, t))
+        state.advance(x_t)
         calls_before = cls.solve_calls
-        yhat = state.predict(x_t, _round_rng(config.seed, 2, t))
+        yhat = state.predict(_round_rng(config.seed, 2, t))
         erm_calls = cls.solve_calls - calls_before
         probe = (
-            _probe_closure(state, x_t, config.seed, t, config.probe_mc)
+            _probe_closure(state, config.seed, t, config.probe_mc)
             if adversary.kind != "oblivious"
             else None
         )
         y_t = adversary.emit(t, history, x_t, probe, _round_rng(config.seed, 4, t))
-        state.record(x_t, y_t)
+        state.record(y_t)
         history.append((x_t, y_t))
         xs.append(x_t)
         ys.append(y_t)
@@ -240,9 +250,9 @@ def run_epoch_predictor(
         losses.append(loss_eval(loss, yhat, y_t))
         epochs_seen.append((state.n, state.j, state.start, erm_calls))
 
-    pairs = tuple(LabeledPair(x, y) for x, y in zip(xs, ys))
+    X, Y = feature_rows(xs), np.array(ys)
     comparator = cls.clone()
-    h_star, _ = best_in_hindsight(comparator, pairs, loss)
+    h_star, _ = best_in_hindsight(comparator, loss=loss, xs=X, ys=Y)
     comp_losses = [loss_eval(loss, comparator.evaluate(h_star, x), y) for x, y in zip(xs, ys)]
 
     cum_loss = cum_comp = 0.0
@@ -257,9 +267,9 @@ def run_epoch_predictor(
             erm_calls=erm_calls,
         )
 
-    _check_epoch_additivity(trace, comparator, pairs, losses, epochs_seen, loss)
+    _check_epoch_additivity(trace, comparator, X, Y, losses, [e[0] for e in epochs_seen], loss)
     trace.metadata.update(
-        seed=config.seed, T=T, rounding_drift=state.drift,
+        seed=config.seed, T=T, rounding_drift=state.drift, halluc_shortfall=state.shortfall,
         adversary=adversary.kind, fast_binary_path=use_fast,
     )
     return trace
@@ -271,17 +281,14 @@ def _feature_repr(x):
     return float(x)
 
 
-def _check_epoch_additivity(trace, comparator, pairs, losses, epochs_seen, loss):
+def _check_epoch_additivity(trace, comparator, X, Y, losses, epochs, loss):
     """Total regret never exceeds the sum of per-epoch regrets measured
     against per-epoch comparators (which are at least as good per epoch)."""
-    per_epoch: dict = {}
-    for (n, _, _, _), li, pair in zip(epochs_seen, losses, pairs):
-        per_epoch.setdefault(n, ([], []))
-        per_epoch[n][0].append(li)
-        per_epoch[n][1].append(pair)
-    bound = 0.0
-    for n, (ls, ps) in per_epoch.items():
-        _, comp = best_in_hindsight(comparator, tuple(ps), loss)
-        bound += sum(ls) - comp
+    bound, start = 0.0, 0
+    for _, rounds in itertools.groupby(epochs):
+        end = start + len(list(rounds))
+        _, comp = best_in_hindsight(comparator, loss=loss, xs=X[start:end], ys=Y[start:end])
+        bound += sum(losses[start:end]) - comp
+        start = end
     if trace.final_regret > bound + 1e-9:
         raise AssertionError("epoch regret additivity violated")

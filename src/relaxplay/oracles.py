@@ -20,22 +20,33 @@ from .core import (
     MixedErmQuery,
     UnsupportedClassError,
     feature_as_array,
-    loss_eval,
-    query_objective,
+    loss_values,
+    objective_fn,
 )
 
 
 def _scalar_features(query: MixedErmQuery) -> tuple[np.ndarray, np.ndarray]:
     """Pair/signed feature values as flat arrays; rejects vector features."""
-    for p in query.pairs:
-        if feature_as_array(p.x).size != 1:
-            raise UnsupportedClassError("this oracle handles scalar features only")
-    for s in query.signed:
-        if feature_as_array(s.x).size != 1:
-            raise UnsupportedClassError("this oracle handles scalar features only")
-    xs = np.array([float(np.asarray(p.x).reshape(())) for p in query.pairs])
-    xt = np.array([float(np.asarray(s.x).reshape(())) for s in query.signed])
-    return xs, xt
+    xs, xt = query.xs, query.signed_xs
+    if xs.size != len(xs) or xt.size != len(xt):
+        raise UnsupportedClassError("this oracle handles scalar features only")
+    return xs.reshape(-1), xt.reshape(-1)
+
+
+def _flip_deltas(query: MixedErmQuery) -> tuple[float, np.ndarray, np.ndarray]:
+    """(base, positions, deltas) for a {0,1}-valued class on scalar features.
+
+    `base` is the objective of the hypothesis that fires nowhere; firing at a
+    term's position changes it by that term's delta (pairs first, then the
+    signed terms). `base` is summed in order, as a running sum would be.
+    """
+    xs, xt = _scalar_features(query)
+    l0 = query.ws * loss_values(query.loss, 0.0, query.ys)
+    l1 = query.ws * loss_values(query.loss, 1.0, query.ys)
+    base = float(np.cumsum(l0)[-1]) if l0.size else 0.0
+    positions = np.concatenate([xs, xt])
+    deltas = np.concatenate([l1 - l0, query.coefficient * query.signs])
+    return base, positions, deltas
 
 
 class ThresholdClass(HypothesisClass):
@@ -48,52 +59,31 @@ class ThresholdClass(HypothesisClass):
 
     def solve(self, query: MixedErmQuery) -> ErmResult:
         self.solve_calls += 1
-        xs, xt = _scalar_features(query)
-        if xs.size == 0 and xt.size == 0:
+        base, pos, dlt = _flip_deltas(query)
+        if pos.size == 0:
             return ErmResult(0.0, 0.0)
 
         # Objective is constant on threshold cells between sorted distinct
         # positions; evaluate obj(a) = base + sum_{pos >= a} delta(pos) by
         # suffix sums over all positions.
-        base = 0.0
-        deltas = []
-        positions = []
-        for p, x in zip(query.pairs, xs):
-            l0 = p.weight * loss_eval(query.loss, 0.0, p.y)
-            l1 = p.weight * loss_eval(query.loss, 1.0, p.y)
-            base += l0
-            positions.append(x)
-            deltas.append(l1 - l0)
-        for s, x in zip(query.signed, xt):
-            positions.append(x)
-            deltas.append(query.coefficient * s.sign)
-        pos = np.asarray(positions)
-        dlt = np.asarray(deltas)
         order = np.argsort(pos, kind="stable")
         pos = pos[order]
-        dlt = dlt[order]
         # suffix[i] = sum of deltas at positions >= pos[i]
-        suffix = np.cumsum(dlt[::-1])[::-1]
-
-        uniq, first_idx = np.unique(pos, return_index=True)
-        candidates = [0.0]
-        objectives = [base + suffix[0]]  # a=0 fires at every position
-        for v, i in zip(uniq, first_idx):
-            candidates.append(float(v))
-            objectives.append(base + suffix[i])
-        if uniq[-1] < 1.0:
-            candidates.append(float((uniq[-1] + 1.0) / 2.0))
-            objectives.append(base)  # fires nowhere
-        objectives = np.asarray(objectives)
+        suffix = np.cumsum(dlt[order][::-1])[::-1]
+        first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
+        objectives = base + suffix[first]  # a = each distinct position
         best = int(np.argmin(objectives))  # leftmost minimizer: smallest a
-        return ErmResult(candidates[best], float(objectives[best]))
+        if pos[-1] < 1.0 and base < objectives[best]:
+            return ErmResult(float((pos[-1] + 1.0) / 2.0), base)  # fires nowhere
+        # a = 0 fires everywhere, as a = pos[0] does, and is the smaller a
+        return ErmResult(0.0 if best == 0 else float(pos[first[best]]), float(objectives[best]))
 
     def grid_handles(self, step: float) -> Sequence[float]:
         return [float(a) for a in np.arange(0.0, 1.0 + step / 2, step)]
 
 
 class IntervalClass(HypothesisClass):
-    """Indicators 1{x in [a,b]} with length floor b - a >= gamma_len."""
+    """Indicators 1{x in [a,b]} with 0 <= a, b <= 1 and length floor b - a >= gamma_len."""
 
     is_binary = True
 
@@ -107,53 +97,58 @@ class IntervalClass(HypothesisClass):
         a, b = handle
         return 1.0 if a <= float(x) <= b else 0.0
 
-    def _candidates(self, values: np.ndarray) -> np.ndarray:
-        # The objective is constant on cells whose boundaries are: an endpoint
-        # crossing a queried feature, or the binding length constraint b = a+g
-        # crossing one (i.e. a at value - g). Critical coordinates plus the
-        # midpoints of every adjacent critical pair give one representative
-        # per cell.
-        g = self.gamma_len
-        cand = {0.0, 1.0, g, 1.0 - g}
-        for v in values:
-            cand.update((v, v - g, v + g))
-        crit = np.array(sorted(c for c in cand if -g <= c <= 1.0 + g))
-        cand.update((crit[:-1] + crit[1:]) / 2.0)
-        return np.array(sorted(c for c in cand if 0.0 <= c <= 1.0))
-
     def solve(self, query: MixedErmQuery) -> ErmResult:
+        """Exact in O(n log n): an interval covers a contiguous run of the
+        sorted distinct positions, so the best run ending at each position is
+        a prefix-sum difference against a running maximum over the left ends
+        that still leave room for length gamma_len inside [0,1].
+        """
         self.solve_calls += 1
-        xs, xt = _scalar_features(query)
-        allx = np.concatenate([xs, xt])
         g = self.gamma_len
-        if allx.size == 0:
-            return ErmResult((0.0, g), 0.0)
+        base, pos, dlt = _flip_deltas(query)
+        inside = (pos >= 0.0) & (pos <= 1.0)  # no interval reaches the others
+        p, inv = np.unique(pos[inside], return_inverse=True)
+        k = p.size
+        if k == 0:
+            return ErmResult((0.0, g), base)
+        prefix = np.concatenate(([0.0], np.cumsum(np.bincount(inv, weights=dlt[inside], minlength=k))))
 
-        base = 0.0
-        deltas = []
-        for p, x in zip(query.pairs, xs):
-            base += p.weight * loss_eval(query.loss, 0.0, p.y)
-            deltas.append(p.weight * (loss_eval(query.loss, 1.0, p.y) - loss_eval(query.loss, 0.0, p.y)))
-        for s in query.signed:
-            deltas.append(query.coefficient * s.sign)
-        dlt = np.asarray(deltas)
+        # A run p[i..j] is coverable iff some a in (lows[i], p[i]] and
+        # b in [p[j], highs[j+1]) have b - a >= g; the bounds are open except
+        # lows[0] = 0 and highs[k] = 1. So the admissible left ends are a
+        # prefix i < n_left[j], with n_left nondecreasing in j: a two-pointer
+        # sweep, done here by searchsorted.
+        lows = np.concatenate(([0.0], p))
+        highs = np.append(p, 1.0)
+        n_left = np.searchsorted(lows[:k], highs[1:] - g, side="left")
+        n_left[-1] = max(n_left[-1], 1)  # [0, 1] itself is closed at both ends
+        n_left = np.minimum(n_left, np.arange(1, k + 1))
+        run_max = np.maximum.accumulate(prefix[:k])
+        objs = np.where(n_left > 0, base + (prefix[1:] - run_max[n_left - 1]), np.inf)
+        j = int(np.argmin(objs))
+        # an interval covering nothing fits in a gap (lows[m], highs[m])
+        gaps = np.flatnonzero(lows < highs - g)
+        if gaps.size and base <= objs[j]:
+            m = int(gaps[0])
+            return ErmResult(self._place(m > 0, lows[m], highs[m], m < k, np.inf, -np.inf), base)
+        i = int(np.argmax(prefix[: n_left[j]]))
+        return ErmResult(self._place(i > 0, lows[i], highs[j + 1], j < k - 1, p[i], p[j]), float(objs[j]))
 
-        cand = self._candidates(np.unique(allx))
-        best_obj = np.inf
-        best_handle = None
-        tol = 1e-12
-        for a in cand:
-            if a > 1.0 - g + tol:
-                continue
-            bs = cand[cand >= a + g - tol]
-            bs = np.union1d(bs, [min(1.0, a + g)])
-            covered = (allx[None, :] >= a) & (allx[None, :] <= bs[:, None])
-            objs = base + covered @ dlt
-            i = int(np.argmin(objs))
-            if objs[i] < best_obj - tol:
-                best_obj = float(objs[i])
-                best_handle = (float(a), float(bs[i]))
-        return ErmResult(best_handle, best_obj)
+    def _place(self, lo_open, lo, hi, hi_open, first, last) -> tuple[float, float]:
+        """An interval [a, b] with a past `lo` and b before `hi` (strictly when
+        open), a <= first, b >= last and float length b - a >= gamma_len."""
+        g = self.gamma_len
+        if not hi_open:
+            b = hi
+        elif lo_open:
+            b = (lo + g + hi) / 2.0
+        else:
+            b = lo + g
+        b = max(b, last)
+        a = min(first, b - g)
+        while b - a < g:
+            a = float(np.nextafter(a, -np.inf))
+        return float(a), float(b)
 
     def grid_handles(self, step: float) -> Sequence[tuple[float, float]]:
         pts = np.arange(0.0, 1.0 + step / 2, step)
@@ -188,13 +183,14 @@ class FiniteClass(HypothesisClass):
 
     def solve(self, query: MixedErmQuery) -> ErmResult:
         self.solve_calls += 1
+        objective = objective_fn(self, query)
         best_idx, best_obj = 0, np.inf
         for i in range(len(self.table)):
-            obj = query_objective(self, i, query)
+            obj = objective(i)
             if obj < best_obj - 1e-15:
                 best_idx, best_obj = i, obj
         if not np.isfinite(best_obj):
-            best_obj = query_objective(self, 0, query)
+            best_obj = objective(0)
         return ErmResult(best_idx, float(best_obj))
 
     def grid_handles(self, step: float) -> Sequence[int]:
@@ -232,15 +228,13 @@ class LipschitzClass(HypothesisClass):
         self.solve_calls += 1
         if query.loss.kind != "absolute":
             raise UnsupportedClassError("LipschitzClass supports the absolute loss only")
-        pts = [feature_as_array(p.x) for p in query.pairs]
-        pts += [feature_as_array(s.x) for s in query.signed]
-        if not pts:
+        parts = [xs.reshape(len(xs), -1) for xs in (query.xs, query.signed_xs) if len(xs)]
+        if not parts:
             return ErmResult((np.zeros((1, self.dimension)), np.zeros(1)), 0.0)
-        points = np.stack(pts)
-        m = len(query.pairs)
-        w = np.array([p.weight for p in query.pairs])
-        ys = np.array([p.y for p in query.pairs])
-        cs = query.coefficient * np.array([s.sign for s in query.signed])
+        points = np.concatenate(parts)
+        m = len(query.xs)
+        w, ys = query.ws, query.ys
+        cs = query.coefficient * query.signs
         dist = np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
 
         def objective(v):
@@ -290,9 +284,10 @@ class LipschitzClass(HypothesisClass):
 
 def reference_solve(cls: HypothesisClass, query: MixedErmQuery, grid_step: float) -> ErmResult:
     """Brute force over `cls.grid_handles(grid_step)`; the test-side oracle."""
+    objective = objective_fn(cls, query)
     best_handle, best_obj = None, np.inf
     for handle in cls.grid_handles(grid_step):
-        obj = query_objective(cls, handle, query)
+        obj = objective(handle)
         if obj < best_obj - 1e-15:
             best_handle, best_obj = handle, obj
     return ErmResult(best_handle, float(best_obj))

@@ -10,7 +10,7 @@ signs and the loss terms (sup_h A = -inf_h -A).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,38 +24,38 @@ from .core import (
     LossFn,
     MixedErmQuery,
     PoolExhaustedError,
-    SignedTerm,
+    feature_list,
+    feature_rows,
     loss_eval,
 )
 
 
 class SidePool:
-    """Observed features standing in for the unknown distribution (append-only)."""
+    """Observed features standing in for the unknown distribution.
 
-    def __init__(self, features: Sequence[Feature] = ()):
-        self._features = list(features)
+    `features` is one float64 array, (n,) for scalar features or (n, d).
+    """
 
-    def append(self, x: Feature) -> None:
-        self._features.append(x)
-
-    @property
-    def features(self) -> list:
-        return self._features
+    def __init__(self, features=()):
+        self.features = feature_rows(features)
 
     @property
     def size(self) -> int:
-        return len(self._features)
+        return len(self.features)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxationDraw:
-    """One playout sample: hallucinated features (distinct pool slots) + signs."""
+    """One playout sample: hallucinated features (distinct pool slots) + signs, as arrays."""
 
-    halluc: tuple
-    signs: tuple
-    indices: tuple = ()
+    halluc: np.ndarray
+    signs: np.ndarray
+    indices: np.ndarray = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "halluc", feature_rows(self.halluc))
+        object.__setattr__(self, "signs", np.asarray(self.signs, dtype=float))
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.intp))
         if len(self.halluc) != len(self.signs):
             raise ConfigError("hallucinated features and signs must have equal length")
 
@@ -83,15 +83,30 @@ class PredictorConfig:
             raise ConfigError("grid step and tolerance must be positive")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GameHistory:
-    """Rounds played so far ((x_i, y_i) for i < j) plus the current feature x_j."""
+    """The game so far as arrays: features x_1..x_j (the current x_j last)
+    and the labels y_1..y_{j-1} of the rounds already played."""
 
-    rounds: list
-    x_cur: Feature
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self):
+        if len(self.xs) != len(self.ys) + 1:
+            raise ConfigError("a history holds one more feature (the current one) than labels")
+
+    @classmethod
+    def from_rounds(cls, rounds: Sequence[tuple], x_cur: Feature) -> "GameHistory":
+        """From played (x, y) rounds plus the current feature."""
+        return cls(feature_rows([x for x, _ in rounds] + [x_cur]), np.array([y for _, y in rounds], dtype=float))
+
+    @property
+    def x_cur(self) -> Feature:
+        return self.xs[-1]
 
     def pairs(self) -> tuple[LabeledPair, ...]:
-        return tuple(LabeledPair(x, y) for x, y in self.rounds)
+        """The rounds already played, as labeled pairs."""
+        return tuple(LabeledPair(x, y) for x, y in zip(feature_list(self.xs[:-1]), self.ys.tolist()))
 
 
 def draw_halluc(
@@ -101,18 +116,21 @@ def draw_halluc(
     if count > pool.size and not with_replacement:
         raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool.size}")
     if count == 0:
-        return RelaxationDraw((), (), ())
+        return RelaxationDraw(pool.features[:0], ())
     if with_replacement:
         idx = rng.integers(0, pool.size, size=count)
     else:
         idx = rng.permutation(pool.size)[:count]
     signs = rng.integers(0, 2, size=count) * 2 - 1
-    feats = tuple(pool.features[i] for i in idx)
-    return RelaxationDraw(feats, tuple(int(s) for s in signs), tuple(int(i) for i in idx))
+    return RelaxationDraw(pool.features[idx], signs, idx)
 
 
-def _negated_signed(signs: Sequence[int], feats: Sequence[Feature]) -> tuple[SignedTerm, ...]:
-    return tuple(SignedTerm(-s, x) for s, x in zip(signs, feats))
+def _sup_query(xs, ys, ws, signs, feats, loss: LossFn) -> MixedErmQuery:
+    """The negated query whose -min is sup_h [2L sum eps_i h(x~_i) - sum_i w_i loss(h(x_i), y_i)]."""
+    return MixedErmQuery(
+        xs=xs, ys=ys, ws=ws, signed_xs=feats, signs=-signs,
+        coefficient=2.0 * loss.lipschitz, loss=loss,
+    )
 
 
 def inner_sup(
@@ -126,13 +144,8 @@ def inner_sup(
 
     One mixed-ERM solve on the negated query.
     """
-    pairs = history.pairs() + (LabeledPair(history.x_cur, probe_y),)
-    query = MixedErmQuery(
-        pairs=pairs,
-        signed=_negated_signed(draw.signs, draw.halluc),
-        coefficient=2.0 * config.loss.lipschitz,
-        loss=config.loss,
-    )
+    ys = np.concatenate((history.ys, (probe_y,)))
+    query = _sup_query(history.xs, ys, None, draw.signs, draw.halluc, config.loss)
     return -cls.solve(query).objective
 
 
@@ -197,19 +210,8 @@ def predict_binary_fast(
     return float(np.clip((1.0 + g1 - g0) / 2.0, 0.0, 1.0))
 
 
-def _sup_value(
-    pairs: tuple,
-    signs: Sequence[int],
-    feats: Sequence[Feature],
-    cls: HypothesisClass,
-    loss: LossFn,
-) -> float:
-    query = MixedErmQuery(
-        pairs=pairs,
-        signed=_negated_signed(signs, feats),
-        coefficient=2.0 * loss.lipschitz,
-        loss=loss,
-    )
+def _sup_value(history: MixedErmQuery, signs, feats, cls: HypothesisClass, loss: LossFn) -> float:
+    query = _sup_query(history.xs, history.ys, history.ws, np.asarray(signs, dtype=float), feats, loss)
     return -cls.solve(query).objective
 
 
@@ -228,17 +230,17 @@ def relaxation_R(
     R_j = E[sup_h 2L sum_{i>j} eps_i h(x~_i) - L_j^h], hallucinations drawn
     from the pool. `history_pairs` are the j realized rounds (labels included).
     """
-    pairs = tuple(history_pairs)
+    history = MixedErmQuery(history_pairs)
     count = config.horizon - j
     if count < 0:
         raise ConfigError("j exceeds the horizon")
     if count == 0:
-        val = _sup_value(pairs, (), (), cls, config.loss)
+        val = _sup_value(history, (), pool.features[:0], cls, config.loss)
         return val, 0.0
     vals = np.empty(mc_samples)
     for k in range(mc_samples):
         d = draw_halluc(pool, count, rng, with_replacement)
-        vals[k] = _sup_value(pairs, d.signs, d.halluc, cls, config.loss)
+        vals[k] = _sup_value(history, d.signs, d.halluc, cls, config.loss)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
 
 
@@ -257,18 +259,19 @@ def relaxation_Rtilde(
 
     `true_env` is anything with a .sample(rng) method; diagnostic use only.
     """
-    pairs = tuple(history_pairs)
+    history = MixedErmQuery(history_pairs)
     count = config.horizon - j
     if count < 0:
         raise ConfigError("j exceeds the horizon")
     if count == 0:
-        val = _sup_value(pairs, (), (), cls, config.loss)
+        val = _sup_value(history, (), pool.features[:0], cls, config.loss)
         return val, 0.0
     vals = np.empty(mc_samples)
     for k in range(mc_samples):
         fresh = true_env.sample(rng)
         d = draw_halluc(pool, count - 1, rng, with_replacement)
-        vals[k] = _sup_value(pairs, (int(rng.integers(0, 2)) * 2 - 1,) + d.signs, (fresh,) + d.halluc, cls, config.loss)
+        signs = np.concatenate(([int(rng.integers(0, 2)) * 2 - 1], d.signs))
+        vals[k] = _sup_value(history, signs, feature_rows([fresh, *d.halluc]), cls, config.loss)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
 
 
@@ -287,5 +290,5 @@ def f_eval(
     """
     if len(signs) != len(tail_halluc) + 1:
         raise ConfigError("need one sign for the probe slot plus one per tail feature")
-    feats = (probe_x,) + tuple(tail_halluc)
-    return _sup_value(tuple(history_pairs), tuple(signs), feats, cls, loss)
+    feats = feature_rows([probe_x, *tail_halluc])
+    return _sup_value(MixedErmQuery(history_pairs), signs, feats, cls, loss)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .core import ConfigError, HypothesisClass, LabeledPair, LossFn, best_in_hindsight, loss_eval
+from .core import ConfigError, HypothesisClass, LossFn, best_in_hindsight, feature_rows, loss_eval
 from .environment import Adversary, sample_feature
 from .epochs import (
     EpochSchedule,
@@ -55,6 +55,8 @@ def run_shifting(
     xs, ys, yhats, losses, rows_meta = [], [], [], [], []
     block_starts = []
     block_regrets = []
+    drift = 0.0
+    shortfall = 0
 
     t = 0
     block = 0
@@ -62,37 +64,36 @@ def run_shifting(
         block += 1
         block_starts.append(t + 1)
         state = _EpochPredictorState(schedule, cls, loss, config, use_fast)
-        block_losses, block_pairs = [], []
         for _ in range(min(B, T - t)):
             t += 1
-            state.advance()
             x_t = sample_feature(env, t, _round_rng(config.seed, 1, t))
+            state.advance(x_t)
             calls_before = cls.solve_calls
-            yhat = state.predict(x_t, _round_rng(config.seed, 2, t))
+            yhat = state.predict(_round_rng(config.seed, 2, t))
             erm_calls = cls.solve_calls - calls_before
             probe = (
-                _probe_closure(state, x_t, config.seed, t, config.probe_mc)
+                _probe_closure(state, config.seed, t, config.probe_mc)
                 if adversary.kind != "oblivious"
                 else None
             )
             y_t = adversary.emit(t, history, x_t, probe, _round_rng(config.seed, 4, t))
-            state.record(x_t, y_t)
+            state.record(y_t)
             history.append((x_t, y_t))
-            li = loss_eval(loss, yhat, y_t)
             xs.append(x_t)
             ys.append(y_t)
             yhats.append(yhat)
-            losses.append(li)
-            block_losses.append(li)
-            block_pairs.append(LabeledPair(x_t, y_t))
+            losses.append(loss_eval(loss, yhat, y_t))
             rows_meta.append((block, state.n, state.j, erm_calls))
-        comp_cls = cls.clone()
-        _, block_comp = best_in_hindsight(comp_cls, tuple(block_pairs), loss)
-        block_regrets.append(sum(block_losses) - block_comp)
+        drift += state.drift
+        shortfall += state.shortfall
+        first = block_starts[-1] - 1
+        _, block_comp = best_in_hindsight(
+            cls.clone(), loss=loss, xs=feature_rows(xs[first:]), ys=np.array(ys[first:])
+        )
+        block_regrets.append(sum(losses[first:]) - block_comp)
 
-    pairs = tuple(LabeledPair(x, y) for x, y in zip(xs, ys))
     comparator = cls.clone()
-    h_star, _ = best_in_hindsight(comparator, pairs, loss)
+    h_star, _ = best_in_hindsight(comparator, loss=loss, xs=feature_rows(xs), ys=np.array(ys))
     comp_losses = [loss_eval(loss, comparator.evaluate(h_star, x), y) for x, y in zip(xs, ys)]
 
     cum_loss = cum_comp = 0.0
@@ -109,6 +110,7 @@ def run_shifting(
     trace.metadata.update(
         seed=config.seed, T=T, K=K, block_length=B,
         block_starts=block_starts, block_regrets=block_regrets,
+        rounding_drift=drift, halluc_shortfall=shortfall,
         adversary=adversary.kind, fast_binary_path=use_fast,
     )
     return trace

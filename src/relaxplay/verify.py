@@ -24,8 +24,8 @@ from .core import (
     LabeledPair,
     LossFn,
     MixedErmQuery,
-    SignedTerm,
     best_in_hindsight,
+    feature_rows,
     loss_eval,
 )
 from .environment import FeatureDistribution
@@ -66,13 +66,8 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _rademacher_sup(cls: HypothesisClass, signs: Sequence[int], feats: Sequence[Feature]) -> float:
-    query = MixedErmQuery(
-        pairs=(),
-        signed=tuple(SignedTerm(-int(s), x) for s, x in zip(signs, feats)),
-        coefficient=1.0,
-        loss=ABSOLUTE_LOSS,
-    )
+def _rademacher_sup(cls: HypothesisClass, signs: Sequence[int], feats: np.ndarray) -> float:
+    query = MixedErmQuery(signed_xs=feats, signs=-np.asarray(signs, dtype=float), coefficient=1.0)
     return -cls.solve(query).objective
 
 
@@ -92,6 +87,7 @@ def estimate_rademacher(
     T = len(features)
     if T < 1:
         raise ConfigError("need at least one feature")
+    features = feature_rows(features)
     if exhaustive:
         vals = [
             _rademacher_sup(cls, signs, features)
@@ -173,7 +169,7 @@ def check_admissibility(
         for x_j, p_x in zip(scenario.env.points, scenario.env.probs):
             if p_x == 0.0:
                 continue
-            history = GameHistory(rounds=rounds, x_cur=x_j)
+            history = GameHistory.from_rounds(rounds, x_j)
             vals = np.empty(mc_samples)
             for k in range(mc_samples):
                 draw = draw_halluc(pool, count, rng)
@@ -442,7 +438,7 @@ def check_decomposition(
         preds: list = []
         for j in range(1, M + 1):
             x_j = scenario.env.sample(rng)
-            history = GameHistory(rounds=rounds, x_cur=x_j)
+            history = GameHistory.from_rounds(rounds, x_j)
             draw = draw_halluc(pool, M - j, rng)
             yhat = predict_general(history, draw, cls, config)
             y_j = max(

@@ -1,7 +1,8 @@
 """Acceptance gate: twelve pinned criteria, one PASS/FAIL line each.
 
 Criteria 7, 8, 9, and 11 are multi-seed regret sweeps and dominate the
-runtime; everything else finishes in seconds to a couple of minutes.
+runtime; they carry the `slow` marker, so `pytest -m "not slow"` skips them
+for a quick loop. Everything else finishes in seconds to a couple of minutes.
 """
 
 import math
@@ -249,6 +250,7 @@ ONLINE_SWEEP = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_07_online_regret_growth():
     start = time.time()
     summary = run_experiment(dict(ONLINE_SWEEP))
@@ -266,6 +268,7 @@ def test_criterion_07_online_regret_growth():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_adaptive_adversary():
     cfg = dict(
         ONLINE_SWEEP,
@@ -282,6 +285,7 @@ def test_criterion_08_adaptive_adversary():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_shifting():
     K = 2
     horizons = [1024, 2048, 4096, 8192]
@@ -427,6 +431,7 @@ def test_criterion_10_bandit_minimax_pieces():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_bandit_regret_growth():
     horizons = [512, 1024, 2048, 4096]
     env = FeatureDistribution.uniform()

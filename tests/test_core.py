@@ -142,3 +142,97 @@ class TestQueryObjective:
             assert res.objective == pytest.approx(
                 query_objective(cls, res.hypothesis, query), abs=1e-12
             )
+
+
+class TestQueryArrays:
+    def test_terms_become_arrays(self):
+        query = MixedErmQuery(
+            pairs=(LabeledPair(0.1, 1.0, weight=2.0), LabeledPair(0.4, 0.0)),
+            signed=(SignedTerm(-1, 0.9),),
+            coefficient=3.0,
+        )
+        assert query.xs.dtype == np.float64 and query.xs.tolist() == [0.1, 0.4]
+        assert query.ys.tolist() == [1.0, 0.0] and query.ws.tolist() == [2.0, 1.0]
+        assert query.signed_xs.tolist() == [0.9] and query.signs.tolist() == [-1.0]
+        assert len(query.pairs) == 2 and len(query.signed) == 1
+        assert query.pairs[0] == LabeledPair(0.1, 1.0, weight=2.0)
+        assert list(query.pairs) == list(query.pairs[:])
+        assert query.signed[-1] == SignedTerm(-1, 0.9)
+
+    def test_array_form_defaults_weights(self):
+        query = MixedErmQuery(xs=[0.2, 0.7], ys=[0.0, 1.0])
+        assert query.ws.tolist() == [1.0, 1.0]
+        assert len(query.signed) == 0
+
+    def test_vector_features_are_rows(self):
+        query = MixedErmQuery(pairs=(LabeledPair(np.array([0.1, 0.2]), 0.5),))
+        assert query.xs.shape == (1, 2)
+        assert np.array_equal(query.pairs[0].x, [0.1, 0.2])
+
+    def test_both_forms_rejected(self):
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(pairs=(LabeledPair(0.1, 1.0),), xs=[0.1], ys=[1.0])
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(signed=(SignedTerm(1, 0.1),), signed_xs=[0.1], signs=[1.0])
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(ys=[1.0])
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(signs=[1.0], coefficient=1.0)
+
+
+class TestQueryValidation:
+    """Bad terms fail when the query is built, before any solver sees them."""
+
+    nan, inf = float("nan"), float("inf")
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(InputDomainError):
+            LabeledPair(0.3, 1.0, weight=self.nan)
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(xs=[0.3], ys=[1.0], ws=[self.nan])
+
+    @pytest.mark.parametrize("w", [-1.0, float("inf")])
+    def test_bad_array_weight_rejected(self, w):
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(xs=[0.3, 0.5], ys=[1.0, 0.0], ws=[1.0, w])
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_features_rejected(self, x):
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(pairs=(LabeledPair(x, 1.0),))
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(signed=(SignedTerm(1, x),), coefficient=1.0)
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(xs=[0.5, x], ys=[1.0, 0.0])
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(signed_xs=[np.array([0.5, x])], signs=[1.0])
+
+    @pytest.mark.parametrize("y", [-0.1, 1.5, float("nan")])
+    def test_labels_outside_unit_interval_rejected(self, y):
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(xs=[0.1, 0.2], ys=[0.5, y])
+
+    @pytest.mark.parametrize("s", [0.0, 2.0, 0.5, float("nan")])
+    def test_bad_signs_rejected(self, s):
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(signed_xs=[0.1, 0.2], signs=[1.0, s], coefficient=1.0)
+
+    @pytest.mark.parametrize("c", [-1.0, float("nan"), float("inf")])
+    def test_bad_coefficient_rejected(self, c):
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(coefficient=c)
+
+    def test_shape_mismatches_rejected(self):
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(xs=[0.1, 0.2], ys=[1.0])
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(xs=[0.1, 0.2], ys=[1.0, 0.0], ws=[1.0])
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(signed_xs=[0.1], signs=[1.0, -1.0])
+        with pytest.raises(InputDomainError):
+            MixedErmQuery(pairs=(LabeledPair(0.1, 1.0), LabeledPair(np.array([0.1, 0.2]), 0.0)))
+
+    def test_nan_feature_no_longer_solves_to_zero(self):
+        # a NaN feature used to fall outside every threshold cell silently
+        with pytest.raises(InputDomainError):
+            ThresholdClass().solve(MixedErmQuery(pairs=(LabeledPair(self.nan, 1.0),)))

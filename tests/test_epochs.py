@@ -145,3 +145,49 @@ class TestRunEpochPredictor:
             sched, cls, ABSOLUTE_LOSS, env, constant_adversary(0.5), 20, RunConfig(seed=0)
         )
         assert "rounding_drift" in trace.metadata
+
+
+def expected_shortfall(schedule, T):
+    """Rounds t <= T whose draw wants more hallucinations than the pool holds."""
+    count = 0
+    for t in range(1, T + 1):
+        idx = locate(schedule, t)
+        count += idx.start < epoch_length(schedule, idx.n) - idx.j
+    return count
+
+
+class TestHallucinationShortfall:
+    def _run(self, sched, adversary, T, **kwargs):
+        from relaxplay import ABSOLUTE_LOSS
+
+        return run_epoch_predictor(
+            sched, ThresholdClass(), ABSOLUTE_LOSS, FeatureDistribution.uniform(),
+            adversary, T, RunConfig(seed=0, **kwargs),
+        )
+
+    def test_counted_in_metadata(self):
+        sched = EpochSchedule("geometric", ratio=1.5)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        trace = self._run(sched, adversary, 40)
+        # epoch 1 (length 2) starts with an empty pool, so its first round falls short
+        assert trace.metadata["halluc_shortfall"] == expected_shortfall(sched, 40) > 0
+
+    def test_probe_draws_not_counted(self):
+        from relaxplay.environment import flip_to_far
+
+        sched = EpochSchedule("geometric", ratio=1.5)
+        trace = self._run(sched, flip_to_far(), 30, probe_mc=3)
+        assert trace.metadata["halluc_shortfall"] == expected_shortfall(sched, 30)
+
+    def test_linear_schedule_never_falls_short(self):
+        sched = EpochSchedule("polynomial", alpha=1.0)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        assert self._run(sched, adversary, 30).metadata["halluc_shortfall"] == 0
+
+    def test_kept_out_of_the_csv(self, tmp_path):
+        sched = EpochSchedule("geometric", ratio=1.5)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        trace = self._run(sched, adversary, 10)
+        trace.to_csv(tmp_path / "t.csv")
+        text = (tmp_path / "t.csv").read_text()
+        assert "shortfall" not in text and "drift" not in text

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -140,6 +141,38 @@ class TestRunExperiment:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="config.mode"):
             run_experiment({"mode": "nope"})
+
+
+PINNED_ONLINE = dict(ONLINE_CONFIG, horizons=[64])
+PINNED_BANDIT = {
+    "mode": "bandit",
+    "seeds": [0],
+    "horizons": [64],
+    "policies": {"kind": "mixed", "K": 2, "arms": [0, 1], "thresholds": [0.5]},
+    "env": {"kind": "uniform"},
+    "costs": {"name": "constant", "values": [0.0, 1.0]},
+}
+PINNED_ADAPTIVE = dict(ONLINE_CONFIG, horizons=[128], adversary={"name": "flip_to_far"}, probe_mc=2)
+
+
+class TestPinnedTraces:
+    """sha256 of the CSVs of fixed configs: a refactor must reproduce them byte
+    for byte. The online and bandit configs are criterion 12's; a change that
+    alters RNG consumption or arithmetic re-pins them on purpose."""
+
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            (PINNED_ONLINE, "cfa25dc1a3a0187b59c4b876ffb6a9f14e7174805333c07534618fd8c25f3245"),
+            (PINNED_BANDIT, "b05c238a4b6a0207c2ec75412efe9470f982be7e66b61a53eeaf84ef3e7dc858"),
+            (PINNED_ADAPTIVE, "162d4284267cc2953f79081a01cf1ebae9c445ddfe29a2103b034ca9446708ef"),
+        ],
+        ids=["online", "bandit", "adaptive"],
+    )
+    def test_csv_sha256(self, tmp_path, config, digest):
+        run_experiment(dict(config), out_dir=str(tmp_path))
+        (csv,) = tmp_path.glob("*.csv")
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
 
 class TestCli:

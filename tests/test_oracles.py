@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxplay import (
     ConfigError,
@@ -11,6 +13,8 @@ from relaxplay import (
     SignedTerm,
     ThresholdClass,
     UnsupportedClassError,
+    loss_eval,
+    query_objective,
     reference_solve,
 )
 
@@ -205,3 +209,159 @@ class TestReferenceCrossChecks:
         assert cls.solve_calls == 1
         clone = cls.clone()
         assert clone.solve_calls == 0 and cls.solve_calls == 1
+
+
+def enumerate_interval_solve(gamma, query):
+    """Exact reference for IntervalClass: the package's earlier solver, which
+    scores every candidate interval.
+
+    The objective is constant on cells whose boundaries are an endpoint
+    crossing a queried feature, or the binding length constraint b = a + gamma
+    crossing one (a at value - gamma). Critical coordinates plus the midpoints
+    of adjacent critical pairs give one representative per cell; every
+    candidate left end is paired with every candidate right end.
+    """
+    xs, xt = query.xs, query.signed_xs
+    allx = np.concatenate([xs, xt])
+    g = gamma
+    if allx.size == 0:
+        return (0.0, g), 0.0
+    base = 0.0
+    deltas = []
+    for y, w in zip(query.ys.tolist(), query.ws.tolist()):
+        base += w * loss_eval(query.loss, 0.0, y)
+        deltas.append(w * (loss_eval(query.loss, 1.0, y) - loss_eval(query.loss, 0.0, y)))
+    deltas += [query.coefficient * s for s in query.signs.tolist()]
+    dlt = np.asarray(deltas)
+
+    cand = {0.0, 1.0, g, 1.0 - g}
+    for v in np.unique(allx):
+        cand.update((v, v - g, v + g))
+    crit = np.array(sorted(c for c in cand if -g <= c <= 1.0 + g))
+    cand.update((crit[:-1] + crit[1:]) / 2.0)
+    cand = np.array(sorted(c for c in cand if 0.0 <= c <= 1.0))
+
+    best_obj, best_handle, tol = np.inf, None, 1e-12
+    for a in cand:
+        if a > 1.0 - g + tol:
+            continue
+        bs = np.union1d(cand[cand >= a + g - tol], [min(1.0, a + g)])
+        covered = (allx[None, :] >= a) & (allx[None, :] <= bs[:, None])
+        objs = base + covered @ dlt
+        i = int(np.argmin(objs))
+        if objs[i] < best_obj - tol:
+            best_obj, best_handle = float(objs[i]), (float(a), float(bs[i]))
+    return best_handle, best_obj
+
+
+def weighted_query(rng, n_pairs, n_signed, feat):
+    return MixedErmQuery(
+        xs=[feat() for _ in range(n_pairs)],
+        ys=rng.random(n_pairs),
+        ws=rng.uniform(0.0, 2.0, n_pairs),
+        signed_xs=[feat() for _ in range(n_signed)],
+        signs=rng.integers(0, 2, n_signed) * 2.0 - 1.0,
+        coefficient=float(rng.uniform(0.0, 3.0)),
+    )
+
+
+class TestIntervalAgainstEnumeration:
+    """The O(n log n) sweep against the candidate-enumeration reference."""
+
+    GAMMAS = (0.1, 0.25, 0.5)
+
+    def _check(self, rng, feat):
+        for k in range(500):
+            gamma = self.GAMMAS[k % 3]
+            cls = IntervalClass(gamma)
+            query = weighted_query(rng, int(rng.integers(0, 7)), int(rng.integers(0, 6)), feat)
+            res = cls.solve(query)
+            _, ref = enumerate_interval_solve(gamma, query)
+            assert res.objective == pytest.approx(ref, abs=1e-9)
+            assert query_objective(cls, res.hypothesis, query) == pytest.approx(res.objective, abs=1e-9)
+            a, b = res.hypothesis
+            assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and b - a >= gamma
+
+    def test_500_off_lattice_queries(self):
+        rng = np.random.default_rng(51)
+        self._check(rng, lambda: float(rng.random()))
+
+    def test_500_dyadic_lattice_queries(self):
+        # gaps of exactly 0.25 or 0.5 put the open and closed interval ends on features
+        rng = np.random.default_rng(52)
+        self._check(rng, lambda: float(rng.integers(0, 9)) / 8.0)
+
+    def test_exact_gap_is_not_an_interval(self):
+        # gaps like (0.25, 0.5) are open at both ends, so no length-0.25
+        # interval fits between the features: each one covers at least one
+        cls = IntervalClass(0.25)
+        query = MixedErmQuery(xs=[0.0, 0.25, 0.5, 0.75, 1.0], ys=[0.0] * 5)
+        assert cls.solve(query).objective == 1.0
+        query = MixedErmQuery(xs=[0.25], ys=[0.0])
+        res = cls.solve(query)
+        assert res.objective == 0.0  # [0.5, 0.75] or [0, 0.25) avoid it
+        a, b = res.hypothesis
+        assert not a <= 0.25 <= b
+
+    def test_out_of_range_positions_are_never_covered(self):
+        cls = IntervalClass(0.25)
+        query = MixedErmQuery(signed_xs=[-0.5, 1.5, 0.5], signs=[-1.0, -1.0, -1.0], coefficient=1.0)
+        assert cls.solve(query).objective == pytest.approx(-1.0)
+
+
+class TestArrayAndTermQueriesAgree:
+    """A query built from arrays solves exactly like the same query built from terms."""
+
+    terms = st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 3.0), st.sampled_from((-1, 1))
+        ),
+        max_size=5,
+    )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            ThresholdClass,
+            lambda: IntervalClass(0.25),
+            lambda: FiniteClass.from_constants([0.0, 0.3, 1.0]),
+            LipschitzClass,
+        ],
+        ids=["threshold", "interval", "finite", "lipschitz"],
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(pair_terms=terms, signed_terms=terms, coefficient=st.floats(0.0, 3.0))
+    def test_identical_solve(self, make, pair_terms, signed_terms, coefficient):
+        from_terms = MixedErmQuery(
+            pairs=[LabeledPair(x, y, w) for x, y, w, _ in pair_terms],
+            signed=[SignedTerm(s, x) for x, _, _, s in signed_terms],
+            coefficient=coefficient,
+        )
+        from_arrays = MixedErmQuery(
+            xs=np.array([t[0] for t in pair_terms]),
+            ys=np.array([t[1] for t in pair_terms]),
+            ws=np.array([t[2] for t in pair_terms]),
+            signed_xs=np.array([t[0] for t in signed_terms]),
+            signs=np.array([t[3] for t in signed_terms], dtype=float),
+            coefficient=coefficient,
+        )
+        r1, r2 = make().solve(from_terms), make().solve(from_arrays)
+        assert r1.objective == r2.objective
+        h1, h2 = r1.hypothesis, r2.hypothesis
+        if isinstance(h1, tuple) and isinstance(h1[0], np.ndarray):
+            assert all(np.array_equal(u, v) for u, v in zip(h1, h2))
+        else:
+            assert h1 == h2
+
+
+class TestScalarOraclesRejectVectors:
+    @pytest.mark.parametrize("cls", [ThresholdClass(), IntervalClass(0.1)])
+    def test_array_built_vector_features(self, cls):
+        with pytest.raises(UnsupportedClassError):
+            cls.solve(MixedErmQuery(xs=np.array([[0.1, 0.2]]), ys=[0.0]))
+        with pytest.raises(UnsupportedClassError):
+            cls.solve(MixedErmQuery(signed_xs=np.array([[0.1, 0.2]]), signs=[1.0], coefficient=1.0))
+
+    def test_length_one_vectors_count_as_scalars(self):
+        res = ThresholdClass().solve(MixedErmQuery(pairs=(LabeledPair(np.array([0.5]), 1.0),)))
+        assert res.objective == 0.0

@@ -33,7 +33,7 @@ class TestDrawHalluc:
 
     def test_empty_draw(self):
         d = draw_halluc(SidePool([0.1]), 0, np.random.default_rng(0))
-        assert d.halluc == () and d.signs == ()
+        assert len(d.halluc) == 0 and len(d.signs) == 0
 
     def test_pool_exhaustion(self):
         with pytest.raises(PoolExhaustedError):
@@ -47,7 +47,8 @@ class TestDrawHalluc:
         counts = {}
         for _ in range(n):
             d = draw_halluc(pool, 2, rng)
-            counts[d.indices] = counts.get(d.indices, 0) + 1
+            key = tuple(d.indices.tolist())
+            counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
         p = 1.0 / 6.0
         sigma = math.sqrt(n * p * (1 - p))
@@ -64,14 +65,14 @@ class TestDrawHalluc:
 class TestInnerSup:
     def test_singleton_no_sup_needed(self):
         cls = FiniteClass.from_constants([0.5])
-        hist = GameHistory(rounds=[(0.3, 1.0)], x_cur=0.6)
+        hist = GameHistory.from_rounds([(0.3, 1.0)], 0.6)
         config = PredictorConfig(horizon=2)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         assert inner_sup(hist, d, 0.0, cls, config) == pytest.approx(-1.0)
 
     def test_two_constants(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
-        hist = GameHistory(rounds=[], x_cur=0.5)
+        hist = GameHistory.from_rounds([], 0.5)
         config = PredictorConfig(horizon=1)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         assert inner_sup(hist, d, 1.0, cls, config) == pytest.approx(0.0)
@@ -81,7 +82,7 @@ class TestInnerSup:
         from relaxplay import RelaxationDraw
 
         cls = ThresholdClass()
-        hist = GameHistory(rounds=[], x_cur=0.5)
+        hist = GameHistory.from_rounds([], 0.5)
         config = PredictorConfig(horizon=4)
         d = RelaxationDraw(halluc=(0.7,), signs=(1,), indices=(0,))
         assert inner_sup(hist, d, 1.0, cls, config) == pytest.approx(2.0)
@@ -92,14 +93,14 @@ class TestInnerSup:
 class TestPredictGeneral:
     def test_symmetric_two_constants(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
-        hist = GameHistory(rounds=[], x_cur=0.5)
+        hist = GameHistory.from_rounds([], 0.5)
         config = PredictorConfig(horizon=4, yhat_tolerance=1e-4)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         assert predict_general(hist, d, cls, config) == pytest.approx(0.5, abs=1e-3)
 
     def test_singleton_tracks_expert(self):
         cls = FiniteClass.from_constants([0.5])
-        hist = GameHistory(rounds=[], x_cur=0.2)
+        hist = GameHistory.from_rounds([], 0.2)
         config = PredictorConfig(horizon=4, yhat_tolerance=1e-4)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         assert predict_general(hist, d, cls, config) == pytest.approx(0.5, abs=1e-3)
@@ -114,7 +115,7 @@ class TestPredictGeneral:
                 (float(x), float(y))
                 for x, y in zip(rng.random(M - 1), rng.random(M - 1))
             ][: int(rng.integers(0, M))]
-            hist = GameHistory(rounds=rounds, x_cur=float(rng.random()))
+            hist = GameHistory.from_rounds(rounds, float(rng.random()))
             pool = SidePool([float(v) for v in rng.random(M)])
             d = draw_halluc(pool, int(rng.integers(0, M)), rng)
             config = PredictorConfig(horizon=M)
@@ -135,7 +136,7 @@ class TestPredictGeneral:
         for M in (1, 4, 9, 25):
             cls = ThresholdClass()
             pool = SidePool([float(v) for v in rng.random(M)])
-            hist = GameHistory(rounds=[(0.5, 1.0)], x_cur=float(rng.random()))
+            hist = GameHistory.from_rounds([(0.5, 1.0)], float(rng.random()))
             d = draw_halluc(pool, M - 1, rng)
             before = cls.solve_calls
             predict_general(hist, d, cls, PredictorConfig(horizon=M))
@@ -145,14 +146,14 @@ class TestPredictGeneral:
 class TestPredictBinaryFast:
     def test_symmetry(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
-        hist = GameHistory(rounds=[], x_cur=0.5)
+        hist = GameHistory.from_rounds([], 0.5)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         yhat = predict_binary_fast(hist, d, cls, PredictorConfig(horizon=2))
         assert yhat == pytest.approx(0.5)  # G(0) = G(1) = 0 here
 
     def test_exactly_two_calls(self):
         cls = ThresholdClass()
-        hist = GameHistory(rounds=[(0.3, 0.0)], x_cur=0.7)
+        hist = GameHistory.from_rounds([(0.3, 0.0)], 0.7)
         pool = SidePool([0.2, 0.8])
         d = draw_halluc(pool, 2, np.random.default_rng(1))
         before = cls.solve_calls
@@ -161,7 +162,7 @@ class TestPredictBinaryFast:
 
     def test_rejects_non_binary(self):
         cls = FiniteClass.from_constants([0.3, 0.7])
-        hist = GameHistory(rounds=[], x_cur=0.5)
+        hist = GameHistory.from_rounds([], 0.5)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             predict_binary_fast(hist, d, cls, PredictorConfig(horizon=2))
@@ -176,7 +177,7 @@ class TestPredictBinaryFast:
                 (float(x), float(y))
                 for x, y in zip(rng.random(j), rng.integers(0, 2, j))
             ]
-            hist = GameHistory(rounds=rounds, x_cur=float(rng.random()))
+            hist = GameHistory.from_rounds(rounds, float(rng.random()))
             pool = SidePool([float(v) for v in rng.random(M)])
             d = draw_halluc(pool, M - 1 - j if M - 1 - j > 0 else 0, rng)
             config = PredictorConfig(horizon=M, yhat_tolerance=1e-3)

@@ -125,3 +125,24 @@ class TestRunShifting:
             RunConfig(seed=3),
         )
         assert a.rows == b.rows
+
+    def test_shortfall_and_drift_metadata(self):
+        from relaxplay import epoch_length, locate
+
+        sched = EpochSchedule("geometric", ratio=1.5)
+        T, K = 40, 3
+        trace = run_shifting(
+            ThresholdClass(), ABSOLUTE_LOSS, FeatureDistribution.uniform(), self._adv(), T, K, sched,
+            RunConfig(seed=0),
+        )
+        B = trace.metadata["block_length"]
+        expected, drift = 0, 0.0
+        for first in range(1, T + 1, B):
+            rounds = min(B, T - first + 1)
+            for t in range(1, rounds + 1):
+                idx = locate(sched, t)
+                expected += idx.start < epoch_length(sched, idx.n) - idx.j
+            for n in range(1, locate(sched, rounds).n + 1):
+                drift += abs(epoch_length(sched, n) - sched.exact_length(n))
+        assert trace.metadata["halluc_shortfall"] == expected > 0
+        assert trace.metadata["rounding_drift"] == pytest.approx(drift)

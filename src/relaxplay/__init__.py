@@ -35,6 +35,7 @@ from .predictor import (
     draw_halluc,
     f_eval,
     inner_sup,
+    inner_sups,
     predict_binary_fast,
     predict_general,
     relaxation_R,

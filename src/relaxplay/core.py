@@ -11,7 +11,9 @@ either from those arrays (used as given, not copied) or from sequences of
 `LabeledPair` / `SignedTerm` (converted once), and it is validated once, when
 built: non-finite features, labels outside [0,1], non-finite or negative
 weights, signs other than +-1 and a non-finite or negative coefficient raise
-`InputDomainError`. Solvers read the arrays and never re-check them.
+`InputDomainError`. `with_last_label(y)` derives the same query with another
+last label and checks only that label, so a grid of probe labels over one
+history is checked once. Solvers read the arrays and never re-check them.
 """
 
 from __future__ import annotations
@@ -240,6 +242,16 @@ class MixedErmQuery:
         self.xs, self.ys, self.ws = xs, ys, ws
         self.signed_xs, self.signs = signed_xs, signs
         self.coefficient, self.loss = coefficient, loss
+
+    def with_last_label(self, y: float) -> "MixedErmQuery":
+        """This query with its last pair's label set to `y`; only `y` is checked."""
+        ys = self.ys.copy()
+        ys[-1] = check_unit(y, "label")
+        other = object.__new__(MixedErmQuery)
+        other.xs, other.ys, other.ws = self.xs, ys, self.ws
+        other.signed_xs, other.signs = self.signed_xs, self.signs
+        other.coefficient, other.loss = self.coefficient, self.loss
+        return other
 
     @property
     def pairs(self) -> Sequence[LabeledPair]:

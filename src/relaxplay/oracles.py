@@ -101,7 +101,7 @@ class IntervalClass(HypothesisClass):
         """Exact in O(n log n): an interval covers a contiguous run of the
         sorted distinct positions, so the best run ending at each position is
         a prefix-sum difference against a running maximum over the left ends
-        that still leave room for length gamma_len inside [0,1].
+        that still leave float length gamma_len inside [0,1].
         """
         self.solve_calls += 1
         g = self.gamma_len
@@ -113,42 +113,37 @@ class IntervalClass(HypothesisClass):
             return ErmResult((0.0, g), base)
         prefix = np.concatenate(([0.0], np.cumsum(np.bincount(inv, weights=dlt[inside], minlength=k))))
 
-        # A run p[i..j] is coverable iff some a in (lows[i], p[i]] and
-        # b in [p[j], highs[j+1]) have b - a >= g; the bounds are open except
-        # lows[0] = 0 and highs[k] = 1. So the admissible left ends are a
-        # prefix i < n_left[j], with n_left nondecreasing in j: a two-pointer
-        # sweep, done here by searchsorted.
-        lows = np.concatenate(([0.0], p))
-        highs = np.append(p, 1.0)
-        n_left = np.searchsorted(lows[:k], highs[1:] - g, side="left")
-        n_left[-1] = max(n_left[-1], 1)  # [0, 1] itself is closed at both ends
+        # Gap m runs from p[m-1] to p[m], open at both ends, except that gap 0
+        # starts at 0 and gap k ends at 1, closed; a_min[m] and b_max[m] are
+        # the float ends of gap m nearest to each other. A run p[i..j] is
+        # covered exactly by [a, b] with a_min[i] <= a <= p[i] and
+        # p[j] <= b <= b_max[j+1], so it is coverable iff the float length
+        # b_max[j+1] - a_min[i] reaches g; gap m alike with a_min[m], b_max[m].
+        a_min = np.concatenate(([0.0], np.nextafter(p, np.inf)))
+        b_max = np.append(np.nextafter(p, -np.inf), 1.0)
+        # For each j the admissible left ends are a prefix i < n_left[j], as
+        # the float length falls while a_min grows. searchsorted against
+        # b - g + 2^-50 over-counts only the ends within rounding of the
+        # bound, and those are dropped one step at a time.
+        b_run = b_max[1:]
+        n_left = np.searchsorted(a_min[:k], b_run - g + 2.0**-50, side="right")
         n_left = np.minimum(n_left, np.arange(1, k + 1))
+        while True:
+            drop = (n_left > 0) & (b_run - a_min[n_left - 1] < g)
+            if not drop.any():
+                break
+            n_left -= drop
         run_max = np.maximum.accumulate(prefix[:k])
         objs = np.where(n_left > 0, base + (prefix[1:] - run_max[n_left - 1]), np.inf)
         j = int(np.argmin(objs))
-        # an interval covering nothing fits in a gap (lows[m], highs[m])
-        gaps = np.flatnonzero(lows < highs - g)
+        # an interval covering nothing fits in a gap; the handle is always
+        # the widest interval covering what it claims to
+        gaps = np.flatnonzero(b_max - a_min >= g)
         if gaps.size and base <= objs[j]:
             m = int(gaps[0])
-            return ErmResult(self._place(m > 0, lows[m], highs[m], m < k, np.inf, -np.inf), base)
+            return ErmResult((float(a_min[m]), float(b_max[m])), base)
         i = int(np.argmax(prefix[: n_left[j]]))
-        return ErmResult(self._place(i > 0, lows[i], highs[j + 1], j < k - 1, p[i], p[j]), float(objs[j]))
-
-    def _place(self, lo_open, lo, hi, hi_open, first, last) -> tuple[float, float]:
-        """An interval [a, b] with a past `lo` and b before `hi` (strictly when
-        open), a <= first, b >= last and float length b - a >= gamma_len."""
-        g = self.gamma_len
-        if not hi_open:
-            b = hi
-        elif lo_open:
-            b = (lo + g + hi) / 2.0
-        else:
-            b = lo + g
-        b = max(b, last)
-        a = min(first, b - g)
-        while b - a < g:
-            a = float(np.nextafter(a, -np.inf))
-        return float(a), float(b)
+        return ErmResult((float(a_min[i]), float(b_max[j + 1])), float(objs[j]))
 
     def grid_handles(self, step: float) -> Sequence[tuple[float, float]]:
         pts = np.arange(0.0, 1.0 + step / 2, step)

@@ -133,6 +133,11 @@ def _sup_query(xs, ys, ws, signs, feats, loss: LossFn) -> MixedErmQuery:
     )
 
 
+def _probe_query(history: GameHistory, draw: RelaxationDraw, probe_y: float, loss: LossFn) -> MixedErmQuery:
+    """The sup query of `history` with label `probe_y` at the current feature."""
+    return _sup_query(history.xs, np.append(history.ys, probe_y), None, draw.signs, draw.halluc, loss)
+
+
 def inner_sup(
     history: GameHistory,
     draw: RelaxationDraw,
@@ -144,9 +149,23 @@ def inner_sup(
 
     One mixed-ERM solve on the negated query.
     """
-    ys = np.concatenate((history.ys, (probe_y,)))
-    query = _sup_query(history.xs, ys, None, draw.signs, draw.halluc, config.loss)
-    return -cls.solve(query).objective
+    return -cls.solve(_probe_query(history, draw, probe_y, config.loss)).objective
+
+
+def inner_sups(
+    history: GameHistory,
+    draw: RelaxationDraw,
+    probe_ys,
+    cls: HypothesisClass,
+    config: PredictorConfig,
+) -> np.ndarray:
+    """inner_sup at each label of `probe_ys`, one solve each.
+
+    The queries differ only in the probe label, so the history and the draw
+    are checked once.
+    """
+    query = _probe_query(history, draw, 0.0, config.loss)
+    return np.array([-cls.solve(query.with_last_label(y)).objective for y in np.asarray(probe_ys).tolist()])
 
 
 def _y_grid(config: PredictorConfig) -> np.ndarray:
@@ -167,7 +186,7 @@ def predict_general(
     The outer objective is convex in yhat and is minimized by ternary search.
     """
     grid = _y_grid(config)
-    sups = np.array([inner_sup(history, draw, float(y), cls, config) for y in grid])
+    sups = inner_sups(history, draw, grid, cls, config)
 
     loss = config.loss
     if loss.kind == "absolute":
@@ -210,8 +229,18 @@ def predict_binary_fast(
     return float(np.clip((1.0 + g1 - g0) / 2.0, 0.0, 1.0))
 
 
-def _sup_value(history: MixedErmQuery, signs, feats, cls: HypothesisClass, loss: LossFn) -> float:
-    query = _sup_query(history.xs, history.ys, history.ws, np.asarray(signs, dtype=float), feats, loss)
+def _pair_arrays(pairs: Sequence[LabeledPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The features, labels and weights of `pairs`, as arrays."""
+    pairs = tuple(pairs)
+    return (
+        feature_rows([p.x for p in pairs]),
+        np.array([p.y for p in pairs], dtype=float),
+        np.array([p.weight for p in pairs], dtype=float),
+    )
+
+
+def _sup_value(xs, ys, ws, signs, feats, cls: HypothesisClass, loss: LossFn) -> float:
+    query = _sup_query(xs, ys, ws, np.asarray(signs, dtype=float), feats, loss)
     return -cls.solve(query).objective
 
 
@@ -230,17 +259,17 @@ def relaxation_R(
     R_j = E[sup_h 2L sum_{i>j} eps_i h(x~_i) - L_j^h], hallucinations drawn
     from the pool. `history_pairs` are the j realized rounds (labels included).
     """
-    history = MixedErmQuery(history_pairs)
+    history = _pair_arrays(history_pairs)
     count = config.horizon - j
     if count < 0:
         raise ConfigError("j exceeds the horizon")
     if count == 0:
-        val = _sup_value(history, (), pool.features[:0], cls, config.loss)
+        val = _sup_value(*history, (), pool.features[:0], cls, config.loss)
         return val, 0.0
     vals = np.empty(mc_samples)
     for k in range(mc_samples):
         d = draw_halluc(pool, count, rng, with_replacement)
-        vals[k] = _sup_value(history, d.signs, d.halluc, cls, config.loss)
+        vals[k] = _sup_value(*history, d.signs, d.halluc, cls, config.loss)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
 
 
@@ -259,19 +288,19 @@ def relaxation_Rtilde(
 
     `true_env` is anything with a .sample(rng) method; diagnostic use only.
     """
-    history = MixedErmQuery(history_pairs)
+    history = _pair_arrays(history_pairs)
     count = config.horizon - j
     if count < 0:
         raise ConfigError("j exceeds the horizon")
     if count == 0:
-        val = _sup_value(history, (), pool.features[:0], cls, config.loss)
+        val = _sup_value(*history, (), pool.features[:0], cls, config.loss)
         return val, 0.0
     vals = np.empty(mc_samples)
     for k in range(mc_samples):
         fresh = true_env.sample(rng)
         d = draw_halluc(pool, count - 1, rng, with_replacement)
         signs = np.concatenate(([int(rng.integers(0, 2)) * 2 - 1], d.signs))
-        vals[k] = _sup_value(history, signs, feature_rows([fresh, *d.halluc]), cls, config.loss)
+        vals[k] = _sup_value(*history, signs, feature_rows([fresh, *d.halluc]), cls, config.loss)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
 
 
@@ -291,4 +320,4 @@ def f_eval(
     if len(signs) != len(tail_halluc) + 1:
         raise ConfigError("need one sign for the probe slot plus one per tail feature")
     feats = feature_rows([probe_x, *tail_halluc])
-    return _sup_value(MixedErmQuery(history_pairs), signs, feats, cls, loss)
+    return _sup_value(*_pair_arrays(history_pairs), signs, feats, cls, loss)

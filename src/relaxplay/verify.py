@@ -35,7 +35,7 @@ from .predictor import (
     SidePool,
     draw_halluc,
     f_eval,
-    inner_sup,
+    inner_sups,
     predict_general,
     relaxation_R,
     relaxation_Rtilde,
@@ -175,10 +175,8 @@ def check_admissibility(
                 draw = draw_halluc(pool, count, rng)
                 yhat = predict_general(history, draw, cls, config)
                 yhat = float(np.clip(yhat + scenario.predict_offset, 0.0, 1.0))
-                vals[k] = max(
-                    loss_eval(loss, yhat, float(y)) + inner_sup(history, draw, float(y), cls, config)
-                    for y in grid
-                )
+                sups = inner_sups(history, draw, grid, cls, config)
+                vals[k] = max(loss_eval(loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist()))
             lhs_mean += p_x * float(vals.mean())
             if mc_samples > 1:
                 lhs_var += (p_x ** 2) * float(vals.var(ddof=1)) / mc_samples
@@ -441,11 +439,9 @@ def check_decomposition(
             history = GameHistory.from_rounds(rounds, x_j)
             draw = draw_halluc(pool, M - j, rng)
             yhat = predict_general(history, draw, cls, config)
-            y_j = max(
-                grid,
-                key=lambda y: loss_eval(loss, yhat, float(y))
-                + inner_sup(history, draw, float(y), cls, config),
-            )
+            sups = inner_sups(history, draw, grid, cls, config)
+            scores = [loss_eval(loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist())]
+            y_j = grid[int(np.argmax(scores))]
             rounds.append((x_j, float(y_j)))
             preds.append(yhat)
 

@@ -169,6 +169,15 @@ class TestQueryArrays:
         assert query.xs.shape == (1, 2)
         assert np.array_equal(query.pairs[0].x, [0.1, 0.2])
 
+    def test_with_last_label(self):
+        query = MixedErmQuery(xs=[0.2, 0.7], ys=[0.0, 1.0], signed_xs=[0.5], signs=[-1.0], coefficient=2.0)
+        other = query.with_last_label(0.25)
+        assert other.ys.tolist() == [0.0, 0.25] and query.ys.tolist() == [0.0, 1.0]
+        assert other.xs is query.xs and other.signs is query.signs and other.coefficient == 2.0
+        for y in (-0.1, 1.5, float("nan")):
+            with pytest.raises(InputDomainError):
+                query.with_last_label(y)
+
     def test_both_forms_rejected(self):
         with pytest.raises(InputDomainError):
             MixedErmQuery(pairs=(LabeledPair(0.1, 1.0),), xs=[0.1], ys=[1.0])

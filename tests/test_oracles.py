@@ -254,6 +254,28 @@ def enumerate_interval_solve(gamma, query):
     return best_handle, best_obj
 
 
+def widest_interval_solve(gamma, query):
+    """Float-exact reference for IntervalClass, by brute force over handles.
+
+    Widening [a, b] up to the nearest feature on either side keeps what it
+    covers and only adds float length, so every coverable set of features is
+    covered by some a in {0, the floats just above features} and b in {1, the
+    floats just below features} with float length b - a >= gamma. Scores all
+    such pairs with query_objective.
+    """
+    cls = IntervalClass(gamma)
+    allx = np.concatenate([query.xs, query.signed_xs])
+    allx = allx[(allx >= 0.0) & (allx <= 1.0)]
+    lefts = np.append(np.nextafter(allx, np.inf), 0.0)
+    rights = np.append(np.nextafter(allx, -np.inf), 1.0)
+    return min(
+        (query_objective(cls, (float(a), float(b)), query), (float(a), float(b)))
+        for a in lefts
+        for b in rights
+        if a >= 0.0 and b <= 1.0 and b - a >= gamma
+    )[::-1]
+
+
 def weighted_query(rng, n_pairs, n_signed, feat):
     return MixedErmQuery(
         xs=[feat() for _ in range(n_pairs)],
@@ -266,17 +288,17 @@ def weighted_query(rng, n_pairs, n_signed, feat):
 
 
 class TestIntervalAgainstEnumeration:
-    """The O(n log n) sweep against the candidate-enumeration reference."""
+    """The O(n log n) sweep against the exact references."""
 
     GAMMAS = (0.1, 0.25, 0.5)
 
-    def _check(self, rng, feat):
+    def _check(self, rng, feat, reference=enumerate_interval_solve):
         for k in range(500):
             gamma = self.GAMMAS[k % 3]
             cls = IntervalClass(gamma)
             query = weighted_query(rng, int(rng.integers(0, 7)), int(rng.integers(0, 6)), feat)
             res = cls.solve(query)
-            _, ref = enumerate_interval_solve(gamma, query)
+            _, ref = reference(gamma, query)
             assert res.objective == pytest.approx(ref, abs=1e-9)
             assert query_objective(cls, res.hypothesis, query) == pytest.approx(res.objective, abs=1e-9)
             a, b = res.hypothesis
@@ -290,6 +312,34 @@ class TestIntervalAgainstEnumeration:
         # gaps of exactly 0.25 or 0.5 put the open and closed interval ends on features
         rng = np.random.default_rng(52)
         self._check(rng, lambda: float(rng.integers(0, 9)) / 8.0)
+
+    def test_500_decimal_lattice_queries(self):
+        # multiples of 0.1 summed in floats sit an ulp or so off the decimal
+        # lattice, so gaps land within rounding of gamma. The enumeration
+        # reference admits lengths up to 1e-12 short of gamma, so these are
+        # checked against the float-exact brute force instead.
+        rng = np.random.default_rng(53)
+        steps = [sum([0.1] * k) for k in range(11)]
+        self._check(rng, lambda: steps[int(rng.integers(0, 11))], widest_interval_solve)
+
+    def test_float_reference_agrees_off_lattice(self):
+        rng = np.random.default_rng(54)
+        for k in range(200):
+            gamma = self.GAMMAS[k % 3]
+            query = weighted_query(rng, int(rng.integers(0, 7)), int(rng.integers(0, 6)), rng.random)
+            _, ref = enumerate_interval_solve(gamma, query)
+            assert widest_interval_solve(gamma, query)[1] == pytest.approx(ref, abs=1e-9)
+
+    def test_gap_within_rounding_of_gamma(self):
+        # (0.2, 0.1 + 0.2) passes the float test 0.2 < (0.1 + 0.2) - 0.1, but
+        # no float interval of length 0.1 fits strictly inside it
+        cls = IntervalClass(0.1)
+        query = MixedErmQuery(xs=[0.1, 0.2, 0.1 + 0.2], ys=[0.0, 0.0, 0.0])
+        res = cls.solve(query)
+        assert res.objective == 0.0
+        assert query_objective(cls, res.hypothesis, query) == res.objective
+        a, b = res.hypothesis
+        assert b - a >= 0.1 and not any(a <= x <= b for x in query.xs)
 
     def test_exact_gap_is_not_an_interval(self):
         # gaps like (0.25, 0.5) are open at both ends, so no length-0.25

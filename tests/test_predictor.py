@@ -16,6 +16,7 @@ from relaxplay import (
     draw_halluc,
     f_eval,
     inner_sup,
+    inner_sups,
     loss_eval,
     predict_binary_fast,
     predict_general,
@@ -88,6 +89,16 @@ class TestInnerSup:
         assert inner_sup(hist, d, 1.0, cls, config) == pytest.approx(2.0)
         d_neg = RelaxationDraw(halluc=(0.7,), signs=(-1,), indices=(0,))
         assert inner_sup(hist, d_neg, 1.0, cls, config) == pytest.approx(-1.0)
+
+    def test_inner_sups_match_inner_sup(self):
+        rng = np.random.default_rng(4)
+        cls = ThresholdClass()
+        hist = GameHistory.from_rounds([(0.2, 1.0), (0.6, 0.0), (0.9, 1.0)], 0.4)
+        config = PredictorConfig(horizon=8)
+        d = draw_halluc(SidePool(rng.random(6)), 4, rng)
+        ys = [0.0, 0.3, 1.0]
+        sups = inner_sups(hist, d, ys, cls, config)
+        assert sups.tolist() == [inner_sup(hist, d, y, cls, config) for y in ys]
 
 
 class TestPredictGeneral:

@@ -17,6 +17,7 @@ from .core import (
     UnsupportedClassError,
     best_in_hindsight,
     loss_eval,
+    lowest_argmin,
     query_objective,
     signed_to_absolute,
 )
@@ -58,10 +59,12 @@ from .epochs import (
     alpha_from_q,
     epoch_length,
     locate,
+    round_rng,
     run_epoch_predictor,
 )
 from .shifting import block_length, blocks_straddling_changes, run_shifting
 from .bandit import (
+    ArmCosts,
     BanditConfig,
     BanditDraw,
     PolicyClass,

@@ -7,6 +7,12 @@ estimated-cost distributions reduces, for fixed q, to putting mass gamma on
 every profitable 1/gamma atom; minimizing the resulting piecewise-linear
 g(q) over the simplex has the water-filling closed form below, which the
 test suite checks against simplex grid search.
+
+Every policy runs once on each context, filling one (|H|, T) arm matrix;
+a hallucinated context is a column index into it. Each policy's estimated
+cost over the epoch so far is kept as a running sum, so a policy ERM only
+gathers the costs of its items from a cost matrix by arm and adds them, in
+item order, to those sums.
 """
 
 from __future__ import annotations
@@ -17,10 +23,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, Feature, InputDomainError, feature_list
+from .core import ConfigError, Feature, InputDomainError, feature_list, feature_rows, lowest_argmin
 from .environment import sample_feature
-from .epochs import EpochSchedule, epoch_length
-from .predictor import SidePool, PoolExhaustedError
+from .epochs import EpochSchedule, epoch_length, round_rng
+from .predictor import PoolExhaustedError
 from .traces import BANDIT_COLUMNS, RegretTrace
 
 
@@ -38,6 +44,21 @@ class PolicyClass:
 
     def __len__(self) -> int:
         return len(self.policies)
+
+    def arms(self, xs) -> np.ndarray:
+        """The (|H|, n) arm matrix of the features `xs`: entry [h, i] is h(x_i).
+
+        Each policy runs once per feature; the range 0 <= arm < K is checked
+        once for the whole matrix.
+        """
+        feats = feature_list(feature_rows(xs))
+        arms = np.array(
+            [[int(policy(x)) for x in feats] for policy in self.policies], dtype=np.intp
+        ).reshape(len(self.policies), len(feats))
+        if arms.size and not (arms.min() >= 0 and arms.max() < self.num_arms):
+            bad = arms[(arms < 0) | (arms >= self.num_arms)][0]
+            raise InputDomainError(f"policy emitted arm {bad} outside [0,{self.num_arms})")
+        return arms
 
     def arm(self, handle: int, x: Feature) -> int:
         a = int(self.policies[handle](x))
@@ -58,73 +79,115 @@ def gamma_default(class_size: int, K: int, M: int) -> float:
     return float(min(raw, 1.0 / K))
 
 
+@dataclass(frozen=True, eq=False)
+class ArmCosts:
+    """Items of a policy ERM as arrays: `arms[h, i]` is policy h's arm at
+    item i and `weights[i]` is item i's cost vector, shape (n, K).
+
+    Built directly, the arrays are used as given; `from_pairs` converts and
+    checks (feature, cost vector) pairs.
+    """
+
+    arms: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    @classmethod
+    def from_pairs(cls, policy_class: PolicyClass, items: Sequence[tuple[Feature, np.ndarray]]) -> "ArmCosts":
+        items = list(items)
+        K = policy_class.num_arms
+        try:
+            weights = np.array([np.asarray(w, dtype=float) for _, w in items]).reshape(len(items), K)
+        except ValueError as e:
+            raise InputDomainError(f"each cost vector needs {K} entries") from e
+        if not np.isfinite(weights).all():
+            raise InputDomainError("cost weights must be finite")
+        return cls(policy_class.arms([x for x, _ in items]), weights)
+
+
 def policy_erm(
-    policy_class: PolicyClass, items: Sequence[tuple[Feature, np.ndarray]]
+    policy_class: PolicyClass,
+    items: ArmCosts | Sequence[tuple[Feature, np.ndarray]],
+    base: Optional[np.ndarray] = None,
 ) -> tuple[int, float]:
-    """Enumerate inf_h sum_i w_i[h(x_i)] over the table; lowest index wins ties."""
+    """inf_h base[h] + sum_i w_i[h(x_i)] over the table; lowest index wins ties.
+
+    `items` is an `ArmCosts` or a sequence of (feature, cost vector) pairs;
+    `base` (default 0) is each policy's cost from items summed earlier. Each
+    policy's terms add one at a time in item order, after its base.
+    """
     policy_class.solve_calls += 1
-    best_idx, best_obj = 0, np.inf
-    for h in range(len(policy_class)):
-        obj = 0.0
-        for x, w in items:
-            obj += float(w[policy_class.arm(h, x)])
-        if obj < best_obj - 1e-15:
-            best_idx, best_obj = h, obj
-    if not np.isfinite(best_obj):
-        best_obj = 0.0
-    return best_idx, float(best_obj)
+    if not isinstance(items, ArmCosts):
+        items = ArmCosts.from_pairs(policy_class, items)
+    objs = np.zeros(len(policy_class)) if base is None else base
+    if len(items):
+        terms = items.weights[np.arange(len(items)), items.arms]
+        terms[:, 0] += objs
+        # cumsum adds left to right, as a running sum does; np.sum would pair terms
+        objs = np.cumsum(terms, axis=1)[:, -1]
+    best = lowest_argmin(objs.tolist())
+    return best, float(objs[best])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BanditDraw:
-    """Hallucinated contexts plus per-slot sign vectors in {-1,+1}^K and
-    Z in {0, 1/gamma} with Pr[Z = 1/gamma] = gamma*K."""
+    """Hallucinated contexts as distinct pool slots `indices`, one sign vector
+    in {-1,+1}^K per slot (rows of `signs`), and Z in {0, 1/gamma} per slot
+    with Pr[Z = 1/gamma] = gamma*K."""
 
-    halluc: tuple
-    signs: tuple  # tuple of length-K int arrays
-    zs: tuple
+    indices: np.ndarray
+    signs: np.ndarray
+    zs: np.ndarray
 
 
 def draw_bandit(
-    pool: SidePool, count: int, K: int, gamma: float, rng: np.random.Generator
+    pool_size: int, count: int, K: int, gamma: float, rng: np.random.Generator
 ) -> BanditDraw:
-    if count > pool.size:
-        raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool.size}")
-    if count == 0:
-        return BanditDraw((), (), ())
-    idx = rng.permutation(pool.size)[:count]
-    signs = tuple(rng.integers(0, 2, size=K) * 2 - 1 for _ in range(count))
-    zs = tuple(
-        (1.0 / gamma) if rng.random() < gamma * K else 0.0 for _ in range(count)
-    )
-    return BanditDraw(tuple(feature_list(pool.features[idx])), signs, zs)
+    """`count` distinct slots of a pool of `pool_size` contexts, with their
+    signs and Z's.
+
+    `rng` gives a permutation of the pool, then the signs row by row, then
+    one uniform per slot for its Z.
+    """
+    if count > pool_size:
+        raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool_size}")
+    # a draw of nothing leaves rng untouched
+    idx = rng.permutation(pool_size)[:count] if count else np.arange(0)
+    signs = rng.integers(0, 2, size=(count, K)) * 2 - 1
+    zs = np.where(rng.random(count) < gamma * K, 1.0 / gamma, 0.0)
+    return BanditDraw(idx, signs, zs)
 
 
 def phi_values(
-    estimated_history: Sequence[tuple[Feature, np.ndarray]],
-    x_j: Feature,
+    pool_arms: np.ndarray,
+    sums: np.ndarray,
+    x_arms: np.ndarray,
     draw: BanditDraw,
     policy_class: PolicyClass,
     gamma: float,
 ) -> np.ndarray:
     """Phi_0..Phi_K via K+1 policy-ERM calls.
 
-    Phi_0 places zero estimated cost at the current context; Phi_k places
-    (1/gamma) e_k there. Hallucinated slots enter with weights 2*Z_i*eps_i.
+    `pool_arms` is the arm matrix of the pool's contexts, so the draw's
+    `indices` pick its columns; `sums[h]` is policy h's estimated cost over
+    the epoch so far, and each call starts from it. Phi_0 places zero
+    estimated cost at the current context, whose arms are `x_arms`; Phi_k
+    places (1/gamma) e_k there. Hallucinated slots with Z_i != 0 enter with
+    weights 2*Z_i*eps_i (the others cannot move any objective).
     """
     K = policy_class.num_arms
-    # all-zero weight vectors (unexplored rounds, Z_i = 0 slots) cannot move
-    # any objective, so they are dropped before enumeration
-    base = [(x, w) for x, w in estimated_history if np.any(w)]
-    for x, eps, z in zip(draw.halluc, draw.signs, draw.zs):
-        if z != 0.0:
-            base.append((x, 2.0 * z * np.asarray(eps, dtype=float)))
+    used = np.flatnonzero(draw.zs)
+    arms = np.concatenate((pool_arms[:, draw.indices[used]], x_arms[:, None]), axis=1)
+    slot_weights = (2.0 * draw.zs[used])[:, None] * draw.signs[used]
     out = np.empty(K + 1)
-    _, out[0] = policy_erm(policy_class, base + [(x_j, np.zeros(K))])
-    for k in range(K):
-        e = np.zeros(K)
-        e[k] = 1.0 / gamma
-        _, out[k + 1] = policy_erm(policy_class, base + [(x_j, e)])
+    for k in range(K + 1):
+        current = np.zeros((1, K))
+        if k:
+            current[0, k - 1] = 1.0 / gamma
+        items = ArmCosts(arms, np.concatenate((slot_weights, current)))
+        _, out[k] = policy_erm(policy_class, items, sums)
     return out
 
 
@@ -174,7 +237,7 @@ class BanditConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ConfigError("gamma must be positive")
 
 
@@ -194,7 +257,9 @@ def run_bandit(
 
     `cost_adversary(t, x_t, history)` returns the round-t cost vector in
     [0,1]^K. The trace logs the expected loss <q_t, c_t>, the realized cost,
-    and cumulative regret against the best fixed policy in hindsight.
+    and cumulative regret against the best fixed policy in hindsight. Each
+    policy runs once on each context; an epoch's pool arms and the
+    comparator reuse those arms.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
@@ -206,16 +271,15 @@ def run_bandit(
 
     trace = RegretTrace(columns=BANDIT_COLUMNS)
     history: list = []
-    contexts: list = []
-    costs: list = []
+    arm_matrix = np.empty((len(policy_class), T), dtype=np.intp)
+    costs = np.empty((T, K))
     qs: list = []
     arms: list = []
     epochs: list = []
 
     n, j, start = 1, 0, 0
     m_n = epoch_length(schedule, 1)
-    pool = SidePool()
-    est_history: list = []
+    shortfall = 0  # rounds whose own draw the pool cut short
 
     for t in range(1, T + 1):
         j += 1
@@ -225,48 +289,51 @@ def run_bandit(
             j = 1
             m_n = epoch_length(schedule, n)
         if j == 1:
-            pool = SidePool(contexts[:start])
-            est_history = []  # estimated costs are scoped per epoch
+            # the pool is every context before the epoch; estimated costs are scoped per epoch
+            pool_arms = arm_matrix[:, :start]
+            sums = np.zeros(len(policy_class))
 
-        rng_feat = np.random.default_rng([config.seed, 1, t])
-        rng_draw = np.random.default_rng([config.seed, 2, t])
-        rng_play = np.random.default_rng([config.seed, 5, t])
-
-        x_t = sample_feature(env, t, rng_feat)
-        count = min(m_n - j, pool.size)
-        draw = draw_bandit(pool, count, K, gamma, rng_draw)
-        phis = phi_values(est_history, x_t, draw, policy_class, gamma)
+        x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
+        x_arms = arm_matrix[:, t - 1] = policy_class.arms([x_t])[:, 0]
+        count = min(m_n - j, start)
+        shortfall += count < m_n - j
+        draw = draw_bandit(start, count, K, gamma, round_rng(config.seed, 2, t))
+        phis = phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
         b = gamma * (phis[1:] - phis[0])
         q_hat, _ = waterfill_q(b)
         q = mix_q(q_hat, gamma, K)
 
+        rng_play = round_rng(config.seed, 5, t)
         arm = int(rng_play.choice(K, p=q / q.sum()))
         c_t = np.asarray(cost_adversary(t, x_t, history), dtype=float)
-        if c_t.shape != (K,) or np.any(c_t < 0) or np.any(c_t > 1):
+        # written so that NaN fails too
+        if c_t.shape != (K,) or not np.all((c_t >= 0) & (c_t <= 1)):
             raise InputDomainError(f"cost vector out of [0,1]^K at t={t}")
         chat = estimate_cost(arm, float(c_t[arm]), q, gamma, rng_play)
-        est_history.append((x_t, chat))
+        sums += chat[x_arms]
 
         history.append((x_t, arm, float(c_t[arm])))
-        contexts.append(x_t)
-        costs.append(c_t)
+        costs[t - 1] = c_t
         qs.append(q)
         arms.append(arm)
         epochs.append(n)
 
     comp_class = policy_class.clone()
-    h_star, _ = policy_erm(comp_class, list(zip(contexts, costs)))
+    h_star, _ = policy_erm(comp_class, ArmCosts(arm_matrix, costs))
+    comp_costs = costs[np.arange(T), arm_matrix[h_star]].tolist()
     cum_exp = cum_comp = 0.0
     for t in range(1, T + 1):
         c_t, q = costs[t - 1], qs[t - 1]
         cum_exp += float(q @ c_t)
-        cum_comp += float(c_t[comp_class.arm(h_star, contexts[t - 1])])
+        cum_comp += comp_costs[t - 1]
         trace.append(
             t=t, epoch=epochs[t - 1], arm=arms[t - 1],
             q_min=float(q.min()),
             expected_loss=float(q @ c_t),
-            realized_cost=float(costs[t - 1][arms[t - 1]]),
+            realized_cost=float(c_t[arms[t - 1]]),
             cum_regret=cum_exp - cum_comp,
         )
-    trace.metadata.update(seed=config.seed, T=T, gamma=gamma, K=K, comparator=h_star)
+    trace.metadata.update(
+        seed=config.seed, T=T, gamma=gamma, K=K, comparator=h_star, halluc_shortfall=shortfall,
+    )
     return trace

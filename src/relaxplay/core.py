@@ -77,6 +77,20 @@ def feature_list(xs: np.ndarray) -> list:
     return xs.tolist() if xs.ndim == 1 else list(xs)
 
 
+def lowest_argmin(values: Sequence[float]) -> int:
+    """Index of a minimum of `values`, ties within 1e-15 to the lowest index.
+
+    Scans in order and moves only on an improvement by more than 1e-15, so
+    the value at the returned index exceeds the true minimum by at most
+    1e-15. When no value lies below +inf (all inf or NaN) the answer is 0.
+    """
+    best, best_value = 0, math.inf
+    for i, v in enumerate(values):
+        if v < best_value - 1e-15:
+            best, best_value = i, v
+    return best
+
+
 @dataclass(frozen=True)
 class LossFn:
     """A loss on [0,1]^2, convex in the prediction and Lipschitz in both arguments.

@@ -126,8 +126,12 @@ class RunConfig:
     yhat_tolerance: Optional[float] = None
 
 
-def _round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
-    # Streams: 1 features, 2 hallucination draws, 3 probes, 4 adversary noise.
+def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
+    """The generator of one stream at round t; every runner draws from these.
+
+    Streams: 1 features, 2 hallucination draws, 3 probes, 4 adversary noise,
+    5 the bandit's arm play and cost estimate.
+    """
     return np.random.default_rng([seed, stream, t])
 
 
@@ -192,7 +196,7 @@ def _probe_closure(state: _EpochPredictorState, seed: int, t: int, probe_mc: int
     """Monte-Carlo mean prediction on a forked RNG stream; never touches game RNG."""
 
     def probe() -> float:
-        rng = _round_rng(seed, 3, t)
+        rng = round_rng(seed, 3, t)
         cls = state.cls.clone()
         vals = [state.predict(rng, cls=cls) for _ in range(probe_mc)]
         return float(np.mean(vals))
@@ -231,17 +235,17 @@ def run_epoch_predictor(
     epochs_seen: list = []
 
     for t in range(1, T + 1):
-        x_t = sample_feature(env, t, _round_rng(config.seed, 1, t))
+        x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
         state.advance(x_t)
         calls_before = cls.solve_calls
-        yhat = state.predict(_round_rng(config.seed, 2, t))
+        yhat = state.predict(round_rng(config.seed, 2, t))
         erm_calls = cls.solve_calls - calls_before
         probe = (
             _probe_closure(state, config.seed, t, config.probe_mc)
             if adversary.kind != "oblivious"
             else None
         )
-        y_t = adversary.emit(t, history, x_t, probe, _round_rng(config.seed, 4, t))
+        y_t = adversary.emit(t, history, x_t, probe, round_rng(config.seed, 4, t))
         state.record(y_t)
         history.append((x_t, y_t))
         xs.append(x_t)

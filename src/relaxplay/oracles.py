@@ -21,6 +21,7 @@ from .core import (
     UnsupportedClassError,
     feature_as_array,
     loss_values,
+    lowest_argmin,
     objective_fn,
 )
 
@@ -179,14 +180,9 @@ class FiniteClass(HypothesisClass):
     def solve(self, query: MixedErmQuery) -> ErmResult:
         self.solve_calls += 1
         objective = objective_fn(self, query)
-        best_idx, best_obj = 0, np.inf
-        for i in range(len(self.table)):
-            obj = objective(i)
-            if obj < best_obj - 1e-15:
-                best_idx, best_obj = i, obj
-        if not np.isfinite(best_obj):
-            best_obj = objective(0)
-        return ErmResult(best_idx, float(best_obj))
+        objs = [objective(i) for i in range(len(self.table))]
+        best = lowest_argmin(objs)
+        return ErmResult(best, float(objs[best]))
 
     def grid_handles(self, step: float) -> Sequence[int]:
         return list(range(len(self.table)))
@@ -280,9 +276,7 @@ class LipschitzClass(HypothesisClass):
 def reference_solve(cls: HypothesisClass, query: MixedErmQuery, grid_step: float) -> ErmResult:
     """Brute force over `cls.grid_handles(grid_step)`; the test-side oracle."""
     objective = objective_fn(cls, query)
-    best_handle, best_obj = None, np.inf
-    for handle in cls.grid_handles(grid_step):
-        obj = objective(handle)
-        if obj < best_obj - 1e-15:
-            best_handle, best_obj = handle, obj
-    return ErmResult(best_handle, float(best_obj))
+    handles = cls.grid_handles(grid_step)
+    objs = [objective(handle) for handle in handles]
+    best = lowest_argmin(objs)
+    return ErmResult(handles[best], float(objs[best]))

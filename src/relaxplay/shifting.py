@@ -20,7 +20,7 @@ from .epochs import (
     _EpochPredictorState,
     _probe_closure,
     _resolve_fast,
-    _round_rng,
+    round_rng,
     _feature_repr,
 )
 from .traces import ONLINE_COLUMNS, RegretTrace
@@ -66,17 +66,17 @@ def run_shifting(
         state = _EpochPredictorState(schedule, cls, loss, config, use_fast)
         for _ in range(min(B, T - t)):
             t += 1
-            x_t = sample_feature(env, t, _round_rng(config.seed, 1, t))
+            x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
             state.advance(x_t)
             calls_before = cls.solve_calls
-            yhat = state.predict(_round_rng(config.seed, 2, t))
+            yhat = state.predict(round_rng(config.seed, 2, t))
             erm_calls = cls.solve_calls - calls_before
             probe = (
                 _probe_closure(state, config.seed, t, config.probe_mc)
                 if adversary.kind != "oblivious"
                 else None
             )
-            y_t = adversary.emit(t, history, x_t, probe, _round_rng(config.seed, 4, t))
+            y_t = adversary.emit(t, history, x_t, probe, round_rng(config.seed, 4, t))
             state.record(y_t)
             history.append((x_t, y_t))
             xs.append(x_t)

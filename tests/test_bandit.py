@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxplay import (
     BanditConfig,
@@ -13,14 +15,17 @@ from relaxplay import (
     SidePool,
     bandit_epoch_schedule,
     draw_bandit,
+    epoch_length,
     estimate_cost,
     gamma_default,
+    locate,
     mix_q,
     phi_values,
     policy_erm,
     run_bandit,
     waterfill_q,
 )
+from relaxplay.core import feature_list
 
 
 def two_arm_class():
@@ -33,6 +38,56 @@ def two_arm_class():
         ],
         num_arms=2,
     )
+
+
+def epoch_sums(cls, est):
+    """Each policy's summed cost over an estimated history of (feature, cost vector)."""
+    sums = np.zeros(len(cls))
+    for x, w in est:
+        sums += np.asarray(w, dtype=float)[cls.arms([x])[:, 0]]
+    return sums
+
+
+def x_arms(cls, x):
+    return cls.arms([x])[:, 0]
+
+
+# Per-item references: the enumeration that the array code replaced.
+
+
+def enumerate_policy_erm(cls, items):
+    best_idx, best_obj = 0, math.inf
+    for h in range(len(cls)):
+        obj = 0.0
+        for x, w in items:
+            obj += float(w[cls.arm(h, x)])
+        if obj < best_obj - 1e-15:
+            best_idx, best_obj = h, obj
+    return best_idx, best_obj
+
+
+def enumerate_phi_values(est, pool, x_j, draw, cls, gamma):
+    K = cls.num_arms
+    base = [(x, w) for x, w in est if np.any(w)]
+    for x, eps, z in zip(feature_list(pool.features[draw.indices]), draw.signs, draw.zs):
+        if z != 0.0:
+            base.append((x, 2.0 * z * np.asarray(eps, dtype=float)))
+    out = [enumerate_policy_erm(cls, base + [(x_j, np.zeros(K))])[1]]
+    for k in range(K):
+        e = np.zeros(K)
+        e[k] = 1.0 / gamma
+        out.append(enumerate_policy_erm(cls, base + [(x_j, e)])[1])
+    return np.array(out)
+
+
+def slot_loop_draw(pool, count, K, gamma, rng):
+    """(indices, signs, zs) drawn one slot at a time."""
+    if count == 0:
+        return np.arange(0), np.empty((0, K), dtype=int), np.empty(0)
+    idx = rng.permutation(pool.size)[:count]
+    signs = [rng.integers(0, 2, size=K) * 2 - 1 for _ in range(count)]
+    zs = [(1.0 / gamma) if rng.random() < gamma * K else 0.0 for _ in range(count)]
+    return idx, np.array(signs), np.array(zs)
 
 
 class TestGammaDefault:
@@ -89,13 +144,58 @@ class TestPolicyErm:
         assert cls.solve_calls == 2
         assert cls.clone().solve_calls == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        cls = two_arm_class()
+        with pytest.raises(InputDomainError):
+            policy_erm(cls, [(0.2, np.array([0.0, 1.0])), (0.6, np.array([bad, 0.0]))])
+
+    def test_cost_vector_length_checked(self):
+        with pytest.raises(InputDomainError):
+            policy_erm(two_arm_class(), [(0.2, np.array([0.0, 1.0, 2.0]))])
+
+    def test_base_is_added_first(self):
+        cls = two_arm_class()
+        items = [(0.7, np.array([1.0, 0.0]))]
+        # without a base policy 1 (always arm 1) is free; with one, policy 2 has
+        # the least base plus item cost (objectives 3, 2, 0.25, 1)
+        assert policy_erm(cls, items) == (1, 0.0)
+        assert policy_erm(cls, items, np.array([2.0, 2.0, 0.25, 0.0])) == (2, 0.25)
+
+
+class TestArmMatrix:
+    def test_shape_and_entries(self):
+        cls = two_arm_class()
+        xs = [0.2, 0.5, 0.9]
+        arms = cls.arms(xs)
+        assert arms.shape == (4, 3)
+        assert arms.tolist() == [[cls.arm(h, x) for x in xs] for h in range(4)]
+        assert cls.arms([]).shape == (4, 0)
+
+    def test_each_policy_runs_once_per_context(self):
+        seen = []
+
+        def policy(x):
+            seen.append(x)
+            return 0
+
+        PolicyClass([policy, lambda x: 1], num_arms=2).arms([0.1, 0.3])
+        assert seen == [0.1, 0.3]
+
+    @pytest.mark.parametrize("arm", [-1, 2])
+    def test_range_checked(self, arm):
+        cls = PolicyClass([lambda x: 0, lambda x: arm], num_arms=2)
+        with pytest.raises(InputDomainError, match=f"arm {arm} outside"):
+            cls.arms([0.4])
+
 
 class TestDrawBandit:
     def test_shapes_and_ranges(self):
         pool = SidePool([0.1, 0.2, 0.3, 0.4])
         gamma = 0.25
-        d = draw_bandit(pool, 3, 2, gamma, np.random.default_rng(0))
-        assert len(d.halluc) == len(d.signs) == len(d.zs) == 3
+        d = draw_bandit(pool.size, 3, 2, gamma, np.random.default_rng(0))
+        assert len(d.indices) == len(d.signs) == len(d.zs) == 3
+        assert len(set(d.indices.tolist())) == 3 and set(d.indices.tolist()) <= set(range(4))
         for eps, z in zip(d.signs, d.zs):
             assert set(np.unique(eps)) <= {-1, 1} and len(eps) == 2
             assert z in (0.0, 1.0 / gamma)
@@ -105,9 +205,23 @@ class TestDrawBandit:
         gamma, K = 0.1, 2
         rng = np.random.default_rng(1)
         n = 20_000
-        hits = sum(draw_bandit(pool, 1, K, gamma, rng).zs[0] > 0 for _ in range(n))
+        hits = sum(draw_bandit(pool.size, 1, K, gamma, rng).zs[0] > 0 for _ in range(n))
         p = gamma * K
         assert abs(hits - p * n) <= 3 * math.sqrt(n * p * (1 - p))
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_matches_slot_loops(self, K):
+        pool = SidePool(np.linspace(0.0, 1.0, 40))
+        gamma = 0.3 / K
+        for seed in range(12):
+            for count in range(0, 38):
+                r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+                d = draw_bandit(pool.size, count, K, gamma, r1)
+                idx, signs, zs = slot_loop_draw(pool, count, K, gamma, r2)
+                assert np.array_equal(d.indices, idx)
+                assert np.array_equal(d.signs, signs) and d.signs.shape == (count, K)
+                assert np.array_equal(d.zs, zs)
+                assert r1.bit_generator.state == r2.bit_generator.state
 
 
 class TestPhiValues:
@@ -115,8 +229,9 @@ class TestPhiValues:
         cls = two_arm_class()
         gamma = 0.2
         est = [(0.3, np.zeros(2)), (0.7, np.zeros(2))]
-        d = draw_bandit(SidePool(), 0, 2, gamma, np.random.default_rng(0))
-        phis = phi_values(est, 0.4, d, cls, gamma)
+        pool = SidePool()
+        d = draw_bandit(pool.size, 0, 2, gamma, np.random.default_rng(0))
+        phis = phi_values(cls.arms(pool.features), epoch_sums(cls, est), x_arms(cls, 0.4), d, cls, gamma)
         assert phis[0] == pytest.approx(0.0)
         # Phi_k places cost 1/gamma on arm k at x=0.4; some policy avoids it
         assert phis[1] == pytest.approx(0.0)
@@ -126,16 +241,19 @@ class TestPhiValues:
         # one policy: Phi_k - Phi_0 = (1/gamma) 1{h(x)=k}
         gamma = 0.25
         cls = PolicyClass([lambda x: int(x >= 0.5)], num_arms=2)
-        d = draw_bandit(SidePool(), 0, 2, gamma, np.random.default_rng(0))
-        phis = phi_values([], 0.8, d, cls, gamma)
+        pool = SidePool()
+        d = draw_bandit(pool.size, 0, 2, gamma, np.random.default_rng(0))
+        phis = phi_values(cls.arms(pool.features), epoch_sums(cls, []), x_arms(cls, 0.8), d, cls, gamma)
         assert phis[1] - phis[0] == pytest.approx(0.0)
         assert phis[2] - phis[0] == pytest.approx(1.0 / gamma)
 
     def test_exactly_k_plus_one_calls(self):
         cls = two_arm_class()
-        d = draw_bandit(SidePool([0.1]), 1, 2, 0.3, np.random.default_rng(2))
+        pool = SidePool([0.1])
+        d = draw_bandit(pool.size, 1, 2, 0.3, np.random.default_rng(2))
+        sums = epoch_sums(cls, [(0.2, np.array([1.0, 2.0]))])
         before = cls.solve_calls
-        phi_values([(0.2, np.array([1.0, 2.0]))], 0.6, d, cls, 0.3)
+        phi_values(cls.arms(pool.features), sums, x_arms(cls, 0.6), d, cls, 0.3)
         assert cls.solve_calls - before == 3
 
     def test_matches_brute_force(self):
@@ -148,9 +266,9 @@ class TestPhiValues:
                 for _ in range(4)
             ]
             pool = SidePool([float(v) for v in rng.random(3)])
-            d = draw_bandit(pool, 2, 2, gamma, rng)
+            d = draw_bandit(pool.size, 2, 2, gamma, rng)
             x_j = float(rng.random())
-            phis = phi_values(est, x_j, d, cls, gamma)
+            phis = phi_values(cls.arms(pool.features), epoch_sums(cls, est), x_arms(cls, x_j), d, cls, gamma)
 
             def brute(extra_w):
                 best = math.inf
@@ -158,7 +276,7 @@ class TestPhiValues:
                     obj = sum(float(w[cls.arm(h, x)]) for x, w in est)
                     obj += sum(
                         2.0 * z * float(eps[cls.arm(h, x)])
-                        for x, eps, z in zip(d.halluc, d.signs, d.zs)
+                        for x, eps, z in zip(pool.features[d.indices], d.signs, d.zs)
                     )
                     obj += float(extra_w[cls.arm(h, x_j)])
                     best = min(best, obj)
@@ -169,6 +287,34 @@ class TestPhiValues:
                 e = np.zeros(2)
                 e[k] = 1.0 / gamma
                 assert phis[k + 1] == pytest.approx(brute(e))
+
+    features = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_enumeration_exactly(self, data):
+        K = data.draw(st.integers(2, 4), label="K")
+        # policies from a small menu, so duplicates and ties occur
+        menu = st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.9]), st.integers(0, K - 1), st.integers(0, K - 1))
+        specs = data.draw(st.lists(menu, min_size=1, max_size=8), label="policies")
+        cls = PolicyClass(
+            [(lambda a, lo, hi: (lambda x: hi if x >= a else lo))(*spec) for spec in specs], num_arms=K
+        )
+        gamma = data.draw(st.floats(0.02, 1.0 / K), label="gamma")
+        weight = st.one_of(st.just(0.0), st.just(1.0 / gamma), st.floats(0.0, 20.0))
+        est = data.draw(
+            st.lists(st.tuples(self.features, st.lists(weight, min_size=K, max_size=K)), max_size=12),
+            label="estimated history",
+        )
+        pool = SidePool(data.draw(st.lists(self.features, max_size=12), label="pool"))
+        count = data.draw(st.integers(0, pool.size), label="count")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        x_j = data.draw(self.features, label="x_j")
+        d = draw_bandit(pool.size, count, K, gamma, np.random.default_rng(seed))
+
+        phis = phi_values(cls.arms(pool.features), epoch_sums(cls, est), x_arms(cls, x_j), d, cls, gamma)
+        assert np.array_equal(phis, enumerate_phi_values(est, pool, x_j, d, cls, gamma))
+        assert policy_erm(cls, est) == enumerate_policy_erm(cls, est)
 
 
 class TestWaterfill:
@@ -276,8 +422,26 @@ class TestRunBandit:
         env = FeatureDistribution.uniform()
         with pytest.raises(InputDomainError):
             run_bandit(cls, env, lambda t, x, h: np.array([0.1, 1.4]), 5, BanditConfig())
+        with pytest.raises(InputDomainError):
+            run_bandit(cls, env, lambda t, x, h: np.array([0.1, math.nan]), 5, BanditConfig())
         with pytest.raises(ConfigError):
             run_bandit(cls, env, self._costs, 0, BanditConfig())
+        with pytest.raises(ConfigError):
+            BanditConfig(gamma=math.nan)
+
+    def test_halluc_shortfall(self, tmp_path):
+        sched = bandit_epoch_schedule()
+        T = 40
+        expected = 0
+        for t in range(1, T + 1):
+            idx = locate(sched, t)
+            # the pool holds every context of the epochs before
+            expected += idx.start < epoch_length(sched, idx.n) - idx.j
+        trace = run_bandit(two_arm_class(), FeatureDistribution.uniform(), self._costs, T, BanditConfig(seed=0))
+        # only round 2 falls short: epoch 2 wants 2 hallucinations from a pool of 1
+        assert trace.metadata["halluc_shortfall"] == expected == 1
+        trace.to_csv(tmp_path / "t.csv")
+        assert "shortfall" not in (tmp_path / "t.csv").read_text()
 
     def test_epoch_schedule(self):
         sched = bandit_epoch_schedule()

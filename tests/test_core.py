@@ -13,6 +13,7 @@ from relaxplay import (
     ThresholdClass,
     best_in_hindsight,
     loss_eval,
+    lowest_argmin,
     query_objective,
     signed_to_absolute,
 )
@@ -49,6 +50,19 @@ class TestLossEval:
     def test_absolute_loss_pins_lipschitz(self):
         with pytest.raises(ConfigError):
             LossFn(kind="absolute", lipschitz=2.0)
+
+
+class TestLowestArgmin:
+    def test_plain_minimum(self):
+        assert lowest_argmin([3.0, 1.0, 2.0]) == 1
+
+    def test_ties_within_tolerance_go_to_lowest_index(self):
+        assert lowest_argmin([1.0, 1.0 - 5e-16, 1.0]) == 0
+        assert lowest_argmin([1.0, 1.0 - 1e-12]) == 1
+
+    def test_no_value_below_infinity(self):
+        assert lowest_argmin([np.inf, np.nan]) == 0
+        assert lowest_argmin([np.nan, 2.0]) == 1
 
 
 class TestSignedToAbsolute:

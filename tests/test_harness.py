@@ -153,6 +153,15 @@ PINNED_BANDIT = {
     "costs": {"name": "constant", "values": [0.0, 1.0]},
 }
 PINNED_ADAPTIVE = dict(ONLINE_CONFIG, horizons=[128], adversary={"name": "flip_to_far"}, probe_mc=2)
+# several epochs, pool draws with many Z != 0 slots, and an odd K
+PINNED_BANDIT_K3 = {
+    "mode": "bandit",
+    "seeds": [0],
+    "horizons": [512],
+    "policies": {"kind": "mixed", "K": 3, "arms": [0, 1, 2], "thresholds": [0.5, 0.9]},
+    "env": {"kind": "uniform"},
+    "costs": {"name": "constant", "values": [0.2, 0.9, 0.5]},
+}
 
 
 class TestPinnedTraces:
@@ -166,8 +175,9 @@ class TestPinnedTraces:
             (PINNED_ONLINE, "cfa25dc1a3a0187b59c4b876ffb6a9f14e7174805333c07534618fd8c25f3245"),
             (PINNED_BANDIT, "b05c238a4b6a0207c2ec75412efe9470f982be7e66b61a53eeaf84ef3e7dc858"),
             (PINNED_ADAPTIVE, "162d4284267cc2953f79081a01cf1ebae9c445ddfe29a2103b034ca9446708ef"),
+            (PINNED_BANDIT_K3, "d40d02fc76184d21bc103df7afb0fe4354b1a1112038164afb625705659e8e67"),
         ],
-        ids=["online", "bandit", "adaptive"],
+        ids=["online", "bandit", "adaptive", "bandit_k3"],
     )
     def test_csv_sha256(self, tmp_path, config, digest):
         run_experiment(dict(config), out_dir=str(tmp_path))

@@ -38,6 +38,7 @@ from .predictor import (
     inner_sup,
     inner_sups,
     predict_binary_fast,
+    predict_binary_fast_batch,
     predict_general,
     relaxation_R,
     relaxation_Rtilde,

@@ -302,6 +302,10 @@ class HypothesisClass:
 
     solve_tolerance: float = 0.0
     is_binary: bool = False
+    # Binary classes on scalar features may also solve many flip-delta rows
+    # at once, `solve_rows(base, pos, dlt) -> (handles, objectives)`; see
+    # ThresholdClass.solve_rows. The fast path batches through it when set.
+    solve_rows = None
 
     def __init__(self):
         self.solve_calls = 0
@@ -325,26 +329,34 @@ class HypothesisClass:
         return other
 
 
-def objective_fn(cls: HypothesisClass, query: MixedErmQuery) -> Callable[[object], float]:
-    """handle -> the mixed objective of `query` at that hypothesis, for scoring many handles."""
-    pairs = list(zip(feature_list(query.xs), query.ys.tolist(), query.ws.tolist()))
-    signed = list(zip(feature_list(query.signed_xs), query.signs.tolist()))
-    loss, C = query.loss, query.coefficient
+def objective_values(cls: HypothesisClass, handles: Sequence, query: MixedErmQuery) -> list[float]:
+    """The mixed objective of `query` at each hypothesis of `handles`.
 
-    def objective(handle) -> float:
+    Each hypothesis is evaluated once per term; its values at the pairs must
+    lie in [0,1]. Its terms (pairs, then signed terms) are added in order
+    from 0.0, as a running sum adds them.
+    """
+    pairs = list(zip(feature_list(query.xs), query.ys.tolist(), query.ws.tolist()))
+    signed = list(zip(feature_list(query.signed_xs), (query.coefficient * query.signs).tolist()))
+    evaluate = cls.evaluate
+    evaluator = None if query.loss.kind == "absolute" else query.loss.evaluator
+    out = []
+    for h in handles:
         total = 0.0
         for x, y, w in pairs:
-            total += w * loss_eval(loss, cls.evaluate(handle, x), y)
-        for x, s in signed:
-            total += C * s * cls.evaluate(handle, x)
-        return total
-
-    return objective
+            v = evaluate(h, x)
+            if not 0.0 <= v <= 1.0:
+                raise InputDomainError(f"hypothesis values must lie in [0,1], got {v!r}")
+            total += w * (abs(v - y) if evaluator is None else float(evaluator(v, y)))
+        for x, cs in signed:
+            total += cs * evaluate(h, x)
+        out.append(total)
+    return out
 
 
 def query_objective(cls: HypothesisClass, handle, query: MixedErmQuery) -> float:
     """The mixed objective of `query` evaluated at a fixed hypothesis."""
-    return objective_fn(cls, query)(handle)
+    return objective_values(cls, [handle], query)[0]
 
 
 def best_in_hindsight(

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .core import (
-    ABSOLUTE_LOSS,
     ConfigError,
     HypothesisClass,
     LossFn,
@@ -27,11 +26,14 @@ from .core import (
 )
 from .environment import Adversary, sample_feature
 from .predictor import (
+    MAX_BATCH_ELEMENTS,
     GameHistory,
     PredictorConfig,
+    RelaxationDraw,
     SidePool,
     draw_halluc,
     predict_binary_fast,
+    predict_binary_fast_batch,
     predict_general,
 )
 from .traces import ONLINE_COLUMNS, RegretTrace
@@ -155,6 +157,16 @@ class _EpochPredictorState:
         self.shortfall = 0  # rounds whose own draw the pool cut short
         self.xs = self.ys = self.pconf = None
 
+    def next_chunk(self, limit: int) -> int:
+        """Rounds in the next chunk: at most `limit`, none past the end of the
+        next round's epoch, and few enough that their 2 rows per round of at
+        most the epoch's length fit in one batch."""
+        if self.j < self.epoch_len:
+            m, left = self.epoch_len, self.epoch_len - self.j
+        else:
+            m = left = epoch_length(self.schedule, self.n + 1)
+        return max(1, min(limit, left, MAX_BATCH_ELEMENTS // (2 * m)))
+
     def advance(self, x_t) -> None:
         """Move to the next local round, whose feature is x_t."""
         self.j += 1
@@ -178,36 +190,140 @@ class _EpochPredictorState:
         if self.pool.size < self.epoch_len - self.j:
             self.shortfall += 1
 
-    def predict(self, rng: np.random.Generator, cls=None) -> float:
-        """The current round's prediction; probes pass their own cloned `cls`."""
-        cls = cls if cls is not None else self.cls
-        count = min(self.epoch_len - self.j, self.pool.size)
-        draw = draw_halluc(self.pool, count, rng)
-        hist = GameHistory(self.xs[: self.j], self.ys[: self.j - 1])
-        if self.use_fast:
-            return predict_binary_fast(hist, draw, cls, self.pconf)
-        return predict_general(hist, draw, cls, self.pconf)
-
     def record(self, y_t) -> None:
         self.ys[self.j - 1] = y_t
 
+    def draw(self, rng: np.random.Generator) -> RelaxationDraw:
+        """A hallucination draw for the current round: the rest of the epoch, as far as the pool reaches."""
+        return draw_halluc(self.pool, min(self.epoch_len - self.j, self.pool.size), rng)
 
-def _probe_closure(state: _EpochPredictorState, seed: int, t: int, probe_mc: int):
-    """Monte-Carlo mean prediction on a forked RNG stream; never touches game RNG."""
+    def predict(self, js, draws, cls) -> tuple[list, list]:
+        """Predictions of this epoch's local rounds `js` on their draws, and each one's ERM calls.
 
-    def probe() -> float:
-        rng = round_rng(seed, 3, t)
-        cls = state.cls.clone()
-        vals = [state.predict(rng, cls=cls) for _ in range(probe_mc)]
-        return float(np.mean(vals))
+        Round j's history is the epoch's x_1..x_j and y_1..y_{j-1}; probes
+        pass their own cloned `cls`. The fast path solves all rounds in one
+        batch when the class can; every round then makes the same calls.
+        """
+        if self.use_fast and cls.solve_rows is not None:
+            before = cls.solve_calls
+            yhats = predict_binary_fast_batch(self.xs, self.ys, js, draws, cls, self.loss)
+            return yhats.tolist(), [(cls.solve_calls - before) // len(js)] * len(js)
+        predict = predict_binary_fast if self.use_fast else predict_general
+        yhats, calls = [], []
+        for j, draw in zip(js, draws):
+            before = cls.solve_calls
+            yhats.append(predict(GameHistory(self.xs[:j], self.ys[: j - 1]), draw, cls, self.pconf))
+            calls.append(cls.solve_calls - before)
+        return yhats, calls
 
-    return probe
+    def probe(self, seed: int, t: int, probe_mc: int):
+        """Monte-Carlo mean prediction of the current round on its own RNG
+        stream and a cloned oracle; never touches the game's RNG or counts."""
+
+        def probe() -> float:
+            rng = round_rng(seed, 3, t)
+            draws = [self.draw(rng) for _ in range(probe_mc)]
+            yhats, _ = self.predict([self.j] * probe_mc, draws, self.cls.clone())
+            return float(np.mean(yhats))
+
+        return probe
 
 
 def _resolve_fast(config: RunConfig, cls: HypothesisClass, loss: LossFn, adversary: Adversary) -> bool:
     if config.fast_binary_path is not None:
         return bool(config.fast_binary_path)
     return cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
+
+
+@dataclass
+class PlayedRounds:
+    """Per-round columns of a played game, plus each segment's final predictor state."""
+
+    xs: list = field(default_factory=list)
+    ys: list = field(default_factory=list)
+    yhats: list = field(default_factory=list)
+    losses: list = field(default_factory=list)
+    meta: list = field(default_factory=list)  # (block, epoch, j, erm_calls) per round
+    states: list = field(default_factory=list)
+    use_fast: bool = False
+
+
+def play_rounds(
+    schedule: EpochSchedule,
+    cls: HypothesisClass,
+    loss: LossFn,
+    env,
+    adversary: Adversary,
+    T: int,
+    block: int,
+    config: RunConfig,
+) -> PlayedRounds:
+    """Play T rounds; the epoch predictor restarts from scratch every `block` rounds.
+
+    Rounds go in chunks: one round against an adversary that is not
+    oblivious, otherwise up to the end of the epoch (and of the block, and
+    of one batch). A chunk samples each round's feature, emits its label
+    and draws its hallucinations, then predicts all its rounds in one call.
+    Every stream is per (seed, stream, t), so the chunks draw exactly what
+    round-by-round play would, and erm_calls counts each round's own
+    prediction (probes use a cloned oracle).
+    """
+    if T < 1:
+        raise ConfigError("T must be >= 1")
+    played = PlayedRounds(use_fast=_resolve_fast(config, cls, loss, adversary))
+    oblivious = adversary.kind == "oblivious"
+    seed = config.seed
+    history: list = []
+    t = 0
+    while t < T:
+        state = _EpochPredictorState(schedule, cls, loss, config, played.use_fast)
+        played.states.append(state)
+        end = min(t + block, T)
+        while t < end:
+            k = state.next_chunk(end - t) if oblivious else 1
+            js, draws = [], []
+            for t in range(t + 1, t + k + 1):
+                x_t = sample_feature(env, t, round_rng(seed, 1, t))
+                state.advance(x_t)
+                probe = None if oblivious else state.probe(seed, t, config.probe_mc)
+                y_t = adversary.emit(t, history, x_t, probe, round_rng(seed, 4, t))
+                state.record(y_t)
+                history.append((x_t, y_t))
+                played.xs.append(x_t)
+                played.ys.append(y_t)
+                js.append(state.j)
+                draws.append(state.draw(round_rng(seed, 2, t)))
+            yhats, calls = state.predict(js, draws, cls)
+            for yhat, y_t, j, erm_calls in zip(yhats, played.ys[-k:], js, calls):
+                played.yhats.append(yhat)
+                played.losses.append(loss_eval(loss, yhat, y_t))
+                played.meta.append((len(played.states), state.n, j, erm_calls))
+    return played
+
+
+def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
+    """The per-round trace of `played` against the best fixed hypothesis in hindsight.
+
+    Returns the trace, the comparator oracle (a clone of `cls`) and the
+    game's features and labels as arrays.
+    """
+    X, Y = feature_rows(played.xs), np.array(played.ys)
+    comparator = cls.clone()
+    h_star, _ = best_in_hindsight(comparator, loss=loss, xs=X, ys=Y)
+    trace = RegretTrace(columns=ONLINE_COLUMNS)
+    cum_loss = cum_comp = 0.0
+    for t, (x, y, yhat, loss_t, (block, n, j, erm_calls)) in enumerate(
+        zip(played.xs, played.ys, played.yhats, played.losses, played.meta), start=1
+    ):
+        cum_loss += loss_t
+        cum_comp += loss_eval(loss, comparator.evaluate(h_star, x), y)
+        trace.append(
+            t=t, block=block, epoch=n, j=j,
+            x=_feature_repr(x), y=y, yhat=yhat,
+            loss=loss_t, cum_loss=cum_loss, cum_regret=cum_loss - cum_comp,
+            erm_calls=erm_calls,
+        )
+    return trace, comparator, X, Y
 
 
 def run_epoch_predictor(
@@ -225,56 +341,13 @@ def run_epoch_predictor(
     hypothesis in hindsight over all T rounds; erm_calls counts the oracle
     calls of each round's own prediction (probes use a cloned oracle).
     """
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    use_fast = _resolve_fast(config, cls, loss, adversary)
-    state = _EpochPredictorState(schedule, cls, loss, config, use_fast)
-    trace = RegretTrace(columns=ONLINE_COLUMNS)
-    history: list = []
-    losses, xs, ys, yhats = [], [], [], []
-    epochs_seen: list = []
-
-    for t in range(1, T + 1):
-        x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
-        state.advance(x_t)
-        calls_before = cls.solve_calls
-        yhat = state.predict(round_rng(config.seed, 2, t))
-        erm_calls = cls.solve_calls - calls_before
-        probe = (
-            _probe_closure(state, config.seed, t, config.probe_mc)
-            if adversary.kind != "oblivious"
-            else None
-        )
-        y_t = adversary.emit(t, history, x_t, probe, round_rng(config.seed, 4, t))
-        state.record(y_t)
-        history.append((x_t, y_t))
-        xs.append(x_t)
-        ys.append(y_t)
-        yhats.append(yhat)
-        losses.append(loss_eval(loss, yhat, y_t))
-        epochs_seen.append((state.n, state.j, state.start, erm_calls))
-
-    X, Y = feature_rows(xs), np.array(ys)
-    comparator = cls.clone()
-    h_star, _ = best_in_hindsight(comparator, loss=loss, xs=X, ys=Y)
-    comp_losses = [loss_eval(loss, comparator.evaluate(h_star, x), y) for x, y in zip(xs, ys)]
-
-    cum_loss = cum_comp = 0.0
-    for t in range(1, T + 1):
-        n, j, start, erm_calls = epochs_seen[t - 1]
-        cum_loss += losses[t - 1]
-        cum_comp += comp_losses[t - 1]
-        trace.append(
-            t=t, block=1, epoch=n, j=j,
-            x=_feature_repr(xs[t - 1]), y=ys[t - 1], yhat=yhats[t - 1],
-            loss=losses[t - 1], cum_loss=cum_loss, cum_regret=cum_loss - cum_comp,
-            erm_calls=erm_calls,
-        )
-
-    _check_epoch_additivity(trace, comparator, X, Y, losses, [e[0] for e in epochs_seen], loss)
+    played = play_rounds(schedule, cls, loss, env, adversary, T, T, config)
+    trace, comparator, X, Y = online_trace(cls, loss, played)
+    (state,) = played.states
+    _check_epoch_additivity(trace, comparator, X, Y, played.losses, [m[1] for m in played.meta], loss)
     trace.metadata.update(
         seed=config.seed, T=T, rounding_drift=state.drift, halluc_shortfall=state.shortfall,
-        adversary=adversary.kind, fast_binary_path=use_fast,
+        adversary=adversary.kind, fast_binary_path=played.use_fast,
     )
     return trace
 

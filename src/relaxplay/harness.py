@@ -27,6 +27,9 @@ from .traces import RegretTrace
 from .verify import estimate_rademacher, standard_checks
 
 MODES = ("online", "shifting", "bandit", "verify", "rademacher")
+# trace metadata the summary carries per horizon, one value per seed: rounds
+# whose hallucination draw the pool cut short, and epoch-length rounding drift
+TRACE_DIAGNOSTICS = ("halluc_shortfall", "rounding_drift")
 
 
 def _fail(path: str, message: str):
@@ -320,10 +323,14 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
             erm_total = 0
             for T in horizons:
                 finals = []
+                diagnostics = {key: [] for key in TRACE_DIAGNOSTICS}
                 for seed in seeds:
                     trace = run_one_trace(config, T, seed)
                     trace.metadata["config_hash"] = chash
                     finals.append(trace.final_regret)
+                    for key, values in diagnostics.items():
+                        if key in trace.metadata:
+                            values.append(trace.metadata[key])
                     erm_total += _erm_calls_of(trace)
                     if out:
                         os.makedirs(out, exist_ok=True)
@@ -335,6 +342,7 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
                         "T": T,
                         "mean_regret": float(np.mean(finals)),
                         "std_regret": float(np.std(finals)),
+                        **{key: values for key, values in diagnostics.items() if values},
                     }
                 )
             summary = {

@@ -22,7 +22,7 @@ from .core import (
     feature_as_array,
     loss_values,
     lowest_argmin,
-    objective_fn,
+    objective_values,
 )
 
 
@@ -59,25 +59,42 @@ class ThresholdClass(HypothesisClass):
         return 1.0 if float(x) >= handle else 0.0
 
     def solve(self, query: MixedErmQuery) -> ErmResult:
-        self.solve_calls += 1
         base, pos, dlt = _flip_deltas(query)
-        if pos.size == 0:
-            return ErmResult(0.0, 0.0)
+        handles, objectives = self.solve_rows(np.array([base]), pos[None, :], dlt[None, :])
+        return ErmResult(float(handles[0]), float(objectives[0]))
+
+    def solve_rows(self, base: np.ndarray, pos: np.ndarray, dlt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve B flip-delta rows at once: `base` (B,), `pos` and `dlt` (B, n).
+
+        Row b is the query whose fire-nowhere objective is base[b] and whose
+        term k adds dlt[b, k] wherever the threshold fires at pos[b, k], as
+        `_flip_deltas` produces them. Returns the (B,) handles and objectives,
+        each equal to `solve` on that row's query; counts B solve calls.
+        """
+        rows, n = pos.shape
+        self.solve_calls += rows
+        if n == 0:
+            return np.zeros(rows), np.zeros(rows)
 
         # Objective is constant on threshold cells between sorted distinct
         # positions; evaluate obj(a) = base + sum_{pos >= a} delta(pos) by
         # suffix sums over all positions.
-        order = np.argsort(pos, kind="stable")
-        pos = pos[order]
-        # suffix[i] = sum of deltas at positions >= pos[i]
-        suffix = np.cumsum(dlt[order][::-1])[::-1]
-        first = np.flatnonzero(np.concatenate(([True], pos[1:] != pos[:-1])))
-        objectives = base + suffix[first]  # a = each distinct position
-        best = int(np.argmin(objectives))  # leftmost minimizer: smallest a
-        if pos[-1] < 1.0 and base < objectives[best]:
-            return ErmResult(float((pos[-1] + 1.0) / 2.0), base)  # fires nowhere
-        # a = 0 fires everywhere, as a = pos[0] does, and is the smaller a
-        return ErmResult(0.0 if best == 0 else float(pos[first[best]]), float(objectives[best]))
+        order = pos.argsort(axis=1, kind="stable")
+        r = np.arange(rows)
+        pos, dlt = pos[r[:, None], order], dlt[r[:, None], order]
+        # suffix[:, i] = sum of deltas at positions >= pos[:, i]
+        objectives = base[:, None] + dlt[:, ::-1].cumsum(axis=1)[:, ::-1]
+        # a = each distinct position; the leftmost minimizer is the smallest a
+        objectives[:, 1:][pos[:, 1:] == pos[:, :-1]] = np.inf
+        best = objectives.argmin(axis=1)
+        best_obj = objectives[r, best]
+        # a = 0 fires everywhere, as a = pos[:, 0] does, and is the smaller a
+        handles = np.where(best == 0, 0.0, pos[r, best])
+        nowhere = (pos[:, -1] < 1.0) & (base < best_obj)
+        if nowhere.any():
+            handles[nowhere] = (pos[nowhere, -1] + 1.0) / 2.0
+            best_obj[nowhere] = base[nowhere]
+        return handles, best_obj
 
     def grid_handles(self, step: float) -> Sequence[float]:
         return [float(a) for a in np.arange(0.0, 1.0 + step / 2, step)]
@@ -99,14 +116,22 @@ class IntervalClass(HypothesisClass):
         return 1.0 if a <= float(x) <= b else 0.0
 
     def solve(self, query: MixedErmQuery) -> ErmResult:
+        self.solve_calls += 1
+        return self._sweep(*_flip_deltas(query))
+
+    def solve_rows(self, base: np.ndarray, pos: np.ndarray, dlt: np.ndarray) -> tuple[list, np.ndarray]:
+        """`solve` of each flip-delta row, as `ThresholdClass.solve_rows`; one sweep per row."""
+        self.solve_calls += len(base)
+        results = [self._sweep(float(b), p, d) for b, p, d in zip(base, pos, dlt)]
+        return [r.hypothesis for r in results], np.array([r.objective for r in results])
+
+    def _sweep(self, base: float, pos: np.ndarray, dlt: np.ndarray) -> ErmResult:
         """Exact in O(n log n): an interval covers a contiguous run of the
         sorted distinct positions, so the best run ending at each position is
         a prefix-sum difference against a running maximum over the left ends
         that still leave float length gamma_len inside [0,1].
         """
-        self.solve_calls += 1
         g = self.gamma_len
-        base, pos, dlt = _flip_deltas(query)
         inside = (pos >= 0.0) & (pos <= 1.0)  # no interval reaches the others
         p, inv = np.unique(pos[inside], return_inverse=True)
         k = p.size
@@ -179,8 +204,7 @@ class FiniteClass(HypothesisClass):
 
     def solve(self, query: MixedErmQuery) -> ErmResult:
         self.solve_calls += 1
-        objective = objective_fn(self, query)
-        objs = [objective(i) for i in range(len(self.table))]
+        objs = objective_values(self, range(len(self.table)), query)
         best = lowest_argmin(objs)
         return ErmResult(best, float(objs[best]))
 
@@ -275,8 +299,7 @@ class LipschitzClass(HypothesisClass):
 
 def reference_solve(cls: HypothesisClass, query: MixedErmQuery, grid_step: float) -> ErmResult:
     """Brute force over `cls.grid_handles(grid_step)`; the test-side oracle."""
-    objective = objective_fn(cls, query)
     handles = cls.grid_handles(grid_step)
-    objs = [objective(handle) for handle in handles]
+    objs = objective_values(cls, handles, query)
     best = lowest_argmin(objs)
     return ErmResult(handles[best], float(objs[best]))

@@ -20,10 +20,12 @@ from .core import (
     ConfigError,
     Feature,
     HypothesisClass,
+    InputDomainError,
     LabeledPair,
     LossFn,
     MixedErmQuery,
     PoolExhaustedError,
+    UnsupportedClassError,
     feature_list,
     feature_rows,
     loss_eval,
@@ -68,8 +70,6 @@ class PredictorConfig:
     loss: LossFn = ABSOLUTE_LOSS
     y_grid_step: Optional[float] = None
     yhat_tolerance: Optional[float] = None
-    fast_binary_path: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -227,6 +227,69 @@ def predict_binary_fast(
     g0 = inner_sup(history, draw, 0.0, cls, config)
     g1 = inner_sup(history, draw, 1.0, cls, config)
     return float(np.clip((1.0 + g1 - g0) / 2.0, 0.0, 1.0))
+
+
+# Elements (rows x terms) in one batched solve; bounds the memory of long epochs.
+MAX_BATCH_ELEMENTS = 1 << 16
+# the probe labels y = 0, 1: their losses |0 - y| and flip deltas |1 - y| - |0 - y|
+_PROBE_L0 = (0.0, 1.0)
+_PROBE_DLT = (np.array([1.0]), np.array([-1.0]))
+
+
+def predict_binary_fast_batch(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    js: Sequence[int],
+    draws: Sequence[RelaxationDraw],
+    cls: HypothesisClass,
+    loss: LossFn = ABSOLUTE_LOSS,
+) -> np.ndarray:
+    """predict_binary_fast for many rounds of one game, bit for bit, in batched solves.
+
+    Round r has the history xs[:j], ys[:j-1] with j = js[r] and the draw
+    draws[r]. Its two queries become two flip-delta rows (probe label 0, then
+    1) for `cls.solve_rows`; rows of one length are solved together, at most
+    MAX_BATCH_ELEMENTS elements at a time, and each row counts one solve call.
+    """
+    if not cls.is_binary or loss.kind != "absolute":
+        raise ConfigError("fast path needs a binary-valued class and absolute loss")
+    if xs.size != len(xs) or any(d.halluc.size != len(d.halluc) for d in draws):
+        raise UnsupportedClassError("this oracle handles scalar features only")
+    xs = xs.reshape(-1)
+    js = list(js)
+    if not js:
+        return np.empty(0)
+    # The query sums its labels' losses in order, so base = running sum + the
+    # probe label's loss; a label y's flip delta is |1 - y| - |0 - y|.
+    l0 = np.abs(0.0 - ys[: max(js) - 1])
+    prefix = [0.0] + np.cumsum(l0).tolist()
+    pair_dlt = np.abs(1.0 - ys[: max(js) - 1]) - l0
+    signed_coefficient = -2.0 * loss.lipschitz  # the sup query negates the signs
+
+    lengths = [j + len(d.signs) for j, d in zip(js, draws)]
+    yhats = np.empty(len(js))
+    for n in sorted(set(lengths)):
+        same = [r for r, m in enumerate(lengths) if m == n]
+        step = max(1, MAX_BATCH_ELEMENTS // (2 * max(n, 1)))
+        for rounds in (same[i : i + step] for i in range(0, len(same), step)):
+            # rows 2r and 2r+1 (probe label 0, then 1): x_1..x_j, then round r's draw
+            pos, dlt, base = [], [], []
+            for r in rounds:
+                j, draw = js[r], draws[r]
+                pos += (xs[:j], draw.halluc.reshape(-1))
+                signed = signed_coefficient * draw.signs
+                for y in (0, 1):
+                    dlt += (pair_dlt[: j - 1], _PROBE_DLT[y], signed)
+                    base.append(prefix[j - 1] + _PROBE_L0[y])
+            pos = np.concatenate(pos).reshape(len(rounds), n)
+            if not np.isfinite(pos).all():
+                raise InputDomainError("features must be finite")
+            _, objectives = cls.solve_rows(
+                np.array(base), np.repeat(pos, 2, axis=0), np.concatenate(dlt).reshape(2 * len(rounds), n)
+            )
+            g0, g1 = -objectives[0::2], -objectives[1::2]
+            yhats[rounds] = np.clip((1.0 + g1 - g0) / 2.0, 0.0, 1.0)
+    return yhats
 
 
 def _pair_arrays(pairs: Sequence[LabeledPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -149,7 +149,6 @@ def check_admissibility(
         loss=loss,
         y_grid_step=scenario.y_step,
         yhat_tolerance=min(scenario.y_step, 1e-2),
-        fast_binary_path=False,
     )
     pool = SidePool(scenario.pool_features)
     grid = np.append(np.arange(0.0, 1.0, scenario.y_step), 1.0)
@@ -423,7 +422,6 @@ def check_decomposition(
         loss=loss,
         y_grid_step=scenario.y_step,
         yhat_tolerance=min(scenario.y_step, 1e-2),
-        fast_binary_path=False,
     )
     pool = SidePool(scenario.pool_features)
     grid = np.append(np.arange(0.0, 1.0, scenario.y_step), 1.0)

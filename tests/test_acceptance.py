@@ -356,34 +356,34 @@ def test_criterion_10_bandit_minimax_pieces():
 
     # K = 3: coarse simplex grid then local refinement around the argmin
     def grid_min3(b, centers=None, step=0.005, radius=None):
+        # Row a of the grid holds the points np.arange(lo1, hi1[a], step), a
+        # prefix of q1; rows are scored 256 at a time to bound memory, and the
+        # first minimum in row order wins.
         bp = np.maximum(b, 0.0)
-        best, arg = np.inf, None
         if centers is None:
             q0 = np.arange(0.0, 1.0 + 1e-12, step)
+            lo1, hi1 = 0.0, 1.0 - q0 + 1e-12
         else:
             q0 = np.arange(
                 max(0.0, centers[0] - radius), min(1.0, centers[0] + radius) + 1e-12, step
             )
-        for a in q0:
-            if centers is None:
-                q1 = np.arange(0.0, 1.0 - a + 1e-12, step)
-            else:
-                q1 = np.arange(
-                    max(0.0, centers[1] - radius),
-                    min(1.0 - a, centers[1] + radius) + 1e-12,
-                    step,
-                )
-            if q1.size == 0:
+            lo1 = max(0.0, centers[1] - radius)
+            hi1 = np.minimum(1.0 - q0, centers[1] + radius) + 1e-12
+        counts = np.maximum(np.ceil((hi1 - lo1) / step), 0.0).astype(np.intp)
+        q1 = np.arange(lo1, hi1.max(), step)
+        t1 = np.maximum(0.0, q1 - bp[1])
+        best, arg = np.inf, None
+        for s in range(0, q0.size, 256):
+            a, n = q0[s : s + 256], counts[s : s + 256]
+            w = n.max()
+            if w <= 0:
                 continue
-            q2 = 1.0 - a - q1
-            vals = (
-                np.maximum(0.0, a - bp[0])
-                + np.maximum(0.0, q1 - bp[1])
-                + np.maximum(0.0, q2 - bp[2])
-            )
-            i = int(np.argmin(vals))
-            if vals[i] < best:
-                best, arg = float(vals[i]), (float(a), float(q1[i]))
+            vals = np.maximum(0.0, (1.0 - a)[:, None] - q1[:w] - bp[2])
+            vals += np.maximum(0.0, a - bp[0])[:, None] + t1[:w]
+            vals[np.arange(w) >= n[:, None]] = np.inf
+            i, k = np.unravel_index(np.argmin(vals), vals.shape)
+            if vals[i, k] < best:
+                best, arg = float(vals[i, k]), (float(a[i]), float(q1[k]))
         return best, arg
 
     worst3 = 0.0

@@ -17,6 +17,7 @@ from relaxplay import (
     query_objective,
     signed_to_absolute,
 )
+from relaxplay.core import objective_values
 
 
 class TestLossEval:
@@ -156,6 +157,44 @@ class TestQueryObjective:
             assert res.objective == pytest.approx(
                 query_objective(cls, res.hypothesis, query), abs=1e-12
             )
+
+
+def running_objective(cls, handle, query):
+    """The objective as one running sum over the terms, each loss through loss_eval."""
+    total = 0.0
+    for x, y, w in zip(query.xs.tolist(), query.ys.tolist(), query.ws.tolist()):
+        total += w * loss_eval(query.loss, cls.evaluate(handle, x), y)
+    for x, s in zip(query.signed_xs.tolist(), query.signs.tolist()):
+        total += query.coefficient * s * cls.evaluate(handle, x)
+    return total
+
+
+class TestObjectiveValues:
+    @pytest.mark.parametrize(
+        "loss", [ABSOLUTE_LOSS, LossFn("custom", lipschitz=2.0, evaluator=lambda p, y: (p - y) ** 2)],
+        ids=["absolute", "squared"],
+    )
+    def test_bit_equal_to_running_sum(self, loss):
+        rng = np.random.default_rng(17)
+        cls = FiniteClass([lambda x: 0.3, lambda x: x, lambda x: 1.0 - x * x, lambda x: float(x >= 0.5)])
+        for _ in range(200):
+            n, k = int(rng.integers(0, 9)), int(rng.integers(0, 9))
+            query = MixedErmQuery(
+                xs=rng.random(n), ys=rng.random(n), ws=rng.random(n) * 3, signed_xs=rng.random(k),
+                signs=rng.choice([-1.0, 1.0], k), coefficient=float(rng.random() * 4), loss=loss,
+            )
+            values = objective_values(cls, range(len(cls)), query)
+            assert values == [running_objective(cls, h, query) for h in range(len(cls))]
+            assert query_objective(cls, 2, query) == values[2]
+
+    def test_values_outside_unit_interval_raise(self):
+        cls = FiniteClass([lambda x: 0.5, lambda x: 1.5])
+        query = MixedErmQuery(pairs=(LabeledPair(0.2, 1.0),))
+        assert objective_values(cls, [0], query) == [0.5]
+        with pytest.raises(InputDomainError):
+            objective_values(cls, [0, 1], query)
+        with pytest.raises(InputDomainError):
+            cls.solve(query)
 
 
 class TestQueryArrays:

@@ -191,3 +191,172 @@ class TestHallucinationShortfall:
         trace.to_csv(tmp_path / "t.csv")
         text = (tmp_path / "t.csv").read_text()
         assert "shortfall" not in text and "drift" not in text
+
+
+def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=None):
+    """Trace rows of the game played one round at a time: sample, predict, emit.
+
+    The predictor restarts every `block` rounds (never, by default). Each
+    round rebuilds its pool and history from the features and labels played.
+    """
+    from relaxplay import (
+        GameHistory, PredictorConfig, SidePool, best_in_hindsight, draw_halluc, loss_eval,
+        predict_binary_fast, predict_general, round_rng, sample_feature,
+    )
+
+    block = block or T
+    if config.fast_binary_path is not None:
+        use_fast = config.fast_binary_path
+    else:
+        use_fast = cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
+    predict = predict_binary_fast if use_fast else predict_general
+    history, xs, ys, yhats, losses, meta = [], [], [], [], [], []
+    for t in range(1, T + 1):
+        first = (t - 1) // block * block  # index of the block's first round
+        idx = locate(schedule, t - first)
+        M = epoch_length(schedule, idx.n)
+        pool = SidePool(np.array(xs[first : first + idx.start]))
+        x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
+        hist = GameHistory(np.array(xs[first + idx.start :] + [x_t]), np.array(ys[first + idx.start :]))
+        pconf = PredictorConfig(
+            horizon=M, loss=loss, y_grid_step=config.y_grid_step, yhat_tolerance=config.yhat_tolerance
+        )
+
+        def predict_on(rng, c):
+            return predict(hist, draw_halluc(pool, min(M - idx.j, pool.size), rng), c, pconf)
+
+        def probe():
+            rng, c = round_rng(config.seed, 3, t), cls.clone()
+            return float(np.mean([predict_on(rng, c) for _ in range(config.probe_mc)]))
+
+        before = cls.solve_calls
+        yhat = predict_on(round_rng(config.seed, 2, t), cls)
+        meta.append((first // block + 1, idx.n, idx.j, cls.solve_calls - before))
+        oblivious = adversary.kind == "oblivious"
+        y_t = adversary.emit(t, history, x_t, None if oblivious else probe, round_rng(config.seed, 4, t))
+        history.append((x_t, y_t))
+        xs.append(x_t)
+        ys.append(y_t)
+        yhats.append(yhat)
+        losses.append(loss_eval(loss, yhat, y_t))
+
+    comparator = cls.clone()
+    h_star, _ = best_in_hindsight(comparator, loss=loss, xs=np.array(xs), ys=np.array(ys))
+    rows, cum_loss, cum_comp = [], 0.0, 0.0
+    for t in range(1, T + 1):
+        block_no, n, j, erm_calls = meta[t - 1]
+        x, y = xs[t - 1], ys[t - 1]
+        cum_loss += losses[t - 1]
+        cum_comp += loss_eval(loss, comparator.evaluate(h_star, x), y)
+        rows.append(
+            (t, block_no, n, j, float(x), y, yhats[t - 1], losses[t - 1], cum_loss, cum_loss - cum_comp, erm_calls)
+        )
+    return rows
+
+
+def _threshold_labels(t, x, rng):
+    return 1.0 if x >= 0.5 else 0.0
+
+
+def _chunk_configs():
+    from relaxplay import IntervalClass, SemiAdaptiveAdversary, noisy_target
+    from relaxplay.environment import comparator_squeeze, flip_to_far
+
+    poly = EpochSchedule("polynomial", alpha=1.0)
+    geo = EpochSchedule("geometric", ratio=1.5)  # short pools: rows of mixed length
+    noisy = lambda: noisy_target(lambda x: float(x >= 0.4), 0.2)  # noqa: E731
+    return {
+        "oblivious": (poly, ThresholdClass, noisy, 60, {}),
+        "oblivious_interval_geometric": (geo, lambda: IntervalClass(0.25), noisy, 45, {}),
+        "semi_adaptive": (
+            geo, ThresholdClass,
+            lambda: SemiAdaptiveAdversary(2, lambda t, feats, rng: float(feats[0] >= 0.5), binary_labels=True),
+            30, {},
+        ),
+        "flip_to_far": (geo, ThresholdClass, flip_to_far, 30, {"probe_mc": 3}),
+        "comparator_squeeze": (poly, ThresholdClass, lambda: comparator_squeeze(ThresholdClass), 30, {"probe_mc": 2}),
+        "general_finite": (
+            poly, lambda: FiniteClass.from_constants([0.0, 0.4, 1.0]),
+            lambda: ObliviousAdversary(lambda t, x, rng: float(rng.random())), 12, {},
+        ),
+        "fast_finite_no_batch": (
+            geo, lambda: FiniteClass([lambda x: float(x >= 0.3), lambda x: float(x >= 0.7)], binary=True),
+            noisy, 25, {},
+        ),
+    }
+
+
+class TestChunkedPlay:
+    """Chunked play (a whole epoch's predictions at once against an oblivious
+    adversary) gives exactly the rows of round-by-round play."""
+
+    @pytest.mark.parametrize("name", list(_chunk_configs()))
+    def test_rows_equal_per_round_reference(self, name):
+        from relaxplay import ABSOLUTE_LOSS
+
+        sched, make_cls, make_adv, T, kwargs = _chunk_configs()[name]
+        env = FeatureDistribution.uniform()
+        config = RunConfig(seed=11, **kwargs)
+        trace = run_epoch_predictor(sched, make_cls(), ABSOLUTE_LOSS, env, make_adv(), T, config)
+        assert trace.rows == per_round_reference(sched, make_cls(), ABSOLUTE_LOSS, env, make_adv(), T, config)
+
+    @pytest.mark.parametrize("adversary", ["oblivious", "flip_to_far"])
+    def test_shifting_rows_equal_per_round_reference(self, adversary):
+        from relaxplay import ABSOLUTE_LOSS, IntervalClass, ShiftingProcess, block_length, run_shifting
+        from relaxplay.environment import flip_to_far
+
+        T, K = 60, 3
+        env = ShiftingProcess([(FeatureDistribution.uniform(0.0, 0.6), 1), (FeatureDistribution.uniform(0.4, 1.0), 25)])
+        sched = EpochSchedule("geometric", ratio=1.5)
+        make_adv = flip_to_far if adversary == "flip_to_far" else (
+            lambda: ObliviousAdversary(_threshold_labels, binary_labels=True)
+        )
+        config = RunConfig(seed=4, probe_mc=2)
+        trace = run_shifting(IntervalClass(0.25), ABSOLUTE_LOSS, env, make_adv(), T, K, sched, config)
+        B = block_length(T, K)
+        assert trace.rows == per_round_reference(
+            sched, IntervalClass(0.25), ABSOLUTE_LOSS, env, make_adv(), T, config, block=B
+        )
+        assert trace.metadata["block_starts"] == list(range(1, T + 1, B))
+
+    @pytest.mark.parametrize("adversary", ["oblivious", "flip_to_far"])
+    def test_nan_feature_raises(self, adversary):
+        from relaxplay import ABSOLUTE_LOSS, InputDomainError
+        from relaxplay.environment import flip_to_far
+
+        env = FeatureDistribution.discrete([0.2, float("nan")], [0.5, 0.5])
+        adv = flip_to_far() if adversary == "flip_to_far" else ObliviousAdversary(_threshold_labels, binary_labels=True)
+        with pytest.raises(InputDomainError):
+            run_epoch_predictor(
+                EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS, env, adv, 20,
+                RunConfig(seed=0, probe_mc=2),
+            )
+
+    def test_long_epochs_are_split(self, monkeypatch):
+        # an epoch longer than one batch allows is played in several chunks
+        import relaxplay.epochs as epochs
+        from relaxplay import ABSOLUTE_LOSS
+
+        sched = EpochSchedule("fixed", block=40)
+        adv = ObliviousAdversary(_threshold_labels, binary_labels=True)
+        config = RunConfig(seed=2)
+        chunks = []
+        batch = epochs.predict_binary_fast_batch
+
+        def counted(xs, ys, js, *args):
+            chunks.append(len(js))
+            return batch(xs, ys, js, *args)
+
+        monkeypatch.setattr(epochs, "predict_binary_fast_batch", counted)
+
+        def play():
+            env = FeatureDistribution.uniform()
+            return run_epoch_predictor(sched, ThresholdClass(), ABSOLUTE_LOSS, env, adv, 90, config)
+
+        whole = play()
+        assert chunks == [40, 40, 10]
+        chunks.clear()
+        monkeypatch.setattr(epochs, "MAX_BATCH_ELEMENTS", 400)  # 5 rounds of 2 rows of 40
+        split = play()
+        assert chunks == [5] * 18
+        assert split.rows == whole.rows

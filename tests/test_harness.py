@@ -138,6 +138,24 @@ class TestRunExperiment:
         summary = run_experiment({"mode": "verify", "seeds": [0], "mc_samples": 32})
         assert "checks" in summary and isinstance(summary["failed"], list)
 
+    def test_summary_carries_shortfall_and_drift(self, tmp_path):
+        cfg = dict(ONLINE_CONFIG, seeds=[0, 3], horizons=[12, 20], schedule={"kind": "geometric", "ratio": 1.5})
+        summary = run_experiment(cfg, out_dir=str(tmp_path))
+        for entry in summary["per_horizon"]:
+            traces = [run_one_trace(cfg, entry["T"], seed) for seed in cfg["seeds"]]
+            assert entry["halluc_shortfall"] == [t.metadata["halluc_shortfall"] for t in traces]
+            assert entry["rounding_drift"] == [t.metadata["rounding_drift"] for t in traces]
+            assert min(entry["halluc_shortfall"]) > 0  # the first epoch starts with an empty pool
+        (path,) = tmp_path.glob("summary_online_*.json")
+        assert json.loads(path.read_text())["per_horizon"] == summary["per_horizon"]
+        for csv in tmp_path.glob("*.csv"):
+            assert "shortfall" not in csv.read_text()
+
+    def test_bandit_summary_has_no_drift(self):
+        summary = run_experiment(dict(PINNED_BANDIT, horizons=[16]))
+        (entry,) = summary["per_horizon"]
+        assert entry["halluc_shortfall"] == [1] and "rounding_drift" not in entry
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="config.mode"):
             run_experiment({"mode": "nope"})

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from relaxplay import (
     ConfigError,
+    ErmResult,
     FiniteClass,
     IntervalClass,
     LabeledPair,
@@ -17,6 +18,7 @@ from relaxplay import (
     query_objective,
     reference_solve,
 )
+from relaxplay.oracles import _flip_deltas
 
 
 def random_query(rng, n_pairs=3, n_signed=2, coefficient=2.0, lattice=None):
@@ -415,3 +417,68 @@ class TestScalarOraclesRejectVectors:
     def test_length_one_vectors_count_as_scalars(self):
         res = ThresholdClass().solve(MixedErmQuery(pairs=(LabeledPair(np.array([0.5]), 1.0),)))
         assert res.objective == 0.0
+
+
+class TestSolveRows:
+    """The row-batched solve over flip-delta rows equals `solve` on each row's query."""
+
+    feature = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
+    label = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+    query = st.builds(
+        lambda pairs, signed, coefficient: MixedErmQuery(
+            pairs=[LabeledPair(x, y, w) for x, y, w in pairs],
+            signed=[SignedTerm(s, x) for x, s in signed],
+            coefficient=coefficient,
+        ),
+        st.lists(st.tuples(feature, label, st.sampled_from((1.0, 0.5, 2.0))), max_size=5),
+        st.lists(st.tuples(feature, st.sampled_from((-1, 1))), max_size=5),
+        st.sampled_from((2.0, 1.0, 0.0)),
+    )
+
+    @staticmethod
+    def solve_grouped(cls, queries):
+        """solve_rows on each group of queries with one row length, in query order."""
+        rows = [_flip_deltas(q) for q in queries]
+        out = [None] * len(queries)
+        for n in sorted({len(pos) for _, pos, _ in rows}):
+            group = [i for i, (_, pos, _) in enumerate(rows) if len(pos) == n]
+            handles, objectives = cls.solve_rows(
+                np.array([rows[i][0] for i in group]),
+                np.array([rows[i][1] for i in group]).reshape(len(group), n),
+                np.array([rows[i][2] for i in group]).reshape(len(group), n),
+            )
+            for k, i in enumerate(group):
+                out[i] = (handles[k], objectives[k])
+        return out
+
+    @pytest.mark.parametrize("make", [ThresholdClass, lambda: IntervalClass(0.25)], ids=["threshold", "interval"])
+    @settings(max_examples=150, deadline=None)
+    @given(queries=st.lists(query, min_size=1, max_size=8))
+    def test_equals_per_query_solve(self, make, queries):
+        cls = make()
+        batched = self.solve_grouped(cls, queries)
+        assert cls.solve_calls == len(queries)
+        for q, (handle, objective) in zip(queries, batched):
+            res = make().solve(q)
+            assert objective == res.objective
+            assert handle == res.hypothesis
+
+    def test_duplicates_bounds_and_signed_only_rows(self):
+        # duplicate positions, positions at exactly 0 and 1, and a row with no pair terms
+        queries = [
+            MixedErmQuery(pairs=(LabeledPair(0.5, 1.0), LabeledPair(0.5, 0.0), LabeledPair(1.0, 1.0))),
+            MixedErmQuery(pairs=(LabeledPair(0.0, 0.0),), signed=(SignedTerm(1, 0.0), SignedTerm(-1, 1.0)), coefficient=2.0),
+            MixedErmQuery(signed=(SignedTerm(-1, 0.3), SignedTerm(-1, 0.3), SignedTerm(1, 1.0)), coefficient=2.0),
+            MixedErmQuery(pairs=(LabeledPair(1.0, 0.0), LabeledPair(1.0, 0.0), LabeledPair(1.0, 1.0))),
+        ]
+        cls = ThresholdClass()
+        for q, (handle, objective) in zip(queries, self.solve_grouped(cls, queries)):
+            res = ThresholdClass().solve(q)
+            assert (handle, objective) == (res.hypothesis, res.objective)
+
+    def test_no_terms(self):
+        cls = ThresholdClass()
+        handles, objectives = cls.solve_rows(np.zeros(3), np.empty((3, 0)), np.empty((3, 0)))
+        assert handles.tolist() == objectives.tolist() == [0.0, 0.0, 0.0]
+        assert cls.solve_calls == 3
+        assert ThresholdClass().solve(MixedErmQuery()) == ErmResult(0.0, 0.0)

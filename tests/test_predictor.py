@@ -8,17 +8,21 @@ from relaxplay import (
     ConfigError,
     FiniteClass,
     GameHistory,
+    InputDomainError,
+    IntervalClass,
     LabeledPair,
     PoolExhaustedError,
     PredictorConfig,
     SidePool,
     ThresholdClass,
+    UnsupportedClassError,
     draw_halluc,
     f_eval,
     inner_sup,
     inner_sups,
     loss_eval,
     predict_binary_fast,
+    predict_binary_fast_batch,
     predict_general,
     relaxation_R,
     relaxation_Rtilde,
@@ -202,6 +206,70 @@ class TestPredictBinaryFast:
                 return max(v + g0, 1.0 - v + g1)
 
             assert phi(fast) <= phi(slow) + config.yhat_tolerance + 1e-9
+
+
+def epoch_rounds(rng, M, pool_size, binary=True):
+    """An epoch's feature and label arrays, a pool, and each round's draw in order."""
+    xs = rng.random(M)
+    ys = rng.integers(0, 2, M).astype(float) if binary else rng.random(M)
+    pool = SidePool(rng.random(pool_size))
+    js = list(range(1, M + 1))
+    draws = [draw_halluc(pool, min(M - j, pool.size), rng) for j in js]
+    return xs, ys, js, draws
+
+
+class TestPredictBinaryFastBatch:
+    """The batched fast path equals predict_binary_fast round by round, bit for bit."""
+
+    @pytest.mark.parametrize("make", [ThresholdClass, lambda: IntervalClass(0.25)], ids=["threshold", "interval"])
+    def test_equals_per_round_fast_path(self, make):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            M = int(rng.integers(1, 14))
+            # pools shorter than the epoch give rows of mixed length
+            xs, ys, js, draws = epoch_rounds(rng, M, int(rng.integers(0, M + 2)), binary=trial % 4 != 3)
+            if trial % 5 == 0:
+                xs[rng.integers(0, M)] = 1.0  # positions at exactly 1 and duplicates
+                xs[rng.integers(0, M)] = xs[0]
+            order = rng.permutation(M)  # rounds in any order
+            js, draws = [js[i] for i in order], [draws[i] for i in order]
+            cls = make()
+            batched = predict_binary_fast_batch(xs, ys, js, draws, cls)
+            assert cls.solve_calls == 2 * M
+            config = PredictorConfig(horizon=M)
+            for j, d, yhat in zip(js, draws, batched.tolist()):
+                assert yhat == predict_binary_fast(GameHistory(xs[:j], ys[: j - 1]), d, make(), config)
+
+    def test_split_batches_agree(self, monkeypatch):
+        import relaxplay.predictor as predictor
+
+        rng = np.random.default_rng(5)
+        xs, ys, js, draws = epoch_rounds(rng, 30, 40)
+        whole = predict_binary_fast_batch(xs, ys, js, draws, ThresholdClass())
+        monkeypatch.setattr(predictor, "MAX_BATCH_ELEMENTS", 100)
+        cls, sizes = ThresholdClass(), []
+        solve_rows = cls.solve_rows
+
+        def recorded(base, pos, dlt):
+            sizes.append(pos.shape)
+            return solve_rows(base, pos, dlt)
+
+        cls.solve_rows = recorded
+        assert predict_binary_fast_batch(xs, ys, js, draws, cls).tolist() == whole.tolist()
+        assert cls.solve_calls == 60 == sum(rows for rows, _ in sizes)
+        assert max(rows * n for rows, n in sizes) <= 100
+
+    def test_boundary_errors(self):
+        rng = np.random.default_rng(2)
+        xs, ys, js, draws = epoch_rounds(rng, 6, 6)
+        with pytest.raises(ConfigError):
+            predict_binary_fast_batch(xs, ys, js, draws, FiniteClass.from_constants([0.3]))
+        bad = xs.copy()
+        bad[2] = np.nan
+        with pytest.raises(InputDomainError):
+            predict_binary_fast_batch(bad, ys, js, draws, ThresholdClass())
+        with pytest.raises(UnsupportedClassError):
+            predict_binary_fast_batch(np.stack([xs, xs], axis=1), ys, [1], draws[:1], ThresholdClass())
 
 
 class TestRelaxations:

@@ -41,7 +41,6 @@ from .predictor import (
     predict_binary_fast_batch,
     predict_general,
     relaxation_R,
-    relaxation_Rtilde,
 )
 from .environment import (
     AdaptiveAdversary,
@@ -56,6 +55,7 @@ from .environment import (
 )
 from .epochs import (
     EpochSchedule,
+    RoundStreams,
     RunConfig,
     alpha_from_q,
     epoch_length,

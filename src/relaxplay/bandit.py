@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ConfigError, Feature, InputDomainError, feature_list, feature_rows, lowest_argmin
 from .environment import sample_feature
-from .epochs import EpochSchedule, epoch_length, round_rng
+from .epochs import EpochSchedule, RoundStreams, check_seed, epoch_length
 from .predictor import PoolExhaustedError
 from .traces import BANDIT_COLUMNS, RegretTrace
 
@@ -239,6 +239,7 @@ class BanditConfig:
     def __post_init__(self):
         if self.gamma is not None and not self.gamma > 0:
             raise ConfigError("gamma must be positive")
+        check_seed(self.seed)
 
 
 def bandit_epoch_schedule() -> EpochSchedule:
@@ -268,6 +269,7 @@ def run_bandit(
     if gamma * K > 1.0:
         gamma = 1.0 / K
     schedule = bandit_epoch_schedule()
+    streams = RoundStreams(config.seed, T, (1, 2, 5))
 
     trace = RegretTrace(columns=BANDIT_COLUMNS)
     history: list = []
@@ -293,17 +295,17 @@ def run_bandit(
             pool_arms = arm_matrix[:, :start]
             sums = np.zeros(len(policy_class))
 
-        x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
+        x_t = sample_feature(env, t, streams.rngs(1, t))
         x_arms = arm_matrix[:, t - 1] = policy_class.arms([x_t])[:, 0]
         count = min(m_n - j, start)
         shortfall += count < m_n - j
-        draw = draw_bandit(start, count, K, gamma, round_rng(config.seed, 2, t))
+        draw = draw_bandit(start, count, K, gamma, streams.rngs(2, t))
         phis = phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
         b = gamma * (phis[1:] - phis[0])
         q_hat, _ = waterfill_q(b)
         q = mix_q(q_hat, gamma, K)
 
-        rng_play = round_rng(config.seed, 5, t)
+        rng_play = streams.rngs(5, t)
         arm = int(rng_play.choice(K, p=q / q.sum()))
         c_t = np.asarray(cost_adversary(t, x_t, history), dtype=float)
         # written so that NaN fails too

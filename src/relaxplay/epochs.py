@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     ConfigError,
@@ -127,14 +128,141 @@ class RunConfig:
     y_grid_step: Optional[float] = None
     yhat_tolerance: Optional[float] = None
 
+    def __post_init__(self):
+        check_seed(self.seed)
+
+
+def check_seed(seed, name: str = "seed") -> int:
+    """`seed` as an int if it is a non-negative integer (Python or numpy, not bool); else ConfigError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
 
 def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
-    """The generator of one stream at round t; every runner draws from these.
+    """The generator of one stream at round t: the reference that every
+    runner's `RoundStreams` reproduces bit for bit.
 
     Streams: 1 features, 2 hallucination draws, 3 probes, 4 adversary noise,
     5 the bandit's arm play and cost estimate.
     """
     return np.random.default_rng([seed, stream, t])
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+SEED_WINDOW = 4096  # rounds of seed words a RoundStreams table fills at a time
+
+
+def _u32_words(n: int) -> list:
+    """A non-negative integer as SeedSequence reads it: little-endian 32-bit words."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _pcg64_seed_words(entropy: list) -> np.ndarray:
+    """The words `SeedSequence(entropy).generate_state(4, np.uint64)` returns, for
+    a batch of entropies at once.
+
+    `entropy` lists uint32 arrays, one per entropy word, each of shape (1,)
+    (the same word in every entropy) or (n,); the result has shape (n, 4).
+    All arithmetic is on uint32 arrays, which wrap silently as the C code does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+
+    # generate_state: 8 uint32 words cycling through the pool, read as 4
+    # little-endian uint64 pairs
+    hash_const = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    out = np.empty((max(h.size for h in halves), 4), dtype=np.uint64)
+    for k in range(4):
+        out[:, k] = halves[2 * k] | (halves[2 * k + 1] << 32)
+    return out
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already known."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("_SeedWords only seeds PCG64 (4 uint64 words)")
+        return self.words
+
+
+class RoundStreams:
+    """The generators `round_rng(seed, stream, t)` of one game, for rounds 1..T.
+
+    Each stream's PCG64 seed words come from one numpy pass of SeedSequence's
+    hash over a window of SEED_WINDOW rounds, refilled when a round outside
+    the window is asked for, so `rngs(stream, t)` skips SeedSequence and is
+    bit-identical to `round_rng(seed, stream, t)`.
+    """
+
+    def __init__(self, seed: int, T: int, streams):
+        seed = check_seed(seed)
+        if not 1 <= T <= _MASK32:
+            raise ConfigError(f"T must lie in [1, 2**32 - 1], got {T}")
+        self.T = T
+        self._prefix = {}  # stream -> its entropy words before t
+        self._windows = {}  # stream -> (first round of the window, its seed words)
+        for stream in streams:
+            words = _u32_words(seed) + _u32_words(check_seed(stream, "stream"))
+            self._prefix[stream] = [np.array([w], dtype=np.uint32) for w in words]
+
+    def _fill(self, stream: int, t: int):
+        if stream not in self._prefix:
+            raise ConfigError(f"stream {stream} is not one of {sorted(self._prefix)}")
+        if not 1 <= t <= self.T:
+            raise ConfigError(f"round {t} outside 1..{self.T}")
+        lo = (t - 1) // SEED_WINDOW * SEED_WINDOW + 1
+        ts = np.arange(lo, min(lo + SEED_WINDOW, self.T + 1), dtype=np.uint32)
+        self._windows[stream] = window = (lo, _pcg64_seed_words(self._prefix[stream] + [ts]))
+        return window
+
+    def rngs(self, stream: int, t: int) -> np.random.Generator:
+        """The generator of `stream` at round t."""
+        lo, words = self._windows.get(stream, (1, ()))
+        if not lo <= t < lo + len(words):
+            lo, words = self._fill(stream, t)
+        return np.random.Generator(np.random.PCG64(_SeedWords(words[t - lo])))
 
 
 class _EpochPredictorState:
@@ -216,12 +344,12 @@ class _EpochPredictorState:
             calls.append(cls.solve_calls - before)
         return yhats, calls
 
-    def probe(self, seed: int, t: int, probe_mc: int):
+    def probe(self, streams: RoundStreams, t: int, probe_mc: int):
         """Monte-Carlo mean prediction of the current round on its own RNG
         stream and a cloned oracle; never touches the game's RNG or counts."""
 
         def probe() -> float:
-            rng = round_rng(seed, 3, t)
+            rng = streams.rngs(3, t)
             draws = [self.draw(rng) for _ in range(probe_mc)]
             yhats, _ = self.predict([self.j] * probe_mc, draws, self.cls.clone())
             return float(np.mean(yhats))
@@ -260,19 +388,20 @@ def play_rounds(
 ) -> PlayedRounds:
     """Play T rounds; the epoch predictor restarts from scratch every `block` rounds.
 
-    Rounds go in chunks: one round against an adversary that is not
-    oblivious, otherwise up to the end of the epoch (and of the block, and
-    of one batch). A chunk samples each round's feature, emits its label
-    and draws its hallucinations, then predicts all its rounds in one call.
-    Every stream is per (seed, stream, t), so the chunks draw exactly what
-    round-by-round play would, and erm_calls counts each round's own
-    prediction (probes use a cloned oracle).
+    Rounds go in chunks up to the end of the epoch (and of the block, and of
+    one batch). A chunk samples each round's feature, emits its label (an
+    adversary that is not oblivious first probes that round's mean
+    prediction) and draws its hallucinations, then predicts all its rounds
+    in one call. No adversary sees the game's own predictions: a probe runs
+    on stream 3 with a cloned oracle, and every stream is per (seed, stream,
+    t) (`RoundStreams`), so the chunks draw exactly what round-by-round play
+    would, and erm_calls counts each round's own prediction.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
     played = PlayedRounds(use_fast=_resolve_fast(config, cls, loss, adversary))
     oblivious = adversary.kind == "oblivious"
-    seed = config.seed
+    streams = RoundStreams(config.seed, T, (1, 2, 4) if oblivious else (1, 2, 3, 4))
     history: list = []
     t = 0
     while t < T:
@@ -280,19 +409,19 @@ def play_rounds(
         played.states.append(state)
         end = min(t + block, T)
         while t < end:
-            k = state.next_chunk(end - t) if oblivious else 1
+            k = state.next_chunk(end - t)
             js, draws = [], []
             for t in range(t + 1, t + k + 1):
-                x_t = sample_feature(env, t, round_rng(seed, 1, t))
+                x_t = sample_feature(env, t, streams.rngs(1, t))
                 state.advance(x_t)
-                probe = None if oblivious else state.probe(seed, t, config.probe_mc)
-                y_t = adversary.emit(t, history, x_t, probe, round_rng(seed, 4, t))
+                probe = None if oblivious else state.probe(streams, t, config.probe_mc)
+                y_t = adversary.emit(t, history, x_t, probe, streams.rngs(4, t))
                 state.record(y_t)
                 history.append((x_t, y_t))
                 played.xs.append(x_t)
                 played.ys.append(y_t)
                 js.append(state.j)
-                draws.append(state.draw(round_rng(seed, 2, t)))
+                draws.append(state.draw(streams.rngs(2, t)))
             yhats, calls = state.predict(js, draws, cls)
             for yhat, y_t, j, erm_calls in zip(yhats, played.ys[-k:], js, calls):
                 played.yhats.append(yhat)

@@ -316,11 +316,16 @@ def relaxation_R(
     mc_samples: int,
     rng: np.random.Generator,
     with_replacement: bool = False,
+    *,
+    true_env=None,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate (mean, stderr) of the surrogate relaxation R_j.
 
     R_j = E[sup_h 2L sum_{i>j} eps_i h(x~_i) - L_j^h], hallucinations drawn
     from the pool. `history_pairs` are the j realized rounds (labels included).
+    With `true_env` (anything with a .sample(rng) method; diagnostic use
+    only) this is R~_j instead: slot j+1 is drawn from the true feature
+    source, with its own sign, and only the later slots from the pool.
     """
     history = _pair_arrays(history_pairs)
     count = config.horizon - j
@@ -331,39 +336,15 @@ def relaxation_R(
         return val, 0.0
     vals = np.empty(mc_samples)
     for k in range(mc_samples):
-        d = draw_halluc(pool, count, rng, with_replacement)
-        vals[k] = _sup_value(*history, d.signs, d.halluc, cls, config.loss)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
-
-
-def relaxation_Rtilde(
-    j: int,
-    history_pairs: Sequence[LabeledPair],
-    pool: SidePool,
-    true_env,
-    cls: HypothesisClass,
-    config: PredictorConfig,
-    mc_samples: int,
-    rng: np.random.Generator,
-    with_replacement: bool = False,
-) -> tuple[float, float]:
-    """As relaxation_R, but slot j+1 is drawn from the true feature source.
-
-    `true_env` is anything with a .sample(rng) method; diagnostic use only.
-    """
-    history = _pair_arrays(history_pairs)
-    count = config.horizon - j
-    if count < 0:
-        raise ConfigError("j exceeds the horizon")
-    if count == 0:
-        val = _sup_value(*history, (), pool.features[:0], cls, config.loss)
-        return val, 0.0
-    vals = np.empty(mc_samples)
-    for k in range(mc_samples):
-        fresh = true_env.sample(rng)
-        d = draw_halluc(pool, count - 1, rng, with_replacement)
-        signs = np.concatenate(([int(rng.integers(0, 2)) * 2 - 1], d.signs))
-        vals[k] = _sup_value(*history, signs, feature_rows([fresh, *d.halluc]), cls, config.loss)
+        if true_env is None:
+            d = draw_halluc(pool, count, rng, with_replacement)
+            signs, feats = d.signs, d.halluc
+        else:
+            fresh = true_env.sample(rng)
+            d = draw_halluc(pool, count - 1, rng, with_replacement)
+            signs = np.concatenate(([int(rng.integers(0, 2)) * 2 - 1], d.signs))
+            feats = feature_rows([fresh, *d.halluc])
+        vals[k] = _sup_value(*history, signs, feats, cls, config.loss)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
 
 

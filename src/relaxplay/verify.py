@@ -38,7 +38,6 @@ from .predictor import (
     inner_sups,
     predict_general,
     relaxation_R,
-    relaxation_Rtilde,
 )
 
 
@@ -180,8 +179,8 @@ def check_admissibility(
             if mc_samples > 1:
                 lhs_var += (p_x ** 2) * float(vals.var(ddof=1)) / mc_samples
 
-        rhs, rhs_se = relaxation_Rtilde(
-            j - 1, pairs, pool, scenario.env, cls, config, mc_samples, rng
+        rhs, rhs_se = relaxation_R(
+            j - 1, pairs, pool, cls, config, mc_samples, rng, true_env=scenario.env
         )
         se = math.sqrt(lhs_var + rhs_se ** 2)
         margin = lhs_mean - rhs
@@ -447,13 +446,13 @@ def check_decomposition(
         _, comp = best_in_hindsight(cls, pairs, loss)
         regrets[g] = sum(loss_eval(loss, yh, y) for (_, y), yh in zip(rounds, preds)) - comp
 
-        r0, se0 = relaxation_Rtilde(0, (), pool, scenario.env, cls, config, scenario.inner_mc, rng)
+        r0, se0 = relaxation_R(0, (), pool, cls, config, scenario.inner_mc, rng, true_env=scenario.env)
         total = scenario.rtilde_scale * r0
         var = (scenario.rtilde_scale * se0) ** 2
         for j in range(1, M):
             prefix = tuple(pairs[:j])
-            rt, set_ = relaxation_Rtilde(
-                j, prefix, pool, scenario.env, cls, config, scenario.inner_mc, rng
+            rt, set_ = relaxation_R(
+                j, prefix, pool, cls, config, scenario.inner_mc, rng, true_env=scenario.env
             )
             rj, sej = relaxation_R(j, prefix, pool, cls, config, scenario.inner_mc, rng)
             total += rt - rj
@@ -517,9 +516,9 @@ def discrepancy_probe(
             LabeledPair(scenario.env.sample(rng), float(rng.integers(0, 2)))
             for _ in range(j)
         )
-        rt, set_ = relaxation_Rtilde(
-            j, pairs, pool, scenario.env, cls, config, mc_samples, rng,
-            with_replacement=scenario.with_replacement,
+        rt, set_ = relaxation_R(
+            j, pairs, pool, cls, config, mc_samples, rng,
+            with_replacement=scenario.with_replacement, true_env=scenario.env,
         )
         rj, sej = relaxation_R(
             j, pairs, pool, cls, config, mc_samples, rng,

@@ -25,7 +25,6 @@ from relaxplay import (
     predict_binary_fast_batch,
     predict_general,
     relaxation_R,
-    relaxation_Rtilde,
 )
 
 
@@ -306,8 +305,8 @@ class TestRelaxations:
         config = PredictorConfig(horizon=2)
         rng = np.random.default_rng(3)
         r, se_r = relaxation_R(1, (LabeledPair(0.4, 1.0),), pool, cls, config, 2000, rng)
-        rt, se_t = relaxation_Rtilde(
-            1, (LabeledPair(0.4, 1.0),), pool, env, cls, config, 2000, rng
+        rt, se_t = relaxation_R(
+            1, (LabeledPair(0.4, 1.0),), pool, cls, config, 2000, rng, true_env=env
         )
         assert rt == pytest.approx(r, abs=3 * math.sqrt(se_r**2 + se_t**2) + 1e-9)
 

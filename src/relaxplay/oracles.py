@@ -4,6 +4,10 @@ tables, 1-Lipschitz functions, plus a brute-force reference oracle for tests.
 All solvers are exact except the Lipschitz one, which declares a 1e-3
 objective tolerance. Ties are broken toward the smallest parameter / lowest
 index so solves are deterministic.
+
+The two {0,1}-valued classes on scalar features, thresholds and intervals,
+solve a batch of flip-delta rows (see `_flip_deltas`) in one row-vectorized
+numpy pass, `solve_rows`; their `solve` is its one-row case.
 """
 
 from __future__ import annotations
@@ -116,60 +120,85 @@ class IntervalClass(HypothesisClass):
         return 1.0 if a <= float(x) <= b else 0.0
 
     def solve(self, query: MixedErmQuery) -> ErmResult:
-        self.solve_calls += 1
-        return self._sweep(*_flip_deltas(query))
+        base, pos, dlt = _flip_deltas(query)
+        handles, objectives = self.solve_rows(np.array([base]), pos[None, :], dlt[None, :])
+        return ErmResult(handles[0], float(objectives[0]))
 
     def solve_rows(self, base: np.ndarray, pos: np.ndarray, dlt: np.ndarray) -> tuple[list, np.ndarray]:
-        """`solve` of each flip-delta row, as `ThresholdClass.solve_rows`; one sweep per row."""
-        self.solve_calls += len(base)
-        results = [self._sweep(float(b), p, d) for b, p, d in zip(base, pos, dlt)]
-        return [r.hypothesis for r in results], np.array([r.objective for r in results])
+        """`solve` of B flip-delta rows in one pass, as `ThresholdClass.solve_rows`,
+        with the handles as a list of (a, b); every temporary is (B, n) or (B, 2n).
 
-    def _sweep(self, base: float, pos: np.ndarray, dlt: np.ndarray) -> ErmResult:
-        """Exact in O(n log n): an interval covers a contiguous run of the
-        sorted distinct positions, so the best run ending at each position is
-        a prefix-sum difference against a running maximum over the left ends
-        that still leave float length gamma_len inside [0,1].
+        Exact in O(n log n) per row: an interval covers a contiguous run of the
+        sorted distinct positions, so the best run ending at each position is a
+        prefix-sum difference against a running maximum over the left ends that
+        still leave float length gamma_len inside [0,1].
         """
-        g = self.gamma_len
-        inside = (pos >= 0.0) & (pos <= 1.0)  # no interval reaches the others
-        p, inv = np.unique(pos[inside], return_inverse=True)
-        k = p.size
-        if k == 0:
-            return ErmResult((0.0, g), base)
-        prefix = np.concatenate(([0.0], np.cumsum(np.bincount(inv, weights=dlt[inside], minlength=k))))
-
+        g, (rows, n) = self.gamma_len, pos.shape
+        self.solve_calls += rows
+        if n == 0:
+            return [(0.0, g)] * rows, np.array(base, dtype=float)
+        r, rr = np.arange(rows)[:, None], np.arange(rows)
+        # No interval reaches positions outside [0,1]; as +inf they sort last
+        # and take the distinct index k, after a row's k distinct positions p.
+        # Equal positions (0.0 and -0.0 too) share an index and the same float
+        # ends, so the sort need not be stable.
+        inside = (pos >= 0.0) & (pos <= 1.0)
+        key = np.where(inside, pos, np.inf)
+        order = key.argsort(axis=1)
+        srt = key[r, order]
+        new = np.ones((rows, n), dtype=bool)
+        new[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        seq = new.cumsum(axis=1) - 1  # distinct index of each sorted term
+        k = seq[:, -1] + np.isfinite(srt[:, -1])
+        idx = np.empty_like(seq)
+        idx[r, order] = seq
+        # bincount adds each position's deltas in term order, row after row
+        sums = np.bincount((r * n + idx)[inside], weights=dlt[inside], minlength=rows * n)
+        prefix = np.zeros((rows, n + 1))
+        np.cumsum(sums.reshape(rows, n), axis=1, out=prefix[:, 1:])
+        p = np.full((rows, n + 1), np.inf)
+        p[r, seq] = srt
         # Gap m runs from p[m-1] to p[m], open at both ends, except that gap 0
         # starts at 0 and gap k ends at 1, closed; a_min[m] and b_max[m] are
         # the float ends of gap m nearest to each other. A run p[i..j] is
         # covered exactly by [a, b] with a_min[i] <= a <= p[i] and
         # p[j] <= b <= b_max[j+1], so it is coverable iff the float length
         # b_max[j+1] - a_min[i] reaches g; gap m alike with a_min[m], b_max[m].
-        a_min = np.concatenate(([0.0], np.nextafter(p, np.inf)))
-        b_max = np.append(np.nextafter(p, -np.inf), 1.0)
+        # Past k, a_min is +inf and b_max the largest float: both rise along
+        # the whole row, and no gap past k has length g. A row with k = 0 has
+        # the one gap [0, g], the leftmost shortest interval.
+        a_min = np.zeros((rows, n + 1))
+        a_min[:, 1:] = np.nextafter(p[:, :n], np.inf)
+        b_max = np.nextafter(p, -np.inf)
+        b_max[rr, k] = np.where(k > 0, 1.0, g)
         # For each j the admissible left ends are a prefix i < n_left[j], as
-        # the float length falls while a_min grows. searchsorted against
+        # the float length falls while a_min grows. Counting the a_min <=
         # b - g + 2^-50 over-counts only the ends within rounding of the
-        # bound, and those are dropped one step at a time.
-        b_run = b_max[1:]
-        n_left = np.searchsorted(a_min[:k], b_run - g + 2.0**-50, side="right")
-        n_left = np.minimum(n_left, np.arange(1, k + 1))
+        # bound, and those are dropped one step at a time. The count is target
+        # j's rank in one stable sort of a row's a_min and its rising targets,
+        # less the j targets before it; a tie counts, as in searchsorted(side="right").
+        b_run = b_max[:, 1:]
+        ranked = np.concatenate([a_min[:, :n], b_run - g + 2.0**-50], axis=1).argsort(axis=1, kind="stable")
+        n_left = np.minimum(np.nonzero(ranked >= n)[1].reshape(rows, n) - np.arange(n), np.arange(1, n + 1))
+        run = np.arange(n) < k[:, None]
         while True:
-            drop = (n_left > 0) & (b_run - a_min[n_left - 1] < g)
+            drop = run & (n_left > 0) & (b_run - a_min[r, n_left - 1] < g)
             if not drop.any():
                 break
             n_left -= drop
-        run_max = np.maximum.accumulate(prefix[:k])
-        objs = np.where(n_left > 0, base + (prefix[1:] - run_max[n_left - 1]), np.inf)
-        j = int(np.argmin(objs))
+        run_max = np.maximum.accumulate(prefix[:, :n], axis=1)
+        objs = np.where(run & (n_left > 0), base[:, None] + (prefix[:, 1:] - run_max[r, n_left - 1]), np.inf)
+        j = objs.argmin(axis=1)
+        best = objs[rr, j]
         # an interval covering nothing fits in a gap; the handle is always
         # the widest interval covering what it claims to
-        gaps = np.flatnonzero(b_max - a_min >= g)
-        if gaps.size and base <= objs[j]:
-            m = int(gaps[0])
-            return ErmResult((float(a_min[m]), float(b_max[m])), base)
-        i = int(np.argmax(prefix[: n_left[j]]))
-        return ErmResult((float(a_min[i]), float(b_max[j + 1])), float(objs[j]))
+        gaps = b_max - a_min >= g
+        in_gap = gaps.any(axis=1) & (base <= best)
+        m = gaps.argmax(axis=1)
+        i = np.where(np.arange(n) < n_left[rr, j][:, None], prefix[:, :n], -np.inf).argmax(axis=1)
+        a = np.where(in_gap, a_min[rr, m], a_min[rr, i]).tolist()
+        b = np.where(in_gap, b_max[rr, m], b_max[rr, j + 1]).tolist()
+        return list(zip(a, b)), np.where(in_gap, base, best)
 
     def grid_handles(self, step: float) -> Sequence[tuple[float, float]]:
         pts = np.arange(0.0, 1.0 + step / 2, step)

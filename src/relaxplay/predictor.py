@@ -183,21 +183,20 @@ def predict_general(
 
     The adversary's sup runs on a grid of step 1/(L*sqrt(M)); inner-sup values
     are cached per grid point, so the oracle-call count equals the grid size.
-    The outer objective is convex in yhat and is minimized by ternary search.
+    For the absolute loss phi(yhat) = max(yhat + A, B - yhat) on [0,1], with
+    A = max_y (s_y - y) and B = max_y (s_y + y), so the exact minimizer is
+    (B - A)/2 clamped to [0,1]. Other losses minimize the convex outer
+    objective by ternary search to `yhat_tolerance`.
     """
     grid = _y_grid(config)
     sups = inner_sups(history, draw, grid, cls, config)
 
     loss = config.loss
     if loss.kind == "absolute":
+        return float(np.clip((np.max(sups + grid) - np.max(sups - grid)) / 2.0, 0.0, 1.0))
 
-        def phi(yhat: float) -> float:
-            return float(np.max(np.abs(yhat - grid) + sups))
-
-    else:
-
-        def phi(yhat: float) -> float:
-            return max(loss_eval(loss, yhat, float(y)) + s for y, s in zip(grid, sups))
+    def phi(yhat: float) -> float:
+        return max(loss_eval(loss, yhat, float(y)) + s for y, s in zip(grid, sups))
 
     lo, hi = 0.0, 1.0
     iters = max(1, math.ceil(math.log(1.0 / config.yhat_tolerance) / math.log(1.5)))

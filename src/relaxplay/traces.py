@@ -23,6 +23,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _format_column(values: tuple) -> list:
+    """`_fmt` of each value. For a column of plain floats, ints and strings
+    that is `str`, as str(float) is repr(float); float subclasses such as
+    numpy scalars take `_fmt` value by value."""
+    if set(map(type, values)) <= {float, int, str}:
+        return list(map(str, values))
+    return list(map(_fmt, values))
+
+
 @dataclass
 class RegretTrace:
     """Round-by-round record of an online run; cumulative columns are prefix sums."""
@@ -55,8 +64,7 @@ class RegretTrace:
             fh.write(SCHEMA_LINE + "\n")
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            for r in self.rows:
-                writer.writerow([_fmt(v) for v in r])
+            writer.writerows(zip(*map(_format_column, zip(*self.rows))))
 
 
 def read_trace_csv(path) -> RegretTrace:

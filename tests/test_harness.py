@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -6,7 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relaxplay import ConfigError, config_hash, fit_exponent, run_experiment
+from relaxplay import (
+    ABSOLUTE_LOSS,
+    ConfigError,
+    EpochSchedule,
+    FeatureDistribution,
+    FiniteClass,
+    RunConfig,
+    config_hash,
+    fit_exponent,
+    noisy_target,
+    run_epoch_predictor,
+    run_experiment,
+)
 from relaxplay.cli import main as cli_main
 from relaxplay.harness import (
     build_adversary,
@@ -18,7 +31,7 @@ from relaxplay.harness import (
     build_schedule,
     run_one_trace,
 )
-from relaxplay.traces import read_trace_csv
+from relaxplay.traces import SCHEMA_LINE, RegretTrace, read_trace_csv
 
 
 ONLINE_CONFIG = {
@@ -182,6 +195,26 @@ PINNED_BANDIT_K3 = {
 }
 
 
+# the `shifting` benchmark workload's shape at T = 128
+PINNED_SHIFTING = {
+    "mode": "shifting",
+    "seeds": [0],
+    "horizons": [128],
+    "K": 2,
+    "class": {"kind": "interval", "gamma_len": 0.25},
+    "env": {
+        "kind": "shifting",
+        "segments": [
+            {"dist": {"kind": "uniform", "low": 0.0, "high": 0.6}, "start": 1},
+            {"dist": {"kind": "uniform", "low": 0.4, "high": 1.0}, "start": 51},
+            {"dist": {"kind": "uniform", "low": 0.2, "high": 0.8}, "start": 89},
+        ],
+    },
+    "adversary": {"name": "noisy_target", "target_threshold": 0.5, "p": 0.1},
+    "schedule": {"kind": "polynomial", "alpha": 1.0},
+}
+
+
 class TestPinnedTraces:
     """sha256 of the CSVs of fixed configs: a refactor must reproduce them byte
     for byte. The online and bandit configs are criterion 12's; a change that
@@ -194,13 +227,53 @@ class TestPinnedTraces:
             (PINNED_BANDIT, "b05c238a4b6a0207c2ec75412efe9470f982be7e66b61a53eeaf84ef3e7dc858"),
             (PINNED_ADAPTIVE, "162d4284267cc2953f79081a01cf1ebae9c445ddfe29a2103b034ca9446708ef"),
             (PINNED_BANDIT_K3, "d40d02fc76184d21bc103df7afb0fe4354b1a1112038164afb625705659e8e67"),
+            (PINNED_SHIFTING, "50532c52f44bd3b516be1d9d91dc1ee7d15f865b42379af6e8a7df12f252e114"),
         ],
-        ids=["online", "bandit", "adaptive", "bandit_k3"],
+        ids=["online", "bandit", "adaptive", "bandit_k3", "shifting_interval"],
     )
     def test_csv_sha256(self, tmp_path, config, digest):
         run_experiment(dict(config), out_dir=str(tmp_path))
         (csv,) = tmp_path.glob("*.csv")
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
+
+def rowwise_csv(trace: RegretTrace, path) -> None:
+    """Reference writer: each cell formatted on its own, one csv row at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write(SCHEMA_LINE + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(trace.columns)
+        for r in trace.rows:
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in r])
+
+
+class TestCsvWriter:
+    """The column-wise writer writes the bytes of the row-wise reference."""
+
+    @staticmethod
+    def vector_trace():
+        cls = FiniteClass([lambda x: float(x[0] >= 0.5), lambda x: float(x[1] >= 0.5)], binary=True)
+        env = FeatureDistribution.product([FeatureDistribution.uniform(), FeatureDistribution.uniform()])
+        adversary = noisy_target(lambda x: float(x[0] >= 0.5), 0.1)
+        return run_epoch_predictor(EpochSchedule("polynomial", alpha=1.0), cls, ABSOLUTE_LOSS, env, adversary, 24, RunConfig(seed=3))
+
+    @pytest.mark.parametrize("kind", ["online", "bandit", "vector", "numpy_scalars", "empty"])
+    def test_same_bytes_as_rowwise(self, tmp_path, kind):
+        if kind == "online":
+            trace = run_one_trace(PINNED_ONLINE, 64, 0)
+        elif kind == "bandit":
+            trace = run_one_trace(PINNED_BANDIT_K3, 128, 0)
+        elif kind == "vector":
+            trace = self.vector_trace()
+            assert ";" in trace.rows[0][trace.columns.index("x")]
+        elif kind == "numpy_scalars":
+            # float subclasses keep their repr, row by row
+            trace = RegretTrace(columns=("t", "x", "y"), rows=[(1, np.float64(0.5), 0.25), (2, 0.125, np.int64(3))])
+        else:
+            trace = RegretTrace()
+        trace.to_csv(tmp_path / "columns.csv")
+        rowwise_csv(trace, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestCli:

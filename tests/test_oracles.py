@@ -19,6 +19,7 @@ from relaxplay import (
     reference_solve,
 )
 from relaxplay.oracles import _flip_deltas
+from relaxplay.predictor import MAX_BATCH_ELEMENTS
 
 
 def random_query(rng, n_pairs=3, n_signed=2, coefficient=2.0, lattice=None):
@@ -256,6 +257,56 @@ def enumerate_interval_solve(gamma, query):
     return best_handle, best_obj
 
 
+def sweep_interval_solve(gamma, base, pos, dlt):
+    """Reference for IntervalClass.solve_rows: the package's earlier
+    one-row sweep, which solves one flip-delta row at a time.
+
+    Exact in O(n log n): an interval covers a contiguous run of the sorted
+    distinct positions, so the best run ending at each position is a
+    prefix-sum difference against a running maximum over the left ends that
+    still leave float length gamma inside [0,1].
+    """
+    g = gamma
+    inside = (pos >= 0.0) & (pos <= 1.0)  # no interval reaches the others
+    p, inv = np.unique(pos[inside], return_inverse=True)
+    k = p.size
+    if k == 0:
+        return ErmResult((0.0, g), base)
+    prefix = np.concatenate(([0.0], np.cumsum(np.bincount(inv, weights=dlt[inside], minlength=k))))
+
+    # Gap m runs from p[m-1] to p[m], open at both ends, except that gap 0
+    # starts at 0 and gap k ends at 1, closed; a_min[m] and b_max[m] are
+    # the float ends of gap m nearest to each other. A run p[i..j] is
+    # covered exactly by [a, b] with a_min[i] <= a <= p[i] and
+    # p[j] <= b <= b_max[j+1], so it is coverable iff the float length
+    # b_max[j+1] - a_min[i] reaches g; gap m alike with a_min[m], b_max[m].
+    a_min = np.concatenate(([0.0], np.nextafter(p, np.inf)))
+    b_max = np.append(np.nextafter(p, -np.inf), 1.0)
+    # For each j the admissible left ends are a prefix i < n_left[j], as
+    # the float length falls while a_min grows. searchsorted against
+    # b - g + 2^-50 over-counts only the ends within rounding of the
+    # bound, and those are dropped one step at a time.
+    b_run = b_max[1:]
+    n_left = np.searchsorted(a_min[:k], b_run - g + 2.0**-50, side="right")
+    n_left = np.minimum(n_left, np.arange(1, k + 1))
+    while True:
+        drop = (n_left > 0) & (b_run - a_min[n_left - 1] < g)
+        if not drop.any():
+            break
+        n_left -= drop
+    run_max = np.maximum.accumulate(prefix[:k])
+    objs = np.where(n_left > 0, base + (prefix[1:] - run_max[n_left - 1]), np.inf)
+    j = int(np.argmin(objs))
+    # an interval covering nothing fits in a gap; the handle is always
+    # the widest interval covering what it claims to
+    gaps = np.flatnonzero(b_max - a_min >= g)
+    if gaps.size and base <= objs[j]:
+        m = int(gaps[0])
+        return ErmResult((float(a_min[m]), float(b_max[m])), base)
+    i = int(np.argmax(prefix[: n_left[j]]))
+    return ErmResult((float(a_min[i]), float(b_max[j + 1])), float(objs[j]))
+
+
 def widest_interval_solve(gamma, query):
     """Float-exact reference for IntervalClass, by brute force over handles.
 
@@ -482,3 +533,92 @@ class TestSolveRows:
         assert handles.tolist() == objectives.tolist() == [0.0, 0.0, 0.0]
         assert cls.solve_calls == 3
         assert ThresholdClass().solve(MixedErmQuery()) == ErmResult(0.0, 0.0)
+
+
+@st.composite
+def flip_delta_batches(draw):
+    """(gamma, base, pos, dlt) of a batch of flip-delta rows: duplicate
+    positions, positions at 0 and 1, just off the decimal lattice and
+    outside [0,1], with float and +-1/+-2 deltas."""
+    rows, n = draw(st.integers(1, 8)), draw(st.integers(0, 10))
+    position = st.one_of(
+        st.sampled_from((0.0, -0.0, 1.0, 0.25, 0.5, 0.75, 0.1, 0.1 + 0.2, 0.6, -0.5, 1.5)),
+        st.floats(-0.5, 1.5),
+    )
+    # sums of 0.1, 0.2 and 0.3 depend on the order they are added in
+    delta = st.one_of(st.sampled_from((-2.0, -1.0, 1.0, 2.0, 0.1, 0.2, 0.3)), st.floats(-3.0, 3.0))
+
+    def cells(strategy, size):
+        return np.array(draw(st.lists(strategy, min_size=size, max_size=size)), dtype=float)
+
+    return (
+        draw(st.sampled_from((0.1, 0.25, 0.5, 1.0))),
+        cells(st.floats(-5.0, 5.0), rows),
+        cells(position, rows * n).reshape(rows, n),
+        cells(delta, rows * n).reshape(rows, n),
+    )
+
+
+class TestIntervalSolveRows:
+    """The row-vectorized interval sweep equals the one-row reference sweep
+    on every row, handle and objective, bit for bit."""
+
+    @staticmethod
+    def check(gamma, base, pos, dlt):
+        cls = IntervalClass(gamma)
+        handles, objectives = cls.solve_rows(base, pos, dlt)
+        assert cls.solve_calls == len(base)
+        assert len(handles) == len(objectives) == len(base)
+        for b in range(len(base)):
+            ref = sweep_interval_solve(gamma, float(base[b]), pos[b], dlt[b])
+            assert handles[b] == ref.hypothesis
+            assert objectives[b] == ref.objective
+        return handles, objectives
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=flip_delta_batches())
+    def test_equals_reference_sweep(self, batch):
+        self.check(*batch)
+
+    def test_no_position_in_range(self):
+        # k = 0: the leftmost shortest interval, not the full gap [0, 1]
+        pos = np.array([[-0.5, 1.5, 2.0], [-1e-9, 1.0 + 1e-9, -3.0]])
+        handles, objectives = self.check(0.25, np.array([1.5, -2.0]), pos, np.array([[-1.0, -2.0, 0.5]] * 2))
+        assert handles == [(0.0, 0.25), (0.0, 0.25)]
+        assert objectives.tolist() == [1.5, -2.0]
+
+    def test_mixed_empty_and_covered_rows(self):
+        # a position's deltas add in term order: (-0.1 - 0.2) - 0.3 != (-0.3 - 0.2) - 0.1
+        pos = np.array([[-0.5, 1.5, 2.0], [0.5, 0.5, 0.5], [1.5, 0.2, 0.2]])
+        dlt = np.array([[-1.0, -1.0, -1.0], [-0.1, -0.2, -0.3], [-1.0, -1.0, -0.5]])
+        handles, objectives = self.check(0.25, np.zeros(3), pos, dlt)
+        assert handles[0] == (0.0, 0.25)
+        assert objectives.tolist() == [0.0, -0.1 - 0.2 - 0.3, -1.5]
+
+    def test_no_terms(self):
+        cls = IntervalClass(0.25)
+        handles, objectives = cls.solve_rows(np.array([1.5, -2.0]), np.empty((2, 0)), np.empty((2, 0)))
+        assert handles == [(0.0, 0.25), (0.0, 0.25)]
+        assert objectives.tolist() == [1.5, -2.0]
+        assert cls.solve_calls == 2
+        assert IntervalClass(0.25).solve(MixedErmQuery()) == ErmResult((0.0, 0.25), 0.0)
+
+    def test_batch_at_element_cap(self):
+        # the fast path's largest batch: rows of 16 terms, MAX_BATCH_ELEMENTS in all
+        rng = np.random.default_rng(61)
+        n = 16
+        rows = 2 * (MAX_BATCH_ELEMENTS // (2 * n))
+        steps = np.array([sum([0.1] * k) for k in range(11)])
+        pos = np.where(rng.random((rows, n)) < 0.5, steps[rng.integers(0, 11, (rows, n))], rng.uniform(-0.1, 1.1, (rows, n)))
+        dlt = np.where(rng.random((rows, n)) < 0.5, rng.normal(size=(rows, n)), rng.choice([-2.0, -1.0, 1.0, 2.0], (rows, n)))
+        assert rows * n == MAX_BATCH_ELEMENTS
+        self.check(0.25, rng.normal(size=rows), pos, dlt)
+
+    def test_counts_one_call_per_row(self):
+        cls = IntervalClass(0.1)
+        rng = np.random.default_rng(62)
+        cls.solve_rows(np.zeros(3), rng.random((3, 4)), rng.normal(size=(3, 4)))
+        cls.solve_rows(np.zeros(5), rng.random((5, 2)), rng.normal(size=(5, 2)))
+        assert cls.solve_calls == 8
+        cls.solve(MixedErmQuery(xs=[0.5], ys=[1.0]))
+        assert cls.solve_calls == 9

@@ -32,9 +32,9 @@ from .predictor import (
     PredictorConfig,
     RelaxationDraw,
     SidePool,
-    draw_halluc,
+    draw_slots,
     predict_binary_fast,
-    predict_binary_fast_batch,
+    predict_binary_fast_rows,
     predict_general,
 )
 from .traces import ONLINE_COLUMNS, RegretTrace
@@ -269,12 +269,14 @@ class _EpochPredictorState:
     """Predictor-side state for one independent segment (one block or run).
 
     The current epoch's features and labels live in arrays of length
-    `epoch_len`; at each epoch boundary they join the side pool.
+    `epoch_len`; at each epoch boundary they join the side pool. As labels
+    arrive, `prefix` keeps the running sum of their losses |0 - y| (prefix[i]
+    over the first i) and `pair_dlt` their flip deltas |1 - y| - |0 - y|.
     """
 
     def __init__(self, schedule, cls, loss, config: RunConfig, use_fast: bool):
         self.schedule = schedule
-        self.cls = cls
+        self.probe_cls = cls.clone()  # every probe of the segment solves on this one clone
         self.loss = loss
         self.config = config
         self.use_fast = use_fast
@@ -283,7 +285,7 @@ class _EpochPredictorState:
         self.epoch_len = epoch_length(schedule, 1)
         self.drift = abs(self.epoch_len - schedule.exact_length(1))
         self.shortfall = 0  # rounds whose own draw the pool cut short
-        self.xs = self.ys = self.pconf = None
+        self.xs = self.ys = self.pconf = self.prefix = self.pair_dlt = None
 
     def next_chunk(self, limit: int) -> int:
         """Rounds in the next chunk: at most `limit`, none past the end of the
@@ -308,6 +310,7 @@ class _EpochPredictorState:
         if self.j == 1:
             self.xs = np.empty((self.epoch_len,) + np.shape(x_t))
             self.ys = np.empty(self.epoch_len)
+            self.prefix, self.pair_dlt = [0.0], np.empty(self.epoch_len)
             self.pconf = PredictorConfig(
                 horizon=self.epoch_len,
                 loss=self.loss,
@@ -320,38 +323,46 @@ class _EpochPredictorState:
 
     def record(self, y_t) -> None:
         self.ys[self.j - 1] = y_t
+        l0 = abs(0.0 - y_t)
+        self.prefix.append(self.prefix[-1] + l0)
+        self.pair_dlt[self.j - 1] = abs(1.0 - y_t) - l0
 
-    def draw(self, rng: np.random.Generator) -> RelaxationDraw:
-        """A hallucination draw for the current round: the rest of the epoch, as far as the pool reaches."""
-        return draw_halluc(self.pool, min(self.epoch_len - self.j, self.pool.size), rng)
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """A hallucination draw for the current round, as (halluc, signs): the
+        rest of the epoch, as far as the pool reaches."""
+        idx, signs = draw_slots(self.pool, min(self.epoch_len - self.j, self.pool.size), rng)
+        return self.pool.features[idx], signs
 
     def predict(self, js, draws, cls) -> tuple[list, list]:
-        """Predictions of this epoch's local rounds `js` on their draws, and each one's ERM calls.
+        """Predictions of this epoch's local rounds `js` on their (halluc, signs) draws, and each one's ERM calls.
 
-        Round j's history is the epoch's x_1..x_j and y_1..y_{j-1}; probes
-        pass their own cloned `cls`. The fast path solves all rounds in one
-        batch when the class can; every round then makes the same calls.
+        Round j's history is the epoch's x_1..x_j and y_1..y_{j-1}. The fast
+        path solves all rounds in one batch when the class can; every round
+        then makes the same calls.
         """
         if self.use_fast and cls.solve_rows is not None:
             before = cls.solve_calls
-            yhats = predict_binary_fast_batch(self.xs, self.ys, js, draws, cls, self.loss)
+            yhats = predict_binary_fast_rows(self.xs, self.prefix, self.pair_dlt, js, draws, cls, self.loss)
             return yhats.tolist(), [(cls.solve_calls - before) // len(js)] * len(js)
         predict = predict_binary_fast if self.use_fast else predict_general
         yhats, calls = [], []
         for j, draw in zip(js, draws):
             before = cls.solve_calls
-            yhats.append(predict(GameHistory(self.xs[:j], self.ys[: j - 1]), draw, cls, self.pconf))
+            yhats.append(predict(GameHistory(self.xs[:j], self.ys[: j - 1]), RelaxationDraw(*draw), cls, self.pconf))
             calls.append(cls.solve_calls - before)
         return yhats, calls
 
     def probe(self, streams: RoundStreams, t: int, probe_mc: int):
         """Monte-Carlo mean prediction of the current round on its own RNG
-        stream and a cloned oracle; never touches the game's RNG or counts."""
+        stream and the segment's one oracle clone; never touches the game's
+        RNG or counts. The probe_mc draws share one j and one count, so the
+        fast path solves them as one row block.
+        """
 
         def probe() -> float:
             rng = streams.rngs(3, t)
             draws = [self.draw(rng) for _ in range(probe_mc)]
-            yhats, _ = self.predict([self.j] * probe_mc, draws, self.cls.clone())
+            yhats, _ = self.predict([self.j] * probe_mc, draws, self.probe_cls)
             return float(np.mean(yhats))
 
         return probe
@@ -374,6 +385,7 @@ class PlayedRounds:
     meta: list = field(default_factory=list)  # (block, epoch, j, erm_calls) per round
     states: list = field(default_factory=list)
     use_fast: bool = False
+    probed: bool = False  # whether the adversary probed each round's mean prediction
 
 
 def play_rounds(
@@ -393,14 +405,14 @@ def play_rounds(
     adversary that is not oblivious first probes that round's mean
     prediction) and draws its hallucinations, then predicts all its rounds
     in one call. No adversary sees the game's own predictions: a probe runs
-    on stream 3 with a cloned oracle, and every stream is per (seed, stream,
-    t) (`RoundStreams`), so the chunks draw exactly what round-by-round play
-    would, and erm_calls counts each round's own prediction.
+    on stream 3 with one oracle clone per segment, and every stream is per
+    (seed, stream, t) (`RoundStreams`), so the chunks draw exactly what
+    round-by-round play would, and erm_calls counts each round's own call.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
-    played = PlayedRounds(use_fast=_resolve_fast(config, cls, loss, adversary))
     oblivious = adversary.kind == "oblivious"
+    played = PlayedRounds(use_fast=_resolve_fast(config, cls, loss, adversary), probed=not oblivious)
     streams = RoundStreams(config.seed, T, (1, 2, 4) if oblivious else (1, 2, 3, 4))
     history: list = []
     t = 0
@@ -434,7 +446,8 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
     """The per-round trace of `played` against the best fixed hypothesis in hindsight.
 
     Returns the trace, the comparator oracle (a clone of `cls`) and the
-    game's features and labels as arrays.
+    game's features and labels as arrays. A probed game's metadata counts
+    the probes' oracle calls, which the erm_calls column leaves out.
     """
     X, Y = feature_rows(played.xs), np.array(played.ys)
     comparator = cls.clone()
@@ -452,6 +465,8 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
             loss=loss_t, cum_loss=cum_loss, cum_regret=cum_loss - cum_comp,
             erm_calls=erm_calls,
         )
+    if played.probed:
+        trace.metadata["probe_erm_calls"] = sum(state.probe_cls.solve_calls for state in played.states)
     return trace, comparator, X, Y
 
 

@@ -28,8 +28,9 @@ from .verify import estimate_rademacher, standard_checks
 
 MODES = ("online", "shifting", "bandit", "verify", "rademacher")
 # trace metadata the summary carries per horizon, one value per seed: rounds
-# whose hallucination draw the pool cut short, and epoch-length rounding drift
-TRACE_DIAGNOSTICS = ("halluc_shortfall", "rounding_drift")
+# whose hallucination draw the pool cut short, epoch-length rounding drift,
+# and the oracle calls of an adaptive adversary's probes
+TRACE_DIAGNOSTICS = ("halluc_shortfall", "rounding_drift", "probe_erm_calls")
 
 
 def _fail(path: str, message: str):

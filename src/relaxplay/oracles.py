@@ -21,6 +21,7 @@ from .core import (
     ErmResult,
     Feature,
     HypothesisClass,
+    InputDomainError,
     MixedErmQuery,
     UnsupportedClassError,
     feature_as_array,
@@ -30,12 +31,11 @@ from .core import (
 )
 
 
-def _scalar_features(query: MixedErmQuery) -> tuple[np.ndarray, np.ndarray]:
-    """Pair/signed feature values as flat arrays; rejects vector features."""
-    xs, xt = query.xs, query.signed_xs
-    if xs.size != len(xs) or xt.size != len(xt):
+def scalar_rows(features: np.ndarray) -> np.ndarray:
+    """Scalar features as a flat array; rejects vector features."""
+    if features.size != len(features):
         raise UnsupportedClassError("this oracle handles scalar features only")
-    return xs.reshape(-1), xt.reshape(-1)
+    return features.reshape(-1)
 
 
 def _flip_deltas(query: MixedErmQuery) -> tuple[float, np.ndarray, np.ndarray]:
@@ -45,13 +45,27 @@ def _flip_deltas(query: MixedErmQuery) -> tuple[float, np.ndarray, np.ndarray]:
     term's position changes it by that term's delta (pairs first, then the
     signed terms). `base` is summed in order, as a running sum would be.
     """
-    xs, xt = _scalar_features(query)
+    xs, xt = scalar_rows(query.xs), scalar_rows(query.signed_xs)
     l0 = query.ws * loss_values(query.loss, 0.0, query.ys)
     l1 = query.ws * loss_values(query.loss, 1.0, query.ys)
     base = float(np.cumsum(l0)[-1]) if l0.size else 0.0
     positions = np.concatenate([xs, xt])
     deltas = np.concatenate([l1 - l0, query.coefficient * query.signs])
     return base, positions, deltas
+
+
+def last_label_rows(query: MixedErmQuery, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_flip_deltas` of `query.with_last_label(y)` for each y of `labels`, as
+    the rows of one `solve_rows` call: they differ only in base and in the
+    last pair's delta, each summed as `_flip_deltas` sums it."""
+    if not np.logical_and.reduce((labels >= 0.0) & (labels <= 1.0)):
+        raise InputDomainError("labels must lie in [0,1]")
+    _, pos, dlt = _flip_deltas(query)
+    w, loss, dlt = query.ws[-1], query.loss, np.tile(dlt, (len(labels), 1))
+    l0, l1 = w * loss_values(loss, 0.0, labels), w * loss_values(loss, 1.0, labels)
+    head = query.ws[:-1] * loss_values(loss, 0.0, query.ys[:-1])
+    dlt[:, len(query.xs) - 1] = l1 - l0
+    return (np.cumsum(head)[-1] + l0 if head.size else l0), np.tile(pos, (len(labels), 1)), dlt
 
 
 class ThresholdClass(HypothesisClass):

@@ -25,11 +25,11 @@ from .core import (
     LossFn,
     MixedErmQuery,
     PoolExhaustedError,
-    UnsupportedClassError,
     feature_list,
     feature_rows,
     loss_eval,
 )
+from .oracles import last_label_rows, scalar_rows
 
 
 class SidePool:
@@ -109,19 +109,26 @@ class GameHistory:
         return tuple(LabeledPair(x, y) for x, y in zip(feature_list(self.xs[:-1]), self.ys.tolist()))
 
 
-def draw_halluc(
-    pool: SidePool, count: int, rng: np.random.Generator, with_replacement: bool = False
-) -> RelaxationDraw:
-    """Uniform ordered draw of `count` pool entries plus i.i.d. uniform signs."""
-    if count > pool.size and not with_replacement:
-        raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool.size}")
+def draw_slots(pool: SidePool, count: int, rng: np.random.Generator, with_replacement: bool = False) -> tuple:
+    """The pool slots and signs of a `draw_halluc` draw, for a checked `count`; no RNG use when it is 0."""
     if count == 0:
-        return RelaxationDraw(pool.features[:0], ())
+        return np.empty(0, dtype=np.intp), np.empty(0)
     if with_replacement:
         idx = rng.integers(0, pool.size, size=count)
     else:
         idx = rng.permutation(pool.size)[:count]
-    signs = rng.integers(0, 2, size=count) * 2 - 1
+    return idx, _SIGNS[rng.integers(0, 2, size=count)]  # integers(0, 2) * 2 - 1
+
+
+def draw_halluc(pool: SidePool, count: int, rng: np.random.Generator, with_replacement: bool = False) -> RelaxationDraw:
+    """Uniform ordered draw of `count` pool entries plus i.i.d. uniform signs; a
+    count that is no non-negative integer (ConfigError) or that the pool cannot
+    supply (PoolExhaustedError) raises before the RNG is used."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ConfigError(f"count must be a non-negative integer, got {count!r}")
+    if count > pool.size and not (with_replacement and pool.size):
+        raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool.size}")
+    idx, signs = draw_slots(pool, count, rng, with_replacement)
     return RelaxationDraw(pool.features[idx], signs, idx)
 
 
@@ -159,12 +166,13 @@ def inner_sups(
     cls: HypothesisClass,
     config: PredictorConfig,
 ) -> np.ndarray:
-    """inner_sup at each label of `probe_ys`, one solve each.
-
-    The queries differ only in the probe label, so the history and the draw
-    are checked once.
+    """inner_sup at each label of `probe_ys`, one solve each (as rows of one
+    `solve_rows` call when the class has it). The queries differ only in the
+    probe label, so the history and the draw are checked once.
     """
     query = _probe_query(history, draw, 0.0, config.loss)
+    if cls.solve_rows is not None:
+        return -cls.solve_rows(*last_label_rows(query, np.asarray(probe_ys, dtype=float)))[1]
     return np.array([-cls.solve(query.with_last_label(y)).objective for y in np.asarray(probe_ys).tolist()])
 
 
@@ -230,9 +238,38 @@ def predict_binary_fast(
 
 # Elements (rows x terms) in one batched solve; bounds the memory of long epochs.
 MAX_BATCH_ELEMENTS = 1 << 16
-# the probe labels y = 0, 1: their losses |0 - y| and flip deltas |1 - y| - |0 - y|
-_PROBE_L0 = (0.0, 1.0)
-_PROBE_DLT = (np.array([1.0]), np.array([-1.0]))
+# the flip deltas |1 - y| - |0 - y| of the probe labels y = 0, 1, whose losses |0 - y| are 0 and 1
+_PROBE_DLT = np.array([1.0, -1.0])
+_SIGNS = np.array([-1, 1])  # a draw's signs by the bit drawn
+
+
+def predict_binary_fast_rows(xs, prefix, pair_dlt, js, draws, cls, loss=ABSOLUTE_LOSS) -> np.ndarray:
+    """`predict_binary_fast_batch` on a game's label-loss prefix (prefix[i] sums
+    |0 - y| over its first i labels, in order) and pair flip deltas
+    (|1 - y| - |0 - y| per label); each draw is a (halluc, signs) pair."""
+    if not cls.is_binary or loss.kind != "absolute":
+        raise ConfigError("fast path needs a binary-valued class and absolute loss")
+    xs, hallucs = scalar_rows(xs), [scalar_rows(halluc) for halluc, _ in draws]
+    lengths = [j + len(h) for j, h in zip(js, hallucs)]
+    yhats = np.empty(len(js))
+    for n in sorted(set(lengths)):
+        same = [r for r, m in enumerate(lengths) if m == n]
+        step = max(1, MAX_BATCH_ELEMENTS // (2 * max(n, 1)))
+        for rounds in (same[i : i + step] for i in range(0, len(same), step)):
+            # rows 2i and 2i+1 (probe label 0, then 1): x_1..x_j, then the round's draw
+            pos, dlt, base = np.empty((2 * len(rounds), n)), np.empty((2 * len(rounds), n)), []
+            for i, r in enumerate(rounds):
+                j, two = js[r], slice(2 * i, 2 * i + 2)
+                pos[two, :j], pos[two, j:] = xs[:j], hallucs[r]
+                dlt[two, : j - 1], dlt[two, j - 1] = pair_dlt[: j - 1], _PROBE_DLT
+                dlt[two, j:] = -2.0 * loss.lipschitz * draws[r][1]  # the sup query negates the signs
+                base += (prefix[j - 1], prefix[j - 1] + 1.0)
+            if not np.isfinite(pos).all():
+                raise InputDomainError("features must be finite")
+            _, objectives = cls.solve_rows(np.array(base), pos, dlt)
+            # 1 + g1 - g0 with g = -objective, added in the same order
+            yhats[rounds] = np.clip((1.0 - objectives[1::2] + objectives[0::2]) / 2.0, 0.0, 1.0)
+    return yhats
 
 
 def predict_binary_fast_batch(
@@ -249,46 +286,13 @@ def predict_binary_fast_batch(
     draws[r]. Its two queries become two flip-delta rows (probe label 0, then
     1) for `cls.solve_rows`; rows of one length are solved together, at most
     MAX_BATCH_ELEMENTS elements at a time, and each row counts one solve call.
+    The query sums its labels' losses in order, so a row's base is the running
+    sum of |0 - y| plus the probe label's loss.
     """
-    if not cls.is_binary or loss.kind != "absolute":
-        raise ConfigError("fast path needs a binary-valued class and absolute loss")
-    if xs.size != len(xs) or any(d.halluc.size != len(d.halluc) for d in draws):
-        raise UnsupportedClassError("this oracle handles scalar features only")
-    xs = xs.reshape(-1)
     js = list(js)
-    if not js:
-        return np.empty(0)
-    # The query sums its labels' losses in order, so base = running sum + the
-    # probe label's loss; a label y's flip delta is |1 - y| - |0 - y|.
-    l0 = np.abs(0.0 - ys[: max(js) - 1])
-    prefix = [0.0] + np.cumsum(l0).tolist()
-    pair_dlt = np.abs(1.0 - ys[: max(js) - 1]) - l0
-    signed_coefficient = -2.0 * loss.lipschitz  # the sup query negates the signs
-
-    lengths = [j + len(d.signs) for j, d in zip(js, draws)]
-    yhats = np.empty(len(js))
-    for n in sorted(set(lengths)):
-        same = [r for r, m in enumerate(lengths) if m == n]
-        step = max(1, MAX_BATCH_ELEMENTS // (2 * max(n, 1)))
-        for rounds in (same[i : i + step] for i in range(0, len(same), step)):
-            # rows 2r and 2r+1 (probe label 0, then 1): x_1..x_j, then round r's draw
-            pos, dlt, base = [], [], []
-            for r in rounds:
-                j, draw = js[r], draws[r]
-                pos += (xs[:j], draw.halluc.reshape(-1))
-                signed = signed_coefficient * draw.signs
-                for y in (0, 1):
-                    dlt += (pair_dlt[: j - 1], _PROBE_DLT[y], signed)
-                    base.append(prefix[j - 1] + _PROBE_L0[y])
-            pos = np.concatenate(pos).reshape(len(rounds), n)
-            if not np.isfinite(pos).all():
-                raise InputDomainError("features must be finite")
-            _, objectives = cls.solve_rows(
-                np.array(base), np.repeat(pos, 2, axis=0), np.concatenate(dlt).reshape(2 * len(rounds), n)
-            )
-            g0, g1 = -objectives[0::2], -objectives[1::2]
-            yhats[rounds] = np.clip((1.0 + g1 - g0) / 2.0, 0.0, 1.0)
-    return yhats
+    l0 = np.abs(0.0 - ys[: max(js, default=1) - 1])
+    prefix, draws = np.concatenate(([0.0], np.cumsum(l0))), [(d.halluc, d.signs) for d in draws]
+    return predict_binary_fast_rows(xs, prefix, np.abs(1.0 - ys[: len(l0)]) - l0, js, draws, cls, loss)
 
 
 def _pair_arrays(pairs: Sequence[LabeledPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxplay import (
     ConfigError,
@@ -341,13 +343,13 @@ class TestChunkedPlay:
         adv = ObliviousAdversary(_threshold_labels, binary_labels=True)
         config = RunConfig(seed=2)
         chunks = []
-        batch = epochs.predict_binary_fast_batch
+        batch = epochs.predict_binary_fast_rows
 
-        def counted(xs, ys, js, *args):
+        def counted(xs, prefix, pair_dlt, js, *args):
             chunks.append(len(js))
-            return batch(xs, ys, js, *args)
+            return batch(xs, prefix, pair_dlt, js, *args)
 
-        monkeypatch.setattr(epochs, "predict_binary_fast_batch", counted)
+        monkeypatch.setattr(epochs, "predict_binary_fast_rows", counted)
 
         def play():
             env = FeatureDistribution.uniform()
@@ -360,3 +362,123 @@ class TestChunkedPlay:
         split = play()
         assert chunks == [5] * 18
         assert split.rows == whole.rows
+
+
+def _state_and_streams(schedule, cls, seed, T, use_fast=True):
+    from relaxplay import ABSOLUTE_LOSS
+    from relaxplay.epochs import RoundStreams, _EpochPredictorState
+
+    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, RunConfig(seed=seed), use_fast)
+    return state, RoundStreams(seed, T, (1, 2, 3, 4))
+
+
+def _feature(rng):
+    # positions on a coarse lattice repeat, and 0 and 1 are the range ends
+    return float(rng.choice([0.0, 0.5, 1.0])) if rng.random() < 0.25 else float(rng.random())
+
+
+def reference_probe(state, streams, t, probe_mc):
+    """The probe as it was before the row block: each draw through
+    `draw_halluc`, each prediction through `predict_binary_fast` on a fresh
+    clone, and np.mean over the predictions."""
+    from relaxplay import GameHistory, draw_halluc, predict_binary_fast
+
+    rng, cls = streams.rngs(3, t), state.probe_cls.clone()
+    history = GameHistory(state.xs[: state.j], state.ys[: state.j - 1])
+    count = min(state.epoch_len - state.j, state.pool.size)
+    return float(np.mean([
+        predict_binary_fast(history, draw_halluc(state.pool, count, rng), cls, state.pconf) for _ in range(probe_mc)
+    ]))
+
+
+class TestEpochPredictorState:
+    SCHEDULES = {
+        "linear": EpochSchedule("polynomial", alpha=1.0),
+        "doubling": EpochSchedule("geometric", ratio=2.0),  # epoch 2 wants 3 of a pool of 2
+        "fixed": EpochSchedule("fixed", block=6),
+    }
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "unit_labels"])
+    def test_record_keeps_prefix_and_pair_deltas(self, schedule, binary):
+        rng = np.random.default_rng(6)
+        state, _ = _state_and_streams(self.SCHEDULES[schedule], ThresholdClass(), 0, 60)
+        for _ in range(60):
+            state.advance(_feature(rng))
+            state.record(float(rng.integers(0, 2)) if binary else float(rng.random()))
+            ys = state.ys[: state.j]
+            assert state.prefix == [0.0] + np.cumsum(np.abs(0.0 - ys)).tolist()
+            assert state.pair_dlt[: state.j].tolist() == (np.abs(1.0 - ys) - np.abs(0.0 - ys)).tolist()
+
+    @pytest.mark.parametrize("kind", ["threshold", "interval"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        probe_mc=st.integers(1, 5),
+        schedule=st.sampled_from(list(SCHEDULES)),
+        rounds=st.integers(1, 40),
+        binary=st.booleans(),
+    )
+    def test_block_probe_equals_per_draw_mean(self, kind, seed, probe_mc, schedule, rounds, binary):
+        from relaxplay import IntervalClass
+
+        cls = ThresholdClass() if kind == "threshold" else IntervalClass(0.25)
+        state, streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds)
+        _, ref_streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds)
+        rng = np.random.default_rng(seed)
+        rngs, streams_asked = streams.rngs, []
+        streams.rngs = lambda stream, t: streams_asked.append(stream) or rngs(stream, t)
+        for t in range(1, rounds + 1):
+            state.advance(_feature(rng))
+            before = state.probe_cls.solve_calls
+            got = state.probe(streams, t, probe_mc)()
+            assert state.probe_cls.solve_calls == before + 2 * probe_mc
+            assert streams_asked == [3] * t  # one stream-3 generator per probe, nothing else
+            assert got == reference_probe(state, ref_streams, t, probe_mc)
+            state.record(float(rng.integers(0, 2)) if binary else float(rng.random()))
+        assert cls.solve_calls == 0  # the game's own oracle is never asked
+
+    def test_probe_falls_back_without_solve_rows(self):
+        # a binary class without solve_rows keeps the per-draw route, on the one probe clone
+        cls = FiniteClass([lambda x: float(x >= 0.3), lambda x: float(x >= 0.7)], binary=True)
+        state, streams = _state_and_streams(self.SCHEDULES["linear"], cls, 1, 20)
+        rng = np.random.default_rng(1)
+        for t in range(1, 21):
+            state.advance(_feature(rng))
+            assert state.probe(streams, t, 3)() == reference_probe(state, streams, t, 3)
+            state.record(float(rng.integers(0, 2)))
+        assert state.probe_cls.solve_calls == 2 * 3 * 20 and cls.solve_calls == 0
+
+
+class TestProbeErmCalls:
+    def _run(self, adversary, T, probe_mc, cls=None):
+        from relaxplay import ABSOLUTE_LOSS
+
+        return run_epoch_predictor(
+            EpochSchedule("geometric", ratio=1.5), cls or ThresholdClass(), ABSOLUTE_LOSS,
+            FeatureDistribution.uniform(), adversary, T, RunConfig(seed=5, probe_mc=probe_mc),
+        )
+
+    @pytest.mark.parametrize("probe_mc", [1, 2, 5])
+    def test_fast_path_counts_two_rows_per_draw(self, probe_mc):
+        from relaxplay.environment import flip_to_far
+
+        trace = self._run(flip_to_far(), 40, probe_mc)
+        assert trace.metadata["probe_erm_calls"] == 2 * probe_mc * 40
+        assert all(c == 2 for c in trace.column("erm_calls"))
+
+    def test_shifting_sums_its_segments(self):
+        from relaxplay import ABSOLUTE_LOSS, IntervalClass, run_shifting
+        from relaxplay.environment import flip_to_far
+
+        trace = run_shifting(
+            IntervalClass(0.25), ABSOLUTE_LOSS, FeatureDistribution.uniform(), flip_to_far(), 50, 3,
+            EpochSchedule("polynomial", alpha=1.0), RunConfig(seed=2, probe_mc=3),
+        )
+        assert len(trace.metadata["block_starts"]) > 1
+        assert trace.metadata["probe_erm_calls"] == 2 * 3 * 50
+
+    def test_oblivious_run_does_not_record_it(self, tmp_path):
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        trace = self._run(adversary, 20, 3)
+        assert "probe_erm_calls" not in trace.metadata

@@ -164,6 +164,16 @@ class TestRunExperiment:
         for csv in tmp_path.glob("*.csv"):
             assert "shortfall" not in csv.read_text()
 
+    def test_summary_lists_probe_erm_calls_per_seed(self, tmp_path):
+        cfg = dict(PINNED_ADAPTIVE, seeds=[0, 4], horizons=[12, 20])
+        summary = run_experiment(cfg, out_dir=str(tmp_path))
+        for entry in summary["per_horizon"]:
+            assert entry["probe_erm_calls"] == [2 * cfg["probe_mc"] * entry["T"]] * 2
+        assert all("probe_erm_calls" not in entry for entry in run_experiment(PINNED_ONLINE)["per_horizon"])
+        for csv in tmp_path.glob("*.csv"):
+            assert "probe" not in csv.read_text()
+        assert summary["erm_calls_total"] == 2 * (12 + 20) * 2  # the game's own calls only
+
     def test_bandit_summary_has_no_drift(self):
         summary = run_experiment(dict(PINNED_BANDIT, horizons=[16]))
         (entry,) = summary["per_horizon"]
@@ -214,6 +224,15 @@ PINNED_SHIFTING = {
     "schedule": {"kind": "polynomial", "alpha": 1.0},
 }
 
+# an adaptive adversary on the interval class: each probe solves 2 * 3 interval rows
+PINNED_ADAPTIVE_INTERVAL = dict(
+    ONLINE_CONFIG,
+    horizons=[128],
+    probe_mc=3,
+    **{"class": {"kind": "interval", "gamma_len": 0.25}},
+    adversary={"name": "comparator_squeeze", "class": {"kind": "interval", "gamma_len": 0.25}},
+)
+
 
 class TestPinnedTraces:
     """sha256 of the CSVs of fixed configs: a refactor must reproduce them byte
@@ -228,8 +247,9 @@ class TestPinnedTraces:
             (PINNED_ADAPTIVE, "162d4284267cc2953f79081a01cf1ebae9c445ddfe29a2103b034ca9446708ef"),
             (PINNED_BANDIT_K3, "d40d02fc76184d21bc103df7afb0fe4354b1a1112038164afb625705659e8e67"),
             (PINNED_SHIFTING, "50532c52f44bd3b516be1d9d91dc1ee7d15f865b42379af6e8a7df12f252e114"),
+            (PINNED_ADAPTIVE_INTERVAL, "38db2d707add70368a6b589153ec3ff86c32ba6020dce260c88bdbc88b9ea08d"),
         ],
-        ids=["online", "bandit", "adaptive", "bandit_k3", "shifting_interval"],
+        ids=["online", "bandit", "adaptive", "bandit_k3", "shifting_interval", "adaptive_interval"],
     )
     def test_csv_sha256(self, tmp_path, config, digest):
         run_experiment(dict(config), out_dir=str(tmp_path))

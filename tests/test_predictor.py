@@ -5,6 +5,7 @@ import pytest
 
 from relaxplay import (
     ABSOLUTE_LOSS,
+    LossFn,
     ConfigError,
     FiniteClass,
     GameHistory,
@@ -26,6 +27,9 @@ from relaxplay import (
     predict_general,
     relaxation_R,
 )
+from relaxplay.predictor import draw_slots
+
+SQUARED_LOSS = LossFn("custom", lipschitz=2.0, evaluator=lambda p, y: (p - y) ** 2)
 
 
 class TestDrawHalluc:
@@ -65,6 +69,62 @@ class TestDrawHalluc:
         total = sum(sum(draw_halluc(pool, 3, rng).signs) for _ in range(20_000))
         assert abs(total) <= 3 * math.sqrt(3 * 20_000)
 
+    @staticmethod
+    def reference_draw(pool, count, rng, with_replacement=False):
+        """The draw as it was written before draws went through `draw_slots`."""
+        if count == 0:
+            return pool.features[:0], np.empty(0), np.empty(0, dtype=np.intp)
+        if with_replacement:
+            idx = rng.integers(0, pool.size, size=count)
+        else:
+            idx = rng.permutation(pool.size)[:count]
+        signs = rng.integers(0, 2, size=count) * 2 - 1
+        return pool.features[idx], signs, idx
+
+    @pytest.mark.parametrize("with_replacement", [False, True])
+    def test_internal_draw_equals_reference(self, with_replacement):
+        for size in (0, 1, 2, 5, 39, 40, 41, 599, 600):
+            pool = SidePool(np.random.default_rng(size).random(size))
+            for count in range(min(40, size) + 1):
+                seed = [size, count, with_replacement]
+                ref_rng, slot_rng, draw_rng = (np.random.default_rng(seed) for _ in range(3))
+                halluc, signs, idx = self.reference_draw(pool, count, ref_rng, with_replacement)
+                slot_idx, slot_signs = draw_slots(pool, count, slot_rng, with_replacement)
+                d = draw_halluc(pool, count, draw_rng, with_replacement)
+                for got_halluc, got_signs, got_idx in (
+                    (pool.features[slot_idx], slot_signs, slot_idx), (d.halluc, d.signs, d.indices)
+                ):
+                    assert got_halluc.tolist() == halluc.tolist()
+                    assert got_signs.tolist() == signs.tolist()
+                    assert got_idx.tolist() == idx.tolist()
+                assert slot_rng.bit_generator.state == ref_rng.bit_generator.state == draw_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "pool,count,with_replacement,error",
+        [
+            (SidePool([0.1, 0.2]), -1, False, ConfigError),
+            (SidePool([0.1, 0.2]), -1, True, ConfigError),
+            (SidePool([0.1, 0.2]), 1.0, False, ConfigError),
+            (SidePool([0.1, 0.2]), "1", False, ConfigError),
+            (SidePool([0.1, 0.2]), True, False, ConfigError),
+            (SidePool([0.1, 0.2]), None, True, ConfigError),
+            (SidePool([0.1, 0.2]), 3, False, PoolExhaustedError),
+            (SidePool(), 1, True, PoolExhaustedError),
+            (SidePool(), 4, False, PoolExhaustedError),
+        ],
+    )
+    def test_bad_count_raises_before_rng_use(self, pool, count, with_replacement, error):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(error):
+            draw_halluc(pool, count, rng, with_replacement)
+        assert rng.bit_generator.state == state
+
+    def test_with_replacement_may_exceed_pool(self):
+        d = draw_halluc(SidePool([0.1, 0.2]), 5, np.random.default_rng(0), with_replacement=True)
+        assert len(d.halluc) == 5 and set(d.halluc.tolist()) <= {0.1, 0.2}
+        assert len(draw_halluc(SidePool(), 0, np.random.default_rng(0), with_replacement=True).halluc) == 0
+
 
 class TestInnerSup:
     def test_singleton_no_sup_needed(self):
@@ -102,6 +162,25 @@ class TestInnerSup:
         ys = [0.0, 0.3, 1.0]
         sups = inner_sups(hist, d, ys, cls, config)
         assert sups.tolist() == [inner_sup(hist, d, y, cls, config) for y in ys]
+
+
+    @pytest.mark.parametrize(
+        "make", [ThresholdClass, lambda: IntervalClass(0.25), lambda: FiniteClass.from_constants([0.0, 0.6, 1.0])],
+        ids=["threshold", "interval", "finite"],
+    )
+    @pytest.mark.parametrize("loss", [ABSOLUTE_LOSS, SQUARED_LOSS], ids=["absolute", "squared"])
+    def test_inner_sups_one_solve_call_per_label(self, make, loss):
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            j = int(rng.integers(1, 6))
+            hist = GameHistory(rng.random(j), rng.integers(0, 2, j - 1).astype(float))
+            d = draw_halluc(SidePool(rng.random(8)), int(rng.integers(0, 8)), rng)
+            config = PredictorConfig(horizon=12, loss=loss)
+            grid = np.append(np.arange(0.0, 1.0, 1.0 / int(rng.integers(1, 25))), 1.0)
+            cls = make()
+            sups = inner_sups(hist, d, grid, cls, config)
+            assert cls.solve_calls == len(grid)
+            assert sups.tolist() == [inner_sup(hist, d, y, make(), config) for y in grid.tolist()]
 
 
 class TestPredictGeneral:
@@ -290,6 +369,14 @@ class TestPredictBinaryFastBatch:
         xs, ys, js, draws = epoch_rounds(rng, 6, 6)
         with pytest.raises(ConfigError):
             predict_binary_fast_batch(xs, ys, js, draws, FiniteClass.from_constants([0.3]))
+        # the class and loss are checked first: with no rounds, and before the feature shape
+        with pytest.raises(ConfigError):
+            predict_binary_fast_batch(xs, ys, [], [], FiniteClass.from_constants([0.3]))
+        with pytest.raises(ConfigError):
+            predict_binary_fast_batch(np.stack([xs, xs], axis=1), ys, [1], draws[:1], FiniteClass.from_constants([0.3]))
+        with pytest.raises(ConfigError):
+            predict_binary_fast_batch(xs, ys, js, draws, ThresholdClass(), SQUARED_LOSS)
+        assert predict_binary_fast_batch(xs, ys, [], [], ThresholdClass()).shape == (0,)
         bad = xs.copy()
         bad[2] = np.nan
         with pytest.raises(InputDomainError):

@@ -19,7 +19,6 @@ from .core import (
     loss_eval,
     lowest_argmin,
     query_objective,
-    signed_to_absolute,
 )
 from .oracles import (
     FiniteClass,
@@ -54,6 +53,7 @@ from .environment import (
     sample_feature,
 )
 from .epochs import (
+    EpochClock,
     EpochSchedule,
     RoundStreams,
     RunConfig,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ConfigError, Feature, InputDomainError, feature_list, feature_rows, lowest_argmin
 from .environment import sample_feature
-from .epochs import EpochSchedule, RoundStreams, check_seed, epoch_length
+from .epochs import EpochClock, EpochSchedule, RoundStreams, check_seed
 from .predictor import PoolExhaustedError
 from .traces import BANDIT_COLUMNS, RegretTrace
 
@@ -59,12 +59,6 @@ class PolicyClass:
             bad = arms[(arms < 0) | (arms >= self.num_arms)][0]
             raise InputDomainError(f"policy emitted arm {bad} outside [0,{self.num_arms})")
         return arms
-
-    def arm(self, handle: int, x: Feature) -> int:
-        a = int(self.policies[handle](x))
-        if not (0 <= a < self.num_arms):
-            raise InputDomainError(f"policy emitted arm {a} outside [0,{self.num_arms})")
-        return a
 
     def clone(self) -> "PolicyClass":
         other = PolicyClass(self.policies, self.num_arms)
@@ -268,7 +262,7 @@ def run_bandit(
     gamma = config.gamma if config.gamma is not None else gamma_default(len(policy_class), K, T)
     if gamma * K > 1.0:
         gamma = 1.0 / K
-    schedule = bandit_epoch_schedule()
+    clock = EpochClock(bandit_epoch_schedule())
     streams = RoundStreams(config.seed, T, (1, 2, 5))
 
     trace = RegretTrace(columns=BANDIT_COLUMNS)
@@ -279,27 +273,15 @@ def run_bandit(
     arms: list = []
     epochs: list = []
 
-    n, j, start = 1, 0, 0
-    m_n = epoch_length(schedule, 1)
-    shortfall = 0  # rounds whose own draw the pool cut short
-
     for t in range(1, T + 1):
-        j += 1
-        if j > m_n:
-            start += m_n
-            n += 1
-            j = 1
-            m_n = epoch_length(schedule, n)
-        if j == 1:
+        if clock.tick():
             # the pool is every context before the epoch; estimated costs are scoped per epoch
-            pool_arms = arm_matrix[:, :start]
+            pool_arms = arm_matrix[:, : clock.start]
             sums = np.zeros(len(policy_class))
 
         x_t = sample_feature(env, t, streams.rngs(1, t))
         x_arms = arm_matrix[:, t - 1] = policy_class.arms([x_t])[:, 0]
-        count = min(m_n - j, start)
-        shortfall += count < m_n - j
-        draw = draw_bandit(start, count, K, gamma, streams.rngs(2, t))
+        draw = draw_bandit(clock.start, clock.count, K, gamma, streams.rngs(2, t))
         phis = phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
         b = gamma * (phis[1:] - phis[0])
         q_hat, _ = waterfill_q(b)
@@ -318,7 +300,7 @@ def run_bandit(
         costs[t - 1] = c_t
         qs.append(q)
         arms.append(arm)
-        epochs.append(n)
+        epochs.append(clock.n)
 
     comp_class = policy_class.clone()
     h_star, _ = policy_erm(comp_class, ArmCosts(arm_matrix, costs))
@@ -336,6 +318,6 @@ def run_bandit(
             cum_regret=cum_exp - cum_comp,
         )
     trace.metadata.update(
-        seed=config.seed, T=T, gamma=gamma, K=K, comparator=h_star, halluc_shortfall=shortfall,
+        seed=config.seed, T=T, gamma=gamma, K=K, comparator=h_star, halluc_shortfall=clock.shortfall,
     )
     return trace

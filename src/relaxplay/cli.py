@@ -13,6 +13,7 @@ import sys
 
 from .core import ConfigError, InputDomainError
 from .harness import MODES, run_experiment
+from .verify import CheckReport
 
 
 def _parse_int_list(text: str) -> list:
@@ -95,14 +96,10 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    if config["mode"] == "verify":
-        for report in summary.pop("_reports", []):
-            print(report.line())
-        print(json.dumps({k: v for k, v in summary.items() if k != "checks"}, sort_keys=True))
-        return 1 if summary["failed"] else 0
-
-    print(json.dumps({k: v for k, v in summary.items() if k != "per_horizon"}, sort_keys=True))
-    return 0
+    for check in summary.get("checks", ()):
+        print(CheckReport(**check).line())
+    print(json.dumps({k: v for k, v in summary.items() if k not in ("checks", "per_horizon")}, sort_keys=True))
+    return 1 if summary.get("failed") else 0
 
 
 if __name__ == "__main__":

@@ -135,18 +135,6 @@ def loss_values(loss: LossFn, prediction: float, labels: np.ndarray) -> np.ndarr
     return np.array([float(loss.evaluator(p, y)) for y in labels.tolist()])
 
 
-def signed_to_absolute(sign: int) -> tuple[float, float]:
-    """Rewrite a signed term eps*h(x) as |h(x) - pseudo_label| + offset.
-
-    Returns (pseudo_label, offset) with pseudo_label = (1-eps)/2 and
-    offset = -(1-eps)/2, so eps*v == |v - pseudo_label| + offset for v in [0,1].
-    """
-    if sign not in (-1, 1):
-        raise InputDomainError(f"sign must be -1 or +1, got {sign!r}")
-    pseudo = (1 - sign) / 2.0
-    return pseudo, -pseudo
-
-
 @dataclass(frozen=True)
 class LabeledPair:
     x: Feature
@@ -359,19 +347,9 @@ def query_objective(cls: HypothesisClass, handle, query: MixedErmQuery) -> float
     return objective_values(cls, [handle], query)[0]
 
 
-def best_in_hindsight(
-    cls: HypothesisClass,
-    pairs: Sequence[LabeledPair] = (),
-    loss: LossFn = ABSOLUTE_LOSS,
-    *,
-    xs=None,
-    ys=None,
-) -> tuple[object, float]:
-    """Class minimizer of the cumulative loss (the regret comparator).
-
-    The sample is `pairs` or the arrays `xs`, `ys`, as in `MixedErmQuery`.
-    """
-    query = MixedErmQuery(pairs, loss=loss, xs=xs, ys=ys)
+def best_in_hindsight(cls: HypothesisClass, xs, ys, loss: LossFn = ABSOLUTE_LOSS) -> tuple[object, float]:
+    """Class minimizer of the cumulative loss over the sample (xs, ys) (the regret comparator)."""
+    query = MixedErmQuery(loss=loss, xs=xs, ys=ys)
     if len(query.ys) == 0:
         raise InputDomainError("best_in_hindsight requires a nonempty sample")
     res = cls.solve(query)

@@ -8,8 +8,7 @@ which catalog adversary generated each trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,10 +24,11 @@ class FeatureDistribution:
         if kind == "discrete":
             pts = params["points"]
             probs = np.asarray(params["probs"], dtype=float)
+            # written so that NaN fails too
+            if not np.all((probs >= 0.0) & (probs < np.inf)):
+                raise ConfigError("probabilities must be finite and nonnegative")
             if abs(probs.sum() - 1.0) > 1e-12:
                 raise ConfigError("discrete probabilities must sum to 1")
-            if np.any(probs < 0):
-                raise ConfigError("probabilities must be nonnegative")
             self._points = list(pts)
             self._probs = probs
         elif kind == "uniform":

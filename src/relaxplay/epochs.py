@@ -72,11 +72,12 @@ class EpochSchedule:
             if not (1.0 <= self.alpha <= ALPHA_CAP):
                 raise ConfigError(f"alpha must lie in [1, {ALPHA_CAP}]")
         elif self.kind == "geometric":
-            if self.ratio <= 1.0:
-                raise ConfigError("geometric ratio must exceed 1")
+            # written so that NaN fails too
+            if not 1.0 < self.ratio < math.inf:
+                raise ConfigError(f"geometric ratio must be finite and exceed 1, got {self.ratio!r}")
         elif self.kind == "fixed":
-            if self.block < 1:
-                raise ConfigError("fixed block length must be >= 1")
+            if not 1 <= self.block < math.inf:
+                raise ConfigError(f"fixed block length must be finite and >= 1, got {self.block!r}")
         else:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
 
@@ -114,6 +115,45 @@ def locate(schedule: EpochSchedule, t: int) -> EpochIndex:
         n += 1
 
 
+class EpochClock:
+    """The epoch walk of one segment, which every runner advances: round j of
+    epoch n, whose `length` rounds follow the `start` rounds of earlier epochs
+    (`locate` is its reference).
+
+    A round hallucinates the rest of its epoch from the features of earlier
+    epochs, `count` = min(length - j, start) of them; `shortfall` counts the
+    rounds whose count the pool cut short, and `drift` sums |length - exact
+    length| over the epochs begun so far.
+    """
+
+    def __init__(self, schedule: EpochSchedule):
+        self.schedule = schedule
+        self.n, self.j, self.start, self.count = 1, 0, 0, 0
+        self.length = epoch_length(schedule, 1)
+        self.drift = abs(self.length - schedule.exact_length(1))
+        self.shortfall = 0
+
+    def upcoming(self) -> tuple[int, int]:
+        """(length, rounds left) of the next round's epoch, counting that round."""
+        if self.j < self.length:
+            return self.length, self.length - self.j
+        m = epoch_length(self.schedule, self.n + 1)
+        return m, m
+
+    def tick(self) -> bool:
+        """Move to the next round; True when it opens an epoch."""
+        self.j += 1
+        if self.j > self.length:
+            self.start += self.length
+            self.n += 1
+            self.j = 1
+            self.length = epoch_length(self.schedule, self.n)
+            self.drift += abs(self.length - self.schedule.exact_length(self.n))
+        self.count = min(self.length - self.j, self.start)
+        self.shortfall += self.count < self.length - self.j
+        return self.j == 1
+
+
 @dataclass
 class RunConfig:
     """Run-level knobs: seeding, probe Monte-Carlo size, and fast-path control.
@@ -125,11 +165,12 @@ class RunConfig:
     seed: int = 0
     probe_mc: int = 64
     fast_binary_path: Optional[bool] = None
-    y_grid_step: Optional[float] = None
-    yhat_tolerance: Optional[float] = None
 
     def __post_init__(self):
         check_seed(self.seed)
+        probe_mc = self.probe_mc
+        if isinstance(probe_mc, bool) or not isinstance(probe_mc, (int, np.integer)) or probe_mc < 1:
+            raise ConfigError(f"probe_mc must be a positive integer, got {probe_mc!r}")
 
 
 def check_seed(seed, name: str = "seed") -> int:
@@ -268,69 +309,50 @@ class RoundStreams:
 class _EpochPredictorState:
     """Predictor-side state for one independent segment (one block or run).
 
-    The current epoch's features and labels live in arrays of length
-    `epoch_len`; at each epoch boundary they join the side pool. As labels
+    The current epoch's features and labels live in arrays of the epoch's
+    length; at each epoch boundary they join the side pool. As labels
     arrive, `prefix` keeps the running sum of their losses |0 - y| (prefix[i]
     over the first i) and `pair_dlt` their flip deltas |1 - y| - |0 - y|.
     """
 
-    def __init__(self, schedule, cls, loss, config: RunConfig, use_fast: bool):
-        self.schedule = schedule
+    def __init__(self, schedule, cls, loss, use_fast: bool):
+        self.clock = EpochClock(schedule)
         self.probe_cls = cls.clone()  # every probe of the segment solves on this one clone
         self.loss = loss
-        self.config = config
         self.use_fast = use_fast
-        self.n, self.j, self.start = 1, 0, 0
         self.pool = SidePool()
-        self.epoch_len = epoch_length(schedule, 1)
-        self.drift = abs(self.epoch_len - schedule.exact_length(1))
-        self.shortfall = 0  # rounds whose own draw the pool cut short
         self.xs = self.ys = self.pconf = self.prefix = self.pair_dlt = None
 
     def next_chunk(self, limit: int) -> int:
         """Rounds in the next chunk: at most `limit`, none past the end of the
         next round's epoch, and few enough that their 2 rows per round of at
         most the epoch's length fit in one batch."""
-        if self.j < self.epoch_len:
-            m, left = self.epoch_len, self.epoch_len - self.j
-        else:
-            m = left = epoch_length(self.schedule, self.n + 1)
+        m, left = self.clock.upcoming()
         return max(1, min(limit, left, MAX_BATCH_ELEMENTS // (2 * m)))
 
     def advance(self, x_t) -> None:
         """Move to the next local round, whose feature is x_t."""
-        self.j += 1
-        if self.j > self.epoch_len:
-            self.pool = SidePool(np.concatenate((self.pool.features, self.xs)) if self.pool.size else self.xs)
-            self.start += self.epoch_len
-            self.n += 1
-            self.j = 1
-            self.epoch_len = epoch_length(self.schedule, self.n)
-            self.drift += abs(self.epoch_len - self.schedule.exact_length(self.n))
-        if self.j == 1:
-            self.xs = np.empty((self.epoch_len,) + np.shape(x_t))
-            self.ys = np.empty(self.epoch_len)
-            self.prefix, self.pair_dlt = [0.0], np.empty(self.epoch_len)
-            self.pconf = PredictorConfig(
-                horizon=self.epoch_len,
-                loss=self.loss,
-                y_grid_step=self.config.y_grid_step,
-                yhat_tolerance=self.config.yhat_tolerance,
-            )
-        self.xs[self.j - 1] = x_t
-        if self.pool.size < self.epoch_len - self.j:
-            self.shortfall += 1
+        clock = self.clock
+        if clock.tick():
+            if self.xs is not None:
+                self.pool = SidePool(np.concatenate((self.pool.features, self.xs)) if self.pool.size else self.xs)
+            self.xs = np.empty((clock.length,) + np.shape(x_t))
+            self.ys = np.empty(clock.length)
+            self.prefix, self.pair_dlt = [0.0], np.empty(clock.length)
+            self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
+        self.xs[clock.j - 1] = x_t
 
     def record(self, y_t) -> None:
-        self.ys[self.j - 1] = y_t
+        j = self.clock.j
+        self.ys[j - 1] = y_t
         l0 = abs(0.0 - y_t)
         self.prefix.append(self.prefix[-1] + l0)
-        self.pair_dlt[self.j - 1] = abs(1.0 - y_t) - l0
+        self.pair_dlt[j - 1] = abs(1.0 - y_t) - l0
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A hallucination draw for the current round, as (halluc, signs): the
         rest of the epoch, as far as the pool reaches."""
-        idx, signs = draw_slots(self.pool, min(self.epoch_len - self.j, self.pool.size), rng)
+        idx, signs = draw_slots(self.pool, self.clock.count, rng)
         return self.pool.features[idx], signs
 
     def predict(self, js, draws, cls) -> tuple[list, list]:
@@ -362,7 +384,7 @@ class _EpochPredictorState:
         def probe() -> float:
             rng = streams.rngs(3, t)
             draws = [self.draw(rng) for _ in range(probe_mc)]
-            yhats, _ = self.predict([self.j] * probe_mc, draws, self.probe_cls)
+            yhats, _ = self.predict([self.clock.j] * probe_mc, draws, self.probe_cls)
             return float(np.mean(yhats))
 
         return probe
@@ -417,7 +439,7 @@ def play_rounds(
     history: list = []
     t = 0
     while t < T:
-        state = _EpochPredictorState(schedule, cls, loss, config, played.use_fast)
+        state = _EpochPredictorState(schedule, cls, loss, played.use_fast)
         played.states.append(state)
         end = min(t + block, T)
         while t < end:
@@ -432,13 +454,13 @@ def play_rounds(
                 history.append((x_t, y_t))
                 played.xs.append(x_t)
                 played.ys.append(y_t)
-                js.append(state.j)
+                js.append(state.clock.j)
                 draws.append(state.draw(streams.rngs(2, t)))
             yhats, calls = state.predict(js, draws, cls)
             for yhat, y_t, j, erm_calls in zip(yhats, played.ys[-k:], js, calls):
                 played.yhats.append(yhat)
                 played.losses.append(loss_eval(loss, yhat, y_t))
-                played.meta.append((len(played.states), state.n, j, erm_calls))
+                played.meta.append((len(played.states), state.clock.n, j, erm_calls))
     return played
 
 
@@ -446,7 +468,8 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
     """The per-round trace of `played` against the best fixed hypothesis in hindsight.
 
     Returns the trace, the comparator oracle (a clone of `cls`) and the
-    game's features and labels as arrays. A probed game's metadata counts
+    game's features and labels as arrays. The metadata sums each segment's
+    rounding drift and hallucination shortfall; a probed game's also counts
     the probes' oracle calls, which the erm_calls column leaves out.
     """
     X, Y = feature_rows(played.xs), np.array(played.ys)
@@ -465,6 +488,11 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
             loss=loss_t, cum_loss=cum_loss, cum_regret=cum_loss - cum_comp,
             erm_calls=erm_calls,
         )
+    clocks = [state.clock for state in played.states]
+    trace.metadata.update(
+        rounding_drift=sum(c.drift for c in clocks), halluc_shortfall=sum(c.shortfall for c in clocks),
+        fast_binary_path=played.use_fast,
+    )
     if played.probed:
         trace.metadata["probe_erm_calls"] = sum(state.probe_cls.solve_calls for state in played.states)
     return trace, comparator, X, Y
@@ -487,12 +515,8 @@ def run_epoch_predictor(
     """
     played = play_rounds(schedule, cls, loss, env, adversary, T, T, config)
     trace, comparator, X, Y = online_trace(cls, loss, played)
-    (state,) = played.states
     _check_epoch_additivity(trace, comparator, X, Y, played.losses, [m[1] for m in played.meta], loss)
-    trace.metadata.update(
-        seed=config.seed, T=T, rounding_drift=state.drift, halluc_shortfall=state.shortfall,
-        adversary=adversary.kind, fast_binary_path=played.use_fast,
-    )
+    trace.metadata.update(seed=config.seed, T=T, adversary=adversary.kind)
     return trace
 
 

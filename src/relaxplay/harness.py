@@ -20,7 +20,7 @@ from . import environment as envmod
 from .bandit import BanditConfig, PolicyClass, run_bandit
 from .core import ABSOLUTE_LOSS, ConfigError, LossFn
 from .environment import FeatureDistribution, ShiftingProcess
-from .epochs import EpochSchedule, RunConfig, alpha_from_q, run_epoch_predictor
+from .epochs import EpochSchedule, RunConfig, alpha_from_q, check_seed, run_epoch_predictor
 from .oracles import FiniteClass, IntervalClass, LipschitzClass, ThresholdClass
 from .shifting import run_shifting
 from .traces import RegretTrace
@@ -222,7 +222,7 @@ def _resolve_common(config: dict):
     mode = _get(config, "mode", "config")
     if mode not in MODES:
         _fail("config.mode", f"unknown mode {mode!r} (have {MODES})")
-    seeds = [int(s) for s in _get(config, "seeds", "config", [0])]
+    seeds = [check_seed(s, f"config.seeds[{i}]") for i, s in enumerate(_get(config, "seeds", "config", [0]))]
     if not seeds:
         _fail("config.seeds", "need at least one seed")
     return mode, seeds
@@ -268,32 +268,24 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
     mode, seeds = _resolve_common(config)
     out = out_dir or config.get("out")
     chash = config_hash(config)
+    summary = {
+        "config_hash": chash,
+        "mode": mode,
+        "seeds": seeds,
+        "mean_regret": None,
+        "std_regret": None,
+        "erm_calls_total": None,
+    }
     written: list = []
 
     try:
         if mode == "verify":
             reports = standard_checks(seed=seeds[0], mc_samples=int(config.get("mc_samples", 64)))
-            failed = [r.name for r in reports if r.passed is False]
-            summary = {
-                "config_hash": chash,
-                "mode": mode,
-                "seeds": seeds,
-                "mean_regret": None,
-                "std_regret": None,
-                "erm_calls_total": None,
-                "checks": [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "instances": r.instances,
-                        "worst_margin": r.worst_margin,
-                        "stderr": r.stderr,
-                    }
-                    for r in reports
-                ],
-                "failed": failed,
-            }
-            summary["_reports"] = reports
+            summary["checks"] = [
+                {key: getattr(r, key) for key in ("name", "passed", "instances", "worst_margin", "stderr")}
+                for r in reports
+            ]
+            summary["failed"] = [r.name for r in reports if r.passed is False]
         elif mode == "rademacher":
             T = int(_get(config, "T", "config"))
             cls_spec = _get(config, "class", "config")
@@ -305,17 +297,7 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
                 feats = [env.sample(rng) for _ in range(T)]
                 mean, _ = estimate_rademacher(build_class(cls_spec), feats, mc, rng)
                 means.append(mean)
-            summary = {
-                "config_hash": chash,
-                "mode": mode,
-                "seeds": seeds,
-                "mean_regret": None,
-                "std_regret": None,
-                "erm_calls_total": None,
-                "rademacher_mean": float(np.mean(means)),
-                "rademacher_std": float(np.std(means)),
-                "T": T,
-            }
+            summary.update(rademacher_mean=float(np.mean(means)), rademacher_std=float(np.std(means)), T=T)
         else:
             horizons = [int(h) for h in config.get("horizons") or [int(_get(config, "T", "config"))]]
             if any(b <= a for a, b in zip(horizons, horizons[1:])):
@@ -346,15 +328,12 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
                         **{key: values for key, values in diagnostics.items() if values},
                     }
                 )
-            summary = {
-                "config_hash": chash,
-                "mode": mode,
-                "seeds": seeds,
-                "mean_regret": per_horizon[-1]["mean_regret"],
-                "std_regret": per_horizon[-1]["std_regret"],
-                "erm_calls_total": erm_total,
-                "per_horizon": per_horizon,
-            }
+            summary.update(
+                mean_regret=per_horizon[-1]["mean_regret"],
+                std_regret=per_horizon[-1]["std_regret"],
+                erm_calls_total=erm_total,
+                per_horizon=per_horizon,
+            )
             if len(horizons) >= 3:
                 fit = fit_exponent(horizons, [p["mean_regret"] for p in per_horizon])
                 if fit is None:
@@ -377,6 +356,6 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, f"summary_{mode}_{chash}.json")
         with open(path, "w") as fh:
-            json.dump({k: v for k, v in summary.items() if not k.startswith("_")}, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return summary

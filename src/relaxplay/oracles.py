@@ -12,7 +12,7 @@ numpy pass, `solve_rows`; their `solve` is its one-row case.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 

@@ -100,49 +100,41 @@ class GameHistory:
         """From played (x, y) rounds plus the current feature."""
         return cls(feature_rows([x for x, _ in rounds] + [x_cur]), np.array([y for _, y in rounds], dtype=float))
 
-    @property
-    def x_cur(self) -> Feature:
-        return self.xs[-1]
-
     def pairs(self) -> tuple[LabeledPair, ...]:
         """The rounds already played, as labeled pairs."""
         return tuple(LabeledPair(x, y) for x, y in zip(feature_list(self.xs[:-1]), self.ys.tolist()))
 
 
-def draw_slots(pool: SidePool, count: int, rng: np.random.Generator, with_replacement: bool = False) -> tuple:
+def draw_slots(pool: SidePool, count: int, rng: np.random.Generator) -> tuple:
     """The pool slots and signs of a `draw_halluc` draw, for a checked `count`; no RNG use when it is 0."""
     if count == 0:
         return np.empty(0, dtype=np.intp), np.empty(0)
-    if with_replacement:
-        idx = rng.integers(0, pool.size, size=count)
-    else:
-        idx = rng.permutation(pool.size)[:count]
-    return idx, _SIGNS[rng.integers(0, 2, size=count)]  # integers(0, 2) * 2 - 1
+    return rng.permutation(pool.size)[:count], _SIGNS[rng.integers(0, 2, size=count)]  # integers(0, 2) * 2 - 1
 
 
-def draw_halluc(pool: SidePool, count: int, rng: np.random.Generator, with_replacement: bool = False) -> RelaxationDraw:
+def draw_halluc(pool: SidePool, count: int, rng: np.random.Generator) -> RelaxationDraw:
     """Uniform ordered draw of `count` pool entries plus i.i.d. uniform signs; a
     count that is no non-negative integer (ConfigError) or that the pool cannot
     supply (PoolExhaustedError) raises before the RNG is used."""
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
         raise ConfigError(f"count must be a non-negative integer, got {count!r}")
-    if count > pool.size and not (with_replacement and pool.size):
+    if count > pool.size:
         raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool.size}")
-    idx, signs = draw_slots(pool, count, rng, with_replacement)
+    idx, signs = draw_slots(pool, count, rng)
     return RelaxationDraw(pool.features[idx], signs, idx)
 
 
-def _sup_query(xs, ys, ws, signs, feats, loss: LossFn) -> MixedErmQuery:
-    """The negated query whose -min is sup_h [2L sum eps_i h(x~_i) - sum_i w_i loss(h(x_i), y_i)]."""
+def _sup_query(xs, ys, signs, feats, loss: LossFn) -> MixedErmQuery:
+    """The negated query whose -min is sup_h [2L sum eps_i h(x~_i) - sum_i loss(h(x_i), y_i)]."""
     return MixedErmQuery(
-        xs=xs, ys=ys, ws=ws, signed_xs=feats, signs=-signs,
+        xs=xs, ys=ys, signed_xs=feats, signs=-signs,
         coefficient=2.0 * loss.lipschitz, loss=loss,
     )
 
 
 def _probe_query(history: GameHistory, draw: RelaxationDraw, probe_y: float, loss: LossFn) -> MixedErmQuery:
     """The sup query of `history` with label `probe_y` at the current feature."""
-    return _sup_query(history.xs, np.append(history.ys, probe_y), None, draw.signs, draw.halluc, loss)
+    return _sup_query(history.xs, np.append(history.ys, probe_y), draw.signs, draw.halluc, loss)
 
 
 def inner_sup(
@@ -295,64 +287,52 @@ def predict_binary_fast_batch(
     return predict_binary_fast_rows(xs, prefix, np.abs(1.0 - ys[: len(l0)]) - l0, js, draws, cls, loss)
 
 
-def _pair_arrays(pairs: Sequence[LabeledPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The features, labels and weights of `pairs`, as arrays."""
-    pairs = tuple(pairs)
-    return (
-        feature_rows([p.x for p in pairs]),
-        np.array([p.y for p in pairs], dtype=float),
-        np.array([p.weight for p in pairs], dtype=float),
-    )
-
-
-def _sup_value(xs, ys, ws, signs, feats, cls: HypothesisClass, loss: LossFn) -> float:
-    query = _sup_query(xs, ys, ws, np.asarray(signs, dtype=float), feats, loss)
+def _sup_value(xs, ys, signs, feats, cls: HypothesisClass, loss: LossFn) -> float:
+    query = _sup_query(xs, ys, np.asarray(signs, dtype=float), feats, loss)
     return -cls.solve(query).objective
 
 
 def relaxation_R(
     j: int,
-    history_pairs: Sequence[LabeledPair],
+    history: tuple,
     pool: SidePool,
     cls: HypothesisClass,
     config: PredictorConfig,
     mc_samples: int,
     rng: np.random.Generator,
-    with_replacement: bool = False,
     *,
     true_env=None,
 ) -> tuple[float, float]:
     """Monte-Carlo estimate (mean, stderr) of the surrogate relaxation R_j.
 
     R_j = E[sup_h 2L sum_{i>j} eps_i h(x~_i) - L_j^h], hallucinations drawn
-    from the pool. `history_pairs` are the j realized rounds (labels included).
+    from the pool. `history` is the j realized rounds as (xs, ys) arrays.
     With `true_env` (anything with a .sample(rng) method; diagnostic use
     only) this is R~_j instead: slot j+1 is drawn from the true feature
     source, with its own sign, and only the later slots from the pool.
     """
-    history = _pair_arrays(history_pairs)
+    xs, ys = history
     count = config.horizon - j
     if count < 0:
         raise ConfigError("j exceeds the horizon")
     if count == 0:
-        val = _sup_value(*history, (), pool.features[:0], cls, config.loss)
-        return val, 0.0
+        return _sup_value(xs, ys, (), pool.features[:0], cls, config.loss), 0.0
     vals = np.empty(mc_samples)
     for k in range(mc_samples):
         if true_env is None:
-            d = draw_halluc(pool, count, rng, with_replacement)
+            d = draw_halluc(pool, count, rng)
             signs, feats = d.signs, d.halluc
         else:
             fresh = true_env.sample(rng)
-            d = draw_halluc(pool, count - 1, rng, with_replacement)
+            d = draw_halluc(pool, count - 1, rng)
             signs = np.concatenate(([int(rng.integers(0, 2)) * 2 - 1], d.signs))
             feats = feature_rows([fresh, *d.halluc])
-        vals[k] = _sup_value(*history, signs, feats, cls, config.loss)
+        vals[k] = _sup_value(xs, ys, signs, feats, cls, config.loss)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(mc_samples)) if mc_samples > 1 else 0.0
 
 
 def f_eval(
-    history_pairs: Sequence[LabeledPair],
+    history: tuple,
     tail_halluc: Sequence[Feature],
     signs: Sequence[int],
     probe_x: Feature,
@@ -362,9 +342,10 @@ def f_eval(
     """The per-slot playout value as a function of the j+1st hallucination.
 
     f(x) = sup_h [2L*eps_{j+1} h(x) + 2L sum_{i>=j+2} eps_i h(x~_i) - L_j^h];
-    `signs` covers slots j+1..M, so len(signs) == len(tail_halluc) + 1.
+    `history` is the j realized rounds as (xs, ys) arrays, and `signs` covers
+    slots j+1..M, so len(signs) == len(tail_halluc) + 1.
     """
     if len(signs) != len(tail_halluc) + 1:
         raise ConfigError("need one sign for the probe slot plus one per tail feature")
     feats = feature_rows([probe_x, *tail_halluc])
-    return _sup_value(*_pair_arrays(history_pairs), signs, feats, cls, loss)
+    return _sup_value(*history, signs, feats, cls, loss)

@@ -43,19 +43,14 @@ def run_shifting(
 
     block_starts = list(range(1, T + 1, B))
     block_regrets = []
-    drift = 0.0
-    shortfall = 0
-    for first, state in zip(block_starts, played.states):
+    for first in block_starts:
         block = slice(first - 1, first - 1 + B)
         _, block_comp = best_in_hindsight(cls.clone(), loss=loss, xs=X[block], ys=Y[block])
         block_regrets.append(sum(played.losses[block]) - block_comp)
-        drift += state.drift
-        shortfall += state.shortfall
     trace.metadata.update(
         seed=config.seed, T=T, K=K, block_length=B,
         block_starts=block_starts, block_regrets=block_regrets,
-        rounding_drift=drift, halluc_shortfall=shortfall,
-        adversary=adversary.kind, fast_binary_path=played.use_fast,
+        adversary=adversary.kind,
     )
     return trace
 

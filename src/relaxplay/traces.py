@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
 
 ONLINE_COLUMNS = (
     "t", "block", "epoch", "j", "x", "y", "yhat",

@@ -21,7 +21,6 @@ from .core import (
     ConfigError,
     Feature,
     HypothesisClass,
-    LabeledPair,
     LossFn,
     MixedErmQuery,
     best_in_hindsight,
@@ -106,20 +105,38 @@ def estimate_rademacher(
 # ---------------------------------------------------------------------------
 
 
+def _history(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Realized rounds as (xs, ys) float64 arrays."""
+    xs, ys = feature_rows(xs), np.asarray(ys, dtype=float)
+    if ys.shape != (len(xs),):
+        raise ConfigError(f"a history needs one label per feature, got shapes {xs.shape} and {ys.shape}")
+    return xs, ys
+
+
+def _grid_game(scenario) -> tuple[PredictorConfig, SidePool, np.ndarray]:
+    """The predictor config, side pool and adversary label grid (step
+    `y_step`, 1 included) of a tiny game scenario."""
+    config = PredictorConfig(
+        horizon=scenario.horizon, loss=scenario.loss,
+        y_grid_step=scenario.y_step, yhat_tolerance=min(scenario.y_step, 1e-2),
+    )
+    return config, SidePool(scenario.pool_features), np.append(np.arange(0.0, 1.0, scenario.y_step), 1.0)
+
+
 @dataclass
 class AdmissibilityScenario:
     """A tiny game slice: discrete feature law, small class, short horizon.
 
-    Each history fixture is a list of realized (x, y) rounds; the check runs
-    at slot j = len(fixture) + 1. `predict_offset` corrupts the prediction
-    for negative-control runs.
+    Each history fixture holds the realized rounds as (xs, ys) arrays; the
+    check runs at slot j = len(ys) + 1. `predict_offset` corrupts the
+    prediction for negative-control runs.
     """
 
     cls: HypothesisClass
     env: FeatureDistribution
     horizon: int
     pool_features: Sequence[Feature]
-    histories: Sequence[Sequence[tuple]] = ((),)
+    histories: Sequence[tuple] = (((), ()),)
     loss: LossFn = ABSOLUTE_LOSS
     y_step: float = 0.05
     predict_offset: float = 0.0
@@ -127,8 +144,9 @@ class AdmissibilityScenario:
     def __post_init__(self):
         if self.env.kind != "discrete":
             raise ConfigError("admissibility check needs a finite feature support")
-        for fixture in self.histories:
-            if len(fixture) + 1 > self.horizon:
+        self.histories = [_history(xs, ys) for xs, ys in self.histories]
+        for _, ys in self.histories:
+            if len(ys) + 1 > self.horizon:
                 raise ConfigError("history fixture longer than the horizon allows")
 
 
@@ -143,23 +161,14 @@ def check_admissibility(
     are Monte-Carlo with per-draw suprema.
     """
     cls, loss = scenario.cls, scenario.loss
-    config = PredictorConfig(
-        horizon=scenario.horizon,
-        loss=loss,
-        y_grid_step=scenario.y_step,
-        yhat_tolerance=min(scenario.y_step, 1e-2),
-    )
-    pool = SidePool(scenario.pool_features)
-    grid = np.append(np.arange(0.0, 1.0, scenario.y_step), 1.0)
+    config, pool, grid = _grid_game(scenario)
 
     worst = -np.inf
     worst_se = 0.0
     all_pass = True
     per_fixture = []
-    for fixture in scenario.histories:
-        j = len(fixture) + 1
-        rounds = list(fixture)
-        pairs = tuple(LabeledPair(x, y) for x, y in rounds)
+    for xs, ys in scenario.histories:
+        j = len(ys) + 1
         count = scenario.horizon - j
 
         lhs_mean = 0.0
@@ -167,7 +176,7 @@ def check_admissibility(
         for x_j, p_x in zip(scenario.env.points, scenario.env.probs):
             if p_x == 0.0:
                 continue
-            history = GameHistory.from_rounds(rounds, x_j)
+            history = GameHistory(feature_rows([*xs, x_j]), ys)
             vals = np.empty(mc_samples)
             for k in range(mc_samples):
                 draw = draw_halluc(pool, count, rng)
@@ -180,7 +189,7 @@ def check_admissibility(
                 lhs_var += (p_x ** 2) * float(vals.var(ddof=1)) / mc_samples
 
         rhs, rhs_se = relaxation_R(
-            j - 1, pairs, pool, cls, config, mc_samples, rng, true_env=scenario.env
+            j - 1, (xs, ys), pool, cls, config, mc_samples, rng, true_env=scenario.env
         )
         se = math.sqrt(lhs_var + rhs_se ** 2)
         margin = lhs_mean - rhs
@@ -208,11 +217,11 @@ def check_admissibility(
 @dataclass(frozen=True)
 class SensitivityInstance:
     cls: HypothesisClass
-    history_pairs: tuple
+    history: tuple  # the j realized rounds as (xs, ys) arrays
     tail_halluc: tuple
     signs: tuple  # slots j+1..M; len == len(tail_halluc) + 1
     probe_xs: tuple
-    perturbed_labels: tuple  # same length as history_pairs
+    perturbed_labels: np.ndarray  # one per label of the history
     loss: LossFn = ABSOLUTE_LOSS
 
 
@@ -231,25 +240,20 @@ def check_sensitivity(
     for _ in range(count):
         inst = generator(rng)
         L = inst.loss.lipschitz
-        j = len(inst.history_pairs)
+        xs, ys = _history(*inst.history)
+        _, pert_ys = _history(xs, inst.perturbed_labels)
+        j = len(ys)
         slack = 2.0 * inst.cls.solve_tolerance + 1e-9
 
         vals = np.array([
-            f_eval(inst.history_pairs, inst.tail_halluc, inst.signs, x, inst.cls, inst.loss)
+            f_eval((xs, ys), inst.tail_halluc, inst.signs, x, inst.cls, inst.loss)
             for x in inst.probe_xs
         ])
         spread_margin = float(vals.max() - vals.min()) - 4.0 * L
 
-        pert_pairs = tuple(
-            LabeledPair(p.x, y, p.weight)
-            for p, y in zip(inst.history_pairs, inst.perturbed_labels)
-        )
-        delta = max(
-            (abs(p.y - y) for p, y in zip(inst.history_pairs, inst.perturbed_labels)),
-            default=0.0,
-        )
+        delta = max(np.abs(ys - pert_ys).tolist(), default=0.0)
         pert_vals = np.array([
-            f_eval(pert_pairs, inst.tail_halluc, inst.signs, x, inst.cls, inst.loss)
+            f_eval((xs, pert_ys), inst.tail_halluc, inst.signs, x, inst.cls, inst.loss)
             for x in inst.probe_xs
         ])
         lip_margin = float(np.max(np.abs(vals - pert_vals))) - j * L * delta
@@ -275,18 +279,14 @@ def default_sensitivity_generator(max_history: int = 3, max_tail: int = 3):
         )
         j = int(rng.integers(0, max_history + 1))
         tail = int(rng.integers(0, max_tail + 1))
-        pairs = tuple(
-            LabeledPair(float(rng.random()), float(rng.random())) for _ in range(j)
-        )
+        xs, ys = rng.random((j, 2)).T  # x_1, y_1, x_2, ... in draw order
         return SensitivityInstance(
             cls=cls,
-            history_pairs=pairs,
+            history=(xs, ys),
             tail_halluc=tuple(float(rng.random()) for _ in range(tail)),
             signs=tuple(int(s) for s in rng.integers(0, 2, size=tail + 1) * 2 - 1),
             probe_xs=tuple(float(rng.random()) for _ in range(8)),
-            perturbed_labels=tuple(
-                float(np.clip(p.y + rng.uniform(-0.3, 0.3), 0.0, 1.0)) for p in pairs
-            ),
+            perturbed_labels=np.clip(ys + rng.uniform(-0.3, 0.3, size=j), 0.0, 1.0),
         )
 
     return gen
@@ -302,7 +302,7 @@ class BinaryInstance:
     """Binary class, absolute loss, {0,1} labels, probe-slot sign +1."""
 
     cls: HypothesisClass  # must expose grid_handles/evaluate; finite
-    history: tuple  # (x, y) with y in {0,1}
+    history: tuple  # the realized rounds as (xs, ys) arrays, ys in {0,1}
     tail_halluc: tuple
     tail_signs: tuple
     probe_xs: tuple
@@ -324,19 +324,20 @@ def check_fact2(
     for _ in range(count):
         inst = generator(rng)
         handles = list(inst.cls.grid_handles(0.0))
+        xs, ys = _history(*inst.history)
+        rounds = list(zip(xs.tolist(), ys.tolist()))
         scores = []
         for h in handles:
             s = 2.0 * sum(
                 eps * inst.cls.evaluate(h, x)
                 for eps, x in zip(inst.tail_signs, inst.tail_halluc)
             )
-            s -= sum(abs(inst.cls.evaluate(h, x) - y) for x, y in inst.history)
+            s -= sum(abs(inst.cls.evaluate(h, x) - y) for x, y in rounds)
             scores.append(s)
         fmax = max(scores)
         top = [h for h, s in zip(handles, scores) if abs(s - fmax) < 1e-9]
         second = [h for h, s in zip(handles, scores) if abs(s - (fmax - 1.0)) < 1e-9]
 
-        pairs = tuple(LabeledPair(x, y) for x, y in inst.history)
         signs = (1,) + tuple(inst.tail_signs)
         for x in inst.probe_xs:
             if any(inst.cls.evaluate(h, x) >= 0.5 for h in top):
@@ -345,7 +346,7 @@ def check_fact2(
                 predicted = fmax + 1.0
             else:
                 predicted = fmax
-            direct = f_eval(pairs, inst.tail_halluc, signs, x, inst.cls)
+            direct = f_eval((xs, ys), inst.tail_halluc, signs, x, inst.cls)
             err = abs(direct - predicted)
             worst = max(worst, err)
             all_pass = all_pass and err <= 1e-9
@@ -370,9 +371,10 @@ def default_binary_generator(max_class: int = 8, max_history: int = 4):
         j = int(rng.integers(0, max_history + 1))
         tail = int(rng.integers(0, 4))
         pick = lambda: domain[int(rng.integers(0, len(domain)))]
+        rounds = [(pick(), float(rng.integers(0, 2))) for _ in range(j)]
         return BinaryInstance(
             cls=cls,
-            history=tuple((pick(), float(rng.integers(0, 2))) for _ in range(j)),
+            history=_history([x for x, _ in rounds], [y for _, y in rounds]),
             tail_halluc=tuple(pick() for _ in range(tail)),
             tail_signs=tuple(int(s) for s in rng.integers(0, 2, size=tail) * 2 - 1),
             probe_xs=tuple(domain),
@@ -416,41 +418,35 @@ def check_decomposition(
     greedily realizes each round's per-draw sup over the y-grid.
     """
     cls, loss, M = scenario.cls, scenario.loss, scenario.horizon
-    config = PredictorConfig(
-        horizon=M,
-        loss=loss,
-        y_grid_step=scenario.y_step,
-        yhat_tolerance=min(scenario.y_step, 1e-2),
-    )
-    pool = SidePool(scenario.pool_features)
-    grid = np.append(np.arange(0.0, 1.0, scenario.y_step), 1.0)
+    config, pool, grid = _grid_game(scenario)
 
     regrets = np.empty(mc_samples)
     gaps = np.empty(mc_samples)
     gap_ses = np.empty(mc_samples)
     for g in range(mc_samples):
-        rounds: list = []
+        xs: list = []
+        ys: list = []
         preds: list = []
         for j in range(1, M + 1):
             x_j = scenario.env.sample(rng)
-            history = GameHistory.from_rounds(rounds, x_j)
+            history = GameHistory(feature_rows(xs + [x_j]), np.array(ys, dtype=float))
             draw = draw_halluc(pool, M - j, rng)
             yhat = predict_general(history, draw, cls, config)
             sups = inner_sups(history, draw, grid, cls, config)
             scores = [loss_eval(loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist())]
-            y_j = grid[int(np.argmax(scores))]
-            rounds.append((x_j, float(y_j)))
+            xs.append(x_j)
+            ys.append(float(grid[int(np.argmax(scores))]))
             preds.append(yhat)
 
-        pairs = [LabeledPair(x, y) for x, y in rounds]
-        _, comp = best_in_hindsight(cls, pairs, loss)
-        regrets[g] = sum(loss_eval(loss, yh, y) for (_, y), yh in zip(rounds, preds)) - comp
+        X, Y = _history(xs, ys)
+        _, comp = best_in_hindsight(cls, X, Y, loss)
+        regrets[g] = sum(loss_eval(loss, yh, y) for y, yh in zip(ys, preds)) - comp
 
-        r0, se0 = relaxation_R(0, (), pool, cls, config, scenario.inner_mc, rng, true_env=scenario.env)
+        r0, se0 = relaxation_R(0, (X[:0], Y[:0]), pool, cls, config, scenario.inner_mc, rng, true_env=scenario.env)
         total = scenario.rtilde_scale * r0
         var = (scenario.rtilde_scale * se0) ** 2
         for j in range(1, M):
-            prefix = tuple(pairs[:j])
+            prefix = (X[:j], Y[:j])
             rt, set_ = relaxation_R(
                 j, prefix, pool, cls, config, scenario.inner_mc, rng, true_env=scenario.env
             )
@@ -493,7 +489,6 @@ class DiscrepancyScenario:
     horizon: int
     pool_features: Sequence[Feature]
     loss: LossFn = ABSOLUTE_LOSS
-    with_replacement: bool = False
 
 
 def discrepancy_probe(
@@ -512,18 +507,10 @@ def discrepancy_probe(
 
     rows = []
     for j in range(1, M):
-        pairs = tuple(
-            LabeledPair(scenario.env.sample(rng), float(rng.integers(0, 2)))
-            for _ in range(j)
-        )
-        rt, set_ = relaxation_R(
-            j, pairs, pool, cls, config, mc_samples, rng,
-            with_replacement=scenario.with_replacement, true_env=scenario.env,
-        )
-        rj, sej = relaxation_R(
-            j, pairs, pool, cls, config, mc_samples, rng,
-            with_replacement=scenario.with_replacement,
-        )
+        rounds = [(scenario.env.sample(rng), float(rng.integers(0, 2))) for _ in range(j)]
+        history = _history([x for x, _ in rounds], [y for _, y in rounds])
+        rt, set_ = relaxation_R(j, history, pool, cls, config, mc_samples, rng, true_env=scenario.env)
+        rj, sej = relaxation_R(j, history, pool, cls, config, mc_samples, rng)
         ref = L * math.sqrt(j * math.log(max(2.0, j * L * N)) / N)
         rows.append({
             "j": j,
@@ -563,7 +550,7 @@ def standard_checks(seed: int, mc_samples: int = 64) -> list:
                 env=env,
                 horizon=2,
                 pool_features=[0.2, 0.8],
-                histories=[(), ((0.2, 1.0),)],
+                histories=[([], []), ([0.2], [1.0])],
             ),
             mc_samples,
             rng,

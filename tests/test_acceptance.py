@@ -150,7 +150,7 @@ def _admissibility_scenarios(offset=0.0):
         env=FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]),
         horizon=2,
         pool_features=[0.2, 0.8],
-        histories=((), ((0.2, 1.0),)),
+        histories=(([], []), ([0.2], [1.0])),
         predict_offset=offset,
     )
     thresholds = [0.1, 0.3, 0.45, 0.6, 0.8, 0.95]
@@ -162,7 +162,7 @@ def _admissibility_scenarios(offset=0.0):
         env=FeatureDistribution.discrete([0.2, 0.4, 0.6, 0.9], [0.25] * 4),
         horizon=3,
         pool_features=[0.2, 0.4, 0.6, 0.9],
-        histories=((), ((0.4, 1.0),), ((0.4, 1.0), (0.9, 0.0))),
+        histories=(([], []), ([0.4], [1.0]), ([0.4, 0.9], [1.0, 0.0])),
         predict_offset=offset,
     )
     return [two, six]

@@ -55,12 +55,17 @@ def x_arms(cls, x):
 # Per-item references: the enumeration that the array code replaced.
 
 
+def arm(cls, h, x):
+    """Policy h's arm at feature x, from the policy itself."""
+    return int(cls.policies[h](x))
+
+
 def enumerate_policy_erm(cls, items):
     best_idx, best_obj = 0, math.inf
     for h in range(len(cls)):
         obj = 0.0
         for x, w in items:
-            obj += float(w[cls.arm(h, x)])
+            obj += float(w[arm(cls, h, x)])
         if obj < best_obj - 1e-15:
             best_idx, best_obj = h, obj
     return best_idx, best_obj
@@ -169,7 +174,7 @@ class TestArmMatrix:
         xs = [0.2, 0.5, 0.9]
         arms = cls.arms(xs)
         assert arms.shape == (4, 3)
-        assert arms.tolist() == [[cls.arm(h, x) for x in xs] for h in range(4)]
+        assert arms.tolist() == [[arm(cls, h, x) for x in xs] for h in range(4)]
         assert cls.arms([]).shape == (4, 0)
 
     def test_each_policy_runs_once_per_context(self):
@@ -273,12 +278,12 @@ class TestPhiValues:
             def brute(extra_w):
                 best = math.inf
                 for h in range(len(cls.policies)):
-                    obj = sum(float(w[cls.arm(h, x)]) for x, w in est)
+                    obj = sum(float(w[arm(cls, h, x)]) for x, w in est)
                     obj += sum(
-                        2.0 * z * float(eps[cls.arm(h, x)])
+                        2.0 * z * float(eps[arm(cls, h, x)])
                         for x, eps, z in zip(pool.features[d.indices], d.signs, d.zs)
                     )
-                    obj += float(extra_w[cls.arm(h, x_j)])
+                    obj += float(extra_w[arm(cls, h, x_j)])
                     best = min(best, obj)
                 return best
 
@@ -456,4 +461,4 @@ class TestRunBandit:
             PolicyClass([lambda x: 0], 1)
         bad = PolicyClass([lambda x: 5], 2)
         with pytest.raises(InputDomainError):
-            bad.arm(0, 0.5)
+            bad.arms([0.5])

@@ -15,7 +15,6 @@ from relaxplay import (
     loss_eval,
     lowest_argmin,
     query_objective,
-    signed_to_absolute,
 )
 from relaxplay.core import objective_values
 
@@ -66,28 +65,6 @@ class TestLowestArgmin:
         assert lowest_argmin([np.nan, 2.0]) == 1
 
 
-class TestSignedToAbsolute:
-    def test_plus_one(self):
-        assert signed_to_absolute(+1) == (0.0, 0.0)
-
-    def test_minus_one(self):
-        assert signed_to_absolute(-1) == (1.0, -1.0)
-
-    def test_round_trip_example(self):
-        pseudo, offset = signed_to_absolute(-1)
-        assert abs(0.4 - pseudo) + offset == pytest.approx(-0.4)
-
-    def test_identity_on_grid(self):
-        for sign in (-1, 1):
-            pseudo, offset = signed_to_absolute(sign)
-            for v in np.arange(0.0, 1.0001, 0.01):
-                assert abs(v - pseudo) + offset == pytest.approx(sign * v, abs=1e-12)
-
-    def test_rejects_other_signs(self):
-        with pytest.raises(InputDomainError):
-            signed_to_absolute(0)
-
-
 class TestDomainTypes:
     def test_label_range_enforced(self):
         with pytest.raises(InputDomainError):
@@ -109,24 +86,22 @@ class TestDomainTypes:
 class TestBestInHindsight:
     def test_realizable_threshold_sample(self):
         cls = ThresholdClass()
-        pairs = [LabeledPair(0.2, 0.0), LabeledPair(0.8, 1.0)]
-        _, obj = best_in_hindsight(cls, pairs)
+        _, obj = best_in_hindsight(cls, np.array([0.2, 0.8]), np.array([0.0, 1.0]))
         assert obj == pytest.approx(0.0)
 
     def test_unrealizable_threshold_sample(self):
         cls = ThresholdClass()
-        pairs = [LabeledPair(0.2, 1.0), LabeledPair(0.8, 0.0)]
-        _, obj = best_in_hindsight(cls, pairs)
+        _, obj = best_in_hindsight(cls, np.array([0.2, 0.8]), np.array([1.0, 0.0]))
         assert obj == pytest.approx(1.0)
 
     def test_symmetric_finite_sample(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
-        _, obj = best_in_hindsight(cls, [LabeledPair(0.4, 0.5)])
+        _, obj = best_in_hindsight(cls, np.array([0.4]), np.array([0.5]))
         assert obj == pytest.approx(0.5)
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(InputDomainError):
-            best_in_hindsight(ThresholdClass(), [])
+            best_in_hindsight(ThresholdClass(), np.empty(0), np.empty(0))
 
 
 class TestQueryObjective:

@@ -65,6 +65,15 @@ class TestDistributions:
         with pytest.raises(ConfigError):
             FeatureDistribution.uniform().points
 
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, np.nan], [0.5, np.nan], [np.inf, -np.inf], [np.inf, 0.0], [1.5, -0.5]],
+    )
+    def test_non_finite_or_negative_probs_rejected(self, probs):
+        # rejected when built, not at the first sample
+        with pytest.raises(ConfigError):
+            FeatureDistribution.discrete([0.1, 0.9], probs)
+
 
 class TestShiftingProcess:
     def test_boundaries(self):

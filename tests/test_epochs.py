@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from relaxplay import (
     ConfigError,
+    EpochClock,
     EpochSchedule,
     FeatureDistribution,
     FiniteClass,
@@ -84,6 +85,73 @@ class TestScheduleArithmetic:
             EpochSchedule("nope")
         with pytest.raises(ConfigError):
             locate(EpochSchedule("fixed", block=2), 0)
+
+    @pytest.mark.parametrize(
+        "kind,kwargs",
+        [
+            ("geometric", {"ratio": math.nan}),
+            ("geometric", {"ratio": math.inf}),
+            ("fixed", {"block": math.nan}),
+            ("fixed", {"block": math.inf}),
+            ("polynomial", {"alpha": math.nan}),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kind, kwargs):
+        with pytest.raises(ConfigError):
+            EpochSchedule(kind, **kwargs)
+
+
+class TestEpochClock:
+    """The clock walks the epochs exactly as `locate` places each round."""
+
+    SCHEDULES = {
+        "poly1": EpochSchedule("polynomial", alpha=1.0),
+        "poly1.5": EpochSchedule("polynomial", alpha=1.5),
+        "poly2": EpochSchedule("polynomial", alpha=2.0),
+        "geometric": EpochSchedule("geometric", ratio=1.5),
+        "fixed": EpochSchedule("fixed", block=7),
+    }
+
+    @pytest.mark.parametrize("schedule", list(SCHEDULES))
+    @pytest.mark.parametrize("block", [2000, 97], ids=["one_segment", "restart_every_97"])
+    def test_walk_equals_locate(self, schedule, block):
+        # a restart every `block` rounds, as run_shifting restarts per block
+        sched, T = self.SCHEDULES[schedule], 2000
+        drift = ref_drift = 0.0
+        shortfall = ref_shortfall = 0
+        for first in range(0, T, block):
+            clock = EpochClock(sched)
+            for t in range(1, min(block, T - first) + 1):
+                idx = locate(sched, t)
+                m = epoch_length(sched, idx.n)
+                assert clock.upcoming() == (m, m - idx.j + 1)
+                assert clock.tick() == (idx.j == 1)
+                assert (clock.n, clock.j, clock.start) == (idx.n, idx.j, idx.start)
+                assert clock.length == m
+                assert clock.count == min(m - idx.j, idx.start)
+                ref_shortfall += idx.start < m - idx.j
+            drift += clock.drift
+            shortfall += clock.shortfall
+            ref_drift += sum(abs(epoch_length(sched, k) - sched.exact_length(k)) for k in range(1, idx.n + 1))
+        assert shortfall == ref_shortfall
+        assert drift == ref_drift
+        assert (shortfall == 0) == (schedule == "poly1")  # only the linear schedule's pool keeps up
+
+    def test_drift_before_the_first_round(self):
+        clock = EpochClock(EpochSchedule("geometric", ratio=1.5))
+        assert (clock.n, clock.j, clock.start, clock.length) == (1, 0, 0, 2)
+        assert clock.drift == 0.5 and clock.shortfall == 0
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("probe_mc", [0, -1, 1.5, 2.0, True, "3", None])
+    def test_probe_mc_must_be_a_positive_integer(self, probe_mc):
+        with pytest.raises(ConfigError, match="probe_mc"):
+            RunConfig(probe_mc=probe_mc)
+
+    def test_probe_mc_accepts_integers(self):
+        assert RunConfig(probe_mc=1).probe_mc == 1
+        assert RunConfig(probe_mc=np.int64(3)).probe_mc == 3
 
 
 class TestRunEpochPredictor:
@@ -220,9 +288,7 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
         pool = SidePool(np.array(xs[first : first + idx.start]))
         x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
         hist = GameHistory(np.array(xs[first + idx.start :] + [x_t]), np.array(ys[first + idx.start :]))
-        pconf = PredictorConfig(
-            horizon=M, loss=loss, y_grid_step=config.y_grid_step, yhat_tolerance=config.yhat_tolerance
-        )
+        pconf = PredictorConfig(horizon=M, loss=loss)
 
         def predict_on(rng, c):
             return predict(hist, draw_halluc(pool, min(M - idx.j, pool.size), rng), c, pconf)
@@ -368,7 +434,7 @@ def _state_and_streams(schedule, cls, seed, T, use_fast=True):
     from relaxplay import ABSOLUTE_LOSS
     from relaxplay.epochs import RoundStreams, _EpochPredictorState
 
-    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, RunConfig(seed=seed), use_fast)
+    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, use_fast)
     return state, RoundStreams(seed, T, (1, 2, 3, 4))
 
 
@@ -383,9 +449,9 @@ def reference_probe(state, streams, t, probe_mc):
     clone, and np.mean over the predictions."""
     from relaxplay import GameHistory, draw_halluc, predict_binary_fast
 
-    rng, cls = streams.rngs(3, t), state.probe_cls.clone()
-    history = GameHistory(state.xs[: state.j], state.ys[: state.j - 1])
-    count = min(state.epoch_len - state.j, state.pool.size)
+    rng, cls, j = streams.rngs(3, t), state.probe_cls.clone(), state.clock.j
+    history = GameHistory(state.xs[:j], state.ys[: j - 1])
+    count = min(state.clock.length - j, state.pool.size)
     return float(np.mean([
         predict_binary_fast(history, draw_halluc(state.pool, count, rng), cls, state.pconf) for _ in range(probe_mc)
     ]))
@@ -406,9 +472,9 @@ class TestEpochPredictorState:
         for _ in range(60):
             state.advance(_feature(rng))
             state.record(float(rng.integers(0, 2)) if binary else float(rng.random()))
-            ys = state.ys[: state.j]
+            ys = state.ys[: state.clock.j]
             assert state.prefix == [0.0] + np.cumsum(np.abs(0.0 - ys)).tolist()
-            assert state.pair_dlt[: state.j].tolist() == (np.abs(1.0 - ys) - np.abs(0.0 - ys)).tolist()
+            assert state.pair_dlt[: state.clock.j].tolist() == (np.abs(1.0 - ys) - np.abs(0.0 - ys)).tolist()
 
     @pytest.mark.parametrize("kind", ["threshold", "interval"])
     @settings(max_examples=40, deadline=None)

@@ -183,6 +183,20 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="config.mode"):
             run_experiment({"mode": "nope"})
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None, 2.0])
+    @pytest.mark.parametrize("mode", ["online", "bandit"])
+    def test_bad_seed_rejected_with_its_path(self, tmp_path, mode, seed):
+        # a seed that is no non-negative integer fails before any trace is played
+        config = dict(PINNED_BANDIT if mode == "bandit" else ONLINE_CONFIG, seeds=[0, seed])
+        with pytest.raises(ConfigError, match=r"config\.seeds\[1\]"):
+            run_experiment(config, out_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_verify_summary_has_only_plain_values(self, tmp_path):
+        summary = run_experiment({"mode": "verify", "seeds": [0], "mc_samples": 8}, out_dir=str(tmp_path))
+        (path,) = tmp_path.glob("summary_verify_*.json")
+        assert json.loads(path.read_text()) == summary
+
 
 PINNED_ONLINE = dict(ONLINE_CONFIG, horizons=[64])
 PINNED_BANDIT = {
@@ -322,6 +336,14 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_verify_prints_a_line_per_check(self, capsys):
+        from relaxplay import standard_checks
+
+        assert cli_main(["verify", "--seed", "2", "--set", "mc_samples=8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [r.line() for r in standard_checks(seed=2, mc_samples=8)]
+        assert "checks" not in json.loads(lines[-1])
 
     def test_set_overrides(self, tmp_path, capsys):
         p = self._write_config(tmp_path)

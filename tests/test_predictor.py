@@ -11,7 +11,6 @@ from relaxplay import (
     GameHistory,
     InputDomainError,
     IntervalClass,
-    LabeledPair,
     PoolExhaustedError,
     PredictorConfig,
     SidePool,
@@ -70,27 +69,22 @@ class TestDrawHalluc:
         assert abs(total) <= 3 * math.sqrt(3 * 20_000)
 
     @staticmethod
-    def reference_draw(pool, count, rng, with_replacement=False):
+    def reference_draw(pool, count, rng):
         """The draw as it was written before draws went through `draw_slots`."""
         if count == 0:
             return pool.features[:0], np.empty(0), np.empty(0, dtype=np.intp)
-        if with_replacement:
-            idx = rng.integers(0, pool.size, size=count)
-        else:
-            idx = rng.permutation(pool.size)[:count]
+        idx = rng.permutation(pool.size)[:count]
         signs = rng.integers(0, 2, size=count) * 2 - 1
         return pool.features[idx], signs, idx
 
-    @pytest.mark.parametrize("with_replacement", [False, True])
-    def test_internal_draw_equals_reference(self, with_replacement):
+    def test_internal_draw_equals_reference(self):
         for size in (0, 1, 2, 5, 39, 40, 41, 599, 600):
             pool = SidePool(np.random.default_rng(size).random(size))
             for count in range(min(40, size) + 1):
-                seed = [size, count, with_replacement]
-                ref_rng, slot_rng, draw_rng = (np.random.default_rng(seed) for _ in range(3))
-                halluc, signs, idx = self.reference_draw(pool, count, ref_rng, with_replacement)
-                slot_idx, slot_signs = draw_slots(pool, count, slot_rng, with_replacement)
-                d = draw_halluc(pool, count, draw_rng, with_replacement)
+                ref_rng, slot_rng, draw_rng = (np.random.default_rng([size, count]) for _ in range(3))
+                halluc, signs, idx = self.reference_draw(pool, count, ref_rng)
+                slot_idx, slot_signs = draw_slots(pool, count, slot_rng)
+                d = draw_halluc(pool, count, draw_rng)
                 for got_halluc, got_signs, got_idx in (
                     (pool.features[slot_idx], slot_signs, slot_idx), (d.halluc, d.signs, d.indices)
                 ):
@@ -100,30 +94,24 @@ class TestDrawHalluc:
                 assert slot_rng.bit_generator.state == ref_rng.bit_generator.state == draw_rng.bit_generator.state
 
     @pytest.mark.parametrize(
-        "pool,count,with_replacement,error",
+        "pool,count,error",
         [
-            (SidePool([0.1, 0.2]), -1, False, ConfigError),
-            (SidePool([0.1, 0.2]), -1, True, ConfigError),
-            (SidePool([0.1, 0.2]), 1.0, False, ConfigError),
-            (SidePool([0.1, 0.2]), "1", False, ConfigError),
-            (SidePool([0.1, 0.2]), True, False, ConfigError),
-            (SidePool([0.1, 0.2]), None, True, ConfigError),
-            (SidePool([0.1, 0.2]), 3, False, PoolExhaustedError),
-            (SidePool(), 1, True, PoolExhaustedError),
-            (SidePool(), 4, False, PoolExhaustedError),
+            (SidePool([0.1, 0.2]), -1, ConfigError),
+            (SidePool([0.1, 0.2]), 1.0, ConfigError),
+            (SidePool([0.1, 0.2]), "1", ConfigError),
+            (SidePool([0.1, 0.2]), True, ConfigError),
+            (SidePool([0.1, 0.2]), None, ConfigError),
+            (SidePool([0.1, 0.2]), 3, PoolExhaustedError),
+            (SidePool(), 1, PoolExhaustedError),
+            (SidePool(), 4, PoolExhaustedError),
         ],
     )
-    def test_bad_count_raises_before_rng_use(self, pool, count, with_replacement, error):
+    def test_bad_count_raises_before_rng_use(self, pool, count, error):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(error):
-            draw_halluc(pool, count, rng, with_replacement)
+            draw_halluc(pool, count, rng)
         assert rng.bit_generator.state == state
-
-    def test_with_replacement_may_exceed_pool(self):
-        d = draw_halluc(SidePool([0.1, 0.2]), 5, np.random.default_rng(0), with_replacement=True)
-        assert len(d.halluc) == 5 and set(d.halluc.tolist()) <= {0.1, 0.2}
-        assert len(draw_halluc(SidePool(), 0, np.random.default_rng(0), with_replacement=True).halluc) == 0
 
 
 class TestInnerSup:
@@ -388,17 +376,17 @@ class TestPredictBinaryFastBatch:
 class TestRelaxations:
     def test_terminal_slot_deterministic(self):
         cls = FiniteClass.from_constants([0.5])
-        pairs = (LabeledPair(0.3, 1.0),)
+        history = (np.array([0.3]), np.array([1.0]))
         config = PredictorConfig(horizon=1)
-        mean, se = relaxation_R(1, pairs, SidePool(), cls, config, 1, np.random.default_rng(0))
+        mean, se = relaxation_R(1, history, SidePool(), cls, config, 1, np.random.default_rng(0))
         assert mean == pytest.approx(-0.5) and se == 0.0
 
     def test_singleton_signs_mean_out(self):
         cls = FiniteClass.from_constants([0.5])
-        pairs = (LabeledPair(0.3, 1.0), LabeledPair(0.9, 0.0))
+        history = (np.array([0.3, 0.9]), np.array([1.0, 0.0]))
         pool = SidePool([0.1, 0.2, 0.6, 0.7])
         config = PredictorConfig(horizon=4)
-        mean, se = relaxation_R(2, pairs, pool, cls, config, 4000, np.random.default_rng(1))
+        mean, se = relaxation_R(2, history, pool, cls, config, 4000, np.random.default_rng(1))
         # sup_h = 2*sum(eps)*0.5 - L_2 with L_2 = 0.5 + 0.5
         assert mean == pytest.approx(-1.0, abs=4 * se + 1e-3)
 
@@ -407,7 +395,7 @@ class TestRelaxations:
         cls = FiniteClass.from_constants([0.0, 1.0])
         pool = SidePool([0.5])
         config = PredictorConfig(horizon=2)
-        mean, se = relaxation_R(1, (), pool, cls, config, 4000, np.random.default_rng(2))
+        mean, se = relaxation_R(1, (np.empty(0), np.empty(0)), pool, cls, config, 4000, np.random.default_rng(2))
         assert mean == pytest.approx(1.0, abs=4 * se + 1e-9)
 
     def test_rtilde_matches_r_on_singleton_pool(self):
@@ -418,10 +406,9 @@ class TestRelaxations:
         env = FeatureDistribution.point_mass(0.4)
         config = PredictorConfig(horizon=2)
         rng = np.random.default_rng(3)
-        r, se_r = relaxation_R(1, (LabeledPair(0.4, 1.0),), pool, cls, config, 2000, rng)
-        rt, se_t = relaxation_R(
-            1, (LabeledPair(0.4, 1.0),), pool, cls, config, 2000, rng, true_env=env
-        )
+        history = (np.array([0.4]), np.array([1.0]))
+        r, se_r = relaxation_R(1, history, pool, cls, config, 2000, rng)
+        rt, se_t = relaxation_R(1, history, pool, cls, config, 2000, rng, true_env=env)
         assert rt == pytest.approx(r, abs=3 * math.sqrt(se_r**2 + se_t**2) + 1e-9)
 
 
@@ -429,30 +416,27 @@ class TestFEval:
     def test_singleton_constant_in_x(self):
         cls = FiniteClass.from_constants([0.7])
         vals = [
-            f_eval((LabeledPair(0.5, 1.0),), (), (-1,), x, cls) for x in (0.1, 0.5, 0.9)
+            f_eval((np.array([0.5]), np.array([1.0])), (), (-1,), x, cls) for x in (0.1, 0.5, 0.9)
         ]
         assert max(vals) - min(vals) == pytest.approx(0.0)
 
     def test_threshold_hand_enumeration(self):
         cls = ThresholdClass()
-        pairs = (LabeledPair(0.5, 1.0),)
-        assert f_eval(pairs, (), (-1,), 0.3, cls) == pytest.approx(0.0)
-        assert f_eval(pairs, (), (-1,), 0.7, cls) == pytest.approx(-1.0)
-        assert f_eval(pairs, (), (-1,), 1.0, cls) == pytest.approx(-2.0)
+        history = (np.array([0.5]), np.array([1.0]))
+        assert f_eval(history, (), (-1,), 0.3, cls) == pytest.approx(0.0)
+        assert f_eval(history, (), (-1,), 0.7, cls) == pytest.approx(-1.0)
+        assert f_eval(history, (), (-1,), 1.0, cls) == pytest.approx(-2.0)
 
     def test_spread_bounded_by_4L(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             cls = ThresholdClass()
             j = int(rng.integers(0, 4))
-            pairs = tuple(
-                LabeledPair(float(x), float(y))
-                for x, y in zip(rng.random(j), rng.random(j))
-            )
+            history = (rng.random(j), rng.random(j))
             tail = tuple(float(v) for v in rng.random(int(rng.integers(0, 3))))
             signs = tuple(int(s) for s in rng.integers(0, 2, len(tail) + 1) * 2 - 1)
             vals = [
-                f_eval(pairs, tail, signs, float(x), cls)
+                f_eval(history, tail, signs, float(x), cls)
                 for x in np.arange(0.0, 1.0001, 0.05)
             ]
             assert max(vals) - min(vals) <= 4.0 + 1e-9
@@ -460,4 +444,4 @@ class TestFEval:
     def test_length_validation(self):
         cls = ThresholdClass()
         with pytest.raises(ConfigError):
-            f_eval((), (0.5,), (-1,), 0.3, cls)
+            f_eval((np.empty(0), np.empty(0)), (0.5,), (-1,), 0.3, cls)

@@ -6,6 +6,7 @@ import pytest
 from relaxplay import (
     AdmissibilityScenario,
     CheckReport,
+    ConfigError,
     DecompositionScenario,
     DiscrepancyScenario,
     FeatureDistribution,
@@ -58,13 +59,13 @@ class TestRademacher:
 
 
 class TestAdmissibility:
-    def _scenario(self, **kw):
+    def _scenario(self, histories=(([], []), ([0.2], [1.0])), **kw):
         return AdmissibilityScenario(
             cls=FiniteClass.from_constants([0.0, 1.0]),
             env=FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]),
             horizon=2,
             pool_features=[0.2, 0.8],
-            histories=((), ((0.2, 1.0),)),
+            histories=histories,
             **kw,
         )
 
@@ -72,6 +73,10 @@ class TestAdmissibility:
         rep = check_admissibility(self._scenario(), 300, np.random.default_rng(0))
         assert rep.passed is True
         assert rep.instances == 2
+
+    def test_history_needs_one_label_per_feature(self):
+        with pytest.raises(ConfigError, match="one label per feature"):
+            self._scenario(histories=(([0.2, 0.8], [1.0]),))
 
     def test_corrupted_prediction_fails(self):
         rep = check_admissibility(

@@ -75,6 +75,7 @@ from .bandit import (
     gamma_default,
     mix_q,
     phi_values,
+    play_arm,
     policy_erm,
     run_bandit,
     waterfill_q,

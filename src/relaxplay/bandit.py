@@ -8,11 +8,12 @@ every profitable 1/gamma atom; minimizing the resulting piecewise-linear
 g(q) over the simplex has the water-filling closed form below, which the
 test suite checks against simplex grid search.
 
-Every policy runs once on each context, filling one (|H|, T) arm matrix;
-a hallucinated context is a column index into it. Each policy's estimated
-cost over the epoch so far is kept as a running sum, so a policy ERM only
-gathers the costs of its items from a cost matrix by arm and adds them, in
-item order, to those sums.
+Every policy runs once on each context, filling one (|H|, T) arm matrix an
+epoch at a time; a hallucinated context is a column index into it. Each
+policy's estimated cost over the epoch so far is kept as a running sum, so a
+policy ERM only gathers the costs of its items from a cost matrix by arm and
+adds them, in item order, to those sums. A round's K+1 ERMs differ only in
+the current context's cost, so they share one gather and one such sum.
 """
 
 from __future__ import annotations
@@ -162,27 +163,34 @@ def phi_values(
     policy_class: PolicyClass,
     gamma: float,
 ) -> np.ndarray:
-    """Phi_0..Phi_K via K+1 policy-ERM calls.
+    """Phi_0..Phi_K: the K+1 policy ERMs of a round, from one gather-cumsum.
 
     `pool_arms` is the arm matrix of the pool's contexts, so the draw's
     `indices` pick its columns; `sums[h]` is policy h's estimated cost over
-    the epoch so far, and each call starts from it. Phi_0 places zero
-    estimated cost at the current context, whose arms are `x_arms`; Phi_k
-    places (1/gamma) e_k there. Hallucinated slots with Z_i != 0 enter with
-    weights 2*Z_i*eps_i (the others cannot move any objective).
+    the epoch so far. Phi_0 places zero estimated cost at the current
+    context, whose arms are `x_arms`; Phi_k places (1/gamma) e_k there.
+    Hallucinated slots with Z_i != 0 enter with weights 2*Z_i*eps_i (the
+    others cannot move any objective).
+
+    The K+1 objectives share everything but the current context's term, so
+    each policy's partial sum is formed once, adding `sums` and then the
+    slot terms left to right as `policy_erm` does, and the current term goes
+    last in every column. The calls count as K+1 policy ERMs.
     """
     K = policy_class.num_arms
+    policy_class.solve_calls += K + 1
     used = np.flatnonzero(draw.zs)
-    arms = np.concatenate((pool_arms[:, draw.indices[used]], x_arms[:, None]), axis=1)
-    slot_weights = (2.0 * draw.zs[used])[:, None] * draw.signs[used]
-    out = np.empty(K + 1)
-    for k in range(K + 1):
-        current = np.zeros((1, K))
-        if k:
-            current[0, k - 1] = 1.0 / gamma
-        items = ArmCosts(arms, np.concatenate((slot_weights, current)))
-        _, out[k] = policy_erm(policy_class, items, sums)
-    return out
+    partial = sums
+    if used.size:
+        slot_weights = (2.0 * draw.zs[used])[:, None] * draw.signs[used]
+        terms = slot_weights[np.arange(used.size), pool_arms[:, draw.indices[used]]]
+        terms[:, 0] += sums
+        # cumsum adds left to right whatever the layout; np.sum pairs terms along a contiguous row
+        partial = np.cumsum(terms, axis=1)[:, -1]
+    current = np.zeros((len(partial), K + 1))
+    current[np.arange(len(partial)), x_arms + 1] = 1.0 / gamma
+    objs = partial[:, None] + current
+    return np.array([col[lowest_argmin(col)] for col in objs.T.tolist()])
 
 
 def waterfill_q(b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -210,6 +218,17 @@ def mix_q(q_hat: np.ndarray, gamma: float, K: int) -> np.ndarray:
     if gamma * K > 1.0 + 1e-12:
         raise ConfigError("need gamma*K <= 1")
     return (1.0 - gamma * K) * np.asarray(q_hat, dtype=float) + gamma
+
+
+def play_arm(q: np.ndarray, rng: np.random.Generator) -> int:
+    """The arm `rng.choice(len(q), p=q / q.sum())` draws, and the same use of
+    `rng`: one uniform located in the normalized cdf of p.
+
+    `choice` also validates p on every call; the caller checks q instead.
+    """
+    cdf = np.cumsum(q / q.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def estimate_cost(
@@ -241,6 +260,11 @@ def bandit_epoch_schedule() -> EpochSchedule:
     return EpochSchedule(kind="polynomial", alpha=1.5)
 
 
+def _running_total(values: np.ndarray) -> np.ndarray:
+    """The totals 0.0 + v_1 + ... + v_t, added left to right as a loop adds them."""
+    return np.cumsum(np.concatenate(([0.0], values)))[1:]
+
+
 def run_bandit(
     policy_class: PolicyClass,
     env,
@@ -252,9 +276,14 @@ def run_bandit(
 
     `cost_adversary(t, x_t, history)` returns the round-t cost vector in
     [0,1]^K. The trace logs the expected loss <q_t, c_t>, the realized cost,
-    and cumulative regret against the best fixed policy in hindsight. Each
-    policy runs once on each context; an epoch's pool arms and the
-    comparator reuse those arms.
+    and cumulative regret against the best fixed policy in hindsight.
+
+    Each policy runs once on each context. An epoch's contexts (up to T) are
+    sampled, each from its own round's stream, when the epoch opens, and
+    every policy runs on all of them in one `PolicyClass.arms` call; the
+    epoch's pool arms and the comparator reuse those arms. So a policy that
+    emits an arm outside [0, K) on any context of an epoch raises
+    `InputDomainError` when that epoch opens, before its first round plays.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
@@ -265,30 +294,36 @@ def run_bandit(
     clock = EpochClock(bandit_epoch_schedule())
     streams = RoundStreams(config.seed, T, (1, 2, 5))
 
-    trace = RegretTrace(columns=BANDIT_COLUMNS)
     history: list = []
     arm_matrix = np.empty((len(policy_class), T), dtype=np.intp)
     costs = np.empty((T, K))
-    qs: list = []
-    arms: list = []
-    epochs: list = []
+    qs = np.empty((T, K))
+    arms = np.empty(T, dtype=np.intp)
+    expected = np.empty(T)
+    epochs = np.empty(T, dtype=np.intp)
 
     for t in range(1, T + 1):
         if clock.tick():
             # the pool is every context before the epoch; estimated costs are scoped per epoch
             pool_arms = arm_matrix[:, : clock.start]
             sums = np.zeros(len(policy_class))
+            end = min(clock.start + clock.length, T)
+            feats = [sample_feature(env, s, streams.rngs(1, s)) for s in range(t, end + 1)]
+            arm_matrix[:, t - 1 : end] = policy_class.arms(feats)
 
-        x_t = sample_feature(env, t, streams.rngs(1, t))
-        x_arms = arm_matrix[:, t - 1] = policy_class.arms([x_t])[:, 0]
+        x_t = feats[clock.j - 1]
+        x_arms = arm_matrix[:, t - 1]
         draw = draw_bandit(clock.start, clock.count, K, gamma, streams.rngs(2, t))
         phis = phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
         b = gamma * (phis[1:] - phis[0])
         q_hat, _ = waterfill_q(b)
         q = mix_q(q_hat, gamma, K)
+        # the validation `choice` made of p: finite, and at the mixing floor or above
+        if not (q.min() >= gamma - 1e-12 and q.max() < math.inf):
+            raise AssertionError(f"mixing floor violated: q={q} at t={t}")
 
         rng_play = streams.rngs(5, t)
-        arm = int(rng_play.choice(K, p=q / q.sum()))
+        arm = play_arm(q, rng_play)
         c_t = np.asarray(cost_adversary(t, x_t, history), dtype=float)
         # written so that NaN fails too
         if c_t.shape != (K,) or not np.all((c_t >= 0) & (c_t <= 1)):
@@ -298,25 +333,24 @@ def run_bandit(
 
         history.append((x_t, arm, float(c_t[arm])))
         costs[t - 1] = c_t
-        qs.append(q)
-        arms.append(arm)
-        epochs.append(clock.n)
+        qs[t - 1] = q
+        arms[t - 1] = arm
+        expected[t - 1] = q @ c_t
+        epochs[t - 1] = clock.n
 
     comp_class = policy_class.clone()
     h_star, _ = policy_erm(comp_class, ArmCosts(arm_matrix, costs))
-    comp_costs = costs[np.arange(T), arm_matrix[h_star]].tolist()
-    cum_exp = cum_comp = 0.0
-    for t in range(1, T + 1):
-        c_t, q = costs[t - 1], qs[t - 1]
-        cum_exp += float(q @ c_t)
-        cum_comp += comp_costs[t - 1]
-        trace.append(
-            t=t, epoch=epochs[t - 1], arm=arms[t - 1],
-            q_min=float(q.min()),
-            expected_loss=float(q @ c_t),
-            realized_cost=float(c_t[arms[t - 1]]),
-            cum_regret=cum_exp - cum_comp,
-        )
+    rounds = np.arange(T)
+    cum_regret = _running_total(expected) - _running_total(costs[rounds, arm_matrix[h_star]])
+    trace = RegretTrace(
+        columns=BANDIT_COLUMNS,
+        rows=list(
+            zip(
+                range(1, T + 1), epochs.tolist(), arms.tolist(), qs.min(axis=1).tolist(),
+                expected.tolist(), costs[rounds, arms].tolist(), cum_regret.tolist(),
+            )
+        ),
+    )
     trace.metadata.update(
         seed=config.seed, T=T, gamma=gamma, K=K, comparator=h_star, halluc_shortfall=clock.shortfall,
     )

@@ -22,14 +22,18 @@ class FeatureDistribution:
         self.kind = kind
         self.params = params
         if kind == "discrete":
-            pts = params["points"]
+            pts = list(params["points"])
             probs = np.asarray(params["probs"], dtype=float)
+            if not pts:
+                raise ConfigError("a discrete distribution needs at least one point")
+            if probs.shape != (len(pts),):
+                raise ConfigError(f"{len(pts)} points need {len(pts)} probabilities, got shape {probs.shape}")
             # written so that NaN fails too
             if not np.all((probs >= 0.0) & (probs < np.inf)):
                 raise ConfigError("probabilities must be finite and nonnegative")
             if abs(probs.sum() - 1.0) > 1e-12:
                 raise ConfigError("discrete probabilities must sum to 1")
-            self._points = list(pts)
+            self._points = pts
             self._probs = probs
         elif kind == "uniform":
             lo, hi = params.get("low", 0.0), params.get("high", 1.0)

@@ -168,16 +168,23 @@ class RunConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        probe_mc = self.probe_mc
-        if isinstance(probe_mc, bool) or not isinstance(probe_mc, (int, np.integer)) or probe_mc < 1:
-            raise ConfigError(f"probe_mc must be a positive integer, got {probe_mc!r}")
+        check_count(self.probe_mc, "probe_mc")
+
+
+def _check_integer(value, name: str, minimum: int, kind: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def check_seed(seed, name: str = "seed") -> int:
     """`seed` as an int if it is a non-negative integer (Python or numpy, not bool); else ConfigError."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    return _check_integer(seed, name, 0, "non-negative")
+
+
+def check_count(value, name: str) -> int:
+    """`value` as an int if it is a positive integer (Python or numpy, not bool); else ConfigError."""
+    return _check_integer(value, name, 1, "positive")
 
 
 def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:

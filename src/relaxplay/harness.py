@@ -20,7 +20,7 @@ from . import environment as envmod
 from .bandit import BanditConfig, PolicyClass, run_bandit
 from .core import ABSOLUTE_LOSS, ConfigError, LossFn
 from .environment import FeatureDistribution, ShiftingProcess
-from .epochs import EpochSchedule, RunConfig, alpha_from_q, check_seed, run_epoch_predictor
+from .epochs import EpochSchedule, RunConfig, alpha_from_q, check_count, check_seed, run_epoch_predictor
 from .oracles import FiniteClass, IntervalClass, LipschitzClass, ThresholdClass
 from .shifting import run_shifting
 from .traces import RegretTrace
@@ -132,7 +132,7 @@ def build_schedule(spec: dict, path: str = "schedule") -> EpochSchedule:
     if kind == "geometric":
         return EpochSchedule(kind="geometric", ratio=float(_get(spec, "ratio", path, 1.5)))
     if kind == "fixed":
-        return EpochSchedule(kind="fixed", block=int(_get(spec, "block", path)))
+        return EpochSchedule(kind="fixed", block=check_count(_get(spec, "block", path), f"{path}.block"))
     _fail(f"{path}.kind", f"unknown schedule kind {kind!r}")
 
 
@@ -144,7 +144,7 @@ def build_loss(spec: Optional[dict], path: str = "loss") -> LossFn:
 
 def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
     kind = _get(spec, "kind", path)
-    K = int(_get(spec, "K", path, 2))
+    K = check_count(_get(spec, "K", path, 2), f"{path}.K")
     if kind == "constant":
         arms = [int(a) for a in _get(spec, "arms", path)]
         return PolicyClass([(lambda a: (lambda x: a))(a) for a in arms], K)
@@ -245,11 +245,11 @@ def run_one_trace(config: dict, T: int, seed: int) -> RegretTrace:
     schedule = build_schedule(config.get("schedule", {}))
     rconf = RunConfig(
         seed=seed,
-        probe_mc=int(config.get("probe_mc", 64)),
+        probe_mc=check_count(config.get("probe_mc", 64), "config.probe_mc"),
         fast_binary_path=config.get("fast_binary_path"),
     )
     if mode == "shifting":
-        K = int(_get(config, "K", "config"))
+        K = check_count(_get(config, "K", "config"), "config.K")
         return run_shifting(cls, loss, env, adversary, T, K, schedule, rconf)
     return run_epoch_predictor(schedule, cls, loss, env, adversary, T, rconf)
 
@@ -280,17 +280,18 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
 
     try:
         if mode == "verify":
-            reports = standard_checks(seed=seeds[0], mc_samples=int(config.get("mc_samples", 64)))
+            mc = check_count(config.get("mc_samples", 64), "config.mc_samples")
+            reports = standard_checks(seed=seeds[0], mc_samples=mc)
             summary["checks"] = [
                 {key: getattr(r, key) for key in ("name", "passed", "instances", "worst_margin", "stderr")}
                 for r in reports
             ]
             summary["failed"] = [r.name for r in reports if r.passed is False]
         elif mode == "rademacher":
-            T = int(_get(config, "T", "config"))
+            T = check_count(_get(config, "T", "config"), "config.T")
             cls_spec = _get(config, "class", "config")
             env = build_env(_get(config, "env", "config"))
-            mc = int(config.get("mc_samples", 256))
+            mc = check_count(config.get("mc_samples", 256), "config.mc_samples")
             means = []
             for seed in seeds:
                 rng = np.random.default_rng([seed, 21])
@@ -299,7 +300,10 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
                 means.append(mean)
             summary.update(rademacher_mean=float(np.mean(means)), rademacher_std=float(np.std(means)), T=T)
         else:
-            horizons = [int(h) for h in config.get("horizons") or [int(_get(config, "T", "config"))]]
+            if config.get("horizons"):
+                horizons = [check_count(h, f"config.horizons[{i}]") for i, h in enumerate(config["horizons"])]
+            else:
+                horizons = [check_count(_get(config, "T", "config"), "config.T")]
             if any(b <= a for a, b in zip(horizons, horizons[1:])):
                 _fail("config.horizons", "must be strictly increasing")
             per_horizon = []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxplay import (
+    ArmCosts,
     BanditConfig,
     ConfigError,
     FeatureDistribution,
@@ -21,11 +22,16 @@ from relaxplay import (
     locate,
     mix_q,
     phi_values,
+    play_arm,
     policy_erm,
+    round_rng,
     run_bandit,
     waterfill_q,
 )
 from relaxplay.core import feature_list
+from relaxplay.environment import sample_feature
+from relaxplay.epochs import EpochClock
+from relaxplay.traces import BANDIT_COLUMNS, RegretTrace
 
 
 def two_arm_class():
@@ -93,6 +99,103 @@ def slot_loop_draw(pool, count, K, gamma, rng):
     signs = [rng.integers(0, 2, size=K) * 2 - 1 for _ in range(count)]
     zs = [(1.0 / gamma) if rng.random() < gamma * K else 0.0 for _ in range(count)]
     return idx, np.array(signs), np.array(zs)
+
+
+# The per-round bandit loop that the epoch-batched `run_bandit` replaced:
+# each round runs the policies on its own context, makes K+1 separate policy
+# ERMs, draws its arm with `Generator.choice` and builds its trace row.
+
+
+def per_round_phi_values(pool_arms, sums, x_arms, draw, cls, gamma):
+    K = cls.num_arms
+    used = np.flatnonzero(draw.zs)
+    arms = np.concatenate((pool_arms[:, draw.indices[used]], x_arms[:, None]), axis=1)
+    slot_weights = (2.0 * draw.zs[used])[:, None] * draw.signs[used]
+    out = np.empty(K + 1)
+    for k in range(K + 1):
+        current = np.zeros((1, K))
+        if k:
+            current[0, k - 1] = 1.0 / gamma
+        _, out[k] = policy_erm(cls, ArmCosts(arms, np.concatenate((slot_weights, current))), sums)
+    return out
+
+
+def per_round_bandit_reference(policy_class, env, cost_adversary, T, config):
+    K = policy_class.num_arms
+    gamma = config.gamma if config.gamma is not None else gamma_default(len(policy_class), K, T)
+    if gamma * K > 1.0:
+        gamma = 1.0 / K
+    clock = EpochClock(bandit_epoch_schedule())
+    trace = RegretTrace(columns=BANDIT_COLUMNS)
+    history = []
+    arm_matrix = np.empty((len(policy_class), T), dtype=np.intp)
+    costs = np.empty((T, K))
+    qs, arms, epochs = [], [], []
+    for t in range(1, T + 1):
+        if clock.tick():
+            pool_arms = arm_matrix[:, : clock.start]
+            sums = np.zeros(len(policy_class))
+        x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
+        x_arms = arm_matrix[:, t - 1] = policy_class.arms([x_t])[:, 0]
+        draw = draw_bandit(clock.start, clock.count, K, gamma, round_rng(config.seed, 2, t))
+        phis = per_round_phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
+        q = mix_q(waterfill_q(gamma * (phis[1:] - phis[0]))[0], gamma, K)
+        rng_play = round_rng(config.seed, 5, t)
+        arm = int(rng_play.choice(K, p=q / q.sum()))
+        c_t = np.asarray(cost_adversary(t, x_t, history), dtype=float)
+        chat = estimate_cost(arm, float(c_t[arm]), q, gamma, rng_play)
+        sums += chat[x_arms]
+        history.append((x_t, arm, float(c_t[arm])))
+        costs[t - 1] = c_t
+        qs.append(q)
+        arms.append(arm)
+        epochs.append(clock.n)
+    h_star, _ = policy_erm(policy_class.clone(), ArmCosts(arm_matrix, costs))
+    comp_costs = costs[np.arange(T), arm_matrix[h_star]].tolist()
+    cum_exp = cum_comp = 0.0
+    for t in range(1, T + 1):
+        c_t, q = costs[t - 1], qs[t - 1]
+        cum_exp += float(q @ c_t)
+        cum_comp += comp_costs[t - 1]
+        trace.append(
+            t=t, epoch=epochs[t - 1], arm=arms[t - 1], q_min=float(q.min()), expected_loss=float(q @ c_t),
+            realized_cost=float(c_t[arms[t - 1]]), cum_regret=cum_exp - cum_comp,
+        )
+    trace.metadata.update(
+        seed=config.seed, T=T, gamma=gamma, K=K, comparator=h_star, halluc_shortfall=clock.shortfall,
+    )
+    return trace
+
+
+def mixed_table(K):
+    """Constant, threshold and repeated policies, so several policies tie on every context."""
+    policies = [lambda x: 0, lambda x: K - 1, lambda x: 0]
+    for a in (0.0, 0.3, 0.5, 0.5, 0.8):
+        policies.append((lambda a: (lambda x: (K - 1) * int(x >= a)))(a))
+    policies.append(lambda x: min(int(x * K), K - 1))
+    return PolicyClass(policies, num_arms=K)
+
+
+def feature_costs(K):
+    """Costs in [0, 1] that depend on the context and the round; ties between arms occur."""
+
+    def costs(t, x, history):
+        side = int(x >= 0.5)
+        return np.array([((k + side + t % 3) % K) / (K - 1) for k in range(K)])
+
+    return costs
+
+
+def generator_with_next_random(u):
+    """A PCG64 generator whose next `random()` is exactly `u` (a multiple of 2**-53)."""
+    bits = np.random.PCG64(0)
+    state = bits.state
+    # a state with high word 0 outputs its low word unrotated; step back once to land on it
+    state["state"]["state"] = int(u * 2**53) << 11
+    state["has_uint32"] = 0
+    bits.state = state
+    bits.advance(-1)
+    return np.random.Generator(bits)
 
 
 class TestGammaDefault:
@@ -293,6 +396,22 @@ class TestPhiValues:
                 e[k] = 1.0 / gamma
                 assert phis[k + 1] == pytest.approx(brute(e))
 
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_equals_per_round_calls(self, K):
+        # large draws, so many Z != 0 slots add into each policy's sum
+        rng = np.random.default_rng(K)
+        mine, theirs = mixed_table(K), mixed_table(K)
+        for _ in range(200):
+            gamma = float(rng.uniform(0.05, 1.0)) / K
+            pool = rng.random(int(rng.integers(1, 150)))
+            pool_arms = mine.arms(pool)
+            sums = (rng.random((int(rng.integers(0, 40)), len(mine))) < 0.3).sum(axis=0) / gamma
+            d = draw_bandit(pool.size, int(rng.integers(0, pool.size + 1)), K, gamma, rng)
+            xa = x_arms(mine, float(rng.random()))
+            got = phi_values(pool_arms, sums, xa, d, mine, gamma)
+            assert np.array_equal(got, per_round_phi_values(pool_arms, sums, xa, d, theirs, gamma))
+        assert mine.solve_calls == theirs.solve_calls == 200 * (K + 1)
+
     features = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 1.0])
 
     @settings(max_examples=150, deadline=None)
@@ -320,6 +439,32 @@ class TestPhiValues:
         phis = phi_values(cls.arms(pool.features), epoch_sums(cls, est), x_arms(cls, x_j), d, cls, gamma)
         assert np.array_equal(phis, enumerate_phi_values(est, pool, x_j, d, cls, gamma))
         assert policy_erm(cls, est) == enumerate_policy_erm(cls, est)
+
+
+class TestPlayArm:
+    def test_matches_choice_and_its_rng_use(self):
+        rng = np.random.default_rng(11)
+        for i in range(2000):
+            K = int(rng.integers(2, 6))
+            gamma = float(rng.uniform(0.01, 1.0 / K))
+            # negative b's put their arms at the gamma floor
+            q = mix_q(waterfill_q(rng.uniform(-1.0, 1.0, size=K))[0], gamma, K)
+            if i % 5 == 0:
+                q = np.full(K, 1.0 / K)
+            mine = np.random.default_rng([7, i])
+            theirs = np.random.default_rng([7, i])
+            assert play_arm(q, mine) == int(theirs.choice(K, p=q / q.sum()))
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "q, u", [([0.5, 0.5], 0.5), ([0.25, 0.25, 0.5], 0.25), ([0.25, 0.25, 0.5], 0.5), ([0.5, 0.5], 0.0)]
+    )
+    def test_uniform_on_a_cdf_step(self, q, u):
+        # a uniform equal to a cdf value takes the arm to its right, as choice does
+        q = np.array(q)
+        mine, theirs = generator_with_next_random(u), generator_with_next_random(u)
+        assert generator_with_next_random(u).random() == u
+        assert play_arm(q, mine) == int(theirs.choice(len(q), p=q / q.sum()))
 
 
 class TestWaterfill:
@@ -447,6 +592,43 @@ class TestRunBandit:
         assert trace.metadata["halluc_shortfall"] == expected == 1
         trace.to_csv(tmp_path / "t.csv")
         assert "shortfall" not in (tmp_path / "t.csv").read_text()
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("gamma", [None, "fixed"])
+    # 85 and 144 end epochs 8 and 10; 100 and 150 end mid-epoch
+    @pytest.mark.parametrize("T", [1, 2, 85, 100, 144, 150])
+    def test_equals_per_round_reference(self, K, gamma, T):
+        env = FeatureDistribution.uniform()
+        for seed in range(3):
+            config = BanditConfig(gamma=None if gamma is None else 0.6 / K, seed=seed)
+            mine, theirs = mixed_table(K), mixed_table(K)
+            got = run_bandit(mine, env, feature_costs(K), T, config)
+            want = per_round_bandit_reference(theirs, env, feature_costs(K), T, config)
+            assert got.rows == want.rows
+            assert got.metadata == want.metadata
+            assert mine.solve_calls == theirs.solve_calls == (K + 1) * T
+
+    def test_reference_horizons_end_on_and_inside_epochs(self):
+        sched = bandit_epoch_schedule()
+        assert [locate(sched, t).j for t in (85, 86, 144, 145)] == [23, 1, 32, 1]
+        assert locate(sched, 100).j not in (1, epoch_length(sched, locate(sched, 100).n))
+
+    def test_bad_arm_raises_when_its_epoch_opens(self):
+        # epoch 3 holds rounds 5..9; the first policy's 8th call is on round 8's context
+        calls, seen = [], []
+
+        def policy(x):
+            calls.append(x)
+            return 5 if len(calls) == 8 else 0
+
+        def costs(t, x, history):
+            seen.append(t)
+            return np.array([0.1, 0.9])
+
+        cls = PolicyClass([policy, lambda x: 1], num_arms=2)
+        with pytest.raises(InputDomainError, match="arm 5 outside"):
+            run_bandit(cls, FeatureDistribution.uniform(), costs, 20, BanditConfig(seed=0))
+        assert seen == [1, 2, 3, 4]
 
     def test_epoch_schedule(self):
         sched = bandit_epoch_schedule()

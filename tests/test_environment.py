@@ -75,6 +75,13 @@ class TestDistributions:
             FeatureDistribution.discrete([0.1, 0.9], probs)
 
 
+    @pytest.mark.parametrize("points, probs", [([0.1, 0.9], [1.0]), ([0.5], [0.5, 0.5]), ([], []), ([], [1.0])])
+    def test_points_and_probs_must_match(self, points, probs):
+        # rejected when built, not by numpy at the first sample
+        with pytest.raises(ConfigError):
+            FeatureDistribution.discrete(points, probs)
+
+
 class TestShiftingProcess:
     def test_boundaries(self):
         proc = ShiftingProcess(

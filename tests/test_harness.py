@@ -192,6 +192,42 @@ class TestRunExperiment:
             run_experiment(config, out_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bad", [1.5, True, 0, -2, 8.9, math.nan, "4", None])
+    @pytest.mark.parametrize(
+        "field",
+        ["probe_mc", "horizons", "T", "shifting.K", "bandit.policies.K", "schedule.block", "verify.mc_samples",
+         "rademacher.mc_samples"],
+    )
+    def test_bad_count_rejected_with_its_path(self, tmp_path, field, bad):
+        # a count that is no positive integer fails under its own path, before any trace is played
+        if field == "probe_mc":
+            config, path = dict(ONLINE_CONFIG, probe_mc=bad), r"config\.probe_mc"
+        elif field == "horizons":
+            config, path = dict(ONLINE_CONFIG, horizons=[4, bad]), r"config\.horizons\[1\]"
+        elif field == "T":
+            config, path = {k: v for k, v in ONLINE_CONFIG.items() if k != "horizons"}, r"config\.T"
+            config["T"] = bad
+        elif field == "shifting.K":
+            config, path = dict(ONLINE_CONFIG, mode="shifting", K=bad), r"config\.K"
+        elif field == "bandit.policies.K":
+            config = dict(PINNED_BANDIT, policies=dict(PINNED_BANDIT["policies"], K=bad))
+            path = r"policies\.K"
+        elif field == "schedule.block":
+            config, path = dict(ONLINE_CONFIG, schedule={"kind": "fixed", "block": bad}), r"schedule\.block"
+        elif field == "verify.mc_samples":
+            config, path = {"mode": "verify", "seeds": [0], "mc_samples": bad}, r"config\.mc_samples"
+        else:
+            config = {"mode": "rademacher", "seeds": [0], "T": 4, "class": {"kind": "threshold"},
+                      "env": {"kind": "uniform"}, "mc_samples": bad}
+            path = r"config\.mc_samples"
+        with pytest.raises(ConfigError, match=path):
+            run_experiment(config, out_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
+    def test_integer_counts_still_run(self):
+        config = dict(ONLINE_CONFIG, horizons=[4, 6], probe_mc=2, schedule={"kind": "fixed", "block": 3})
+        assert [p["T"] for p in run_experiment(config)["per_horizon"]] == [4, 6]
+
     def test_verify_summary_has_only_plain_values(self, tmp_path):
         summary = run_experiment({"mode": "verify", "seeds": [0], "mc_samples": 8}, out_dir=str(tmp_path))
         (path,) = tmp_path.glob("summary_verify_*.json")
@@ -330,6 +366,14 @@ class TestCli:
         rc = cli_main(["online", "--config", str(p)])
         assert rc == 2
         assert "missing required field" in capsys.readouterr().err
+
+    def test_non_integer_count_exit_two(self, capsys):
+        # NaN parses from --set as a JSON float; it is a config error, not a traceback
+        rc = cli_main(["online", "--horizons", "8", "--set", "schedule.kind=fixed", "--set", "schedule.block=NaN",
+                       "--set", "class.kind=threshold", "--set", "env.kind=uniform",
+                       "--set", "adversary.name=constant", "--set", "adversary.value=1"])
+        assert rc == 2
+        assert "schedule.block must be a positive integer, got nan" in capsys.readouterr().err
 
     def test_verify_exit_zero(self, capsys):
         rc = cli_main(["verify", "--set", "mc_samples=32"])

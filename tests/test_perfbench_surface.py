@@ -57,3 +57,17 @@ def test_solvebench_query_solves_on_every_class(perfbench):
 def test_workload_builds(perfbench, workload):
     built = perfbench["workloads"].WORKLOADS[workload].build(64, 0)
     assert len(built) in (4, 5) and all(obj is not None for obj in built)
+
+
+def test_bandit_workload_traces_pass_their_check(perfbench, tmp_path):
+    # the benchmark counts a bandit trace as failed when this check raises
+    from relaxplay.traces import read_trace_csv
+
+    workload = perfbench["workloads"].WORKLOADS["bandit"]
+    played = workload.play(workload.trace_seeds(0)[0], str(tmp_path))
+    assert [p.T for p in played] == list(workload.horizons)
+    for p in played:
+        p.trace.to_csv(tmp_path / "bandit.csv")
+        read_back = read_trace_csv(tmp_path / "bandit.csv")
+        assert len(read_back.rows) == p.T
+        assert workload.check(p, read_back) == 3 * p.T

@@ -107,8 +107,8 @@ class LossFn:
     def __post_init__(self):
         if self.kind not in ("absolute", "custom"):
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.lipschitz <= 0:
-            raise ConfigError("lipschitz constant must be positive")
+        if not 0 < self.lipschitz < math.inf:  # NaN fails too
+            raise ConfigError(f"lipschitz constant must be finite and positive, got {self.lipschitz!r}")
         if self.kind == "custom" and self.evaluator is None:
             raise ConfigError("custom loss requires an evaluator")
         if self.kind == "absolute" and self.lipschitz != 1.0:

@@ -9,10 +9,8 @@ formula is logged in the trace metadata.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -156,15 +154,10 @@ class EpochClock:
 
 @dataclass
 class RunConfig:
-    """Run-level knobs: seeding, probe Monte-Carlo size, and fast-path control.
-
-    `fast_binary_path=None` auto-enables the 2-call path when the class is
-    binary-valued, the loss is absolute, and the adversary emits {0,1} labels.
-    """
+    """Run-level knobs: seeding and probe Monte-Carlo size."""
 
     seed: int = 0
     probe_mc: int = 64
-    fast_binary_path: Optional[bool] = None
 
     def __post_init__(self):
         check_seed(self.seed)
@@ -397,12 +390,6 @@ class _EpochPredictorState:
         return probe
 
 
-def _resolve_fast(config: RunConfig, cls: HypothesisClass, loss: LossFn, adversary: Adversary) -> bool:
-    if config.fast_binary_path is not None:
-        return bool(config.fast_binary_path)
-    return cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
-
-
 @dataclass
 class PlayedRounds:
     """Per-round columns of a played game, plus each segment's final predictor state."""
@@ -429,6 +416,9 @@ def play_rounds(
 ) -> PlayedRounds:
     """Play T rounds; the epoch predictor restarts from scratch every `block` rounds.
 
+    The 2-call fast path runs exactly when the class is binary, the loss
+    absolute and the adversary declares {0,1} labels; else `predict_general`.
+
     Rounds go in chunks up to the end of the epoch (and of the block, and of
     one batch). A chunk samples each round's feature, emits its label (an
     adversary that is not oblivious first probes that round's mean
@@ -441,7 +431,8 @@ def play_rounds(
     if T < 1:
         raise ConfigError("T must be >= 1")
     oblivious = adversary.kind == "oblivious"
-    played = PlayedRounds(use_fast=_resolve_fast(config, cls, loss, adversary), probed=not oblivious)
+    use_fast = cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
+    played = PlayedRounds(use_fast=use_fast, probed=not oblivious)
     streams = RoundStreams(config.seed, T, (1, 2, 4) if oblivious else (1, 2, 3, 4))
     history: list = []
     t = 0
@@ -533,14 +524,23 @@ def _feature_repr(x):
     return float(x)
 
 
+def segment_regrets(oracle: HypothesisClass, loss: LossFn, X, Y, losses, starts) -> list:
+    """Each segment's summed losses minus those of its own best fixed
+    hypothesis in hindsight; segment i runs from round index starts[i]
+    (0-based) up to the next start, the last one to the end of the game."""
+    regrets = []
+    for start, end in zip(starts, [*starts[1:], len(losses)]):
+        _, comp = best_in_hindsight(oracle, loss=loss, xs=X[start:end], ys=Y[start:end])
+        regrets.append(sum(losses[start:end]) - comp)
+    return regrets
+
+
 def _check_epoch_additivity(trace, comparator, X, Y, losses, epochs, loss):
     """Total regret never exceeds the sum of per-epoch regrets measured
     against per-epoch comparators (which are at least as good per epoch)."""
-    bound, start = 0.0, 0
-    for _, rounds in itertools.groupby(epochs):
-        end = start + len(list(rounds))
-        _, comp = best_in_hindsight(comparator, loss=loss, xs=X[start:end], ys=Y[start:end])
-        bound += sum(losses[start:end]) - comp
-        start = end
+    bound = 0.0
+    starts = [i for i, n in enumerate(epochs) if i == 0 or n != epochs[i - 1]]
+    for regret in segment_regrets(comparator, loss, X, Y, losses, starts):
+        bound += regret
     if trace.final_regret > bound + 1e-9:
         raise AssertionError("epoch regret additivity violated")

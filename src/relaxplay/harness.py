@@ -45,8 +45,15 @@ def _get(d: dict, key: str, path: str, default=_fail):
     return d[key]
 
 
+def _plain_scalar(value):
+    """A numpy scalar as the Python number it holds, for `json.dumps`."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), default=_plain_scalar)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -69,7 +76,7 @@ def build_class(spec: dict, path: str = "class"):
             [(lambda a: (lambda x: 1.0 if x >= a else 0.0))(a) for a in ths], binary=True
         )
     if kind == "lipschitz":
-        return LipschitzClass(dimension=int(_get(spec, "dimension", path, 1)))
+        return LipschitzClass(dimension=check_count(_get(spec, "dimension", path, 1), f"{path}.dimension"))
     _fail(f"{path}.kind", f"unknown class kind {kind!r}")
 
 
@@ -93,10 +100,11 @@ def build_env(spec: dict, path: str = "env"):
     if _get(spec, "kind", path) == "shifting":
         segments = []
         for i, seg in enumerate(_get(spec, "segments", path)):
+            where = f"{path}.segments[{i}]"
             segments.append(
                 (
-                    build_distribution(_get(seg, "dist", f"{path}.segments[{i}]"), f"{path}.segments[{i}].dist"),
-                    int(_get(seg, "start", f"{path}.segments[{i}]")),
+                    build_distribution(_get(seg, "dist", where), f"{where}.dist"),
+                    check_count(_get(seg, "start", where), f"{where}.start"),
                 )
             )
         return ShiftingProcess(segments)
@@ -146,7 +154,7 @@ def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
     kind = _get(spec, "kind", path)
     K = check_count(_get(spec, "K", path, 2), f"{path}.K")
     if kind == "constant":
-        arms = [int(a) for a in _get(spec, "arms", path)]
+        arms = [check_seed(a, f"{path}.arms[{i}]") for i, a in enumerate(_get(spec, "arms", path))]
         return PolicyClass([(lambda a: (lambda x: a))(a) for a in arms], K)
     if kind == "threshold_arm":
         ths = [float(a) for a in _get(spec, "thresholds", path)]
@@ -155,8 +163,8 @@ def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
         )
     if kind == "mixed":
         policies = []
-        for a in _get(spec, "arms", path, []):
-            policies.append((lambda c: (lambda x: c))(int(a)))
+        for i, a in enumerate(_get(spec, "arms", path, [])):
+            policies.append((lambda c: (lambda x: c))(check_seed(a, f"{path}.arms[{i}]")))
         for a in _get(spec, "thresholds", path, []):
             policies.append((lambda c: (lambda x: 1 if x >= c else 0))(float(a)))
         return PolicyClass(policies, K)
@@ -243,11 +251,7 @@ def run_one_trace(config: dict, T: int, seed: int) -> RegretTrace:
     env = build_env(_get(config, "env", "config"))
     adversary = build_adversary(_get(config, "adversary", "config"))
     schedule = build_schedule(config.get("schedule", {}))
-    rconf = RunConfig(
-        seed=seed,
-        probe_mc=check_count(config.get("probe_mc", 64), "config.probe_mc"),
-        fast_binary_path=config.get("fast_binary_path"),
-    )
+    rconf = RunConfig(seed=seed, probe_mc=check_count(config.get("probe_mc", 64), "config.probe_mc"))
     if mode == "shifting":
         K = check_count(_get(config, "K", "config"), "config.K")
         return run_shifting(cls, loss, env, adversary, T, K, schedule, rconf)

@@ -72,15 +72,18 @@ class PredictorConfig:
     yhat_tolerance: Optional[float] = None
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("horizon M must be >= 1")
+        # written so that NaN fails too
+        if not 1 <= self.horizon < math.inf:
+            raise ConfigError(f"horizon M must be finite and >= 1, got {self.horizon!r}")
         default = 1.0 / (self.loss.lipschitz * math.sqrt(self.horizon))
         if self.y_grid_step is None:
             self.y_grid_step = default
         if self.yhat_tolerance is None:
             self.yhat_tolerance = default
-        if self.y_grid_step <= 0 or self.yhat_tolerance <= 0:
-            raise ConfigError("grid step and tolerance must be positive")
+        if not (self.y_grid_step > 0 and self.yhat_tolerance > 0):
+            raise ConfigError(
+                f"grid step and tolerance must be positive, got {self.y_grid_step!r} and {self.yhat_tolerance!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,24 +176,14 @@ def _y_grid(config: PredictorConfig) -> np.ndarray:
     return np.append(grid, 1.0)
 
 
-def predict_general(
-    history: GameHistory,
-    draw: RelaxationDraw,
-    cls: HypothesisClass,
-    config: PredictorConfig,
-) -> float:
-    """Minimax prediction: argmin_yhat max_y [loss(yhat,y) + inner_sup(y)].
+def minimax_step(grid: np.ndarray, sups: np.ndarray, config: PredictorConfig) -> float:
+    """argmin_yhat max_y [loss(yhat, y) + sups[y]] over the labels y of `grid`.
 
-    The adversary's sup runs on a grid of step 1/(L*sqrt(M)); inner-sup values
-    are cached per grid point, so the oracle-call count equals the grid size.
     For the absolute loss phi(yhat) = max(yhat + A, B - yhat) on [0,1], with
     A = max_y (s_y - y) and B = max_y (s_y + y), so the exact minimizer is
     (B - A)/2 clamped to [0,1]. Other losses minimize the convex outer
     objective by ternary search to `yhat_tolerance`.
     """
-    grid = _y_grid(config)
-    sups = inner_sups(history, draw, grid, cls, config)
-
     loss = config.loss
     if loss.kind == "absolute":
         return float(np.clip((np.max(sups + grid) - np.max(sups - grid)) / 2.0, 0.0, 1.0))
@@ -210,6 +203,18 @@ def predict_general(
     return (lo + hi) / 2.0
 
 
+def predict_general(
+    history: GameHistory,
+    draw: RelaxationDraw,
+    cls: HypothesisClass,
+    config: PredictorConfig,
+) -> float:
+    """Minimax prediction: `minimax_step` over the inner sups of a label grid of
+    step 1/(L*sqrt(M)), one oracle call per grid point."""
+    grid = _y_grid(config)
+    return minimax_step(grid, inner_sups(history, draw, grid, cls, config), config)
+
+
 def predict_binary_fast(
     history: GameHistory,
     draw: RelaxationDraw,
@@ -219,12 +224,12 @@ def predict_binary_fast(
     """Exact prediction with 2 oracle calls (binary class, {0,1} labels, absolute loss).
 
     phi(yhat) = max(yhat + G(0), 1 - yhat + G(1)) is minimized where the two
-    branches meet, clamped to [0,1].
+    branches meet, clamped to [0,1]; `minimax_step` on {0, 1} can differ from
+    this in the last bit where the result clips at 1.
     """
     if not cls.is_binary or config.loss.kind != "absolute":
         raise ConfigError("fast path needs a binary-valued class and absolute loss")
-    g0 = inner_sup(history, draw, 0.0, cls, config)
-    g1 = inner_sup(history, draw, 1.0, cls, config)
+    g0, g1 = inner_sups(history, draw, (0.0, 1.0), cls, config)
     return float(np.clip((1.0 + g1 - g0) / 2.0, 0.0, 1.0))
 
 

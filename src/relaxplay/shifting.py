@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .core import ConfigError, HypothesisClass, LossFn, best_in_hindsight
+from .core import ConfigError, HypothesisClass, LossFn
 from .environment import Adversary
-from .epochs import EpochSchedule, RunConfig, online_trace, play_rounds
+from .epochs import EpochSchedule, RunConfig, online_trace, play_rounds, segment_regrets
 from .traces import RegretTrace
 
 
@@ -39,17 +39,11 @@ def run_shifting(
         raise ConfigError("T must be >= 1")
     B = block_length(T, K)
     played = play_rounds(schedule, cls, loss, env, adversary, T, B, config)
-    trace, _, X, Y = online_trace(cls, loss, played)
-
-    block_starts = list(range(1, T + 1, B))
-    block_regrets = []
-    for first in block_starts:
-        block = slice(first - 1, first - 1 + B)
-        _, block_comp = best_in_hindsight(cls.clone(), loss=loss, xs=X[block], ys=Y[block])
-        block_regrets.append(sum(played.losses[block]) - block_comp)
+    trace, comparator, X, Y = online_trace(cls, loss, played)
     trace.metadata.update(
         seed=config.seed, T=T, K=K, block_length=B,
-        block_starts=block_starts, block_regrets=block_regrets,
+        block_starts=list(range(1, T + 1, B)),
+        block_regrets=segment_regrets(comparator, loss, X, Y, played.losses, range(0, T, B)),
         adversary=adversary.kind,
     )
     return trace

@@ -34,8 +34,9 @@ from .predictor import (
     SidePool,
     draw_halluc,
     f_eval,
+    _y_grid,
     inner_sups,
-    predict_general,
+    minimax_step,
     relaxation_R,
 )
 
@@ -120,7 +121,7 @@ def _grid_game(scenario) -> tuple[PredictorConfig, SidePool, np.ndarray]:
         horizon=scenario.horizon, loss=scenario.loss,
         y_grid_step=scenario.y_step, yhat_tolerance=min(scenario.y_step, 1e-2),
     )
-    return config, SidePool(scenario.pool_features), np.append(np.arange(0.0, 1.0, scenario.y_step), 1.0)
+    return config, SidePool(scenario.pool_features), _y_grid(config)
 
 
 @dataclass
@@ -180,9 +181,8 @@ def check_admissibility(
             vals = np.empty(mc_samples)
             for k in range(mc_samples):
                 draw = draw_halluc(pool, count, rng)
-                yhat = predict_general(history, draw, cls, config)
-                yhat = float(np.clip(yhat + scenario.predict_offset, 0.0, 1.0))
                 sups = inner_sups(history, draw, grid, cls, config)
+                yhat = float(np.clip(minimax_step(grid, sups, config) + scenario.predict_offset, 0.0, 1.0))
                 vals[k] = max(loss_eval(loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist()))
             lhs_mean += p_x * float(vals.mean())
             if mc_samples > 1:
@@ -431,8 +431,8 @@ def check_decomposition(
             x_j = scenario.env.sample(rng)
             history = GameHistory(feature_rows(xs + [x_j]), np.array(ys, dtype=float))
             draw = draw_halluc(pool, M - j, rng)
-            yhat = predict_general(history, draw, cls, config)
             sups = inner_sups(history, draw, grid, cls, config)
+            yhat = minimax_step(grid, sups, config)
             scores = [loss_eval(loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist())]
             xs.append(x_j)
             ys.append(float(grid[int(np.argmax(scores))]))

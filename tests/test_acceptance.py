@@ -112,23 +112,25 @@ def test_criterion_01_oracle_exactness():
     )
 
 
-def _criterion2_run(fast):
+def _criterion2_run(adversary):
     return run_epoch_predictor(
         EpochSchedule("polynomial", alpha=1.0),
         ThresholdClass(),
         ABSOLUTE_LOSS,
         FeatureDistribution.uniform(),
-        noisy_target(lambda x: float(x >= 0.5), 0.1),
+        adversary,
         512,
-        RunConfig(seed=0, fast_binary_path=fast),
+        RunConfig(seed=0),
     )
 
 
 def test_criterion_02_erm_call_budget():
-    fast = _criterion2_run(True)
+    labels = noisy_target(lambda x: float(x >= 0.5), 0.1)
+    fast = _criterion2_run(labels)
     fast_ok = all(c == 2 for c in fast.column("erm_calls"))
 
-    general = _criterion2_run(False)
+    # the same labels from an adversary that declares no binary labels take the general path
+    general = _criterion2_run(ObliviousAdversary(labels.fn))
     sched = EpochSchedule("polynomial", alpha=1.0)
     general_ok = True
     worst = 0

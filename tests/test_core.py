@@ -51,6 +51,11 @@ class TestLossEval:
         with pytest.raises(ConfigError):
             LossFn(kind="absolute", lipschitz=2.0)
 
+    @pytest.mark.parametrize("lipschitz", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_lipschitz_must_be_finite_and_positive(self, lipschitz):
+        with pytest.raises(ConfigError, match="lipschitz constant must be finite and positive"):
+            LossFn(kind="custom", lipschitz=lipschitz, evaluator=lambda p, y: abs(p - y))
+
 
 class TestLowestArgmin:
     def test_plain_minimum(self):

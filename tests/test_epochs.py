@@ -201,8 +201,8 @@ class TestRunEpochPredictor:
 
     def test_erm_calls_fast_path(self):
         cls = ThresholdClass()
-        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
-        trace = self._run(cls, adversary, 12, fast_binary_path=True)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        trace = self._run(cls, adversary, 12)
         assert all(c == 2 for c in trace.column("erm_calls"))
 
     def test_drift_metadata(self):
@@ -275,10 +275,7 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
     )
 
     block = block or T
-    if config.fast_binary_path is not None:
-        use_fast = config.fast_binary_path
-    else:
-        use_fast = cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
+    use_fast = cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
     predict = predict_binary_fast if use_fast else predict_general
     history, xs, ys, yhats, losses, meta = [], [], [], [], [], []
     for t in range(1, T + 1):

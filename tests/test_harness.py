@@ -82,6 +82,20 @@ class TestConfigHash:
         assert len(config_hash(a)) == 12
         assert config_hash(a) != config_hash({"x": 2, "y": {"z": [1, 2]}})
 
+    def test_numpy_scalars_hash_as_python_numbers(self):
+        plain = {"seeds": [1], "p": 0.5, "on": True, "K": 2}
+        numpy = {"seeds": [np.int64(1)], "p": np.float64(0.5), "on": np.bool_(True), "K": np.int32(2)}
+        assert config_hash(numpy) == config_hash(plain)
+        with pytest.raises(TypeError, match="object"):
+            config_hash({"x": object()})
+
+    def test_numpy_seed_runs_as_its_int(self, tmp_path):
+        plain = run_experiment(dict(ONLINE_CONFIG, seeds=[1], horizons=[8]), out_dir=str(tmp_path / "plain"))
+        numpy = run_experiment(dict(ONLINE_CONFIG, seeds=[np.int64(1)], horizons=[8]), out_dir=str(tmp_path / "numpy"))
+        assert numpy == plain
+        for a, b in zip(sorted((tmp_path / "plain").iterdir()), sorted((tmp_path / "numpy").iterdir())):
+            assert a.name == b.name and a.read_bytes() == b.read_bytes()
+
 
 class TestBuilders:
     def test_field_path_errors(self):
@@ -224,6 +238,25 @@ class TestRunExperiment:
             run_experiment(config, out_dir=str(tmp_path))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bad", [4.7, 1.9, True, -1, math.nan, "2", None])
+    @pytest.mark.parametrize("field", ["segment.start", "lipschitz.dimension", "constant.arms", "mixed.arms"])
+    def test_bad_integer_field_rejected_with_its_path(self, tmp_path, field, bad):
+        if field == "segment.start":
+            segments = [dict(seg) for seg in PINNED_SHIFTING["env"]["segments"]]
+            segments[1]["start"] = bad
+            config = dict(PINNED_SHIFTING, env={"kind": "shifting", "segments": segments})
+            path = r"env\.segments\[1\]\.start"
+        elif field == "lipschitz.dimension":
+            config = dict(ONLINE_CONFIG, **{"class": {"kind": "lipschitz", "dimension": bad}})
+            path = r"class\.dimension"
+        else:
+            kind = field.split(".")[0]
+            config = dict(PINNED_BANDIT, policies={"kind": kind, "K": 2, "arms": [0, bad]})
+            path = r"policies\.arms\[1\]"
+        with pytest.raises(ConfigError, match=path):
+            run_experiment(config, out_dir=str(tmp_path))
+        assert not list(tmp_path.iterdir())
+
     def test_integer_counts_still_run(self):
         config = dict(ONLINE_CONFIG, horizons=[4, 6], probe_mc=2, schedule={"kind": "fixed", "block": 3})
         assert [p["T"] for p in run_experiment(config)["per_horizon"]] == [4, 6]
@@ -284,6 +317,19 @@ PINNED_ADAPTIVE_INTERVAL = dict(
 )
 
 
+# the general path (periodic labels 0.25, 1.0 are not binary) on a class without solve_rows
+PINNED_GENERAL = dict(
+    ONLINE_CONFIG,
+    horizons=[64],
+    **{"class": {"kind": "finite_thresholds", "thresholds": [0.3, 0.5, 0.7]}},
+    adversary={"name": "periodic", "values": [0.25, 1.0]},
+)
+# the fast path one round at a time: a binary class without solve_rows
+PINNED_FINITE_FAST = dict(
+    ONLINE_CONFIG, horizons=[64], **{"class": {"kind": "finite_thresholds", "thresholds": [0.3, 0.5, 0.7]}}
+)
+
+
 class TestPinnedTraces:
     """sha256 of the CSVs of fixed configs: a refactor must reproduce them byte
     for byte. The online and bandit configs are criterion 12's; a change that
@@ -298,14 +344,22 @@ class TestPinnedTraces:
             (PINNED_BANDIT_K3, "d40d02fc76184d21bc103df7afb0fe4354b1a1112038164afb625705659e8e67"),
             (PINNED_SHIFTING, "50532c52f44bd3b516be1d9d91dc1ee7d15f865b42379af6e8a7df12f252e114"),
             (PINNED_ADAPTIVE_INTERVAL, "38db2d707add70368a6b589153ec3ff86c32ba6020dce260c88bdbc88b9ea08d"),
+            (PINNED_GENERAL, "619d5c53caf849e03bccd0a94cdc6f805a52b1239d2c6a50ca48d3375c75074e"),
+            (PINNED_FINITE_FAST, "e3a2c162076b348dc612ed6d94e083fbf82595117457a1a78578912b86b9da13"),
         ],
-        ids=["online", "bandit", "adaptive", "bandit_k3", "shifting_interval", "adaptive_interval"],
+        ids=["online", "bandit", "adaptive", "bandit_k3", "shifting_interval", "adaptive_interval", "general",
+             "finite_fast"],
     )
     def test_csv_sha256(self, tmp_path, config, digest):
         run_experiment(dict(config), out_dir=str(tmp_path))
         (csv,) = tmp_path.glob("*.csv")
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
+    def test_verify_summary_sha256(self, tmp_path):
+        run_experiment({"mode": "verify", "seeds": [5], "mc_samples": 6}, out_dir=str(tmp_path))
+        (summary,) = tmp_path.glob("summary_verify_*.json")
+        digest = "97037e94b3d976f59e515d6ca1bd5d1ddad5d5c982e84c201d02c8ae7c67a53e"
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == digest
 
 def rowwise_csv(trace: RegretTrace, path) -> None:
     """Reference writer: each cell formatted on its own, one csv row at a time."""
@@ -374,6 +428,30 @@ class TestCli:
                        "--set", "adversary.name=constant", "--set", "adversary.value=1"])
         assert rc == 2
         assert "schedule.block must be a positive integer, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sets,message",
+        [
+            (["class.kind=lipschitz", "class.dimension=1.9"], "class.dimension must be a positive integer, got 1.9"),
+            (["env.kind=shifting", 'env.segments=[{"dist":{"kind":"uniform"},"start":1},'
+              '{"dist":{"kind":"uniform"},"start":4.7}]', "class.kind=threshold"],
+             "env.segments[1].start must be a positive integer, got 4.7"),
+        ],
+        ids=["dimension", "segment_start"],
+    )
+    def test_non_integer_field_exit_two(self, capsys, sets, message):
+        args = ["online", "--horizons", "8", "--set", "adversary.name=constant", "--set", "adversary.value=1"]
+        args += [a for s in sets for a in ("--set", s)]
+        if "env.kind=shifting" not in sets:
+            args += ["--set", "env.kind=uniform"]
+        assert cli_main(args) == 2
+        assert message in capsys.readouterr().err
+
+    def test_bandit_non_integer_arm_exit_two(self, capsys):
+        args = ["bandit", "--horizons", "8", "--set", "env.kind=uniform", "--set", "costs.name=constant",
+                "--set", "costs.values=[0.0,1.0]", "--set", 'policies={"kind":"constant","K":2,"arms":[0,1.7]}']
+        assert cli_main(args) == 2
+        assert "policies.arms[1] must be a non-negative integer, got 1.7" in capsys.readouterr().err
 
     def test_verify_exit_zero(self, capsys):
         rc = cli_main(["verify", "--set", "mc_samples=32"])

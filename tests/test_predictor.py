@@ -171,6 +171,23 @@ class TestInnerSup:
             assert sups.tolist() == [inner_sup(hist, d, y, make(), config) for y in grid.tolist()]
 
 
+class TestPredictorConfig:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"horizon": math.nan}, "horizon"),
+            ({"horizon": math.inf}, "horizon"),
+            ({"horizon": 0}, "horizon"),
+            ({"horizon": 4, "y_grid_step": math.nan}, "grid step"),
+            ({"horizon": 4, "yhat_tolerance": math.nan}, "tolerance"),
+            ({"horizon": 4, "y_grid_step": 0.0}, "grid step"),
+        ],
+    )
+    def test_bad_values_raise_when_built(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            PredictorConfig(**kwargs)
+
+
 class TestPredictGeneral:
     def test_symmetric_two_constants(self):
         cls = FiniteClass.from_constants([0.0, 1.0])

@@ -85,6 +85,18 @@ class TestAdmissibility:
         assert rep.passed is False
         assert rep.worst_margin > 0
 
+    @pytest.mark.parametrize("make", [lambda: FiniteClass.from_constants([0.0, 1.0]), ThresholdClass])
+    def test_one_grid_solve_per_draw(self, make):
+        # each (support point, draw) solves the label grid once and takes its
+        # prediction from those sups; relaxation_R adds one solve per draw
+        scenario = self._scenario()
+        scenario.cls = cls = make()
+        mc = 5
+        check_admissibility(scenario, mc, np.random.default_rng(3))
+        grid_size = len(np.append(np.arange(0.0, 1.0, scenario.y_step), 1.0))
+        support = sum(p > 0 for p in scenario.env.probs)
+        assert cls.solve_calls == len(scenario.histories) * (support * mc * grid_size + mc)
+
 
 class TestSensitivity:
     def test_default_generator_passes(self):

@@ -284,11 +284,10 @@ class HypothesisClass:
     """Base contract for hypothesis classes served by a mixed-ERM oracle.
 
     Subclasses implement `evaluate` (handle, feature) -> [0,1] and `solve`.
-    Solvers are deterministic given identical queries; each instance keeps a
-    solve-call counter (per worker; use `clone()` for an independent counter).
+    Solvers are exact and deterministic; each instance keeps a solve-call
+    counter (per worker; use `clone()` for an independent counter).
     """
 
-    solve_tolerance: float = 0.0
     is_binary: bool = False
     # Binary classes on scalar features may also solve many flip-delta rows
     # at once, `solve_rows(base, pos, dlt) -> (handles, objectives)`; see

@@ -33,6 +33,10 @@ class FeatureDistribution:
                 raise ConfigError("probabilities must be finite and nonnegative")
             if abs(probs.sum() - 1.0) > 1e-12:
                 raise ConfigError("discrete probabilities must sum to 1")
+            for p in pts:
+                entries = np.asarray(p, dtype=float)
+                if not np.all((entries >= 0.0) & (entries <= 1.0)):  # NaN fails too
+                    raise ConfigError(f"discrete points must have entries in [0,1], got {p!r}")
             self._points = pts
             self._probs = probs
         elif kind == "uniform":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -45,6 +46,26 @@ def _get(d: dict, key: str, path: str, default=_fail):
     return d[key]
 
 
+def _check_real(value, where: str) -> float:
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        _fail(where, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _real(d: dict, key: str, path: str, default=_fail) -> float:
+    """Field `key` as a float if it is a finite number (not a bool or string); else ConfigError under its path."""
+    return _check_real(_get(d, key, path, default), f"{path}.{key}")
+
+
+def _reals(d: dict, key: str, path: str, default=_fail) -> list[float]:
+    """Field `key` as a list of floats, each checked as `_real` checks one, under `path.key[i]`."""
+    values = _get(d, key, path, default)
+    if not isinstance(values, (list, tuple)):
+        _fail(f"{path}.{key}", f"must be a list of numbers, got {values!r}")
+    return [_check_real(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
+
+
 def _plain_scalar(value):
     """A numpy scalar as the Python number it holds, for `json.dumps`."""
     if isinstance(value, np.generic):
@@ -67,32 +88,27 @@ def build_class(spec: dict, path: str = "class"):
     if kind == "threshold":
         return ThresholdClass()
     if kind == "interval":
-        return IntervalClass(gamma_len=float(_get(spec, "gamma_len", path, 0.1)))
+        return IntervalClass(gamma_len=_real(spec, "gamma_len", path, 0.1))
     if kind == "finite_constants":
-        return FiniteClass.from_constants([float(v) for v in _get(spec, "values", path)])
+        return FiniteClass.from_constants(_reals(spec, "values", path))
     if kind == "finite_thresholds":
-        ths = [float(a) for a in _get(spec, "thresholds", path)]
+        ths = _reals(spec, "thresholds", path)
         return FiniteClass(
             [(lambda a: (lambda x: 1.0 if x >= a else 0.0))(a) for a in ths], binary=True
         )
     if kind == "lipschitz":
-        return LipschitzClass(dimension=check_count(_get(spec, "dimension", path, 1), f"{path}.dimension"))
+        return LipschitzClass()
     _fail(f"{path}.kind", f"unknown class kind {kind!r}")
 
 
 def build_distribution(spec: dict, path: str) -> FeatureDistribution:
     kind = _get(spec, "kind", path)
     if kind == "uniform":
-        return FeatureDistribution.uniform(
-            float(_get(spec, "low", path, 0.0)), float(_get(spec, "high", path, 1.0))
-        )
+        return FeatureDistribution.uniform(_real(spec, "low", path, 0.0), _real(spec, "high", path, 1.0))
     if kind == "discrete":
-        return FeatureDistribution.discrete(
-            [float(p) for p in _get(spec, "points", path)],
-            [float(p) for p in _get(spec, "probs", path)],
-        )
+        return FeatureDistribution.discrete(_reals(spec, "points", path), _reals(spec, "probs", path))
     if kind == "point_mass":
-        return FeatureDistribution.point_mass(float(_get(spec, "x", path)))
+        return FeatureDistribution.point_mass(_real(spec, "x", path))
     _fail(f"{path}.kind", f"unknown distribution kind {kind!r}")
 
 
@@ -117,28 +133,28 @@ def build_adversary(spec: dict, path: str = "adversary"):
     if name not in catalog:
         _fail(f"{path}.name", f"unknown adversary {name!r} (have {sorted(catalog)})")
     if name == "noisy_target":
-        a = float(_get(spec, "target_threshold", path, 0.5))
-        return envmod.noisy_target(lambda x: 1.0 if x >= a else 0.0, float(_get(spec, "p", path, 0.1)))
+        a = _real(spec, "target_threshold", path, 0.5)
+        return envmod.noisy_target(lambda x: 1.0 if x >= a else 0.0, _real(spec, "p", path, 0.1))
     if name == "flip_to_far":
         return envmod.flip_to_far()
     if name == "comparator_squeeze":
         cls_spec = _get(spec, "class", path)
         return envmod.comparator_squeeze(lambda: build_class(cls_spec, f"{path}.class"))
     if name == "constant":
-        return envmod.constant(float(_get(spec, "value", path)))
-    return envmod.periodic([float(v) for v in _get(spec, "values", path)])
+        return envmod.constant(_real(spec, "value", path))
+    return envmod.periodic(_reals(spec, "values", path))
 
 
 def build_schedule(spec: dict, path: str = "schedule") -> EpochSchedule:
     kind = _get(spec, "kind", path, "polynomial")
     if kind == "polynomial":
         if "q" in spec:
-            alpha = alpha_from_q(float(spec["q"]))
+            alpha = alpha_from_q(_real(spec, "q", path))
         else:
-            alpha = float(_get(spec, "alpha", path, 1.0))
+            alpha = _real(spec, "alpha", path, 1.0)
         return EpochSchedule(kind="polynomial", alpha=alpha)
     if kind == "geometric":
-        return EpochSchedule(kind="geometric", ratio=float(_get(spec, "ratio", path, 1.5)))
+        return EpochSchedule(kind="geometric", ratio=_real(spec, "ratio", path, 1.5))
     if kind == "fixed":
         return EpochSchedule(kind="fixed", block=check_count(_get(spec, "block", path), f"{path}.block"))
     _fail(f"{path}.kind", f"unknown schedule kind {kind!r}")
@@ -157,7 +173,7 @@ def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
         arms = [check_seed(a, f"{path}.arms[{i}]") for i, a in enumerate(_get(spec, "arms", path))]
         return PolicyClass([(lambda a: (lambda x: a))(a) for a in arms], K)
     if kind == "threshold_arm":
-        ths = [float(a) for a in _get(spec, "thresholds", path)]
+        ths = _reals(spec, "thresholds", path)
         return PolicyClass(
             [(lambda a: (lambda x: 1 if x >= a else 0))(a) for a in ths], K
         )
@@ -165,8 +181,8 @@ def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
         policies = []
         for i, a in enumerate(_get(spec, "arms", path, [])):
             policies.append((lambda c: (lambda x: c))(check_seed(a, f"{path}.arms[{i}]")))
-        for a in _get(spec, "thresholds", path, []):
-            policies.append((lambda c: (lambda x: 1 if x >= c else 0))(float(a)))
+        for a in _reals(spec, "thresholds", path, []):
+            policies.append((lambda c: (lambda x: 1 if x >= c else 0))(a))
         return PolicyClass(policies, K)
     _fail(f"{path}.kind", f"unknown policy kind {kind!r}")
 
@@ -174,11 +190,11 @@ def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
 def build_costs(spec: dict, path: str = "costs") -> Callable:
     name = _get(spec, "name", path)
     if name == "constant":
-        values = np.asarray([float(v) for v in _get(spec, "values", path)])
+        values = np.asarray(_reals(spec, "values", path))
         return lambda t, x, history: values
     if name == "feature_gap":
         # cheaper arm depends on the feature side; keeps a constant gap
-        gap = float(_get(spec, "gap", path, 0.5))
+        gap = _real(spec, "gap", path, 0.5)
         lo, hi = 0.5 - gap / 2.0, 0.5 + gap / 2.0
 
         def costs(t, x, history):

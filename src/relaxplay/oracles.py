@@ -1,9 +1,8 @@
 """Concrete mixed-ERM oracles: thresholds, bounded-length intervals, finite
 tables, 1-Lipschitz functions, plus a brute-force reference oracle for tests.
 
-All solvers are exact except the Lipschitz one, which declares a 1e-3
-objective tolerance. Ties are broken toward the smallest parameter / lowest
-index so solves are deterministic.
+All solvers are exact. Ties are broken toward the smallest parameter /
+lowest index so solves are deterministic.
 
 The two {0,1}-valued classes on scalar features, thresholds and intervals,
 solve a batch of flip-delta rows (see `_flip_deltas`) in one row-vectorized
@@ -12,6 +11,7 @@ numpy pass, `solve_rows`; their `solve` is its one-row case.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .core import (
     InputDomainError,
     MixedErmQuery,
     UnsupportedClassError,
-    feature_as_array,
     loss_values,
     lowest_argmin,
     objective_values,
@@ -256,88 +255,85 @@ class FiniteClass(HypothesisClass):
 
 
 class LipschitzClass(HypothesisClass):
-    """All 1-Lipschitz functions [0,1]^d -> [0,1] under the sup norm.
+    """All 1-Lipschitz functions [0,1] -> [0,1] on scalar features.
 
-    Solves the mixed objective over the hypothesis values at the queried
-    points (projected subgradient with McShane-extension feasibility repair,
-    then exact coordinate sweeps); the handle stores (points, values) and
-    evaluates elsewhere by McShane extension. Absolute loss only.
+    Exact. On the sorted queried points only neighbours constrain each other,
+    |v_i - v_{i+1}| <= gap_i, so the best values are a chain DP over convex
+    piecewise-linear functions (`_chain_values`). The handle is (points,
+    values); elsewhere it evaluates the smallest 1-Lipschitz extension of the
+    values, clipped into [0,1]. Absolute loss only.
     """
-
-    solve_tolerance = 1e-3
-    max_iters = 5000
-
-    def __init__(self, dimension: int = 1):
-        super().__init__()
-        if dimension < 1:
-            raise ConfigError("dimension must be >= 1")
-        self.dimension = int(dimension)
 
     def evaluate(self, handle, x: Feature) -> float:
         points, values = handle
-        d = np.max(np.abs(points - feature_as_array(x)[None, :]), axis=1)
-        return float(np.clip(np.max(values - d), 0.0, 1.0))
-
-    def _repair(self, v: np.ndarray, dist: np.ndarray) -> np.ndarray:
-        v = np.max(v[None, :] - dist, axis=1)
-        return np.clip(v, 0.0, 1.0)
+        return float(np.clip(np.max(values - np.abs(points - float(x))), 0.0, 1.0))
 
     def solve(self, query: MixedErmQuery) -> ErmResult:
         self.solve_calls += 1
         if query.loss.kind != "absolute":
             raise UnsupportedClassError("LipschitzClass supports the absolute loss only")
-        parts = [xs.reshape(len(xs), -1) for xs in (query.xs, query.signed_xs) if len(xs)]
-        if not parts:
-            return ErmResult((np.zeros((1, self.dimension)), np.zeros(1)), 0.0)
-        points = np.concatenate(parts)
-        m = len(query.xs)
-        w, ys = query.ws, query.ys
-        cs = query.coefficient * query.signs
-        dist = np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
+        points = np.concatenate([scalar_rows(query.xs), scalar_rows(query.signed_xs)])
+        if not points.size:
+            return ErmResult((np.zeros(1), np.zeros(1)), 0.0)
+        # per point: label, weight and signed coefficient, zero where a term has none
+        pad = np.zeros(len(query.signs))
+        order = points.argsort(kind="stable")
+        terms = ((query.ys, pad), (query.ws, pad), (np.zeros(len(query.ys)), query.coefficient * query.signs))
+        ys, ws, cs = (np.concatenate(parts)[order] for parts in terms)
+        values = _chain_values(points[order], ys, ws, cs)
+        return ErmResult((points[order], values), float(np.sum(ws * np.abs(values - ys)) + np.sum(cs * values)))
 
-        def objective(v):
-            obj = float(np.sum(w * np.abs(v[:m] - ys))) if m else 0.0
-            if cs.size:
-                obj += float(cs @ v[m:])
-            return obj
 
-        v = np.full(len(points), 0.5)
-        if m:
-            v[:m] = ys
-        v = self._repair(v, dist)
-        best_v, best_obj = v.copy(), objective(v)
-        gscale = max(1.0, float(np.sum(w) + np.sum(np.abs(cs))))
-        for it in range(1, self.max_iters + 1):
-            g = np.zeros_like(v)
-            if m:
-                g[:m] = w * np.sign(v[:m] - ys)
-            if cs.size:
-                g[m:] += cs
-            v = self._repair(v - g / (gscale * np.sqrt(it)), dist)
-            obj = objective(v)
-            if obj < best_obj:
-                best_v, best_obj = v.copy(), obj
-        # Exact coordinate sweeps: each coordinate's optimum sits at its target
-        # label or a constraint boundary.
-        v = best_v
-        for _ in range(3):
-            for i in range(len(v)):
-                lo = max(0.0, float(np.max(v - dist[i])))
-                hi = min(1.0, float(np.min(v + dist[i])))
-                cand = [lo, hi]
-                if i < m and lo <= ys[i] <= hi:
-                    cand.append(float(ys[i]))
-                for c in cand:
-                    old = v[i]
-                    v[i] = c
-                    obj = objective(v)
-                    if obj < best_obj - 1e-12:
-                        best_obj = obj
-                        best_v = v.copy()
-                    else:
-                        v[i] = old
-            v = best_v.copy()
-        return ErmResult((points, best_v), float(best_obj))
+def _chain_values(points: np.ndarray, ys: np.ndarray, ws: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Values v in [0,1] at sorted `points`, 1-Lipschitz between neighbours,
+    minimizing sum_i ws_i*|v_i - ys_i| + cs_i*v_i exactly.
+
+    Slope trick: F_i(v), the best cost of the first i points with v_i = v, is
+    convex piecewise linear, kept as weighted breakpoints left of its minimum
+    (a max-heap) and right of it (a min-heap). F_i min-convolved with the box
+    [-gap_i, gap_i] shifts the left ones down and the right ones up by gap_i,
+    lazily. Ramps of weight w_i + |c_i| + 1 at 0 and 1 keep v in [0,1]
+    exactly: clamping keeps values 1-Lipschitz and lowers the penalty by more
+    than it raises the cost. Each v_i is the argmin of F_i clamped to the box
+    around v_{i+1}.
+    """
+    heaps, sgn, shift = ([], []), (-1.0, 1.0), [0.0, 0.0]  # 0: left side, 1: right side
+
+    def push(side, pos, w):
+        if w > 0.0:
+            heapq.heappush(heaps[side], (sgn[side] * (pos - shift[side]), w))
+
+    def move(side, need):
+        # moves slope weight `need` from the innermost breakpoints of `side` to the other side
+        heap = heaps[side]
+        while need > 0.0:
+            key, w = heapq.heappop(heap)
+            if w > need:
+                heapq.heappush(heap, (key, w - need))
+                w = need
+            push(1 - side, sgn[side] * key + shift[side], w)
+            need -= w
+
+    def ramp(side, pos, w):
+        # adds w*max(0, pos - v) for side 0 and w*max(0, v - pos) for side 1
+        push(1 - side, pos, w)
+        move(1 - side, w)
+
+    pts, values = points.tolist(), []  # values holds each F_i's smallest argmin until the backward pass
+    for i, (y, w, c) in enumerate(zip(ys.tolist(), ws.tolist(), cs.tolist())):
+        if i:
+            shift[0] -= pts[i] - pts[i - 1]
+            shift[1] += pts[i] - pts[i - 1]
+        ramp(0, 0.0, w + abs(c) + 1.0)
+        ramp(1, 1.0, w + abs(c) + 1.0)
+        ramp(0, y, w)
+        ramp(1, y, w)
+        move(0 if c > 0.0 else 1, abs(c))
+        values.append(-heaps[0][0][0] + shift[0])
+    for i in range(len(pts) - 2, -1, -1):
+        gap = pts[i + 1] - pts[i]
+        values[i] = min(max(values[i], values[i + 1] - gap), values[i + 1] + gap)
+    return np.clip(values, 0.0, 1.0)
 
 
 def reference_solve(cls: HypothesisClass, query: MixedErmQuery, grid_step: float) -> ErmResult:

@@ -243,7 +243,6 @@ def check_sensitivity(
         xs, ys = _history(*inst.history)
         _, pert_ys = _history(xs, inst.perturbed_labels)
         j = len(ys)
-        slack = 2.0 * inst.cls.solve_tolerance + 1e-9
 
         vals = np.array([
             f_eval((xs, ys), inst.tail_halluc, inst.signs, x, inst.cls, inst.loss)
@@ -259,7 +258,7 @@ def check_sensitivity(
         lip_margin = float(np.max(np.abs(vals - pert_vals))) - j * L * delta
 
         margin = max(spread_margin, lip_margin)
-        all_pass = all_pass and margin <= slack
+        all_pass = all_pass and margin <= 1e-9
         worst = max(worst, margin)
     return CheckReport(
         name="sensitivity", instances=count, passed=all_pass, worst_margin=float(worst)

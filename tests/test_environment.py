@@ -75,6 +75,28 @@ class TestDistributions:
             FeatureDistribution.discrete([0.1, 0.9], probs)
 
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [-3.0, 0.5], [0.5, 1.5], [float("nan"), 0.5], [0.2, float("inf")],
+            [np.array([0.2, 1.2]), np.array([0.1, 0.1])], [np.array([0.2, float("nan")]), np.array([0.1, 0.1])],
+        ],
+    )
+    def test_points_outside_unit_cube_rejected(self, points):
+        # rejected when built: a point off [0,1] would play, and score negative regret
+        with pytest.raises(ConfigError, match="discrete points must have entries in"):
+            FeatureDistribution.discrete(points, [0.5, 0.5])
+
+    @pytest.mark.parametrize("x", [1.5, -0.1, float("nan"), np.array([0.5, 2.0])])
+    def test_point_mass_outside_unit_cube_rejected(self, x):
+        with pytest.raises(ConfigError):
+            FeatureDistribution.point_mass(x)
+
+    def test_vector_and_edge_points_accepted(self):
+        assert FeatureDistribution.discrete([0.0, 1.0], [0.5, 0.5]).points == [0.0, 1.0]
+        env = FeatureDistribution.point_mass(np.array([0.0, 1.0]))
+        assert list(env.sample(np.random.default_rng(0))) == [0.0, 1.0]
+
     @pytest.mark.parametrize("points, probs", [([0.1, 0.9], [1.0]), ([0.5], [0.5, 0.5]), ([], []), ([], [1.0])])
     def test_points_and_probs_must_match(self, points, probs):
         # rejected when built, not by numpy at the first sample

@@ -389,7 +389,13 @@ class TestChunkedPlay:
         from relaxplay import ABSOLUTE_LOSS, InputDomainError
         from relaxplay.environment import flip_to_far
 
-        env = FeatureDistribution.discrete([0.2, float("nan")], [0.5, 0.5])
+        class HalfNan:
+            # draws as FeatureDistribution.discrete([0.2, nan], [0.5, 0.5]) would; that
+            # distribution is rejected when built, so the NaN comes from a bare process
+            def sample(self, rng):
+                return [0.2, float("nan")][rng.choice(2, p=[0.5, 0.5])]
+
+        env = HalfNan()
         adv = flip_to_far() if adversary == "flip_to_far" else ObliviousAdversary(_threshold_labels, binary_labels=True)
         with pytest.raises(InputDomainError):
             run_epoch_predictor(

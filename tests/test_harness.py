@@ -127,6 +127,66 @@ class TestBuilders:
         assert list(costs(1, 0.5, [])) == [0.0, 1.0]
 
 
+class TestRealFields:
+    """Real-valued fields take finite numbers only and fail under their own path."""
+
+    @pytest.mark.parametrize("bad", ["abc", "0.5", None, True, math.nan, math.inf, [0.5]])
+    @pytest.mark.parametrize(
+        "build,path",
+        [
+            (lambda v: build_class({"kind": "interval", "gamma_len": v}), r"class\.gamma_len"),
+            (lambda v: build_distribution({"kind": "uniform", "low": v}, "env"), r"env\.low"),
+            (lambda v: build_distribution({"kind": "point_mass", "x": v}, "env"), r"env\.x"),
+            (lambda v: build_adversary({"name": "noisy_target", "p": v}), r"adversary\.p"),
+            (lambda v: build_schedule({"kind": "polynomial", "q": v}), r"schedule\.q"),
+            (lambda v: build_costs({"name": "feature_gap", "gap": v}), r"costs\.gap"),
+        ],
+        ids=["gamma_len", "low", "point_mass", "noisy_p", "q", "gap"],
+    )
+    def test_bad_scalar_rejected_with_its_path(self, build, path, bad):
+        with pytest.raises(ConfigError, match=path + ": must be a finite number"):
+            build(bad)
+
+    @pytest.mark.parametrize(
+        "build,path",
+        [
+            (lambda v: build_class({"kind": "finite_constants", "values": v}), r"class\.values"),
+            (lambda v: build_distribution({"kind": "discrete", "points": v, "probs": [1.0]}, "env"), r"env\.points"),
+            (lambda v: build_policies({"kind": "mixed", "K": 2, "thresholds": v}), r"policies\.thresholds"),
+            (lambda v: build_costs({"name": "constant", "values": v}), r"costs\.values"),
+        ],
+        ids=["constants", "points", "mixed_thresholds", "cost_values"],
+    )
+    def test_bad_list_rejected_with_its_path(self, build, path):
+        with pytest.raises(ConfigError, match=path + ": must be a list of numbers, got 7"):
+            build(7)
+        with pytest.raises(ConfigError, match=path + r"\[0\]: must be a finite number, got 'a'"):
+            build(["a"])
+
+    def test_good_values_build_as_floats(self):
+        assert build_class({"kind": "interval", "gamma_len": 1}).gamma_len == 1.0
+        assert build_class({"kind": "finite_constants", "values": [0, np.float64(1.0)]}).is_binary
+        assert build_schedule({"kind": "geometric", "ratio": 2}).ratio == 2.0
+
+    @pytest.mark.parametrize(
+        "sets,message",
+        [
+            (["class.kind=interval", "class.gamma_len=abc", "env.kind=uniform"],
+             "class.gamma_len: must be a finite number, got 'abc'"),
+            (["class.kind=threshold", "env.kind=uniform", "env.low=null"],
+             "env.low: must be a finite number, got None"),
+            (["class.kind=finite_constants", "class.values=7", "env.kind=uniform"],
+             "class.values: must be a list of numbers, got 7"),
+        ],
+        ids=["gamma_len", "low", "values"],
+    )
+    def test_cli_exit_two(self, capsys, sets, message):
+        args = ["online", "--horizons", "8", "--set", "adversary.name=constant", "--set", "adversary.value=1"]
+        args += [a for s in sets for a in ("--set", s)]
+        assert cli_main(args) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestRunExperiment:
     def test_online_summary_shape(self, tmp_path):
         summary = run_experiment(dict(ONLINE_CONFIG), out_dir=str(tmp_path))
@@ -239,16 +299,13 @@ class TestRunExperiment:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("bad", [4.7, 1.9, True, -1, math.nan, "2", None])
-    @pytest.mark.parametrize("field", ["segment.start", "lipschitz.dimension", "constant.arms", "mixed.arms"])
+    @pytest.mark.parametrize("field", ["segment.start", "constant.arms", "mixed.arms"])
     def test_bad_integer_field_rejected_with_its_path(self, tmp_path, field, bad):
         if field == "segment.start":
             segments = [dict(seg) for seg in PINNED_SHIFTING["env"]["segments"]]
             segments[1]["start"] = bad
             config = dict(PINNED_SHIFTING, env={"kind": "shifting", "segments": segments})
             path = r"env\.segments\[1\]\.start"
-        elif field == "lipschitz.dimension":
-            config = dict(ONLINE_CONFIG, **{"class": {"kind": "lipschitz", "dimension": bad}})
-            path = r"class\.dimension"
         else:
             kind = field.split(".")[0]
             config = dict(PINNED_BANDIT, policies={"kind": kind, "K": 2, "arms": [0, bad]})
@@ -432,12 +489,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "sets,message",
         [
-            (["class.kind=lipschitz", "class.dimension=1.9"], "class.dimension must be a positive integer, got 1.9"),
             (["env.kind=shifting", 'env.segments=[{"dist":{"kind":"uniform"},"start":1},'
               '{"dist":{"kind":"uniform"},"start":4.7}]', "class.kind=threshold"],
              "env.segments[1].start must be a positive integer, got 4.7"),
         ],
-        ids=["dimension", "segment_start"],
+        ids=["segment_start"],
     )
     def test_non_integer_field_exit_two(self, capsys, sets, message):
         args = ["online", "--horizons", "8", "--set", "adversary.name=constant", "--set", "adversary.value=1"]

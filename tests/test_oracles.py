@@ -144,27 +144,24 @@ class TestLipschitzSolve:
         assert res.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_binding_constraint(self):
+        # labels 1 and 0 at distance 0.2: the values can differ by 0.2 at most
         cls = LipschitzClass()
         res = cls.solve(MixedErmQuery(pairs=(LabeledPair(0.0, 1.0), LabeledPair(0.2, 0.0))))
-        assert res.objective == pytest.approx(0.8, abs=cls.solve_tolerance)
+        assert res.objective == pytest.approx(0.8, abs=1e-12)
+        points, values = res.hypothesis
+        assert values[0] - values[1] == pytest.approx(0.2, abs=1e-12)
 
     def test_output_always_feasible(self):
         rng = np.random.default_rng(11)
-        cls = LipschitzClass(dimension=2)
+        cls = LipschitzClass()
         for _ in range(20):
-            pairs = tuple(
-                LabeledPair(rng.random(2), float(y)) for y in rng.random(3)
+            query = MixedErmQuery(
+                xs=rng.random(3), ys=rng.random(3),
+                signed_xs=rng.random(2), signs=rng.integers(0, 2, 2) * 2 - 1.0, coefficient=1.5,
             )
-            signed = tuple(
-                SignedTerm(int(s), rng.random(2)) for s in rng.integers(0, 2, 2) * 2 - 1
-            )
-            points, values = cls.solve(
-                MixedErmQuery(pairs=pairs, signed=signed, coefficient=1.5)
-            ).hypothesis
-            dist = np.max(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
-            diff = np.abs(values[:, None] - values[None, :])
-            assert np.all(diff <= dist + 1e-9)
-            assert np.all((values >= -1e-12) & (values <= 1 + 1e-12))
+            points, values = cls.solve(query).hypothesis
+            assert_lipschitz_values(points, values)
+            assert [cls.evaluate((points, values), x) for x in points.tolist()] == pytest.approx(values, abs=1e-12)
 
     def test_rejects_custom_loss(self):
         from relaxplay import LossFn
@@ -172,6 +169,99 @@ class TestLipschitzSolve:
         loss = LossFn(kind="custom", lipschitz=1.0, evaluator=lambda p, y: (p - y) ** 2)
         with pytest.raises(UnsupportedClassError):
             LipschitzClass().solve(MixedErmQuery(pairs=(LabeledPair(0.1, 0.2),), loss=loss))
+
+    def test_empty_query(self):
+        res = LipschitzClass().solve(MixedErmQuery())
+        assert res.objective == 0.0
+        assert LipschitzClass().evaluate(res.hypothesis, 0.7) == 0.0
+
+
+def assert_lipschitz_values(points, values):
+    """Sorted points, values in [0,1], and 1-Lipschitz between neighbours."""
+    assert np.all(np.diff(points) >= 0.0)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.abs(np.diff(values)) <= np.diff(points) + 1e-12)
+
+
+def lipschitz_lp(query):
+    """Exact reference for LipschitzClass: the LP over the values v at the
+    queried points and slacks t_k >= |v_k - y_k| of the pairs, with
+    |v_i - v_j| <= x_j - x_i for neighbours i, j in sorted order and
+    0 <= v <= 1 (scipy HiGHS)."""
+    from scipy.optimize import linprog
+
+    points = np.concatenate([query.xs, query.signed_xs])
+    n, m = len(points), len(query.xs)
+    if n == 0:
+        return 0.0
+    cost = np.concatenate([np.zeros(m), query.coefficient * query.signs, query.ws])
+    rows, bounds = [], []
+    for k, y in enumerate(query.ys.tolist()):
+        for s in (1.0, -1.0):  # s*(v_k - y) <= t_k
+            row = np.zeros(n + m)
+            row[k], row[n + k] = s, -1.0
+            rows.append(row)
+            bounds.append(s * y)
+    order = points.argsort(kind="stable")
+    for i, j in zip(order[:-1].tolist(), order[1:].tolist()):
+        for s in (1.0, -1.0):
+            row = np.zeros(n + m)
+            row[i], row[j] = s, -s
+            rows.append(row)
+            bounds.append(points[j] - points[i])
+    res = linprog(
+        cost, A_ub=np.array(rows) if rows else None, b_ub=np.array(bounds) if rows else None,
+        bounds=[(0.0, 1.0)] * n + [(0.0, None)] * m, method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+class TestLipschitzAgainstLp:
+    """The chain DP against the exact LP, to 1e-9, with feasible values."""
+
+    def _check(self, query):
+        res = LipschitzClass().solve(query)
+        assert res.objective == pytest.approx(lipschitz_lp(query), abs=1e-9)
+        points, values = res.hypothesis
+        assert_lipschitz_values(points, values)
+
+    def test_500_random_queries(self):
+        rng = np.random.default_rng(25)
+        for i in range(500):
+            n_pairs, n_signed = (int(n) for n in rng.integers(0, 30, 2))
+            if i % 5 == 1:
+                n_signed = 0  # pairs only
+            elif i % 5 == 2:
+                n_pairs = 0  # signed terms only
+            if n_pairs + n_signed == 0:
+                n_pairs = 1
+            if i % 3 == 0:  # duplicate points on a coarse lattice
+                lattice = int(rng.integers(2, 8))
+                xs = rng.integers(0, lattice + 1, n_pairs) / lattice
+                signed_xs = rng.integers(0, lattice + 1, n_signed) / lattice
+            else:
+                xs, signed_xs = rng.random(n_pairs), rng.random(n_signed)
+            ys = rng.integers(0, 2, n_pairs).astype(float) if i % 2 else rng.random(n_pairs)
+            ws = rng.uniform(0.0, 3.0, n_pairs) * (rng.random(n_pairs) > 0.2)  # some zero weights
+            C = 0.0 if i % 7 == 0 else float(rng.uniform(0.0, 4.0))
+            self._check(MixedErmQuery(
+                xs=xs, ys=ys, ws=ws, signed_xs=signed_xs, signs=rng.integers(0, 2, n_signed) * 2 - 1.0, coefficient=C,
+            ))
+
+    feature = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(feature, st.floats(0.0, 1.0), st.floats(0.0, 3.0)), max_size=8),
+        signed=st.lists(st.tuples(feature, st.sampled_from((-1.0, 1.0))), max_size=8),
+        coefficient=st.floats(0.0, 3.0),
+    )
+    def test_property(self, pairs, signed, coefficient):
+        self._check(MixedErmQuery(
+            xs=[p[0] for p in pairs], ys=[p[1] for p in pairs], ws=[p[2] for p in pairs],
+            signed_xs=[s[0] for s in signed], signs=[s[1] for s in signed], coefficient=coefficient,
+        ))
 
 
 class TestReferenceCrossChecks:
@@ -461,7 +551,7 @@ class TestArrayAndTermQueriesAgree:
 
 
 class TestScalarOraclesRejectVectors:
-    @pytest.mark.parametrize("cls", [ThresholdClass(), IntervalClass(0.1)])
+    @pytest.mark.parametrize("cls", [ThresholdClass(), IntervalClass(0.1), LipschitzClass()])
     def test_array_built_vector_features(self, cls):
         with pytest.raises(UnsupportedClassError):
             cls.solve(MixedErmQuery(xs=np.array([[0.1, 0.2]]), ys=[0.0]))

@@ -27,8 +27,8 @@ import numpy as np
 from .core import ConfigError, Feature, InputDomainError, feature_list, feature_rows, lowest_argmin
 from .environment import sample_feature
 from .epochs import EpochClock, EpochSchedule, RoundStreams, check_seed
-from .predictor import PoolExhaustedError
-from .traces import BANDIT_COLUMNS, RegretTrace
+from .predictor import PoolExhaustedError, draw_slots
+from .traces import BANDIT_COLUMNS, RegretTrace, running_total
 
 
 class PolicyClass:
@@ -143,14 +143,12 @@ def draw_bandit(
     """`count` distinct slots of a pool of `pool_size` contexts, with their
     signs and Z's.
 
-    `rng` gives a permutation of the pool, then the signs row by row, then
-    one uniform per slot for its Z.
+    `rng` gives the slots and their sign rows as `draw_slots` draws them,
+    then one uniform per slot for its Z.
     """
     if count > pool_size:
         raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool_size}")
-    # a draw of nothing leaves rng untouched
-    idx = rng.permutation(pool_size)[:count] if count else np.arange(0)
-    signs = rng.integers(0, 2, size=(count, K)) * 2 - 1
+    idx, signs = draw_slots(pool_size, count, rng, (K,))
     zs = np.where(rng.random(count) < gamma * K, 1.0 / gamma, 0.0)
     return BanditDraw(idx, signs, zs)
 
@@ -260,11 +258,6 @@ def bandit_epoch_schedule() -> EpochSchedule:
     return EpochSchedule(kind="polynomial", alpha=1.5)
 
 
-def _running_total(values: np.ndarray) -> np.ndarray:
-    """The totals 0.0 + v_1 + ... + v_t, added left to right as a loop adds them."""
-    return np.cumsum(np.concatenate(([0.0], values)))[1:]
-
-
 def run_bandit(
     policy_class: PolicyClass,
     env,
@@ -341,7 +334,7 @@ def run_bandit(
     comp_class = policy_class.clone()
     h_star, _ = policy_erm(comp_class, ArmCosts(arm_matrix, costs))
     rounds = np.arange(T)
-    cum_regret = _running_total(expected) - _running_total(costs[rounds, arm_matrix[h_star]])
+    cum_regret = running_total(expected) - running_total(costs[rounds, arm_matrix[h_star]])
     trace = RegretTrace(
         columns=BANDIT_COLUMNS,
         rows=list(

@@ -33,11 +33,9 @@ class FeatureDistribution:
                 raise ConfigError("probabilities must be finite and nonnegative")
             if abs(probs.sum() - 1.0) > 1e-12:
                 raise ConfigError("discrete probabilities must sum to 1")
-            for p in pts:
-                entries = np.asarray(p, dtype=float)
-                if not np.all((entries >= 0.0) & (entries <= 1.0)):  # NaN fails too
-                    raise ConfigError(f"discrete points must have entries in [0,1], got {p!r}")
-            self._points = pts
+            self._points = [_feature_point(p) for p in pts]
+            if len({np.shape(p) for p in self._points}) > 1:
+                raise ConfigError("discrete points must be all scalars or all vectors of one length")
             self._probs = probs
         elif kind == "uniform":
             lo, hi = params.get("low", 0.0), params.get("high", 1.0)
@@ -84,6 +82,17 @@ class FeatureDistribution:
         if self.kind == "uniform":
             return float(rng.uniform(self._lo, self._hi))
         return np.array([f.sample(rng) for f in self._factors])
+
+
+def _feature_point(p) -> Feature:
+    """A discrete point stored once, as `sample` returns it: a float, or a read-only float64 vector."""
+    entries = np.array(p, dtype=float)
+    if entries.ndim > 1 or not np.all((entries >= 0.0) & (entries <= 1.0)):  # NaN fails too
+        raise ConfigError(f"discrete points must have entries in [0,1] and at most one axis, got {p!r}")
+    if entries.ndim == 0:
+        return float(entries)
+    entries.flags.writeable = False
+    return entries
 
 
 class ShiftingProcess:

@@ -18,8 +18,10 @@ from numpy.random.bit_generator import ISeedSequence
 from .core import (
     ConfigError,
     HypothesisClass,
+    InputDomainError,
     LossFn,
     best_in_hindsight,
+    feature_list,
     feature_rows,
     loss_eval,
 )
@@ -32,10 +34,10 @@ from .predictor import (
     SidePool,
     draw_slots,
     predict_binary_fast,
-    predict_binary_fast_rows,
+    predict_binary_fast_batch,
     predict_general,
 )
-from .traces import ONLINE_COLUMNS, RegretTrace
+from .traces import ONLINE_COLUMNS, RegretTrace, running_total
 
 ALPHA_CAP = 8.0
 
@@ -307,21 +309,20 @@ class RoundStreams:
 
 
 class _EpochPredictorState:
-    """Predictor-side state for one independent segment (one block or run).
+    """Predictor-side state for one independent segment (one block or run)
+    of the game whose rounds are written to `xs` and `ys`, from index `first`.
 
-    The current epoch's features and labels live in arrays of the epoch's
-    length; at each epoch boundary they join the side pool. As labels
-    arrive, `prefix` keeps the running sum of their losses |0 - y| (prefix[i]
-    over the first i) and `pair_dlt` their flip deltas |1 - y| - |0 - y|.
+    The side pool (the segment's features before the current epoch) and the
+    epoch's history are views of those arrays.
     """
 
-    def __init__(self, schedule, cls, loss, use_fast: bool):
+    def __init__(self, schedule, cls, loss, use_fast: bool, xs: np.ndarray, ys: np.ndarray, first: int):
         self.clock = EpochClock(schedule)
         self.probe_cls = cls.clone()  # every probe of the segment solves on this one clone
         self.loss = loss
         self.use_fast = use_fast
-        self.pool = SidePool()
-        self.xs = self.ys = self.pconf = self.prefix = self.pair_dlt = None
+        self.game_xs, self.game_ys, self.first = xs, ys, first
+        self.pool = self.xs = self.ys = self.pconf = None  # set when the first round opens epoch 1
 
     def next_chunk(self, limit: int) -> int:
         """Rounds in the next chunk: at most `limit`, none past the end of the
@@ -330,29 +331,19 @@ class _EpochPredictorState:
         m, left = self.clock.upcoming()
         return max(1, min(limit, left, MAX_BATCH_ELEMENTS // (2 * m)))
 
-    def advance(self, x_t) -> None:
-        """Move to the next local round, whose feature is x_t."""
+    def advance(self) -> None:
+        """Move to the next local round, whose feature the game has written."""
         clock = self.clock
         if clock.tick():
-            if self.xs is not None:
-                self.pool = SidePool(np.concatenate((self.pool.features, self.xs)) if self.pool.size else self.xs)
-            self.xs = np.empty((clock.length,) + np.shape(x_t))
-            self.ys = np.empty(clock.length)
-            self.prefix, self.pair_dlt = [0.0], np.empty(clock.length)
+            lo = self.first + clock.start
+            self.pool = SidePool(self.game_xs[self.first : lo])
+            self.xs, self.ys = self.game_xs[lo : lo + clock.length], self.game_ys[lo : lo + clock.length]
             self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
-        self.xs[clock.j - 1] = x_t
-
-    def record(self, y_t) -> None:
-        j = self.clock.j
-        self.ys[j - 1] = y_t
-        l0 = abs(0.0 - y_t)
-        self.prefix.append(self.prefix[-1] + l0)
-        self.pair_dlt[j - 1] = abs(1.0 - y_t) - l0
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A hallucination draw for the current round, as (halluc, signs): the
         rest of the epoch, as far as the pool reaches."""
-        idx, signs = draw_slots(self.pool, self.clock.count, rng)
+        idx, signs = draw_slots(self.pool.size, self.clock.count, rng)
         return self.pool.features[idx], signs
 
     def predict(self, js, draws, cls) -> tuple[list, list]:
@@ -364,7 +355,7 @@ class _EpochPredictorState:
         """
         if self.use_fast and cls.solve_rows is not None:
             before = cls.solve_calls
-            yhats = predict_binary_fast_rows(self.xs, self.prefix, self.pair_dlt, js, draws, cls, self.loss)
+            yhats = predict_binary_fast_batch(self.xs, self.ys, js, draws, cls, self.loss)
             return yhats.tolist(), [(cls.solve_calls - before) // len(js)] * len(js)
         predict = predict_binary_fast if self.use_fast else predict_general
         yhats, calls = [], []
@@ -392,16 +383,17 @@ class _EpochPredictorState:
 
 @dataclass
 class PlayedRounds:
-    """Per-round columns of a played game, plus each segment's final predictor state."""
+    """A played game as T-length arrays, each round written once, plus each
+    segment's final predictor state."""
 
-    xs: list = field(default_factory=list)
-    ys: list = field(default_factory=list)
-    yhats: list = field(default_factory=list)
-    losses: list = field(default_factory=list)
-    meta: list = field(default_factory=list)  # (block, epoch, j, erm_calls) per round
+    xs: np.ndarray  # float64 features, (T,) or (T, d)
+    ys: np.ndarray
+    yhats: np.ndarray
+    losses: np.ndarray
+    meta: np.ndarray  # (T, 4) ints: block, epoch, j and erm_calls of each round
+    use_fast: bool
+    probed: bool  # whether the adversary probed each round's mean prediction
     states: list = field(default_factory=list)
-    use_fast: bool = False
-    probed: bool = False  # whether the adversary probed each round's mean prediction
 
 
 def play_rounds(
@@ -427,65 +419,75 @@ def play_rounds(
     on stream 3 with one oracle clone per segment, and every stream is per
     (seed, stream, t) (`RoundStreams`), so the chunks draw exactly what
     round-by-round play would, and erm_calls counts each round's own call.
+    x_1 is sampled first, to size the game's arrays.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
     oblivious = adversary.kind == "oblivious"
     use_fast = cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
-    played = PlayedRounds(use_fast=use_fast, probed=not oblivious)
     streams = RoundStreams(config.seed, T, (1, 2, 4) if oblivious else (1, 2, 3, 4))
+    x_t = sample_feature(env, 1, streams.rngs(1, 1))
+    shape = feature_rows([x_t]).shape[1:]
+    played = PlayedRounds(
+        xs=np.empty((T, *shape)), ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T),
+        meta=np.empty((T, 4), dtype=np.intp), use_fast=use_fast, probed=not oblivious,
+    )
     history: list = []
     t = 0
     while t < T:
-        state = _EpochPredictorState(schedule, cls, loss, played.use_fast)
+        state = _EpochPredictorState(schedule, cls, loss, use_fast, played.xs, played.ys, t)
         played.states.append(state)
         end = min(t + block, T)
         while t < end:
             k = state.next_chunk(end - t)
             js, draws = [], []
             for t in range(t + 1, t + k + 1):
-                x_t = sample_feature(env, t, streams.rngs(1, t))
-                state.advance(x_t)
+                if t > 1:
+                    x_t = sample_feature(env, t, streams.rngs(1, t))
+                    # numpy would broadcast a scalar into a vector row; other mismatches raise when written
+                    if shape and np.shape(x_t) != shape:
+                        raise InputDomainError("features must be all scalars or all vectors of one length")
+                played.xs[t - 1] = x_t
+                state.advance()
                 probe = None if oblivious else state.probe(streams, t, config.probe_mc)
                 y_t = adversary.emit(t, history, x_t, probe, streams.rngs(4, t))
-                state.record(y_t)
+                played.ys[t - 1] = y_t
                 history.append((x_t, y_t))
-                played.xs.append(x_t)
-                played.ys.append(y_t)
                 js.append(state.clock.j)
                 draws.append(state.draw(streams.rngs(2, t)))
             yhats, calls = state.predict(js, draws, cls)
-            for yhat, y_t, j, erm_calls in zip(yhats, played.ys[-k:], js, calls):
-                played.yhats.append(yhat)
-                played.losses.append(loss_eval(loss, yhat, y_t))
-                played.meta.append((len(played.states), state.clock.n, j, erm_calls))
+            rounds = slice(t - k, t)
+            played.yhats[rounds] = yhats
+            played.losses[rounds] = [loss_eval(loss, p, y) for p, y in zip(yhats, played.ys[rounds].tolist())]
+            played.meta[rounds] = [(len(played.states), state.clock.n, j, c) for j, c in zip(js, calls)]
     return played
 
 
 def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
-    """The per-round trace of `played` against the best fixed hypothesis in hindsight.
+    """The per-round trace of `played` against the best fixed hypothesis in
+    hindsight, and that comparator oracle (a clone of `cls`).
 
-    Returns the trace, the comparator oracle (a clone of `cls`) and the
-    game's features and labels as arrays. The metadata sums each segment's
-    rounding drift and hallucination shortfall; a probed game's also counts
-    the probes' oracle calls, which the erm_calls column leaves out.
+    The cumulative columns are running totals of the per-round losses. The
+    metadata sums each segment's rounding drift and hallucination shortfall;
+    a probed game's also counts the probes' oracle calls, which the
+    erm_calls column leaves out.
     """
-    X, Y = feature_rows(played.xs), np.array(played.ys)
     comparator = cls.clone()
-    h_star, _ = best_in_hindsight(comparator, loss=loss, xs=X, ys=Y)
-    trace = RegretTrace(columns=ONLINE_COLUMNS)
-    cum_loss = cum_comp = 0.0
-    for t, (x, y, yhat, loss_t, (block, n, j, erm_calls)) in enumerate(
-        zip(played.xs, played.ys, played.yhats, played.losses, played.meta), start=1
-    ):
-        cum_loss += loss_t
-        cum_comp += loss_eval(loss, comparator.evaluate(h_star, x), y)
-        trace.append(
-            t=t, block=block, epoch=n, j=j,
-            x=_feature_repr(x), y=y, yhat=yhat,
-            loss=loss_t, cum_loss=cum_loss, cum_regret=cum_loss - cum_comp,
-            erm_calls=erm_calls,
-        )
+    h_star, _ = best_in_hindsight(comparator, loss=loss, xs=played.xs, ys=played.ys)
+    ys = played.ys.tolist()
+    comp_losses = [loss_eval(loss, comparator.evaluate(h_star, x), y) for x, y in zip(feature_list(played.xs), ys)]
+    cum_loss = running_total(played.losses)
+    xs = played.xs.tolist() if played.xs.ndim == 1 else [";".join(map(repr, x)) for x in played.xs.tolist()]
+    blocks, epochs, js, erm_calls = played.meta.T.tolist()
+    trace = RegretTrace(
+        columns=ONLINE_COLUMNS,
+        rows=list(
+            zip(
+                range(1, len(ys) + 1), blocks, epochs, js, xs, ys, played.yhats.tolist(), played.losses.tolist(),
+                cum_loss.tolist(), (cum_loss - running_total(comp_losses)).tolist(), erm_calls,
+            )
+        ),
+    )
     clocks = [state.clock for state in played.states]
     trace.metadata.update(
         rounding_drift=sum(c.drift for c in clocks), halluc_shortfall=sum(c.shortfall for c in clocks),
@@ -493,7 +495,7 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
     )
     if played.probed:
         trace.metadata["probe_erm_calls"] = sum(state.probe_cls.solve_calls for state in played.states)
-    return trace, comparator, X, Y
+    return trace, comparator
 
 
 def run_epoch_predictor(
@@ -512,35 +514,26 @@ def run_epoch_predictor(
     calls of each round's own prediction (probes use a cloned oracle).
     """
     played = play_rounds(schedule, cls, loss, env, adversary, T, T, config)
-    trace, comparator, X, Y = online_trace(cls, loss, played)
-    _check_epoch_additivity(trace, comparator, X, Y, played.losses, [m[1] for m in played.meta], loss)
+    trace, comparator = online_trace(cls, loss, played)
+    _check_epoch_additivity(trace, comparator, loss, played)
     trace.metadata.update(seed=config.seed, T=T, adversary=adversary.kind)
     return trace
 
 
-def _feature_repr(x):
-    if isinstance(x, np.ndarray):
-        return ";".join(repr(float(v)) for v in x)
-    return float(x)
-
-
-def segment_regrets(oracle: HypothesisClass, loss: LossFn, X, Y, losses, starts) -> list:
+def segment_regrets(oracle: HypothesisClass, loss: LossFn, played: PlayedRounds, starts) -> list:
     """Each segment's summed losses minus those of its own best fixed
     hypothesis in hindsight; segment i runs from round index starts[i]
     (0-based) up to the next start, the last one to the end of the game."""
-    regrets = []
+    regrets, losses = [], played.losses.tolist()
     for start, end in zip(starts, [*starts[1:], len(losses)]):
-        _, comp = best_in_hindsight(oracle, loss=loss, xs=X[start:end], ys=Y[start:end])
+        _, comp = best_in_hindsight(oracle, loss=loss, xs=played.xs[start:end], ys=played.ys[start:end])
         regrets.append(sum(losses[start:end]) - comp)
     return regrets
 
 
-def _check_epoch_additivity(trace, comparator, X, Y, losses, epochs, loss):
+def _check_epoch_additivity(trace, comparator, loss, played: PlayedRounds):
     """Total regret never exceeds the sum of per-epoch regrets measured
     against per-epoch comparators (which are at least as good per epoch)."""
-    bound = 0.0
-    starts = [i for i, n in enumerate(epochs) if i == 0 or n != epochs[i - 1]]
-    for regret in segment_regrets(comparator, loss, X, Y, losses, starts):
-        bound += regret
-    if trace.final_regret > bound + 1e-9:
+    starts = np.flatnonzero(np.diff(played.meta[:, 1], prepend=0)).tolist()  # epochs count from 1
+    if trace.final_regret > sum(segment_regrets(comparator, loss, played, starts)) + 1e-9:
         raise AssertionError("epoch regret additivity violated")

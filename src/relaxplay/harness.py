@@ -310,7 +310,8 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
         elif mode == "rademacher":
             T = check_count(_get(config, "T", "config"), "config.T")
             cls_spec = _get(config, "class", "config")
-            env = build_env(_get(config, "env", "config"))
+            # the estimate samples one fixed distribution, so a shifting env is a config error
+            env = build_distribution(_get(config, "env", "config"), "env")
             mc = check_count(config.get("mc_samples", 256), "config.mc_samples")
             means = []
             for seed in seeds:

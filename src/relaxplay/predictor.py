@@ -108,11 +108,16 @@ class GameHistory:
         return tuple(LabeledPair(x, y) for x, y in zip(feature_list(self.xs[:-1]), self.ys.tolist()))
 
 
-def draw_slots(pool: SidePool, count: int, rng: np.random.Generator) -> tuple:
-    """The pool slots and signs of a `draw_halluc` draw, for a checked `count`; no RNG use when it is 0."""
+def draw_slots(size: int, count: int, rng: np.random.Generator, shape: tuple = ()) -> tuple:
+    """`count` distinct slots out of `size`, in uniform order, and one sign
+    array of `shape` per slot, for a checked `count`.
+
+    `rng` gives a permutation of the slots, then the sign bits slot by slot;
+    no RNG use when `count` is 0.
+    """
     if count == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    return rng.permutation(pool.size)[:count], _SIGNS[rng.integers(0, 2, size=count)]  # integers(0, 2) * 2 - 1
+        return np.empty(0, dtype=np.intp), np.empty((0, *shape))
+    return rng.permutation(size)[:count], _SIGNS[rng.integers(0, 2, size=(count, *shape))]  # integers(0, 2) * 2 - 1
 
 
 def draw_halluc(pool: SidePool, count: int, rng: np.random.Generator) -> RelaxationDraw:
@@ -123,7 +128,7 @@ def draw_halluc(pool: SidePool, count: int, rng: np.random.Generator) -> Relaxat
         raise ConfigError(f"count must be a non-negative integer, got {count!r}")
     if count > pool.size:
         raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool.size}")
-    idx, signs = draw_slots(pool, count, rng)
+    idx, signs = draw_slots(pool.size, count, rng)
     return RelaxationDraw(pool.features[idx], signs, idx)
 
 
@@ -240,12 +245,29 @@ _PROBE_DLT = np.array([1.0, -1.0])
 _SIGNS = np.array([-1, 1])  # a draw's signs by the bit drawn
 
 
-def predict_binary_fast_rows(xs, prefix, pair_dlt, js, draws, cls, loss=ABSOLUTE_LOSS) -> np.ndarray:
-    """`predict_binary_fast_batch` on a game's label-loss prefix (prefix[i] sums
-    |0 - y| over its first i labels, in order) and pair flip deltas
-    (|1 - y| - |0 - y| per label); each draw is a (halluc, signs) pair."""
+def predict_binary_fast_batch(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    js: Sequence[int],
+    draws: Sequence[tuple],
+    cls: HypothesisClass,
+    loss: LossFn = ABSOLUTE_LOSS,
+) -> np.ndarray:
+    """predict_binary_fast for many rounds of one game, bit for bit, in batched solves.
+
+    Round r has the history xs[:j], ys[:j-1] with j = js[r] and the draw
+    draws[r], a (halluc, signs) pair. Its two queries become two flip-delta
+    rows (probe label 0, then 1) for `cls.solve_rows`; rows of one length are
+    solved together, at most MAX_BATCH_ELEMENTS elements at a time, and each
+    row counts one solve call. The query sums its labels' losses in order,
+    so a row's base is the left-to-right `cumsum` of |0 - y| plus the probe
+    label's loss; a pair's flip delta is |1 - y| - |0 - y|.
+    """
     if not cls.is_binary or loss.kind != "absolute":
         raise ConfigError("fast path needs a binary-valued class and absolute loss")
+    labels = ys[: max(js, default=1) - 1]
+    l0 = np.abs(0.0 - labels)
+    prefix, pair_dlt = [0.0, *l0.cumsum().tolist()], np.abs(1.0 - labels) - l0
     xs, hallucs = scalar_rows(xs), [scalar_rows(halluc) for halluc, _ in draws]
     lengths = [j + len(h) for j, h in zip(js, hallucs)]
     yhats = np.empty(len(js))
@@ -267,29 +289,6 @@ def predict_binary_fast_rows(xs, prefix, pair_dlt, js, draws, cls, loss=ABSOLUTE
             # 1 + g1 - g0 with g = -objective, added in the same order
             yhats[rounds] = np.clip((1.0 - objectives[1::2] + objectives[0::2]) / 2.0, 0.0, 1.0)
     return yhats
-
-
-def predict_binary_fast_batch(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    js: Sequence[int],
-    draws: Sequence[RelaxationDraw],
-    cls: HypothesisClass,
-    loss: LossFn = ABSOLUTE_LOSS,
-) -> np.ndarray:
-    """predict_binary_fast for many rounds of one game, bit for bit, in batched solves.
-
-    Round r has the history xs[:j], ys[:j-1] with j = js[r] and the draw
-    draws[r]. Its two queries become two flip-delta rows (probe label 0, then
-    1) for `cls.solve_rows`; rows of one length are solved together, at most
-    MAX_BATCH_ELEMENTS elements at a time, and each row counts one solve call.
-    The query sums its labels' losses in order, so a row's base is the running
-    sum of |0 - y| plus the probe label's loss.
-    """
-    js = list(js)
-    l0 = np.abs(0.0 - ys[: max(js, default=1) - 1])
-    prefix, draws = np.concatenate(([0.0], np.cumsum(l0))), [(d.halluc, d.signs) for d in draws]
-    return predict_binary_fast_rows(xs, prefix, np.abs(1.0 - ys[: len(l0)]) - l0, js, draws, cls, loss)
 
 
 def _sup_value(xs, ys, signs, feats, cls: HypothesisClass, loss: LossFn) -> float:

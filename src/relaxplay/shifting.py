@@ -39,11 +39,11 @@ def run_shifting(
         raise ConfigError("T must be >= 1")
     B = block_length(T, K)
     played = play_rounds(schedule, cls, loss, env, adversary, T, B, config)
-    trace, comparator, X, Y = online_trace(cls, loss, played)
+    trace, comparator = online_trace(cls, loss, played)
     trace.metadata.update(
         seed=config.seed, T=T, K=K, block_length=B,
         block_starts=list(range(1, T + 1, B)),
-        block_regrets=segment_regrets(comparator, loss, X, Y, played.losses, range(0, T, B)),
+        block_regrets=segment_regrets(comparator, loss, played, range(0, T, B)),
         adversary=adversary.kind,
     )
     return trace

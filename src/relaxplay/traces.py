@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+import numpy as np
+
 ONLINE_COLUMNS = (
     "t", "block", "epoch", "j", "x", "y", "yhat",
     "loss", "cum_loss", "cum_regret", "erm_calls",
@@ -14,6 +16,11 @@ BANDIT_COLUMNS = (
 )
 
 SCHEMA_LINE = "# schema=1"
+
+
+def running_total(values) -> np.ndarray:
+    """The totals 0.0 + v_1 + ... + v_t, added left to right as a loop adds them."""
+    return np.cumsum(np.concatenate(([0.0], values)))[1:]
 
 
 def _fmt(v) -> str:
@@ -38,9 +45,6 @@ class RegretTrace:
     columns: tuple = ONLINE_COLUMNS
     rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-    def append(self, **values) -> None:
-        self.rows.append(tuple(values[c] for c in self.columns))
 
     def column(self, name: str) -> list:
         i = self.columns.index(name)

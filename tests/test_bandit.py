@@ -157,9 +157,8 @@ def per_round_bandit_reference(policy_class, env, cost_adversary, T, config):
         c_t, q = costs[t - 1], qs[t - 1]
         cum_exp += float(q @ c_t)
         cum_comp += comp_costs[t - 1]
-        trace.append(
-            t=t, epoch=epochs[t - 1], arm=arms[t - 1], q_min=float(q.min()), expected_loss=float(q @ c_t),
-            realized_cost=float(c_t[arms[t - 1]]), cum_regret=cum_exp - cum_comp,
+        trace.rows.append(
+            (t, epochs[t - 1], arms[t - 1], float(q.min()), float(q @ c_t), float(c_t[arms[t - 1]]), cum_exp - cum_comp)
         )
     trace.metadata.update(
         seed=config.seed, T=T, gamma=gamma, K=K, comparator=h_star, halluc_shortfall=clock.shortfall,

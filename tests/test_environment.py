@@ -97,6 +97,20 @@ class TestDistributions:
         env = FeatureDistribution.point_mass(np.array([0.0, 1.0]))
         assert list(env.sample(np.random.default_rng(0))) == [0.0, 1.0]
 
+    @pytest.mark.parametrize("point", [1, np.float32(0.5), np.int64(0), [0.5, 1], (0, 0.25), np.array([1, 0])])
+    def test_points_stored_as_features(self, point):
+        # a float for a scalar, a read-only float64 vector for a vector, whatever was passed
+        x = FeatureDistribution.point_mass(point).sample(np.random.default_rng(0))
+        if np.ndim(point) == 0:
+            assert type(x) is float and x == float(point)
+        else:
+            assert x.dtype == np.float64 and x.tolist() == [float(v) for v in point] and not x.flags.writeable
+
+    @pytest.mark.parametrize("points", [[0.5, [0.5, 0.5]], [[0.5], [0.5, 0.5]], [[[0.5]], [[0.5]]]])
+    def test_points_of_mixed_shape_rejected(self, points):
+        with pytest.raises(ConfigError, match="discrete points must"):
+            FeatureDistribution.discrete(points, [0.5, 0.5])
+
     @pytest.mark.parametrize("points, probs", [([0.1, 0.9], [1.0]), ([0.5], [0.5, 0.5]), ([], []), ([], [1.0])])
     def test_points_and_probs_must_match(self, points, probs):
         # rejected when built, not by numpy at the first sample

@@ -319,6 +319,60 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
     return rows
 
 
+def reference_online_rows(cls, loss, played):
+    """`online_trace`'s rows as its per-round loop built them: running sums
+    of Python floats, and each feature formatted on its own."""
+    from relaxplay import best_in_hindsight, loss_eval
+
+    comparator = cls.clone()
+    h_star, _ = best_in_hindsight(comparator, loss=loss, xs=played.xs, ys=played.ys)
+    rows, cum_loss, cum_comp = [], 0.0, 0.0
+    for t in range(1, len(played.ys) + 1):
+        x = played.xs[t - 1] if played.xs.ndim == 2 else float(played.xs[t - 1])
+        y, yhat, loss_t = (float(column[t - 1]) for column in (played.ys, played.yhats, played.losses))
+        block, n, j, erm_calls = (int(v) for v in played.meta[t - 1])
+        cum_loss += loss_t
+        cum_comp += loss_eval(loss, comparator.evaluate(h_star, x), y)
+        x_repr = ";".join(repr(float(v)) for v in x) if isinstance(x, np.ndarray) else x
+        rows.append((t, block, n, j, x_repr, y, yhat, loss_t, cum_loss, cum_loss - cum_comp, erm_calls))
+    return rows
+
+
+class TestOnlineTrace:
+    """The trace's columns, built from one running total each, equal the
+    per-round loop's rows in value and type; the epoch pools are views of
+    the game's one feature array."""
+
+    @staticmethod
+    def game(name):
+        from relaxplay import ABSOLUTE_LOSS, LossFn, noisy_target
+
+        if name == "scalar":  # in blocks of 7 rounds, as the shifting runner plays
+            adversary = noisy_target(lambda x: float(x >= 0.4), 0.2)
+            return ThresholdClass(), ABSOLUTE_LOSS, FeatureDistribution.uniform(), adversary, 7
+        if name == "vector":
+            cls = FiniteClass([lambda x: float(x[0] >= 0.5), lambda x: float(x[1] >= 0.5)], binary=True)
+            env = FeatureDistribution.product([FeatureDistribution.uniform(), FeatureDistribution.uniform()])
+            return cls, ABSOLUTE_LOSS, env, noisy_target(lambda x: float(x[0] >= 0.5), 0.1), None
+        squared = LossFn("custom", lipschitz=2.0, evaluator=lambda p, y: (p - y) ** 2)
+        labels = ObliviousAdversary(lambda t, x, rng: float(rng.random()))
+        return FiniteClass.from_constants([0.0, 0.4, 1.0]), squared, FeatureDistribution.uniform(), labels, None
+
+    @pytest.mark.parametrize("name", ["scalar", "vector", "custom_loss"])
+    def test_rows_equal_per_round_loop(self, name):
+        from relaxplay.epochs import online_trace, play_rounds
+
+        cls, loss, env, adversary, block = self.game(name)
+        schedule, T = EpochSchedule("geometric", ratio=1.5), 20
+        played = play_rounds(schedule, cls, loss, env, adversary, T, block or T, RunConfig(seed=7))
+        trace, comparator = online_trace(cls, loss, played)
+        reference = reference_online_rows(cls, loss, played)
+        assert trace.rows == reference
+        assert [tuple(map(type, r)) for r in trace.rows] == [tuple(map(type, r)) for r in reference]
+        assert comparator.solve_calls == 1 and len(played.states) == (3 if block else 1)
+        assert all(np.shares_memory(s.pool.features, played.xs) for s in played.states)
+
+
 def _threshold_labels(t, x, rng):
     return 1.0 if x >= 0.5 else 0.0
 
@@ -403,6 +457,16 @@ class TestChunkedPlay:
                 RunConfig(seed=0, probe_mc=2),
             )
 
+    def test_scalar_after_vector_features_raises(self):
+        # each distribution is valid on its own; the game's one feature array holds one shape
+        from relaxplay import ABSOLUTE_LOSS, InputDomainError, ShiftingProcess
+
+        env = ShiftingProcess([(FeatureDistribution.point_mass([0.2, 0.8]), 1), (FeatureDistribution.point_mass(0.5), 4)])
+        cls = FiniteClass([lambda x: float(np.atleast_1d(x)[0] >= 0.5)], binary=True)
+        adv = ObliviousAdversary(lambda t, x, rng: 1.0, binary_labels=True)
+        with pytest.raises(InputDomainError, match="all scalars or all vectors"):
+            run_epoch_predictor(EpochSchedule("polynomial", alpha=1.0), cls, ABSOLUTE_LOSS, env, adv, 8, RunConfig())
+
     def test_long_epochs_are_split(self, monkeypatch):
         # an epoch longer than one batch allows is played in several chunks
         import relaxplay.epochs as epochs
@@ -412,13 +476,13 @@ class TestChunkedPlay:
         adv = ObliviousAdversary(_threshold_labels, binary_labels=True)
         config = RunConfig(seed=2)
         chunks = []
-        batch = epochs.predict_binary_fast_rows
+        batch = epochs.predict_binary_fast_batch
 
-        def counted(xs, prefix, pair_dlt, js, *args):
+        def counted(xs, ys, js, *args):
             chunks.append(len(js))
-            return batch(xs, prefix, pair_dlt, js, *args)
+            return batch(xs, ys, js, *args)
 
-        monkeypatch.setattr(epochs, "predict_binary_fast_rows", counted)
+        monkeypatch.setattr(epochs, "predict_binary_fast_batch", counted)
 
         def play():
             env = FeatureDistribution.uniform()
@@ -433,11 +497,14 @@ class TestChunkedPlay:
         assert split.rows == whole.rows
 
 
-def _state_and_streams(schedule, cls, seed, T, use_fast=True):
+def _state_and_streams(schedule, cls, seed, T, first=0, use_fast=True):
+    """A segment's state over game arrays whose `first` entries, before the
+    segment, are NaN (a state that read them would raise), and the streams."""
     from relaxplay import ABSOLUTE_LOSS
     from relaxplay.epochs import RoundStreams, _EpochPredictorState
 
-    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, use_fast)
+    xs, ys = np.full(first + T, np.nan), np.full(first + T, np.nan)
+    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, use_fast, xs, ys, first)
     return state, RoundStreams(seed, T, (1, 2, 3, 4))
 
 
@@ -467,18 +534,6 @@ class TestEpochPredictorState:
         "fixed": EpochSchedule("fixed", block=6),
     }
 
-    @pytest.mark.parametrize("schedule", list(SCHEDULES))
-    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "unit_labels"])
-    def test_record_keeps_prefix_and_pair_deltas(self, schedule, binary):
-        rng = np.random.default_rng(6)
-        state, _ = _state_and_streams(self.SCHEDULES[schedule], ThresholdClass(), 0, 60)
-        for _ in range(60):
-            state.advance(_feature(rng))
-            state.record(float(rng.integers(0, 2)) if binary else float(rng.random()))
-            ys = state.ys[: state.clock.j]
-            assert state.prefix == [0.0] + np.cumsum(np.abs(0.0 - ys)).tolist()
-            assert state.pair_dlt[: state.clock.j].tolist() == (np.abs(1.0 - ys) - np.abs(0.0 - ys)).tolist()
-
     @pytest.mark.parametrize("kind", ["threshold", "interval"])
     @settings(max_examples=40, deadline=None)
     @given(
@@ -487,35 +542,38 @@ class TestEpochPredictorState:
         schedule=st.sampled_from(list(SCHEDULES)),
         rounds=st.integers(1, 40),
         binary=st.booleans(),
+        first=st.integers(0, 5),
     )
-    def test_block_probe_equals_per_draw_mean(self, kind, seed, probe_mc, schedule, rounds, binary):
+    def test_block_probe_equals_per_draw_mean(self, kind, seed, probe_mc, schedule, rounds, binary, first):
         from relaxplay import IntervalClass
 
         cls = ThresholdClass() if kind == "threshold" else IntervalClass(0.25)
-        state, streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds)
+        state, streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds, first)
         _, ref_streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds)
         rng = np.random.default_rng(seed)
         rngs, streams_asked = streams.rngs, []
         streams.rngs = lambda stream, t: streams_asked.append(stream) or rngs(stream, t)
         for t in range(1, rounds + 1):
-            state.advance(_feature(rng))
+            state.game_xs[first + t - 1] = _feature(rng)
+            state.advance()
             before = state.probe_cls.solve_calls
             got = state.probe(streams, t, probe_mc)()
             assert state.probe_cls.solve_calls == before + 2 * probe_mc
             assert streams_asked == [3] * t  # one stream-3 generator per probe, nothing else
             assert got == reference_probe(state, ref_streams, t, probe_mc)
-            state.record(float(rng.integers(0, 2)) if binary else float(rng.random()))
+            state.game_ys[first + t - 1] = float(rng.integers(0, 2)) if binary else float(rng.random())
         assert cls.solve_calls == 0  # the game's own oracle is never asked
 
     def test_probe_falls_back_without_solve_rows(self):
         # a binary class without solve_rows keeps the per-draw route, on the one probe clone
         cls = FiniteClass([lambda x: float(x >= 0.3), lambda x: float(x >= 0.7)], binary=True)
-        state, streams = _state_and_streams(self.SCHEDULES["linear"], cls, 1, 20)
+        state, streams = _state_and_streams(self.SCHEDULES["linear"], cls, 1, 20, first=4)
         rng = np.random.default_rng(1)
         for t in range(1, 21):
-            state.advance(_feature(rng))
+            state.game_xs[3 + t] = _feature(rng)
+            state.advance()
             assert state.probe(streams, t, 3)() == reference_probe(state, streams, t, 3)
-            state.record(float(rng.integers(0, 2)))
+            state.game_ys[3 + t] = float(rng.integers(0, 2))
         assert state.probe_cls.solve_calls == 2 * 3 * 20 and cls.solve_calls == 0
 
 

@@ -438,6 +438,19 @@ class TestCsvWriter:
         adversary = noisy_target(lambda x: float(x[0] >= 0.5), 0.1)
         return run_epoch_predictor(EpochSchedule("polynomial", alpha=1.0), cls, ABSOLUTE_LOSS, env, adversary, 24, RunConfig(seed=3))
 
+    @pytest.mark.parametrize("as_point", [list, tuple], ids=["lists", "tuples"])
+    def test_vector_points_as_sequences_write_the_array_bytes(self, tmp_path, as_point):
+        # a discrete distribution stores each point once, as a float64 vector
+        points = [[0.25, 0.875], [0.75, 0.125], [0.5, 0.5]]
+        for name, as_feature in (("arrays.csv", np.array), ("given.csv", as_point)):
+            env = FeatureDistribution.discrete([as_feature(p) for p in points], [0.25, 0.25, 0.5])
+            cls = FiniteClass([lambda x: float(x[0] >= 0.5), lambda x: float(x[1] >= 0.5)], binary=True)
+            adversary = noisy_target(lambda x: float(x[0] >= 0.5), 0.1)
+            schedule = EpochSchedule("polynomial", alpha=1.0)
+            trace = run_epoch_predictor(schedule, cls, ABSOLUTE_LOSS, env, adversary, 12, RunConfig(seed=3))
+            trace.to_csv(tmp_path / name)
+        assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "arrays.csv").read_bytes()
+
     @pytest.mark.parametrize("kind", ["online", "bandit", "vector", "numpy_scalars", "empty"])
     def test_same_bytes_as_rowwise(self, tmp_path, kind):
         if kind == "online":
@@ -502,6 +515,13 @@ class TestCli:
             args += ["--set", "env.kind=uniform"]
         assert cli_main(args) == 2
         assert message in capsys.readouterr().err
+
+    def test_rademacher_shifting_env_exit_two(self, capsys):
+        # the estimate samples one distribution; a shifting env is a config error, not a traceback
+        args = ["rademacher", "--set", "T=8", "--set", "class.kind=threshold", "--set", "env.kind=shifting",
+                "--set", 'env.segments=[{"dist":{"kind":"uniform"},"start":1}]']
+        assert cli_main(args) == 2
+        assert "env.kind: unknown distribution kind 'shifting'" in capsys.readouterr().err
 
     def test_bandit_non_integer_arm_exit_two(self, capsys):
         args = ["bandit", "--horizons", "8", "--set", "env.kind=uniform", "--set", "costs.name=constant",

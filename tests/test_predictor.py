@@ -13,6 +13,7 @@ from relaxplay import (
     IntervalClass,
     PoolExhaustedError,
     PredictorConfig,
+    RelaxationDraw,
     SidePool,
     ThresholdClass,
     UnsupportedClassError,
@@ -83,7 +84,7 @@ class TestDrawHalluc:
             for count in range(min(40, size) + 1):
                 ref_rng, slot_rng, draw_rng = (np.random.default_rng([size, count]) for _ in range(3))
                 halluc, signs, idx = self.reference_draw(pool, count, ref_rng)
-                slot_idx, slot_signs = draw_slots(pool, count, slot_rng)
+                slot_idx, slot_signs = draw_slots(pool.size, count, slot_rng)
                 d = draw_halluc(pool, count, draw_rng)
                 for got_halluc, got_signs, got_idx in (
                     (pool.features[slot_idx], slot_signs, slot_idx), (d.halluc, d.signs, d.indices)
@@ -319,13 +320,14 @@ class TestPredictBinaryFast:
 
 
 def epoch_rounds(rng, M, pool_size, binary=True):
-    """An epoch's feature and label arrays, a pool, and each round's draw in order."""
+    """An epoch's feature and label arrays, a pool, and each round's draw in
+    order, as a (halluc, signs) pair."""
     xs = rng.random(M)
     ys = rng.integers(0, 2, M).astype(float) if binary else rng.random(M)
     pool = SidePool(rng.random(pool_size))
     js = list(range(1, M + 1))
     draws = [draw_halluc(pool, min(M - j, pool.size), rng) for j in js]
-    return xs, ys, js, draws
+    return xs, ys, js, [(d.halluc, d.signs) for d in draws]
 
 
 class TestPredictBinaryFastBatch:
@@ -348,7 +350,7 @@ class TestPredictBinaryFastBatch:
             assert cls.solve_calls == 2 * M
             config = PredictorConfig(horizon=M)
             for j, d, yhat in zip(js, draws, batched.tolist()):
-                assert yhat == predict_binary_fast(GameHistory(xs[:j], ys[: j - 1]), d, make(), config)
+                assert yhat == predict_binary_fast(GameHistory(xs[:j], ys[: j - 1]), RelaxationDraw(*d), make(), config)
 
     def test_split_batches_agree(self, monkeypatch):
         import relaxplay.predictor as predictor

@@ -24,9 +24,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError, Feature, InputDomainError, feature_list, feature_rows, lowest_argmin
+from .core import (
+    ConfigError,
+    Feature,
+    InputDomainError,
+    check_count,
+    check_seed,
+    feature_list,
+    feature_rows,
+    lowest_argmin,
+)
 from .environment import sample_feature
-from .epochs import EpochClock, EpochSchedule, RoundStreams, check_seed
+from .epochs import EpochClock, EpochSchedule, RoundStreams
 from .predictor import PoolExhaustedError, draw_slots
 from .traces import BANDIT_COLUMNS, RegretTrace, running_total
 
@@ -37,10 +46,10 @@ class PolicyClass:
     def __init__(self, policies: Sequence[Callable[[Feature], int]], num_arms: int):
         if not policies:
             raise ConfigError("policy table must be nonempty")
-        if num_arms < 2:
+        self.num_arms = check_count(num_arms, "num_arms")
+        if self.num_arms < 2:
             raise ConfigError("need at least 2 arms")
         self.policies = list(policies)
-        self.num_arms = int(num_arms)
         self.solve_calls = 0
 
     def __len__(self) -> int:

@@ -55,6 +55,22 @@ def check_unit(value: float, name: str) -> float:
     return v
 
 
+def _check_integer(value, name: str, minimum: int, kind: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed, name: str = "seed") -> int:
+    """`seed` as an int if it is a non-negative integer (Python or numpy, not bool); else ConfigError."""
+    return _check_integer(seed, name, 0, "non-negative")
+
+
+def check_count(value, name: str) -> int:
+    """`value` as an int if it is a positive integer (Python or numpy, not bool); else ConfigError."""
+    return _check_integer(value, name, 1, "positive")
+
+
 def feature_as_array(x: Feature) -> np.ndarray:
     """View a feature as a 1-d array (scalars become length-1 arrays)."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AdversaryFault, ConfigError, Feature, check_unit
+from .core import AdversaryFault, ConfigError, Feature, check_seed, check_unit
 
 
 class FeatureDistribution:
@@ -181,15 +181,14 @@ class SemiAdaptiveAdversary(Adversary):
     kind = "semi_adaptive"
 
     def __init__(self, window: int, fn: Callable, binary_labels: bool = False):
-        if window < 0:
-            raise ConfigError("window must be >= 0")
-        self.window = int(window)
+        self.window = check_seed(window, "window")
         self.fn = fn
         self.binary_labels = binary_labels
 
     def label(self, t, history, x_t, probe, rng) -> float:
-        feats = [x for x, _ in history] + [x_t]
-        return self.fn(t, feats[-(self.window + 1):], rng)
+        # the last `window` rounds only (none for window 0), not the whole game
+        recent = history[max(0, len(history) - self.window) :]
+        return self.fn(t, [x for x, _ in recent] + [x_t], rng)
 
 
 def noisy_target(target: Callable[[Feature], float], p: float) -> ObliviousAdversary:

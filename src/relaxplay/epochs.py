@@ -21,6 +21,8 @@ from .core import (
     InputDomainError,
     LossFn,
     best_in_hindsight,
+    check_count,
+    check_seed,
     feature_list,
     feature_rows,
     loss_eval,
@@ -133,13 +135,6 @@ class EpochClock:
         self.drift = abs(self.length - schedule.exact_length(1))
         self.shortfall = 0
 
-    def upcoming(self) -> tuple[int, int]:
-        """(length, rounds left) of the next round's epoch, counting that round."""
-        if self.j < self.length:
-            return self.length, self.length - self.j
-        m = epoch_length(self.schedule, self.n + 1)
-        return m, m
-
     def tick(self) -> bool:
         """Move to the next round; True when it opens an epoch."""
         self.j += 1
@@ -164,22 +159,6 @@ class RunConfig:
     def __post_init__(self):
         check_seed(self.seed)
         check_count(self.probe_mc, "probe_mc")
-
-
-def _check_integer(value, name: str, minimum: int, kind: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
-    return int(value)
-
-
-def check_seed(seed, name: str = "seed") -> int:
-    """`seed` as an int if it is a non-negative integer (Python or numpy, not bool); else ConfigError."""
-    return _check_integer(seed, name, 0, "non-negative")
-
-
-def check_count(value, name: str) -> int:
-    """`value` as an int if it is a positive integer (Python or numpy, not bool); else ConfigError."""
-    return _check_integer(value, name, 1, "positive")
 
 
 def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
@@ -308,12 +287,35 @@ class RoundStreams:
         return np.random.Generator(np.random.PCG64(_SeedWords(words[t - lo])))
 
 
+def _predict(xs, ys, los, js, draws, confs, cls, use_fast: bool) -> tuple[list, list]:
+    """Predictions of rounds of the game whose features and labels are `xs`
+    and `ys`, and each one's ERM calls.
+
+    Round r is local round js[r] of the epoch that starts at index los[r]
+    of those arrays, played on the draw draws[r] under that epoch's
+    PredictorConfig confs[r]. The fast path solves all rounds in one batch
+    when the class can, and every round then makes the same calls; else
+    the rounds are predicted one at a time.
+    """
+    if use_fast and cls.solve_rows is not None:
+        before = cls.solve_calls
+        yhats = predict_binary_fast_batch(xs, ys, los, js, draws, cls, confs[0].loss)
+        return yhats.tolist(), [(cls.solve_calls - before) // len(js)] * len(js)
+    predict = predict_binary_fast if use_fast else predict_general
+    yhats, calls = [], []
+    for lo, j, draw, pconf in zip(los, js, draws, confs):
+        before = cls.solve_calls
+        yhats.append(predict(GameHistory(xs[lo : lo + j], ys[lo : lo + j - 1]), RelaxationDraw(*draw), cls, pconf))
+        calls.append(cls.solve_calls - before)
+    return yhats, calls
+
+
 class _EpochPredictorState:
     """Predictor-side state for one independent segment (one block or run)
     of the game whose rounds are written to `xs` and `ys`, from index `first`.
 
-    The side pool (the segment's features before the current epoch) and the
-    epoch's history are views of those arrays.
+    The side pool (the segment's features before the current epoch) is a
+    view of `xs`; the current epoch starts at index `lo` of both arrays.
     """
 
     def __init__(self, schedule, cls, loss, use_fast: bool, xs: np.ndarray, ys: np.ndarray, first: int):
@@ -322,22 +324,14 @@ class _EpochPredictorState:
         self.loss = loss
         self.use_fast = use_fast
         self.game_xs, self.game_ys, self.first = xs, ys, first
-        self.pool = self.xs = self.ys = self.pconf = None  # set when the first round opens epoch 1
-
-    def next_chunk(self, limit: int) -> int:
-        """Rounds in the next chunk: at most `limit`, none past the end of the
-        next round's epoch, and few enough that their 2 rows per round of at
-        most the epoch's length fit in one batch."""
-        m, left = self.clock.upcoming()
-        return max(1, min(limit, left, MAX_BATCH_ELEMENTS // (2 * m)))
+        self.pool = self.lo = self.pconf = None  # set when the first round opens epoch 1
 
     def advance(self) -> None:
         """Move to the next local round, whose feature the game has written."""
         clock = self.clock
         if clock.tick():
-            lo = self.first + clock.start
-            self.pool = SidePool(self.game_xs[self.first : lo])
-            self.xs, self.ys = self.game_xs[lo : lo + clock.length], self.game_ys[lo : lo + clock.length]
+            self.lo = self.first + clock.start
+            self.pool = SidePool(self.game_xs[self.first : self.lo])
             self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -345,25 +339,6 @@ class _EpochPredictorState:
         rest of the epoch, as far as the pool reaches."""
         idx, signs = draw_slots(self.pool.size, self.clock.count, rng)
         return self.pool.features[idx], signs
-
-    def predict(self, js, draws, cls) -> tuple[list, list]:
-        """Predictions of this epoch's local rounds `js` on their (halluc, signs) draws, and each one's ERM calls.
-
-        Round j's history is the epoch's x_1..x_j and y_1..y_{j-1}. The fast
-        path solves all rounds in one batch when the class can; every round
-        then makes the same calls.
-        """
-        if self.use_fast and cls.solve_rows is not None:
-            before = cls.solve_calls
-            yhats = predict_binary_fast_batch(self.xs, self.ys, js, draws, cls, self.loss)
-            return yhats.tolist(), [(cls.solve_calls - before) // len(js)] * len(js)
-        predict = predict_binary_fast if self.use_fast else predict_general
-        yhats, calls = [], []
-        for j, draw in zip(js, draws):
-            before = cls.solve_calls
-            yhats.append(predict(GameHistory(self.xs[:j], self.ys[: j - 1]), RelaxationDraw(*draw), cls, self.pconf))
-            calls.append(cls.solve_calls - before)
-        return yhats, calls
 
     def probe(self, streams: RoundStreams, t: int, probe_mc: int):
         """Monte-Carlo mean prediction of the current round on its own RNG
@@ -375,7 +350,10 @@ class _EpochPredictorState:
         def probe() -> float:
             rng = streams.rngs(3, t)
             draws = [self.draw(rng) for _ in range(probe_mc)]
-            yhats, _ = self.predict([self.clock.j] * probe_mc, draws, self.probe_cls)
+            yhats, _ = _predict(
+                self.game_xs, self.game_ys, [self.lo] * probe_mc, [self.clock.j] * probe_mc, draws,
+                [self.pconf] * probe_mc, self.probe_cls, self.use_fast,
+            )
             return float(np.mean(yhats))
 
         return probe
@@ -411,14 +389,15 @@ def play_rounds(
     The 2-call fast path runs exactly when the class is binary, the loss
     absolute and the adversary declares {0,1} labels; else `predict_general`.
 
-    Rounds go in chunks up to the end of the epoch (and of the block, and of
-    one batch). A chunk samples each round's feature, emits its label (an
-    adversary that is not oblivious first probes that round's mean
-    prediction) and draws its hallucinations, then predicts all its rounds
-    in one call. No adversary sees the game's own predictions: a probe runs
-    on stream 3 with one oracle clone per segment, and every stream is per
-    (seed, stream, t) (`RoundStreams`), so the chunks draw exactly what
-    round-by-round play would, and erm_calls counts each round's own call.
+    Each round samples its feature, emits its label (an adversary that is
+    not oblivious first probes that round's mean prediction) and draws its
+    hallucinations, then joins one queue of rounds that crosses epoch and
+    block ends. The queue is predicted in one call when the next round's 2
+    rows would take it past MAX_BATCH_ELEMENTS elements, and at the end of
+    the game. No adversary sees the game's own predictions: a probe runs on
+    stream 3 with one oracle clone per segment, and every stream is per
+    (seed, stream, t) (`RoundStreams`), so the queue draws exactly what
+    round-by-round play would, and erm_calls counts each round's own calls.
     x_1 is sampled first, to size the game's arrays.
     """
     if T < 1:
@@ -433,33 +412,41 @@ def play_rounds(
         meta=np.empty((T, 4), dtype=np.intp), use_fast=use_fast, probed=not oblivious,
     )
     history: list = []
-    t = 0
-    while t < T:
-        state = _EpochPredictorState(schedule, cls, loss, use_fast, played.xs, played.ys, t)
-        played.states.append(state)
-        end = min(t + block, T)
-        while t < end:
-            k = state.next_chunk(end - t)
-            js, draws = [], []
-            for t in range(t + 1, t + k + 1):
-                if t > 1:
-                    x_t = sample_feature(env, t, streams.rngs(1, t))
-                    # numpy would broadcast a scalar into a vector row; other mismatches raise when written
-                    if shape and np.shape(x_t) != shape:
-                        raise InputDomainError("features must be all scalars or all vectors of one length")
-                played.xs[t - 1] = x_t
-                state.advance()
-                probe = None if oblivious else state.probe(streams, t, config.probe_mc)
-                y_t = adversary.emit(t, history, x_t, probe, streams.rngs(4, t))
-                played.ys[t - 1] = y_t
-                history.append((x_t, y_t))
-                js.append(state.clock.j)
-                draws.append(state.draw(streams.rngs(2, t)))
-            yhats, calls = state.predict(js, draws, cls)
-            rounds = slice(t - k, t)
-            played.yhats[rounds] = yhats
-            played.losses[rounds] = [loss_eval(loss, p, y) for p, y in zip(yhats, played.ys[rounds].tolist())]
-            played.meta[rounds] = [(len(played.states), state.clock.n, j, c) for j, c in zip(js, calls)]
+    queue, elements = [], 0  # queued rounds as (lo, j, draw, pconf), and their rows' elements
+
+    def flush(end: int) -> None:
+        """Predict the queued rounds, which end at round `end`."""
+        rounds = slice(end - len(queue), end)
+        yhats, calls = _predict(played.xs, played.ys, *zip(*queue), cls, use_fast)
+        played.yhats[rounds] = yhats
+        played.losses[rounds] = [loss_eval(loss, p, y) for p, y in zip(yhats, played.ys[rounds].tolist())]
+        played.meta[rounds, 3] = calls
+        queue.clear()
+
+    for t in range(1, T + 1):
+        if t > 1:
+            x_t = sample_feature(env, t, streams.rngs(1, t))
+            # numpy would broadcast a scalar into a vector row; other mismatches raise when written
+            if shape and np.shape(x_t) != shape:
+                raise InputDomainError("features must be all scalars or all vectors of one length")
+        played.xs[t - 1] = x_t
+        if (t - 1) % block == 0:
+            state = _EpochPredictorState(schedule, cls, loss, use_fast, played.xs, played.ys, t - 1)
+            played.states.append(state)
+        state.advance()
+        probe = None if oblivious else state.probe(streams, t, config.probe_mc)
+        y_t = adversary.emit(t, history, x_t, probe, streams.rngs(4, t))
+        played.ys[t - 1] = y_t
+        history.append((x_t, y_t))
+        clock = state.clock
+        played.meta[t - 1, :3] = len(played.states), clock.n, clock.j
+        size = 2 * (clock.j + clock.count)  # its 2 rows: x_1..x_j, then the draw
+        if queue and elements + size > MAX_BATCH_ELEMENTS:
+            flush(t - 1)
+            elements = 0
+        queue.append((state.lo, clock.j, state.draw(streams.rngs(2, t)), state.pconf))
+        elements += size
+    flush(T)
     return played
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import environment as envmod
 from .bandit import BanditConfig, PolicyClass, run_bandit
-from .core import ABSOLUTE_LOSS, ConfigError, LossFn
+from .core import ABSOLUTE_LOSS, ConfigError, LossFn, check_count, check_seed
 from .environment import FeatureDistribution, ShiftingProcess
-from .epochs import EpochSchedule, RunConfig, alpha_from_q, check_count, check_seed, run_epoch_predictor
+from .epochs import EpochSchedule, RunConfig, alpha_from_q, run_epoch_predictor
 from .oracles import FiniteClass, IntervalClass, LipschitzClass, ThresholdClass
 from .shifting import run_shifting
 from .traces import RegretTrace

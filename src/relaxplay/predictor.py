@@ -248,6 +248,7 @@ _SIGNS = np.array([-1, 1])  # a draw's signs by the bit drawn
 def predict_binary_fast_batch(
     xs: np.ndarray,
     ys: np.ndarray,
+    los: Sequence[int],
     js: Sequence[int],
     draws: Sequence[tuple],
     cls: HypothesisClass,
@@ -255,31 +256,43 @@ def predict_binary_fast_batch(
 ) -> np.ndarray:
     """predict_binary_fast for many rounds of one game, bit for bit, in batched solves.
 
-    Round r has the history xs[:j], ys[:j-1] with j = js[r] and the draw
-    draws[r], a (halluc, signs) pair. Its two queries become two flip-delta
-    rows (probe label 0, then 1) for `cls.solve_rows`; rows of one length are
-    solved together, at most MAX_BATCH_ELEMENTS elements at a time, and each
-    row counts one solve call. The query sums its labels' losses in order,
-    so a row's base is the left-to-right `cumsum` of |0 - y| plus the probe
-    label's loss; a pair's flip delta is |1 - y| - |0 - y|.
+    Round r is round j = js[r] of the epoch that starts at index lo = los[r]
+    of the game arrays: its history is xs[lo:lo+j], ys[lo:lo+j-1], and its
+    draw is draws[r], a (halluc, signs) pair. Its two queries become two
+    flip-delta rows (probe label 0, then 1) for `cls.solve_rows`; rows of
+    one length are solved together, whatever their epoch, at most
+    MAX_BATCH_ELEMENTS elements at a time, and each row counts one solve
+    call. The query sums its labels' losses in order, so a row's base is
+    the left-to-right `cumsum` of |0 - y| from its epoch's start plus the
+    probe label's loss; a pair's flip delta is |1 - y| - |0 - y|.
     """
     if not cls.is_binary or loss.kind != "absolute":
         raise ConfigError("fast path needs a binary-valued class and absolute loss")
-    labels = ys[: max(js, default=1) - 1]
-    l0 = np.abs(0.0 - labels)
-    prefix, pair_dlt = [0.0, *l0.cumsum().tolist()], np.abs(1.0 - labels) - l0
+    if not len(los) == len(js) == len(draws):
+        raise ConfigError("need one epoch offset and one draw per round")
+    ends = {}  # epoch offset -> the last local round it predicts
+    for lo, j in zip(los, js):
+        ends[lo] = max(ends.get(lo, j), j)
+    sums = {}  # epoch offset -> (label-loss prefix, pair flip deltas)
+    for lo, j in ends.items():
+        labels = ys[lo : lo + j - 1]
+        l0 = np.abs(0.0 - labels)
+        sums[lo] = [0.0, *l0.cumsum().tolist()], np.abs(1.0 - labels) - l0
     xs, hallucs = scalar_rows(xs), [scalar_rows(halluc) for halluc, _ in draws]
-    lengths = [j + len(h) for j, h in zip(js, hallucs)]
+    groups = {}  # row length -> its rounds, in order
+    for r, (j, h) in enumerate(zip(js, hallucs)):
+        groups.setdefault(j + len(h), []).append(r)
     yhats = np.empty(len(js))
-    for n in sorted(set(lengths)):
-        same = [r for r, m in enumerate(lengths) if m == n]
+    for n in sorted(groups):
+        same = groups[n]
         step = max(1, MAX_BATCH_ELEMENTS // (2 * max(n, 1)))
         for rounds in (same[i : i + step] for i in range(0, len(same), step)):
             # rows 2i and 2i+1 (probe label 0, then 1): x_1..x_j, then the round's draw
             pos, dlt, base = np.empty((2 * len(rounds), n)), np.empty((2 * len(rounds), n)), []
             for i, r in enumerate(rounds):
-                j, two = js[r], slice(2 * i, 2 * i + 2)
-                pos[two, :j], pos[two, j:] = xs[:j], hallucs[r]
+                lo, j, two = los[r], js[r], slice(2 * i, 2 * i + 2)
+                prefix, pair_dlt = sums[lo]
+                pos[two, :j], pos[two, j:] = xs[lo : lo + j], hallucs[r]
                 dlt[two, : j - 1], dlt[two, j - 1] = pair_dlt[: j - 1], _PROBE_DLT
                 dlt[two, j:] = -2.0 * loss.lipschitz * draws[r][1]  # the sup query negates the signs
                 base += (prefix[j - 1], prefix[j - 1] + 1.0)

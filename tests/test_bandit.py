@@ -270,6 +270,17 @@ class TestPolicyErm:
         assert policy_erm(cls, items, np.array([2.0, 2.0, 0.25, 0.0])) == (2, 0.25)
 
 
+class TestPolicyClass:
+    @pytest.mark.parametrize("num_arms", [2.5, math.nan, True, "2", None, 1, 0])
+    def test_num_arms_must_be_an_integer_of_at_least_2(self, num_arms):
+        with pytest.raises(ConfigError, match="num_arms|2 arms"):
+            PolicyClass([lambda x: 0], num_arms=num_arms)
+
+    def test_num_arms_accepts_numpy_integers(self):
+        cls = PolicyClass([lambda x: 0], num_arms=np.int64(3))
+        assert cls.num_arms == 3 and type(cls.num_arms) is int
+
+
 class TestArmMatrix:
     def test_shape_and_entries(self):
         cls = two_arm_class()

@@ -188,6 +188,27 @@ class TestAdversaries:
         with pytest.raises(ConfigError):
             SemiAdaptiveAdversary(-1, fn)
 
+    @pytest.mark.parametrize("window", [0, 1, 2])
+    @pytest.mark.parametrize("played", [0, 1, 2, 5])
+    def test_semi_adaptive_window_equals_full_list(self, window, played):
+        # the last window + 1 features of the whole game, as the full list gave them
+        # (window 0: the current feature only), also for a history shorter than the window
+        seen = []
+        adv = SemiAdaptiveAdversary(window, lambda t, feats, rng: seen.append(feats) or 0.0)
+        history = [(0.1 * (i + 1), float(i % 2)) for i in range(played)]
+        adv.emit(played + 1, history, 0.9, None, None)
+        full = [x for x, _ in history] + [0.9]
+        assert seen == [full[-(window + 1):]]
+
+    @pytest.mark.parametrize("window", [2.7, math.nan, True, "2", None])
+    def test_semi_adaptive_window_must_be_an_integer(self, window):
+        with pytest.raises(ConfigError, match="window"):
+            SemiAdaptiveAdversary(window, lambda t, feats, rng: 0.0)
+
+    def test_semi_adaptive_window_accepts_numpy_integers(self):
+        adv = SemiAdaptiveAdversary(np.int64(3), lambda t, feats, rng: 0.0)
+        assert adv.window == 3 and type(adv.window) is int
+
     def test_catalog(self):
         cat = builtin_adversaries()
         assert set(cat) == {

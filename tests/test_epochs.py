@@ -124,7 +124,6 @@ class TestEpochClock:
             for t in range(1, min(block, T - first) + 1):
                 idx = locate(sched, t)
                 m = epoch_length(sched, idx.n)
-                assert clock.upcoming() == (m, m - idx.j + 1)
                 assert clock.tick() == (idx.j == 1)
                 assert (clock.n, clock.j, clock.start) == (idx.n, idx.j, idx.start)
                 assert clock.length == m
@@ -405,9 +404,106 @@ def _chunk_configs():
     }
 
 
+def expected_batches(schedule, T, block, max_elements):
+    """The rounds in each batch of a game whose predictor restarts every
+    `block` rounds: a batch closes when the next round's 2 rows of j +
+    count elements would take it past `max_elements`, and at the end."""
+    batches, rounds, elements = [], 0, 0
+    for first in range(0, T, block):
+        clock = EpochClock(schedule)
+        for _ in range(min(block, T - first)):
+            clock.tick()
+            size = 2 * (clock.j + clock.count)
+            if rounds and elements + size > max_elements:
+                batches.append(rounds)
+                rounds = elements = 0
+            rounds, elements = rounds + 1, elements + size
+    return batches + [rounds]
+
+
+PLAY_SCHEDULES = {
+    "linear": EpochSchedule("polynomial", alpha=1.0),
+    "poly1.5": EpochSchedule("polynomial", alpha=1.5),
+    "geometric": EpochSchedule("geometric", ratio=1.5),  # short pools: rows of mixed length
+    "fixed": EpochSchedule("fixed", block=4),
+}
+
+
+def _play_class(kind):
+    from relaxplay import IntervalClass
+
+    return {
+        "threshold": ThresholdClass,
+        "interval": lambda: IntervalClass(0.25),
+        "finite_fast": lambda: FiniteClass([lambda x: float(x >= 0.3), lambda x: float(x >= 0.7)], binary=True),
+        "general": lambda: FiniteClass.from_constants([0.0, 0.4, 1.0]),
+    }[kind]()
+
+
 class TestChunkedPlay:
-    """Chunked play (a whole epoch's predictions at once against an oblivious
-    adversary) gives exactly the rows of round-by-round play."""
+    """Queued play (rounds predicted in batches that cross epoch and block
+    ends) gives exactly the rows of round-by-round play."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        schedule=st.sampled_from(list(PLAY_SCHEDULES)),
+        T=st.integers(1, 40),
+        K=st.integers(1, 6),
+        max_elements=st.integers(1, 120),
+        adversary=st.sampled_from(["oblivious", "flip_to_far"]),
+        kind=st.sampled_from(["threshold", "interval", "finite_fast", "general"]),
+    )
+    def test_batches_equal_per_round_reference(self, seed, schedule, T, K, max_elements, adversary, kind):
+        import relaxplay.epochs as epochs
+        import relaxplay.predictor as predictor
+        from relaxplay import ABSOLUTE_LOSS, ShiftingProcess, block_length, noisy_target, run_shifting
+        from relaxplay.environment import flip_to_far
+
+        sched = PLAY_SCHEDULES[schedule]
+        env = ShiftingProcess([(FeatureDistribution.uniform(0.0, 0.6), 1), (FeatureDistribution.uniform(0.3, 1.0), 15)])
+        make_adv = flip_to_far if adversary == "flip_to_far" else lambda: noisy_target(lambda x: float(x >= 0.4), 0.2)
+        config = RunConfig(seed=seed, probe_mc=2)
+        with pytest.MonkeyPatch.context() as mp:  # small batches, split across rounds and within them
+            mp.setattr(epochs, "MAX_BATCH_ELEMENTS", max_elements)
+            mp.setattr(predictor, "MAX_BATCH_ELEMENTS", max_elements)
+            trace = run_shifting(_play_class(kind), ABSOLUTE_LOSS, env, make_adv(), T, K, sched, config)
+        B = block_length(T, K)
+        assert trace.rows == per_round_reference(sched, _play_class(kind), ABSOLUTE_LOSS, env, make_adv(), T, config, B)
+
+    def test_shifting_game_solves_each_row_length_once_per_batch(self, monkeypatch):
+        # the benchmark's shifting game: per batch, one solve_rows call per
+        # distinct row length, whatever epoch or block its rows come from
+        import relaxplay.epochs as epochs
+        from relaxplay import ABSOLUTE_LOSS, IntervalClass, ShiftingProcess, block_length, noisy_target, run_shifting
+
+        T, K, sched = 256, 2, EpochSchedule("polynomial", alpha=1.0)
+        uniform = FeatureDistribution.uniform
+        env = ShiftingProcess(
+            [(uniform(0.0, 0.6), 1), (uniform(0.4, 1.0), int(0.4 * T)), (uniform(0.2, 0.8), int(0.7 * T))]
+        )
+        cls = IntervalClass(gamma_len=0.25)
+        solve_rows, batches = cls.solve_rows, []  # per batch: (its row lengths, the lengths solved)
+        batch = epochs.predict_binary_fast_batch
+
+        def counted(xs, ys, los, js, draws, *args):
+            solved = []
+            batches.append(({j + len(h) for j, (h, _) in zip(js, draws)}, solved))
+            # only the batch's own solves: the comparators solve on clones, which would copy a wrapper
+            cls.solve_rows = lambda base, pos, dlt: solved.append(pos.shape[1]) or solve_rows(base, pos, dlt)
+            try:
+                return batch(xs, ys, los, js, draws, *args)
+            finally:
+                del cls.solve_rows
+
+        monkeypatch.setattr(epochs, "predict_binary_fast_batch", counted)
+        adversary = noisy_target(lambda x: float(x >= 0.5), 0.1)
+        trace = run_shifting(cls, ABSOLUTE_LOSS, env, adversary, T, K, sched, RunConfig(seed=3))
+        assert len(trace.metadata["block_starts"]) == 6
+        assert len(batches) == len(expected_batches(sched, T, block_length(T, K), epochs.MAX_BATCH_ELEMENTS)) == 1
+        for lengths, solved in batches:
+            assert solved == sorted(lengths)
+        assert cls.solve_calls == 2 * T and set(trace.column("erm_calls")) == {2}
 
     @pytest.mark.parametrize("name", list(_chunk_configs()))
     def test_rows_equal_per_round_reference(self, name):
@@ -468,19 +564,20 @@ class TestChunkedPlay:
             run_epoch_predictor(EpochSchedule("polynomial", alpha=1.0), cls, ABSOLUTE_LOSS, env, adv, 8, RunConfig())
 
     def test_long_epochs_are_split(self, monkeypatch):
-        # an epoch longer than one batch allows is played in several chunks
+        # a game longer than one batch allows is predicted in several batches,
+        # which cross epoch ends: each holds the rounds that fit its bound
         import relaxplay.epochs as epochs
         from relaxplay import ABSOLUTE_LOSS
 
         sched = EpochSchedule("fixed", block=40)
         adv = ObliviousAdversary(_threshold_labels, binary_labels=True)
         config = RunConfig(seed=2)
-        chunks = []
+        batches = []
         batch = epochs.predict_binary_fast_batch
 
-        def counted(xs, ys, js, *args):
-            chunks.append(len(js))
-            return batch(xs, ys, js, *args)
+        def counted(xs, ys, los, js, *args):
+            batches.append(len(js))
+            return batch(xs, ys, los, js, *args)
 
         monkeypatch.setattr(epochs, "predict_binary_fast_batch", counted)
 
@@ -489,11 +586,13 @@ class TestChunkedPlay:
             return run_epoch_predictor(sched, ThresholdClass(), ABSOLUTE_LOSS, env, adv, 90, config)
 
         whole = play()
-        assert chunks == [40, 40, 10]
-        chunks.clear()
-        monkeypatch.setattr(epochs, "MAX_BATCH_ELEMENTS", 400)  # 5 rounds of 2 rows of 40
+        assert batches == [90]  # 5640 elements: epoch 1's rows have 2j, later rows 80
+        batches.clear()
+        monkeypatch.setattr(epochs, "MAX_BATCH_ELEMENTS", 400)
         split = play()
-        assert chunks == [5] * 18
+        # epoch 1's rounds 1-19, 20-27, 28-33, 34-38; then rounds 39 and 40 with
+        # epoch 2's first 3; then 5 rounds of 80 a batch (one across epochs 2 and 3)
+        assert batches == [19, 8, 6, 5] + [5] * 10 + [2] == expected_batches(sched, 90, 90, 400)
         assert split.rows == whole.rows
 
 
@@ -519,8 +618,8 @@ def reference_probe(state, streams, t, probe_mc):
     clone, and np.mean over the predictions."""
     from relaxplay import GameHistory, draw_halluc, predict_binary_fast
 
-    rng, cls, j = streams.rngs(3, t), state.probe_cls.clone(), state.clock.j
-    history = GameHistory(state.xs[:j], state.ys[: j - 1])
+    rng, cls, j, lo = streams.rngs(3, t), state.probe_cls.clone(), state.clock.j, state.lo
+    history = GameHistory(state.game_xs[lo : lo + j], state.game_ys[lo : lo + j - 1])
     count = min(state.clock.length - j, state.pool.size)
     return float(np.mean([
         predict_binary_fast(history, draw_halluc(state.pool, count, rng), cls, state.pconf) for _ in range(probe_mc)

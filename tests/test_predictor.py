@@ -337,27 +337,33 @@ class TestPredictBinaryFastBatch:
     def test_equals_per_round_fast_path(self, make):
         rng = np.random.default_rng(21)
         for trial in range(40):
-            M = int(rng.integers(1, 14))
-            # pools shorter than the epoch give rows of mixed length
-            xs, ys, js, draws = epoch_rounds(rng, M, int(rng.integers(0, M + 2)), binary=trial % 4 != 3)
+            # two epochs of one game, after a NaN stretch that no round may read
+            epochs = [epoch_rounds(rng, int(rng.integers(1, 14)), int(rng.integers(0, 16)), binary=trial % 4 != 3)
+                      for _ in range(2)]
+            gap = int(rng.integers(0, 3))
+            xs = np.concatenate([np.full(gap, np.nan), epochs[0][0], epochs[1][0]])
+            ys = np.concatenate([np.full(gap, np.nan), epochs[0][1], epochs[1][1]])
+            starts = [gap, gap + len(epochs[0][0])]
             if trial % 5 == 0:
-                xs[rng.integers(0, M)] = 1.0  # positions at exactly 1 and duplicates
-                xs[rng.integers(0, M)] = xs[0]
-            order = rng.permutation(M)  # rounds in any order
-            js, draws = [js[i] for i in order], [draws[i] for i in order]
+                xs[rng.integers(gap, len(xs))] = 1.0  # positions at exactly 1 and duplicates
+                xs[rng.integers(gap, len(xs))] = xs[gap]
+            rounds = [(lo, j, d) for lo, (_, _, js, draws) in zip(starts, epochs) for j, d in zip(js, draws)]
+            rounds = [rounds[i] for i in rng.permutation(len(rounds))]  # rounds in any order, epochs mixed
+            los, js, draws = (list(column) for column in zip(*rounds))
             cls = make()
-            batched = predict_binary_fast_batch(xs, ys, js, draws, cls)
-            assert cls.solve_calls == 2 * M
-            config = PredictorConfig(horizon=M)
-            for j, d, yhat in zip(js, draws, batched.tolist()):
-                assert yhat == predict_binary_fast(GameHistory(xs[:j], ys[: j - 1]), RelaxationDraw(*d), make(), config)
+            batched = predict_binary_fast_batch(xs, ys, los, js, draws, cls)
+            assert cls.solve_calls == 2 * len(rounds)
+            for lo, j, d, yhat in zip(los, js, draws, batched.tolist()):
+                history = GameHistory(xs[lo : lo + j], ys[lo : lo + j - 1])
+                assert yhat == predict_binary_fast(history, RelaxationDraw(*d), make(), PredictorConfig(horizon=13))
 
     def test_split_batches_agree(self, monkeypatch):
         import relaxplay.predictor as predictor
 
         rng = np.random.default_rng(5)
         xs, ys, js, draws = epoch_rounds(rng, 30, 40)
-        whole = predict_binary_fast_batch(xs, ys, js, draws, ThresholdClass())
+        los = [0] * len(js)
+        whole = predict_binary_fast_batch(xs, ys, los, js, draws, ThresholdClass())
         monkeypatch.setattr(predictor, "MAX_BATCH_ELEMENTS", 100)
         cls, sizes = ThresholdClass(), []
         solve_rows = cls.solve_rows
@@ -367,29 +373,34 @@ class TestPredictBinaryFastBatch:
             return solve_rows(base, pos, dlt)
 
         cls.solve_rows = recorded
-        assert predict_binary_fast_batch(xs, ys, js, draws, cls).tolist() == whole.tolist()
+        assert predict_binary_fast_batch(xs, ys, los, js, draws, cls).tolist() == whole.tolist()
         assert cls.solve_calls == 60 == sum(rows for rows, _ in sizes)
         assert max(rows * n for rows, n in sizes) <= 100
 
     def test_boundary_errors(self):
         rng = np.random.default_rng(2)
         xs, ys, js, draws = epoch_rounds(rng, 6, 6)
+        los = [0] * len(js)
         with pytest.raises(ConfigError):
-            predict_binary_fast_batch(xs, ys, js, draws, FiniteClass.from_constants([0.3]))
+            predict_binary_fast_batch(xs, ys, los, js, draws, FiniteClass.from_constants([0.3]))
         # the class and loss are checked first: with no rounds, and before the feature shape
         with pytest.raises(ConfigError):
-            predict_binary_fast_batch(xs, ys, [], [], FiniteClass.from_constants([0.3]))
+            predict_binary_fast_batch(xs, ys, [], [], [], FiniteClass.from_constants([0.3]))
         with pytest.raises(ConfigError):
-            predict_binary_fast_batch(np.stack([xs, xs], axis=1), ys, [1], draws[:1], FiniteClass.from_constants([0.3]))
+            predict_binary_fast_batch(
+                np.stack([xs, xs], axis=1), ys, [0], [1], draws[:1], FiniteClass.from_constants([0.3])
+            )
         with pytest.raises(ConfigError):
-            predict_binary_fast_batch(xs, ys, js, draws, ThresholdClass(), SQUARED_LOSS)
-        assert predict_binary_fast_batch(xs, ys, [], [], ThresholdClass()).shape == (0,)
+            predict_binary_fast_batch(xs, ys, los, js, draws, ThresholdClass(), SQUARED_LOSS)
+        with pytest.raises(ConfigError, match="one epoch offset and one draw per round"):
+            predict_binary_fast_batch(xs, ys, los[1:], js, draws, ThresholdClass())
+        assert predict_binary_fast_batch(xs, ys, [], [], [], ThresholdClass()).shape == (0,)
         bad = xs.copy()
         bad[2] = np.nan
         with pytest.raises(InputDomainError):
-            predict_binary_fast_batch(bad, ys, js, draws, ThresholdClass())
+            predict_binary_fast_batch(bad, ys, los, js, draws, ThresholdClass())
         with pytest.raises(UnsupportedClassError):
-            predict_binary_fast_batch(np.stack([xs, xs], axis=1), ys, [1], draws[:1], ThresholdClass())
+            predict_binary_fast_batch(np.stack([xs, xs], axis=1), ys, [0], [1], draws[:1], ThresholdClass())
 
 
 class TestRelaxations:

@@ -45,7 +45,7 @@ class PoolExhaustedError(RuntimeError):
 
 
 class AdversaryFault(RuntimeError):
-    """An adversary emitted a label outside [0,1]."""
+    """An adversary emitted a label outside [0,1], or outside {0,1} after declaring binary labels."""
 
 
 def check_unit(value: float, name: str) -> float:

@@ -146,6 +146,9 @@ class Adversary:
         y = float(self.label(t, history, x_t, probe, rng))
         if not (0.0 <= y <= 1.0):
             raise AdversaryFault(f"adversary emitted label {y} outside [0,1] at t={t}")
+        # the 2-call fast path is exact only for the {0,1} labels it was promised
+        if self.binary_labels and y != 0.0 and y != 1.0:
+            raise AdversaryFault(f"adversary declared binary labels but emitted {y} at t={t}")
         return y
 
 

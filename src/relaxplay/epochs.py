@@ -37,6 +37,7 @@ from .predictor import (
     draw_slots,
     predict_binary_fast,
     predict_binary_fast_batch,
+    predict_binary_fast_block,
     predict_general,
 )
 from .traces import ONLINE_COLUMNS, RegretTrace, running_total
@@ -333,6 +334,8 @@ class _EpochPredictorState:
             self.lo = self.first + clock.start
             self.pool = SidePool(self.game_xs[self.first : self.lo])
             self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
+            # the label losses |0 - y| of the epoch's first `summed` rounds, added left to right
+            self.prefix, self.summed = 0.0, 0
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A hallucination draw for the current round, as (halluc, signs): the
@@ -343,18 +346,31 @@ class _EpochPredictorState:
     def probe(self, streams: RoundStreams, t: int, probe_mc: int):
         """Monte-Carlo mean prediction of the current round on its own RNG
         stream and the segment's one oracle clone; never touches the game's
-        RNG or counts. The probe_mc draws share one j and one count, so the
-        fast path solves them as one row block.
+        RNG or counts. On the fast path, the probe_mc draws share the one
+        history, j and count, so a class with `solve_rows` solves them as one
+        row block; else each draw is predicted as a queued round would be.
         """
 
         def probe() -> float:
             rng = streams.rngs(3, t)
-            draws = [self.draw(rng) for _ in range(probe_mc)]
-            yhats, _ = _predict(
-                self.game_xs, self.game_ys, [self.lo] * probe_mc, [self.clock.j] * probe_mc, draws,
-                [self.pconf] * probe_mc, self.probe_cls, self.use_fast,
+            lo, j = self.lo, self.clock.j
+            if not (self.use_fast and self.probe_cls.solve_rows is not None):
+                draws = [self.draw(rng) for _ in range(probe_mc)]
+                yhats, _ = _predict(
+                    self.game_xs, self.game_ys, [lo] * probe_mc, [j] * probe_mc, draws,
+                    [self.pconf] * probe_mc, self.probe_cls, self.use_fast,
+                )
+                return float(np.mean(yhats))
+            slots, signs = zip(*[draw_slots(self.pool.size, self.clock.count, rng) for _ in range(probe_mc)])
+            labels = self.game_ys[lo : lo + j - 1]
+            for y in labels[self.summed :].tolist():  # as the left-to-right cumsum adds them
+                self.prefix += abs(0.0 - y)
+            self.summed = j - 1
+            yhats = predict_binary_fast_block(
+                self.game_xs[lo : lo + j], self.prefix, np.abs(1.0 - labels) - np.abs(0.0 - labels),
+                self.pool.features, np.array(slots), np.array(signs), self.probe_cls, self.loss,
             )
-            return float(np.mean(yhats))
+            return float(yhats.sum() / probe_mc)  # np.mean's sum and division
 
         return probe
 

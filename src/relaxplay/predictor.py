@@ -304,6 +304,43 @@ def predict_binary_fast_batch(
     return yhats
 
 
+def predict_binary_fast_block(
+    xs: np.ndarray,
+    base: float,
+    pair_dlt: np.ndarray,
+    pool: np.ndarray,
+    slots: np.ndarray,
+    signs: np.ndarray,
+    cls: HypothesisClass,
+    loss: LossFn = ABSOLUTE_LOSS,
+) -> np.ndarray:
+    """predict_binary_fast of many draws over one history, bit for bit, in one `solve_rows` call.
+
+    The history is xs = x_1..x_j (the current feature last); its played
+    labels' losses |0 - y| sum, left to right, to `base`, and `pair_dlt`
+    holds their flip deltas |1 - y| - |0 - y|. Draw i hallucinates
+    pool[slots[i]] with signs[i]; `slots` and `signs` are (draws, count), as
+    `draw_slots` returns them. Draw i's two queries (probe label 0, then 1)
+    are rows 2i and 2i+1 of one (2 draws, j + count) block, whose history
+    columns are written once for all rows; each row counts one solve call.
+    """
+    if not cls.is_binary or loss.kind != "absolute":
+        raise ConfigError("fast path needs a binary-valued class and absolute loss")
+    xs, pool = scalar_rows(xs), scalar_rows(pool)
+    (draws, count), j = slots.shape, len(xs)
+    # draw i's rows 2i and 2i+1 as pos[i] and dlt[i]
+    pos, dlt = np.empty((draws, 2, j + count)), np.empty((draws, 2, j + count))
+    pos[:, :, :j], pos[:, :, j:] = xs, pool[slots][:, None]
+    if not np.isfinite(pos).all():
+        raise InputDomainError("features must be finite")
+    dlt[:, :, : j - 1], dlt[:, :, j - 1] = pair_dlt, _PROBE_DLT
+    dlt[:, :, j:] = (-2.0 * loss.lipschitz * signs)[:, None]  # the sup query negates the signs
+    rows = (2 * draws, j + count)
+    _, objectives = cls.solve_rows(np.array((base, base + 1.0) * draws), pos.reshape(rows), dlt.reshape(rows))
+    # 1 + g1 - g0 with g = -objective, added in the same order; the method is np.clip without its dispatch
+    return ((1.0 - objectives[1::2] + objectives[0::2]) / 2.0).clip(0.0, 1.0)
+
+
 def _sup_value(xs, ys, signs, feats, cls: HypothesisClass, loss: LossFn) -> float:
     query = _sup_query(xs, ys, np.asarray(signs, dtype=float), feats, loss)
     return -cls.solve(query).objective

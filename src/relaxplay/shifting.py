@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import math
 
-from .core import ConfigError, HypothesisClass, LossFn
+from .core import HypothesisClass, LossFn, check_count
 from .environment import Adversary
 from .epochs import EpochSchedule, RunConfig, online_trace, play_rounds, segment_regrets
 from .traces import RegretTrace
 
 
 def block_length(T: int, K: int) -> int:
-    """Block size T^{4/5} K^{-4/5}, rounded half-up and clamped to [1, T]."""
-    if T < 1 or K < 1:
-        raise ConfigError("T and K must be >= 1")
+    """Block size T^{4/5} K^{-4/5}, rounded half-up and clamped to [1, T];
+    T and K must be positive integers (ConfigError)."""
+    T, K = check_count(T, "T"), check_count(K, "K")
     raw = T ** 0.8 * K ** -0.8
     return int(min(T, max(1, math.floor(raw + 0.5))))
 
@@ -34,9 +34,8 @@ def run_shifting(
     schedule: EpochSchedule,
     config: RunConfig,
 ) -> RegretTrace:
-    """Run the blocked predictor; the scheme uses only the change bound K."""
-    if T < 1:
-        raise ConfigError("T must be >= 1")
+    """Run the blocked predictor; the scheme uses only the change bound K.
+    `block_length` checks T and K."""
     B = block_length(T, K)
     played = play_rounds(schedule, cls, loss, env, adversary, T, B, config)
     trace, comparator = online_trace(cls, loss, played)

@@ -148,6 +148,34 @@ class TestAdversaries:
         with pytest.raises(AdversaryFault):
             bad.emit(1, [], 0.5, None, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kind", ["oblivious", "adaptive"])
+    def test_declared_binary_label_outside_0_1_raises(self, kind):
+        # a declared-binary adversary picks the 2-call fast path, exact only for {0,1} labels
+        if kind == "oblivious":
+            adv = ObliviousAdversary(lambda t, x, rng: 0.3, binary_labels=True)
+        else:
+            adv = AdaptiveAdversary(lambda t, h, x, p, r: 0.3, binary_labels=True)
+        with pytest.raises(AdversaryFault, match="binary"):
+            adv.emit(1, [], 0.5, lambda: 0.5, np.random.default_rng(0))
+        with pytest.raises(AdversaryFault, match="binary"):
+            run_epoch_predictor(
+                EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS,
+                FeatureDistribution.uniform(), adv, 50, RunConfig(seed=0, probe_mc=2),
+            )
+
+    @pytest.mark.parametrize("kind", ["oblivious", "adaptive"])
+    def test_non_binary_adversary_still_plays_fractional_labels(self, kind):
+        if kind == "oblivious":
+            adv = ObliviousAdversary(lambda t, x, rng: 0.3)
+        else:
+            adv = AdaptiveAdversary(lambda t, h, x, p, r: 0.3)
+        assert adv.emit(1, [], 0.5, lambda: 0.5, None) == 0.3
+        trace = run_epoch_predictor(
+            EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS,
+            FeatureDistribution.uniform(), adv, 20, RunConfig(seed=0, probe_mc=2),
+        )
+        assert set(trace.column("y")) == {0.3} and trace.metadata["fast_binary_path"] is False
+
     def test_noisy_target_flip_rate(self):
         adv = noisy_target(lambda x: float(x >= 0.5), p=0.1)
         rng = np.random.default_rng(3)

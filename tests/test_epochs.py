@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaxplay import (
@@ -515,24 +515,53 @@ class TestChunkedPlay:
         trace = run_epoch_predictor(sched, make_cls(), ABSOLUTE_LOSS, env, make_adv(), T, config)
         assert trace.rows == per_round_reference(sched, make_cls(), ABSOLUTE_LOSS, env, make_adv(), T, config)
 
-    @pytest.mark.parametrize("adversary", ["oblivious", "flip_to_far"])
-    def test_shifting_rows_equal_per_round_reference(self, adversary):
+    @pytest.mark.parametrize("adversary", ["oblivious", "flip_to_far", "comparator_squeeze"])
+    def test_shifting_rows_equal_per_round_reference(self, adversary, monkeypatch):
+        # blocks and epochs end inside the game, so each probe's label-loss
+        # prefix restarts at both; every probe is one row block on its segment's clone
+        import relaxplay.epochs as epochs
         from relaxplay import ABSOLUTE_LOSS, IntervalClass, ShiftingProcess, block_length, run_shifting
-        from relaxplay.environment import flip_to_far
+        from relaxplay.environment import comparator_squeeze, flip_to_far
 
         T, K = 60, 3
         env = ShiftingProcess([(FeatureDistribution.uniform(0.0, 0.6), 1), (FeatureDistribution.uniform(0.4, 1.0), 25)])
         sched = EpochSchedule("geometric", ratio=1.5)
-        make_adv = flip_to_far if adversary == "flip_to_far" else (
-            lambda: ObliviousAdversary(_threshold_labels, binary_labels=True)
-        )
+        make_adv = {
+            "oblivious": lambda: ObliviousAdversary(_threshold_labels, binary_labels=True),
+            "flip_to_far": flip_to_far,
+            "comparator_squeeze": lambda: comparator_squeeze(lambda: IntervalClass(0.25)),
+        }[adversary]
         config = RunConfig(seed=4, probe_mc=2)
-        trace = run_shifting(IntervalClass(0.25), ABSOLUTE_LOSS, env, make_adv(), T, K, sched, config)
+        block, blocks = epochs.predict_binary_fast_block, []  # per probe: its oracle and its solve_rows calls' rows
+
+        def counted(*args):
+            probe_cls, solved = args[-2], []
+            solve_rows = probe_cls.solve_rows
+            probe_cls.solve_rows = lambda base, pos, dlt: solved.append(len(pos)) or solve_rows(base, pos, dlt)
+            try:
+                return block(*args)
+            finally:
+                del probe_cls.solve_rows
+                blocks.append((probe_cls, solved))
+
+        monkeypatch.setattr(epochs, "predict_binary_fast_block", counted)
+        cls = IntervalClass(0.25)
+        trace = run_shifting(cls, ABSOLUTE_LOSS, env, make_adv(), T, K, sched, config)
         B = block_length(T, K)
         assert trace.rows == per_round_reference(
             sched, IntervalClass(0.25), ABSOLUTE_LOSS, env, make_adv(), T, config, block=B
         )
         assert trace.metadata["block_starts"] == list(range(1, T + 1, B))
+        if adversary == "oblivious":
+            assert blocks == []
+        else:
+            assert [solved for _, solved in blocks] == [[2 * config.probe_mc]] * T
+            # one clone per block, never the game's own class, whose calls are its rounds' 2 each
+            clones = [probe_cls for probe_cls, _ in blocks]
+            assert [sum(c is clone for c in clones) for clone in dict.fromkeys(clones)] == [
+                min(B, T - first) for first in range(0, T, B)
+            ]
+            assert cls not in clones and cls.solve_calls == 2 * T
 
     @pytest.mark.parametrize("adversary", ["oblivious", "flip_to_far"])
     def test_nan_feature_raises(self, adversary):
@@ -612,13 +641,14 @@ def _feature(rng):
     return float(rng.choice([0.0, 0.5, 1.0])) if rng.random() < 0.25 else float(rng.random())
 
 
-def reference_probe(state, streams, t, probe_mc):
+def reference_probe(state, rng, probe_mc):
     """The probe as it was before the row block: each draw through
-    `draw_halluc`, each prediction through `predict_binary_fast` on a fresh
-    clone, and np.mean over the predictions."""
+    `draw_halluc` on the round's stream-3 generator `rng`, each prediction
+    through `predict_binary_fast` on a fresh clone, and np.mean over the
+    predictions."""
     from relaxplay import GameHistory, draw_halluc, predict_binary_fast
 
-    rng, cls, j, lo = streams.rngs(3, t), state.probe_cls.clone(), state.clock.j, state.lo
+    cls, j, lo = state.probe_cls.clone(), state.clock.j, state.lo
     history = GameHistory(state.game_xs[lo : lo + j], state.game_ys[lo : lo + j - 1])
     count = min(state.clock.length - j, state.pool.size)
     return float(np.mean([
@@ -637,29 +667,35 @@ class TestEpochPredictorState:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        probe_mc=st.integers(1, 5),
+        probe_mc=st.integers(1, 12),  # from 8 draws on, np.mean sums pairwise
         schedule=st.sampled_from(list(SCHEDULES)),
         rounds=st.integers(1, 40),
         binary=st.booleans(),
         first=st.integers(0, 5),
     )
+    @example(seed=0, probe_mc=1, schedule="linear", rounds=1, binary=True, first=0)  # j = 1 on an empty pool only
+    @example(seed=3, probe_mc=1, schedule="doubling", rounds=12, binary=False, first=2)
     def test_block_probe_equals_per_draw_mean(self, kind, seed, probe_mc, schedule, rounds, binary, first):
         from relaxplay import IntervalClass
 
         cls = ThresholdClass() if kind == "threshold" else IntervalClass(0.25)
         state, streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds, first)
         _, ref_streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds)
+        solve_rows, solved = state.probe_cls.solve_rows, []  # the rows of each solve_rows call
+        state.probe_cls.solve_rows = lambda base, pos, dlt: solved.append(len(pos)) or solve_rows(base, pos, dlt)
         rng = np.random.default_rng(seed)
-        rngs, streams_asked = streams.rngs, []
-        streams.rngs = lambda stream, t: streams_asked.append(stream) or rngs(stream, t)
+        rngs, asked = streams.rngs, []
+        streams.rngs = lambda stream, t: asked.append((stream, rngs(stream, t))) or asked[-1][1]
         for t in range(1, rounds + 1):
             state.game_xs[first + t - 1] = _feature(rng)
             state.advance()
-            before = state.probe_cls.solve_calls
+            solved.clear()  # the reference's clone below copies the recording solve_rows
             got = state.probe(streams, t, probe_mc)()
-            assert state.probe_cls.solve_calls == before + 2 * probe_mc
-            assert streams_asked == [3] * t  # one stream-3 generator per probe, nothing else
-            assert got == reference_probe(state, ref_streams, t, probe_mc)
+            assert solved == [2 * probe_mc]  # one solve_rows call a probe, one row per probe label a draw
+            assert [stream for stream, _ in asked] == [3] * t  # one stream-3 generator per probe, nothing else
+            ref_rng = ref_streams.rngs(3, t)
+            assert got == reference_probe(state, ref_rng, probe_mc)
+            assert asked[-1][1].bit_generator.state == ref_rng.bit_generator.state  # the same draws, no more
             state.game_ys[first + t - 1] = float(rng.integers(0, 2)) if binary else float(rng.random())
         assert cls.solve_calls == 0  # the game's own oracle is never asked
 
@@ -671,9 +707,54 @@ class TestEpochPredictorState:
         for t in range(1, 21):
             state.game_xs[3 + t] = _feature(rng)
             state.advance()
-            assert state.probe(streams, t, 3)() == reference_probe(state, streams, t, 3)
+            assert state.probe(streams, t, 3)() == reference_probe(state, streams.rngs(3, t), 3)
             state.game_ys[3 + t] = float(rng.integers(0, 2))
         assert state.probe_cls.solve_calls == 2 * 3 * 20 and cls.solve_calls == 0
+
+    @pytest.mark.parametrize("where", ["history", "pool"])
+    def test_nan_feature_in_the_block_raises(self, where):
+        # the linear schedule's epoch 1 is round 1; round 2 opens epoch 2, whose
+        # history is x_2 and whose one hallucination is x_1, so a NaN x_2 or x_1
+        # reaches round 2's block
+        from relaxplay import InputDomainError
+
+        state, streams = _state_and_streams(self.SCHEDULES["linear"], ThresholdClass(), 0, 2)
+        state.game_xs[:2] = (0.5, np.nan) if where == "history" else (np.nan, 0.5)
+        state.game_ys[0] = 1.0
+        state.advance()
+        state.advance()
+        assert (state.clock.n, state.clock.j, state.clock.count) == (2, 1, 1)
+        with pytest.raises(InputDomainError, match="finite"):
+            state.probe(streams, 2, 2)()
+        assert state.probe_cls.solve_calls == 0
+
+    def test_nan_feature_of_a_custom_process_raises_in_the_probe(self):
+        from relaxplay import ABSOLUTE_LOSS, AdaptiveAdversary, InputDomainError
+
+        class NanAtThree:
+            # a bare process: FeatureDistribution rejects NaN points when built
+            def __init__(self):
+                self.drawn = 0
+
+            def sample(self, rng):
+                self.drawn += 1
+                return float("nan") if self.drawn == 3 else float(rng.random())
+
+        raised = []
+
+        def fn(t, history, x_t, probe, rng):
+            try:
+                return 1.0 if probe() < 0.5 else 0.0
+            except InputDomainError:
+                raised.append(t)
+                raise
+
+        with pytest.raises(InputDomainError, match="finite"):
+            run_epoch_predictor(
+                EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS, NanAtThree(),
+                AdaptiveAdversary(fn, binary_labels=True), 10, RunConfig(seed=0, probe_mc=2),
+            )
+        assert raised == [3]
 
 
 class TestProbeErmCalls:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,30 @@ class TestBlockLength:
             block_length(0, 1)
         with pytest.raises(ConfigError):
             block_length(10, 0)
+
+    # each was taken silently (K = 2.5 gave B = 41, True 84, inf 1) or died
+    # with a bare ValueError (NaN)
+    @pytest.mark.parametrize("K", [2.5, True, math.inf, math.nan, "2", None])
+    def test_K_must_be_a_positive_integer(self, K):
+        with pytest.raises(ConfigError, match="K"):
+            block_length(256, K)
+
+    @pytest.mark.parametrize("T", [256.5, True, math.inf, math.nan, -3])
+    def test_T_must_be_a_positive_integer(self, T):
+        with pytest.raises(ConfigError, match="T"):
+            block_length(T, 2)
+
+    def test_numpy_integers_are_accepted(self):
+        assert block_length(np.int64(256), np.int32(2)) == block_length(256, 2) == 49
+
+    @pytest.mark.parametrize("T, K", [(256.5, 2), (256, 2.5), (256, True), (256, math.inf), (256, math.nan)])
+    def test_run_shifting_rejects_bad_T_and_K(self, T, K):
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        with pytest.raises(ConfigError):
+            run_shifting(
+                ThresholdClass(), ABSOLUTE_LOSS, FeatureDistribution.uniform(), adversary, T, K,
+                EpochSchedule("polynomial", alpha=1.0), RunConfig(seed=0),
+            )
 
 
 class TestBlocksStraddling:

@@ -334,8 +334,9 @@ class _EpochPredictorState:
             self.lo = self.first + clock.start
             self.pool = SidePool(self.game_xs[self.first : self.lo])
             self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
-            # the label losses |0 - y| of the epoch's first `summed` rounds, added left to right
-            self.prefix, self.summed = 0.0, 0
+            # the label losses |0 - y| of the epoch's first `summed` rounds, added left to right,
+            # and their flip deltas |1 - y| - |0 - y|
+            self.prefix, self.summed, self.flips = 0.0, 0, np.empty(clock.length)
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A hallucination draw for the current round, as (halluc, signs): the
@@ -361,14 +362,18 @@ class _EpochPredictorState:
                     [self.pconf] * probe_mc, self.probe_cls, self.use_fast,
                 )
                 return float(np.mean(yhats))
-            slots, signs = zip(*[draw_slots(self.pool.size, self.clock.count, rng) for _ in range(probe_mc)])
-            labels = self.game_ys[lo : lo + j - 1]
-            for y in labels[self.summed :].tolist():  # as the left-to-right cumsum adds them
-                self.prefix += abs(0.0 - y)
+            count = self.clock.count
+            slots, signs = np.empty((probe_mc, count), dtype=np.intp), np.empty((probe_mc, count))
+            for i in range(probe_mc):
+                slots[i], signs[i] = draw_slots(self.pool.size, count, rng)
+            for k, y in enumerate(self.game_ys[lo + self.summed : lo + j - 1].tolist(), self.summed):
+                loss0 = abs(0.0 - y)  # as the left-to-right cumsum adds them
+                self.prefix += loss0
+                self.flips[k] = abs(1.0 - y) - loss0
             self.summed = j - 1
             yhats = predict_binary_fast_block(
-                self.game_xs[lo : lo + j], self.prefix, np.abs(1.0 - labels) - np.abs(0.0 - labels),
-                self.pool.features, np.array(slots), np.array(signs), self.probe_cls, self.loss,
+                self.game_xs[lo : lo + j], self.prefix, self.flips[: j - 1],
+                self.pool.features, slots, signs, self.probe_cls, self.loss,
             )
             return float(yhats.sum() / probe_mc)  # np.mean's sum and division
 

@@ -319,8 +319,8 @@ def predict_binary_fast_block(
     The history is xs = x_1..x_j (the current feature last); its played
     labels' losses |0 - y| sum, left to right, to `base`, and `pair_dlt`
     holds their flip deltas |1 - y| - |0 - y|. Draw i hallucinates
-    pool[slots[i]] with signs[i]; `slots` and `signs` are (draws, count), as
-    `draw_slots` returns them. Draw i's two queries (probe label 0, then 1)
+    pool[slots[i]] with signs[i]; `slots` and `signs` are (draws, count), a
+    `draw_slots` draw per row. Draw i's two queries (probe label 0, then 1)
     are rows 2i and 2i+1 of one (2 draws, j + count) block, whose history
     columns are written once for all rows; each row counts one solve call.
     """

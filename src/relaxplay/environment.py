@@ -137,7 +137,6 @@ class Adversary:
     only adaptive adversaries may call it."""
 
     kind = "oblivious"
-    binary_labels = False
 
     def label(self, t, history, x_t, probe, rng) -> float:
         raise NotImplementedError
@@ -146,9 +145,6 @@ class Adversary:
         y = float(self.label(t, history, x_t, probe, rng))
         if not (0.0 <= y <= 1.0):
             raise AdversaryFault(f"adversary emitted label {y} outside [0,1] at t={t}")
-        # the 2-call fast path is exact only for the {0,1} labels it was promised
-        if self.binary_labels and y != 0.0 and y != 1.0:
-            raise AdversaryFault(f"adversary declared binary labels but emitted {y} at t={t}")
         return y
 
 
@@ -157,9 +153,8 @@ class ObliviousAdversary(Adversary):
 
     kind = "oblivious"
 
-    def __init__(self, fn: Callable, binary_labels: bool = False):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.binary_labels = binary_labels
 
     def label(self, t, history, x_t, probe, rng) -> float:
         return self.fn(t, x_t, rng)
@@ -170,9 +165,8 @@ class AdaptiveAdversary(Adversary):
 
     kind = "adaptive"
 
-    def __init__(self, fn: Callable, binary_labels: bool = False):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.binary_labels = binary_labels
 
     def label(self, t, history, x_t, probe, rng) -> float:
         return self.fn(t, history, x_t, probe, rng)
@@ -183,10 +177,9 @@ class SemiAdaptiveAdversary(Adversary):
 
     kind = "semi_adaptive"
 
-    def __init__(self, window: int, fn: Callable, binary_labels: bool = False):
+    def __init__(self, window: int, fn: Callable):
         self.window = check_seed(window, "window")
         self.fn = fn
-        self.binary_labels = binary_labels
 
     def label(self, t, history, x_t, probe, rng) -> float:
         # the last `window` rounds only (none for window 0), not the whole game
@@ -205,7 +198,7 @@ def noisy_target(target: Callable[[Feature], float], p: float) -> ObliviousAdver
             y = 1.0 - y
         return y
 
-    return ObliviousAdversary(fn, binary_labels=True)
+    return ObliviousAdversary(fn)
 
 
 def flip_to_far() -> AdaptiveAdversary:
@@ -214,7 +207,7 @@ def flip_to_far() -> AdaptiveAdversary:
     def fn(t, history, x_t, probe, rng):
         return 1.0 if probe() < 0.5 else 0.0
 
-    return AdaptiveAdversary(fn, binary_labels=True)
+    return AdaptiveAdversary(fn)
 
 
 def comparator_squeeze(cls_factory) -> AdaptiveAdversary:
@@ -240,20 +233,19 @@ def comparator_squeeze(cls_factory) -> AdaptiveAdversary:
         return best_y
 
     fn.helper = cls_factory()
-    return AdaptiveAdversary(fn, binary_labels=True)
+    return AdaptiveAdversary(fn)
 
 
 def constant(value: float) -> ObliviousAdversary:
     check_unit(value, "constant label")
-    return ObliviousAdversary(lambda t, x, rng: value, binary_labels=value in (0.0, 1.0))
+    return ObliviousAdversary(lambda t, x, rng: value)
 
 
 def periodic(values: Sequence[float]) -> ObliviousAdversary:
     vals = [check_unit(v, "periodic label") for v in values]
-    return ObliviousAdversary(
-        lambda t, x, rng: vals[(t - 1) % len(vals)],
-        binary_labels=all(v in (0.0, 1.0) for v in vals),
-    )
+    if not vals:
+        raise ConfigError("periodic labels need at least one value")
+    return ObliviousAdversary(lambda t, x, rng: vals[(t - 1) % len(vals)])
 
 
 def builtin_adversaries() -> dict:

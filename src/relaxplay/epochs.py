@@ -288,21 +288,22 @@ class RoundStreams:
         return np.random.Generator(np.random.PCG64(_SeedWords(words[t - lo])))
 
 
-def _predict(xs, ys, los, js, draws, confs, cls, use_fast: bool) -> tuple[list, list]:
+def _predict(xs, ys, los, js, draws, confs, cls) -> tuple[list, list]:
     """Predictions of rounds of the game whose features and labels are `xs`
     and `ys`, and each one's ERM calls.
 
     Round r is local round js[r] of the epoch that starts at index los[r]
     of those arrays, played on the draw draws[r] under that epoch's
-    PredictorConfig confs[r]. The fast path solves all rounds in one batch
-    when the class can, and every round then makes the same calls; else
-    the rounds are predicted one at a time.
+    PredictorConfig confs[r]. Under the absolute loss a class with
+    `solve_rows` solves all rounds in one batch, and every round then makes
+    the same calls; else the rounds are predicted one at a time.
     """
-    if use_fast and cls.solve_rows is not None:
+    loss = confs[0].loss
+    if loss.kind == "absolute" and cls.solve_rows is not None:
         before = cls.solve_calls
-        yhats = predict_binary_fast_batch(xs, ys, los, js, draws, cls, confs[0].loss)
+        yhats = predict_binary_fast_batch(xs, ys, los, js, draws, cls, loss)
         return yhats.tolist(), [(cls.solve_calls - before) // len(js)] * len(js)
-    predict = predict_binary_fast if use_fast else predict_general
+    predict = predict_binary_fast if loss.kind == "absolute" else predict_general
     yhats, calls = [], []
     for lo, j, draw, pconf in zip(los, js, draws, confs):
         before = cls.solve_calls
@@ -319,11 +320,10 @@ class _EpochPredictorState:
     view of `xs`; the current epoch starts at index `lo` of both arrays.
     """
 
-    def __init__(self, schedule, cls, loss, use_fast: bool, xs: np.ndarray, ys: np.ndarray, first: int):
+    def __init__(self, schedule, cls, loss, xs: np.ndarray, ys: np.ndarray, first: int):
         self.clock = EpochClock(schedule)
         self.probe_cls = cls.clone()  # every probe of the segment solves on this one clone
         self.loss = loss
-        self.use_fast = use_fast
         self.game_xs, self.game_ys, self.first = xs, ys, first
         self.pool = self.lo = self.pconf = None  # set when the first round opens epoch 1
 
@@ -347,19 +347,19 @@ class _EpochPredictorState:
     def probe(self, streams: RoundStreams, t: int, probe_mc: int):
         """Monte-Carlo mean prediction of the current round on its own RNG
         stream and the segment's one oracle clone; never touches the game's
-        RNG or counts. On the fast path, the probe_mc draws share the one
-        history, j and count, so a class with `solve_rows` solves them as one
-        row block; else each draw is predicted as a queued round would be.
+        RNG or counts. The probe_mc draws share the one history, j and count,
+        so under the absolute loss a class with `solve_rows` solves them as
+        one row block; else each draw is predicted as a queued round would be.
         """
 
         def probe() -> float:
             rng = streams.rngs(3, t)
             lo, j = self.lo, self.clock.j
-            if not (self.use_fast and self.probe_cls.solve_rows is not None):
+            if not (self.loss.kind == "absolute" and self.probe_cls.solve_rows is not None):
                 draws = [self.draw(rng) for _ in range(probe_mc)]
                 yhats, _ = _predict(
                     self.game_xs, self.game_ys, [lo] * probe_mc, [j] * probe_mc, draws,
-                    [self.pconf] * probe_mc, self.probe_cls, self.use_fast,
+                    [self.pconf] * probe_mc, self.probe_cls,
                 )
                 return float(np.mean(yhats))
             count = self.clock.count
@@ -390,7 +390,6 @@ class PlayedRounds:
     yhats: np.ndarray
     losses: np.ndarray
     meta: np.ndarray  # (T, 4) ints: block, epoch, j and erm_calls of each round
-    use_fast: bool
     probed: bool  # whether the adversary probed each round's mean prediction
     states: list = field(default_factory=list)
 
@@ -407,8 +406,9 @@ def play_rounds(
 ) -> PlayedRounds:
     """Play T rounds; the epoch predictor restarts from scratch every `block` rounds.
 
-    The 2-call fast path runs exactly when the class is binary, the loss
-    absolute and the adversary declares {0,1} labels; else `predict_general`.
+    Under the absolute loss every round takes the 2-call route
+    (`predict_binary_fast`), whatever the class and labels; a custom loss
+    plays `predict_general`'s label grid.
 
     Each round samples its feature, emits its label (an adversary that is
     not oblivious first probes that round's mean prediction) and draws its
@@ -424,13 +424,12 @@ def play_rounds(
     if T < 1:
         raise ConfigError("T must be >= 1")
     oblivious = adversary.kind == "oblivious"
-    use_fast = cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
     streams = RoundStreams(config.seed, T, (1, 2, 4) if oblivious else (1, 2, 3, 4))
     x_t = sample_feature(env, 1, streams.rngs(1, 1))
     shape = feature_rows([x_t]).shape[1:]
     played = PlayedRounds(
         xs=np.empty((T, *shape)), ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T),
-        meta=np.empty((T, 4), dtype=np.intp), use_fast=use_fast, probed=not oblivious,
+        meta=np.empty((T, 4), dtype=np.intp), probed=not oblivious,
     )
     history: list = []
     queue, elements = [], 0  # queued rounds as (lo, j, draw, pconf), and their rows' elements
@@ -438,7 +437,7 @@ def play_rounds(
     def flush(end: int) -> None:
         """Predict the queued rounds, which end at round `end`."""
         rounds = slice(end - len(queue), end)
-        yhats, calls = _predict(played.xs, played.ys, *zip(*queue), cls, use_fast)
+        yhats, calls = _predict(played.xs, played.ys, *zip(*queue), cls)
         played.yhats[rounds] = yhats
         played.losses[rounds] = [loss_eval(loss, p, y) for p, y in zip(yhats, played.ys[rounds].tolist())]
         played.meta[rounds, 3] = calls
@@ -452,7 +451,7 @@ def play_rounds(
                 raise InputDomainError("features must be all scalars or all vectors of one length")
         played.xs[t - 1] = x_t
         if (t - 1) % block == 0:
-            state = _EpochPredictorState(schedule, cls, loss, use_fast, played.xs, played.ys, t - 1)
+            state = _EpochPredictorState(schedule, cls, loss, played.xs, played.ys, t - 1)
             played.states.append(state)
         state.advance()
         probe = None if oblivious else state.probe(streams, t, config.probe_mc)
@@ -499,7 +498,6 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
     clocks = [state.clock for state in played.states]
     trace.metadata.update(
         rounding_drift=sum(c.drift for c in clocks), halluc_shortfall=sum(c.shortfall for c in clocks),
-        fast_binary_path=played.use_fast,
     )
     if played.probed:
         trace.metadata["probe_erm_calls"] = sum(state.probe_cls.solve_calls for state in played.states)

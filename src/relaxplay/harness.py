@@ -142,7 +142,11 @@ def build_adversary(spec: dict, path: str = "adversary"):
         return envmod.comparator_squeeze(lambda: build_class(cls_spec, f"{path}.class"))
     if name == "constant":
         return envmod.constant(_real(spec, "value", path))
-    return envmod.periodic(_reals(spec, "values", path))
+    values = _reals(spec, "values", path)
+    try:
+        return envmod.periodic(values)
+    except ConfigError as e:
+        _fail(f"{path}.values", str(e))
 
 
 def build_schedule(spec: dict, path: str = "schedule") -> EpochSchedule:

@@ -226,14 +226,16 @@ def predict_binary_fast(
     cls: HypothesisClass,
     config: PredictorConfig,
 ) -> float:
-    """Exact prediction with 2 oracle calls (binary class, {0,1} labels, absolute loss).
+    """Exact absolute-loss prediction with 2 oracle calls, for any [0,1]-valued
+    class and labels in [0,1]: for fixed h, |yhat - y| - |h(x_j) - y| is monotone
+    in y, so the label sup of |yhat - y| + G(y) is reached at y = 0 or 1.
 
     phi(yhat) = max(yhat + G(0), 1 - yhat + G(1)) is minimized where the two
     branches meet, clamped to [0,1]; `minimax_step` on {0, 1} can differ from
     this in the last bit where the result clips at 1.
     """
-    if not cls.is_binary or config.loss.kind != "absolute":
-        raise ConfigError("fast path needs a binary-valued class and absolute loss")
+    if config.loss.kind != "absolute":
+        raise ConfigError("the 2-call prediction needs the absolute loss")
     g0, g1 = inner_sups(history, draw, (0.0, 1.0), cls, config)
     return float(np.clip((1.0 + g1 - g0) / 2.0, 0.0, 1.0))
 

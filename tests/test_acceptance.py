@@ -20,6 +20,7 @@ from relaxplay import (
     FiniteClass,
     IntervalClass,
     LabeledPair,
+    LossFn,
     MixedErmQuery,
     ObliviousAdversary,
     PolicyClass,
@@ -112,11 +113,11 @@ def test_criterion_01_oracle_exactness():
     )
 
 
-def _criterion2_run(adversary):
+def _criterion2_run(adversary, loss=ABSOLUTE_LOSS):
     return run_epoch_predictor(
         EpochSchedule("polynomial", alpha=1.0),
         ThresholdClass(),
-        ABSOLUTE_LOSS,
+        loss,
         FeatureDistribution.uniform(),
         adversary,
         512,
@@ -126,11 +127,15 @@ def _criterion2_run(adversary):
 
 def test_criterion_02_erm_call_budget():
     labels = noisy_target(lambda x: float(x >= 0.5), 0.1)
-    fast = _criterion2_run(labels)
-    fast_ok = all(c == 2 for c in fast.column("erm_calls"))
+    # every absolute-loss game takes the 2-call route, a bare adversary's too
+    fast_ok = all(
+        all(c == 2 for c in _criterion2_run(adversary).column("erm_calls"))
+        for adversary in (labels, ObliviousAdversary(labels.fn))
+    )
 
-    # the same labels from an adversary that declares no binary labels take the general path
-    general = _criterion2_run(ObliviousAdversary(labels.fn))
+    # a custom loss is the one game route left on predict_general's label grid
+    custom = LossFn("custom", lipschitz=1.0, evaluator=lambda p, y: abs(p - y))
+    general = _criterion2_run(ObliviousAdversary(labels.fn), custom)
     sched = EpochSchedule("polynomial", alpha=1.0)
     general_ok = True
     worst = 0
@@ -141,8 +146,8 @@ def test_criterion_02_erm_call_budget():
     _verdict(
         "criterion 02 (ERM-call budget)",
         fast_ok and general_ok,
-        f"fast path == 2 on all 512 rounds: {fast_ok}; "
-        f"general path within ceil(sqrt(M))+2 (worst excess {worst})",
+        f"2-call route == 2 on all 512 rounds: {fast_ok}; "
+        f"grid route within ceil(sqrt(M))+2 ({sum(general.column('erm_calls'))} calls, worst excess {worst})",
     )
 
 

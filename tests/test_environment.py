@@ -149,21 +149,6 @@ class TestAdversaries:
             bad.emit(1, [], 0.5, None, np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["oblivious", "adaptive"])
-    def test_declared_binary_label_outside_0_1_raises(self, kind):
-        # a declared-binary adversary picks the 2-call fast path, exact only for {0,1} labels
-        if kind == "oblivious":
-            adv = ObliviousAdversary(lambda t, x, rng: 0.3, binary_labels=True)
-        else:
-            adv = AdaptiveAdversary(lambda t, h, x, p, r: 0.3, binary_labels=True)
-        with pytest.raises(AdversaryFault, match="binary"):
-            adv.emit(1, [], 0.5, lambda: 0.5, np.random.default_rng(0))
-        with pytest.raises(AdversaryFault, match="binary"):
-            run_epoch_predictor(
-                EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS,
-                FeatureDistribution.uniform(), adv, 50, RunConfig(seed=0, probe_mc=2),
-            )
-
-    @pytest.mark.parametrize("kind", ["oblivious", "adaptive"])
     def test_non_binary_adversary_still_plays_fractional_labels(self, kind):
         if kind == "oblivious":
             adv = ObliviousAdversary(lambda t, x, rng: 0.3)
@@ -174,7 +159,8 @@ class TestAdversaries:
             EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS,
             FeatureDistribution.uniform(), adv, 20, RunConfig(seed=0, probe_mc=2),
         )
-        assert set(trace.column("y")) == {0.3} and trace.metadata["fast_binary_path"] is False
+        assert set(trace.column("y")) == {0.3}
+        assert set(trace.column("erm_calls")) == {2}
 
     def test_noisy_target_flip_rate(self):
         adv = noisy_target(lambda x: float(x >= 0.5), p=0.1)
@@ -194,8 +180,8 @@ class TestAdversaries:
             0.5,
             0.0,
         ]
-        assert adv.binary_labels is False
-        assert periodic([0.0, 1.0]).binary_labels is True
+        with pytest.raises(ConfigError, match="at least one"):
+            periodic([])
 
     def test_flip_to_far_uses_probe(self):
         adv = flip_to_far()
@@ -255,11 +241,8 @@ class TestProbeIsolation:
         sched = EpochSchedule("polynomial", alpha=1.0)
         T = 12
 
-        oblivious = ObliviousAdversary(lambda t, x, rng: 1.0, binary_labels=True)
-        probing = AdaptiveAdversary(
-            lambda t, history, x_t, probe, rng: 1.0 if probe() < 2.0 else 0.0,
-            binary_labels=True,
-        )
+        oblivious = ObliviousAdversary(lambda t, x, rng: 1.0)
+        probing = AdaptiveAdversary(lambda t, history, x_t, probe, rng: 1.0 if probe() < 2.0 else 0.0)
         cfg = RunConfig(seed=11, probe_mc=8)
         a = run_epoch_predictor(sched, ThresholdClass(), ABSOLUTE_LOSS, env, oblivious, T, cfg)
         b = run_epoch_predictor(sched, ThresholdClass(), ABSOLUTE_LOSS, env, probing, T, cfg)
@@ -270,8 +253,8 @@ class TestProbeIsolation:
         env = FeatureDistribution.uniform()
         sched = EpochSchedule("polynomial", alpha=1.0)
         rule = lambda feats: float(feats[-1] >= 0.5)
-        semi = SemiAdaptiveAdversary(0, lambda t, feats, rng: rule(feats), binary_labels=True)
-        obli = ObliviousAdversary(lambda t, x, rng: rule([x]), binary_labels=True)
+        semi = SemiAdaptiveAdversary(0, lambda t, feats, rng: rule(feats))
+        obli = ObliviousAdversary(lambda t, x, rng: rule([x]))
         cfg = RunConfig(seed=5)
         a = run_epoch_predictor(sched, ThresholdClass(), ABSOLUTE_LOSS, env, semi, 15, cfg)
         b = run_epoch_predictor(sched, ThresholdClass(), ABSOLUTE_LOSS, env, obli, 15, cfg)

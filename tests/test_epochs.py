@@ -200,7 +200,7 @@ class TestRunEpochPredictor:
 
     def test_erm_calls_fast_path(self):
         cls = ThresholdClass()
-        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
         trace = self._run(cls, adversary, 12)
         assert all(c == 2 for c in trace.column("erm_calls"))
 
@@ -236,7 +236,7 @@ class TestHallucinationShortfall:
 
     def test_counted_in_metadata(self):
         sched = EpochSchedule("geometric", ratio=1.5)
-        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
         trace = self._run(sched, adversary, 40)
         # epoch 1 (length 2) starts with an empty pool, so its first round falls short
         assert trace.metadata["halluc_shortfall"] == expected_shortfall(sched, 40) > 0
@@ -250,12 +250,12 @@ class TestHallucinationShortfall:
 
     def test_linear_schedule_never_falls_short(self):
         sched = EpochSchedule("polynomial", alpha=1.0)
-        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
         assert self._run(sched, adversary, 30).metadata["halluc_shortfall"] == 0
 
     def test_kept_out_of_the_csv(self, tmp_path):
         sched = EpochSchedule("geometric", ratio=1.5)
-        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
         trace = self._run(sched, adversary, 10)
         trace.to_csv(tmp_path / "t.csv")
         text = (tmp_path / "t.csv").read_text()
@@ -274,8 +274,7 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
     )
 
     block = block or T
-    use_fast = cls.is_binary and loss.kind == "absolute" and adversary.binary_labels
-    predict = predict_binary_fast if use_fast else predict_general
+    predict = predict_binary_fast if loss.kind == "absolute" else predict_general
     history, xs, ys, yhats, losses, meta = [], [], [], [], [], []
     for t in range(1, T + 1):
         first = (t - 1) // block * block  # index of the block's first round
@@ -377,7 +376,7 @@ def _threshold_labels(t, x, rng):
 
 
 def _chunk_configs():
-    from relaxplay import IntervalClass, SemiAdaptiveAdversary, noisy_target
+    from relaxplay import AdaptiveAdversary, IntervalClass, SemiAdaptiveAdversary, noisy_target
     from relaxplay.environment import comparator_squeeze, flip_to_far
 
     poly = EpochSchedule("polynomial", alpha=1.0)
@@ -388,11 +387,16 @@ def _chunk_configs():
         "oblivious_interval_geometric": (geo, lambda: IntervalClass(0.25), noisy, 45, {}),
         "semi_adaptive": (
             geo, ThresholdClass,
-            lambda: SemiAdaptiveAdversary(2, lambda t, feats, rng: float(feats[0] >= 0.5), binary_labels=True),
+            lambda: SemiAdaptiveAdversary(2, lambda t, feats, rng: float(feats[0] >= 0.5)),
             30, {},
         ),
         "flip_to_far": (geo, ThresholdClass, flip_to_far, 30, {"probe_mc": 3}),
         "comparator_squeeze": (poly, ThresholdClass, lambda: comparator_squeeze(ThresholdClass), 30, {"probe_mc": 2}),
+        # fractional labels on the batched route and the probe block: the label is the probed mean prediction
+        "fractional_interval": (
+            geo, lambda: IntervalClass(0.25),
+            lambda: AdaptiveAdversary(lambda t, history, x_t, probe, rng: probe()), 30, {"probe_mc": 3},
+        ),
         "general_finite": (
             poly, lambda: FiniteClass.from_constants([0.0, 0.4, 1.0]),
             lambda: ObliviousAdversary(lambda t, x, rng: float(rng.random())), 12, {},
@@ -527,7 +531,7 @@ class TestChunkedPlay:
         env = ShiftingProcess([(FeatureDistribution.uniform(0.0, 0.6), 1), (FeatureDistribution.uniform(0.4, 1.0), 25)])
         sched = EpochSchedule("geometric", ratio=1.5)
         make_adv = {
-            "oblivious": lambda: ObliviousAdversary(_threshold_labels, binary_labels=True),
+            "oblivious": lambda: ObliviousAdversary(_threshold_labels),
             "flip_to_far": flip_to_far,
             "comparator_squeeze": lambda: comparator_squeeze(lambda: IntervalClass(0.25)),
         }[adversary]
@@ -575,7 +579,7 @@ class TestChunkedPlay:
                 return [0.2, float("nan")][rng.choice(2, p=[0.5, 0.5])]
 
         env = HalfNan()
-        adv = flip_to_far() if adversary == "flip_to_far" else ObliviousAdversary(_threshold_labels, binary_labels=True)
+        adv = flip_to_far() if adversary == "flip_to_far" else ObliviousAdversary(_threshold_labels)
         with pytest.raises(InputDomainError):
             run_epoch_predictor(
                 EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS, env, adv, 20,
@@ -588,7 +592,7 @@ class TestChunkedPlay:
 
         env = ShiftingProcess([(FeatureDistribution.point_mass([0.2, 0.8]), 1), (FeatureDistribution.point_mass(0.5), 4)])
         cls = FiniteClass([lambda x: float(np.atleast_1d(x)[0] >= 0.5)], binary=True)
-        adv = ObliviousAdversary(lambda t, x, rng: 1.0, binary_labels=True)
+        adv = ObliviousAdversary(lambda t, x, rng: 1.0)
         with pytest.raises(InputDomainError, match="all scalars or all vectors"):
             run_epoch_predictor(EpochSchedule("polynomial", alpha=1.0), cls, ABSOLUTE_LOSS, env, adv, 8, RunConfig())
 
@@ -599,7 +603,7 @@ class TestChunkedPlay:
         from relaxplay import ABSOLUTE_LOSS
 
         sched = EpochSchedule("fixed", block=40)
-        adv = ObliviousAdversary(_threshold_labels, binary_labels=True)
+        adv = ObliviousAdversary(_threshold_labels)
         config = RunConfig(seed=2)
         batches = []
         batch = epochs.predict_binary_fast_batch
@@ -625,14 +629,14 @@ class TestChunkedPlay:
         assert split.rows == whole.rows
 
 
-def _state_and_streams(schedule, cls, seed, T, first=0, use_fast=True):
+def _state_and_streams(schedule, cls, seed, T, first=0):
     """A segment's state over game arrays whose `first` entries, before the
     segment, are NaN (a state that read them would raise), and the streams."""
     from relaxplay import ABSOLUTE_LOSS
     from relaxplay.epochs import RoundStreams, _EpochPredictorState
 
     xs, ys = np.full(first + T, np.nan), np.full(first + T, np.nan)
-    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, use_fast, xs, ys, first)
+    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, xs, ys, first)
     return state, RoundStreams(seed, T, (1, 2, 3, 4))
 
 
@@ -752,7 +756,7 @@ class TestEpochPredictorState:
         with pytest.raises(InputDomainError, match="finite"):
             run_epoch_predictor(
                 EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS, NanAtThree(),
-                AdaptiveAdversary(fn, binary_labels=True), 10, RunConfig(seed=0, probe_mc=2),
+                AdaptiveAdversary(fn), 10, RunConfig(seed=0, probe_mc=2),
             )
         assert raised == [3]
 
@@ -786,6 +790,6 @@ class TestProbeErmCalls:
         assert trace.metadata["probe_erm_calls"] == 2 * 3 * 50
 
     def test_oblivious_run_does_not_record_it(self, tmp_path):
-        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
         trace = self._run(adversary, 20, 3)
         assert "probe_erm_calls" not in trace.metadata

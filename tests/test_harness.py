@@ -21,6 +21,7 @@ from relaxplay import (
     run_experiment,
 )
 from relaxplay.cli import main as cli_main
+from relaxplay.environment import builtin_adversaries
 from relaxplay.harness import (
     build_adversary,
     build_class,
@@ -97,6 +98,16 @@ class TestConfigHash:
             assert a.name == b.name and a.read_bytes() == b.read_bytes()
 
 
+# a minimal config of each catalog adversary
+CATALOG_SPECS = {
+    "noisy_target": {"name": "noisy_target"},
+    "flip_to_far": {"name": "flip_to_far"},
+    "comparator_squeeze": {"name": "comparator_squeeze", "class": {"kind": "threshold"}},
+    "constant": {"name": "constant", "value": 0.3},
+    "periodic": {"name": "periodic", "values": [0.25, 1.0]},
+}
+
+
 class TestBuilders:
     def test_field_path_errors(self):
         with pytest.raises(ConfigError, match=r"class\.kind: missing required field"):
@@ -105,6 +116,16 @@ class TestBuilders:
             build_env({"kind": "shifting"})
         with pytest.raises(ConfigError, match="adversary.name"):
             build_adversary({"name": "nope"})
+        with pytest.raises(ConfigError, match=r"adversary\.values: periodic labels need at least one value"):
+            build_adversary({"name": "periodic", "values": []})
+
+    @pytest.mark.parametrize("name", sorted(builtin_adversaries()))
+    def test_every_catalog_adversary_plays_2_calls(self, tmp_path, name):
+        # every absolute-loss game takes the 2-call route, whatever its labels
+        spec = CATALOG_SPECS[name]
+        run_experiment(dict(ONLINE_CONFIG, horizons=[8], adversary=spec, probe_mc=2), out_dir=str(tmp_path))
+        (csv_path,) = tmp_path.glob("*.csv")
+        assert read_trace_csv(csv_path).column("erm_calls") == [2] * 8
 
     def test_distribution_kinds(self):
         assert build_distribution({"kind": "uniform"}, "d").kind == "uniform"
@@ -374,7 +395,7 @@ PINNED_ADAPTIVE_INTERVAL = dict(
 )
 
 
-# the general path (periodic labels 0.25, 1.0 are not binary) on a class without solve_rows
+# fractional periodic labels 0.25, 1.0 on a class without solve_rows: the 2-call route, one round at a time
 PINNED_GENERAL = dict(
     ONLINE_CONFIG,
     horizons=[64],
@@ -401,7 +422,7 @@ class TestPinnedTraces:
             (PINNED_BANDIT_K3, "d40d02fc76184d21bc103df7afb0fe4354b1a1112038164afb625705659e8e67"),
             (PINNED_SHIFTING, "50532c52f44bd3b516be1d9d91dc1ee7d15f865b42379af6e8a7df12f252e114"),
             (PINNED_ADAPTIVE_INTERVAL, "38db2d707add70368a6b589153ec3ff86c32ba6020dce260c88bdbc88b9ea08d"),
-            (PINNED_GENERAL, "619d5c53caf849e03bccd0a94cdc6f805a52b1239d2c6a50ca48d3375c75074e"),
+            (PINNED_GENERAL, "3023f72193326754292f13f691662fe96899153b18f043fdfc633c8c7b14e3d0"),
             (PINNED_FINITE_FAST, "e3a2c162076b348dc612ed6d94e083fbf82595117457a1a78578912b86b9da13"),
         ],
         ids=["online", "bandit", "adaptive", "bandit_k3", "shifting_interval", "adaptive_interval", "general",
@@ -490,6 +511,13 @@ class TestCli:
         rc = cli_main(["online", "--config", str(p)])
         assert rc == 2
         assert "missing required field" in capsys.readouterr().err
+
+    def test_empty_periodic_exit_two(self, capsys):
+        # a config error, not a ZeroDivisionError at the first label
+        args = ["online", "--horizons", "8", "--set", "class.kind=threshold", "--set", "env.kind=uniform",
+                "--set", "adversary.name=periodic", "--set", "adversary.values=[]"]
+        assert cli_main(args) == 2
+        assert "config error: adversary.values: periodic labels need at least one value" in capsys.readouterr().err
 
     def test_non_integer_count_exit_two(self, capsys):
         # NaN parses from --set as a JSON float; it is a config error, not a traceback

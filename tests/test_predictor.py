@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaxplay import (
     ABSOLUTE_LOSS,
@@ -11,6 +13,7 @@ from relaxplay import (
     GameHistory,
     InputDomainError,
     IntervalClass,
+    LipschitzClass,
     PoolExhaustedError,
     PredictorConfig,
     RelaxationDraw,
@@ -286,12 +289,11 @@ class TestPredictBinaryFast:
         predict_binary_fast(hist, d, cls, PredictorConfig(horizon=4))
         assert cls.solve_calls - before == 2
 
-    def test_rejects_non_binary(self):
-        cls = FiniteClass.from_constants([0.3, 0.7])
+    def test_rejects_custom_loss(self):
         hist = GameHistory.from_rounds([], 0.5)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            predict_binary_fast(hist, d, cls, PredictorConfig(horizon=2))
+        with pytest.raises(ConfigError, match="absolute loss"):
+            predict_binary_fast(hist, d, ThresholdClass(), PredictorConfig(horizon=2, loss=SQUARED_LOSS))
 
     def test_matches_general_in_phi_value(self):
         rng = np.random.default_rng(13)
@@ -317,6 +319,58 @@ class TestPredictBinaryFast:
                 return max(v + g0, 1.0 - v + g1)
 
             assert phi(fast) <= phi(slow) + config.yhat_tolerance + 1e-9
+
+
+IDENTITY_CLASSES = {
+    "threshold": ThresholdClass,
+    "interval": lambda: IntervalClass(0.2),
+    "constants": lambda: FiniteClass.from_constants([0.15, 0.5, 0.8]),
+    # clipped ramps clip(s * (x - c)) of slopes of either sign
+    "ramps": lambda: FiniteClass(
+        [(lambda s, c: (lambda x: min(1.0, max(0.0, s * (x - c)))))(s, c) for s, c in ((2.0, 0.3), (-3.0, 0.7), (0.5, 0.0))]
+    ),
+    "lipschitz": LipschitzClass,
+}
+
+
+def absolute_loss_instance(rng, kind):
+    """A random absolute-loss round: a class, a history with labels anywhere in
+    [0,1] (some exactly 0 or 1), a draw and its config."""
+    M = int(rng.integers(1, 9))
+    j = int(rng.integers(1, M + 1))
+    ys = rng.random(j - 1)
+    ys[rng.random(j - 1) < 0.25] = rng.integers(0, 2)
+    hist = GameHistory(rng.random(j), ys)
+    d = draw_halluc(SidePool(rng.random(M)), M - j, rng)
+    return IDENTITY_CLASSES[kind](), hist, d, PredictorConfig(horizon=M)
+
+
+class TestAbsoluteLossIdentity:
+    """Under the absolute loss the label sup of |yhat - y| + G(y) is reached at
+    y = 0 or 1, for any [0,1]-valued class and any labels in [0,1], so the
+    grid minimax equals the 2-call prediction."""
+
+    @staticmethod
+    def check(rng, kind):
+        cls, hist, d, config = absolute_loss_instance(rng, kind)
+        fast = predict_binary_fast(hist, d, cls, config)
+        assert abs(predict_general(hist, d, cls, config) - fast) <= 1e-12
+        labels = np.union1d(np.linspace(0.0, 1.0, 33), np.append(np.arange(0.0, 1.0, config.y_grid_step), 1.0))
+        sups = inner_sups(hist, d, labels, cls, config)
+        g0, g1 = sups[0], sups[-1]
+        for yhat in (0.0, 0.1, 0.37, 0.5, 0.83, 1.0, fast):
+            assert abs(np.max(np.abs(yhat - labels) + sups) - max(yhat + g0, 1.0 - yhat + g1)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", list(IDENTITY_CLASSES))
+    def test_fixed_seed(self, kind):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            self.check(rng, kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(list(IDENTITY_CLASSES)))
+    def test_random_instances(self, seed, kind):
+        self.check(np.random.default_rng(seed), kind)
 
 
 def epoch_rounds(rng, M, pool_size, binary=True):

@@ -50,7 +50,7 @@ class TestBlockLength:
 
     @pytest.mark.parametrize("T, K", [(256.5, 2), (256, 2.5), (256, True), (256, math.inf), (256, math.nan)])
     def test_run_shifting_rejects_bad_T_and_K(self, T, K):
-        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
         with pytest.raises(ConfigError):
             run_shifting(
                 ThresholdClass(), ABSOLUTE_LOSS, FeatureDistribution.uniform(), adversary, T, K,
@@ -75,7 +75,7 @@ class TestRunShifting:
         return EpochSchedule("polynomial", alpha=1.0)
 
     def _adv(self):
-        return ObliviousAdversary(lambda t, x, rng: float(x >= 0.5), binary_labels=True)
+        return ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
 
     def test_first_block_matches_plain_run_prefix(self):
         # inside its first block the blocked runner is exactly the plain runner

@@ -270,22 +270,23 @@ def bandit_epoch_schedule() -> EpochSchedule:
 def run_bandit(
     policy_class: PolicyClass,
     env,
-    cost_adversary: Callable[[int, Feature, list], np.ndarray],
+    cost_adversary: Callable[[int, Feature, tuple], np.ndarray],
     T: int,
     config: BanditConfig,
 ) -> RegretTrace:
     """Play T bandit rounds; estimated-cost prefixes restart every epoch.
 
-    `cost_adversary(t, x_t, history)` returns the round-t cost vector in
-    [0,1]^K. The trace logs the expected loss <q_t, c_t>, the realized cost,
-    and cumulative regret against the best fixed policy in hindsight.
+    `cost_adversary(t, x_t, history)` returns the round-t cost vector in [0,1]^K,
+    reading x_t and history = (xs, arms, costs) of rounds 1..t-1 as read-only
+    views of the game's arrays. The trace logs the expected loss <q_t, c_t>,
+    the realized cost, and cumulative regret against the best fixed policy in hindsight.
 
     Each policy runs once on each context. An epoch's contexts (up to T) are
-    sampled, each from its own round's stream, when the epoch opens, and
-    every policy runs on all of them in one `PolicyClass.arms` call; the
-    epoch's pool arms and the comparator reuse those arms. So a policy that
-    emits an arm outside [0, K) on any context of an epoch raises
-    `InputDomainError` when that epoch opens, before its first round plays.
+    sampled, each from its own round's stream, into the game's context array
+    when the epoch opens, and every policy runs on all of them in one
+    `PolicyClass.arms` call; the epoch's pool arms and the comparator reuse
+    those arms. So an arm outside [0, K), or a context shape unlike epoch 1's,
+    on any round of an epoch raises `InputDomainError` before that epoch plays.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
@@ -296,7 +297,6 @@ def run_bandit(
     clock = EpochClock(bandit_epoch_schedule())
     streams = RoundStreams(config.seed, T, (1, 2, 5))
 
-    history: list = []
     arm_matrix = np.empty((len(policy_class), T), dtype=np.intp)
     costs = np.empty((T, K))
     qs = np.empty((T, K))
@@ -310,10 +310,17 @@ def run_bandit(
             pool_arms = arm_matrix[:, : clock.start]
             sums = np.zeros(len(policy_class))
             end = min(clock.start + clock.length, T)
-            feats = [sample_feature(env, s, streams.rngs(1, s)) for s in range(t, end + 1)]
-            arm_matrix[:, t - 1 : end] = policy_class.arms(feats)
+            contexts = feature_rows([sample_feature(env, s, streams.rngs(1, s)) for s in range(t, end + 1)])
+            if t == 1:  # the game's contexts, and the read-only views the cost adversary reads
+                xs = np.empty((T, *contexts.shape[1:]))
+                seen = xs.view(), arms.view(), costs.view()
+                for view in seen:
+                    view.flags.writeable = False
+            elif contexts.shape[1:] != xs.shape[1:]:
+                raise InputDomainError("features must be all scalars or all vectors of one length")
+            xs[t - 1 : end] = contexts
+            arm_matrix[:, t - 1 : end] = policy_class.arms(contexts)
 
-        x_t = feats[clock.j - 1]
         x_arms = arm_matrix[:, t - 1]
         draw = draw_bandit(clock.start, clock.count, K, gamma, streams.rngs(2, t))
         phis = phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
@@ -326,14 +333,13 @@ def run_bandit(
 
         rng_play = streams.rngs(5, t)
         arm = play_arm(q, rng_play)
-        c_t = np.asarray(cost_adversary(t, x_t, history), dtype=float)
+        c_t = np.asarray(cost_adversary(t, seen[0][t - 1], tuple(view[: t - 1] for view in seen)), dtype=float)
         # written so that NaN fails too
         if c_t.shape != (K,) or not np.all((c_t >= 0) & (c_t <= 1)):
             raise InputDomainError(f"cost vector out of [0,1]^K at t={t}")
         chat = estimate_cost(arm, float(c_t[arm]), q, gamma, rng_play)
         sums += chat[x_arms]
 
-        history.append((x_t, arm, float(c_t[arm])))
         costs[t - 1] = c_t
         qs[t - 1] = q
         arms[t - 1] = arm

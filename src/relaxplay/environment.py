@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AdversaryFault, ConfigError, Feature, check_seed, check_unit
+from .core import AdversaryFault, ConfigError, Feature, best_in_hindsight, check_seed, check_unit
 
 
 class FeatureDistribution:
@@ -132,9 +132,9 @@ def sample_feature(process, t: int, rng: np.random.Generator) -> Feature:
 
 
 class Adversary:
-    """Label strategy. `probe` estimates the predictor's conditional mean
-    prediction via Monte Carlo on an RNG stream disjoint from the game's;
-    only adaptive adversaries may call it."""
+    """Label strategy. `history` is the game so far, read-only float64 arrays (xs, ys) of its
+    t-1 features and labels. `probe` estimates the predictor's conditional mean prediction via
+    Monte Carlo on an RNG stream disjoint from the game's; only adaptive adversaries may call it."""
 
     kind = "oblivious"
 
@@ -161,7 +161,7 @@ class ObliviousAdversary(Adversary):
 
 
 class AdaptiveAdversary(Adversary):
-    """Full-information callback; may probe the predictor's mean prediction."""
+    """Full-information callback `fn(t, history, x_t, probe, rng)`, which may call `probe`."""
 
     kind = "adaptive"
 
@@ -173,7 +173,7 @@ class AdaptiveAdversary(Adversary):
 
 
 class SemiAdaptiveAdversary(Adversary):
-    """Callback restricted to the window x_{t-B..t} of recent features."""
+    """Callback `fn(t, feats, rng)` on the window x_{t-B..t} of recent features, one float64 array."""
 
     kind = "semi_adaptive"
 
@@ -182,9 +182,9 @@ class SemiAdaptiveAdversary(Adversary):
         self.fn = fn
 
     def label(self, t, history, x_t, probe, rng) -> float:
-        # the last `window` rounds only (none for window 0), not the whole game
-        recent = history[max(0, len(history) - self.window) :]
-        return self.fn(t, [x for x, _ in recent] + [x_t], rng)
+        # the last `window` features only (none for window 0), not the whole game
+        xs, _ = history
+        return self.fn(t, np.concatenate((xs[max(0, len(xs) - self.window) :], [x_t])), rng)
 
 
 def noisy_target(target: Callable[[Feature], float], p: float) -> ObliviousAdversary:
@@ -217,11 +217,9 @@ def comparator_squeeze(cls_factory) -> AdaptiveAdversary:
     def fn(t, history, x_t, probe, rng):
         helper = fn.helper
         m = probe()
-        if history:
-            from .core import MixedErmQuery, feature_rows
-
-            xs, ys = zip(*history)
-            h_best = helper.solve(MixedErmQuery(xs=feature_rows(xs), ys=ys)).hypothesis
+        xs, ys = history
+        if len(ys):
+            h_best, _ = best_in_hindsight(helper, xs, ys)
             hv = helper.evaluate(h_best, x_t)
         else:
             hv = 0.5

@@ -419,7 +419,8 @@ def play_rounds(
     stream 3 with one oracle clone per segment, and every stream is per
     (seed, stream, t) (`RoundStreams`), so the queue draws exactly what
     round-by-round play would, and erm_calls counts each round's own calls.
-    x_1 is sampled first, to size the game's arrays.
+    x_1 is sampled first, to size the game's arrays; the adversary's history
+    is (xs[:t-1], ys[:t-1]), slices of read-only views of `played.xs` and `ys`.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
@@ -431,7 +432,8 @@ def play_rounds(
         xs=np.empty((T, *shape)), ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T),
         meta=np.empty((T, 4), dtype=np.intp), probed=not oblivious,
     )
-    history: list = []
+    seen_xs, seen_ys = played.xs.view(), played.ys.view()
+    seen_xs.flags.writeable = seen_ys.flags.writeable = False
     queue, elements = [], 0  # queued rounds as (lo, j, draw, pconf), and their rows' elements
 
     def flush(end: int) -> None:
@@ -455,9 +457,7 @@ def play_rounds(
             played.states.append(state)
         state.advance()
         probe = None if oblivious else state.probe(streams, t, config.probe_mc)
-        y_t = adversary.emit(t, history, x_t, probe, streams.rngs(4, t))
-        played.ys[t - 1] = y_t
-        history.append((x_t, y_t))
+        played.ys[t - 1] = adversary.emit(t, (seen_xs[: t - 1], seen_ys[: t - 1]), x_t, probe, streams.rngs(4, t))
         clock = state.clock
         played.meta[t - 1, :3] = len(played.states), clock.n, clock.j
         size = 2 * (clock.j + clock.count)  # its 2 rows: x_1..x_j, then the draw

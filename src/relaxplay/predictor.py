@@ -25,6 +25,7 @@ from .core import (
     LossFn,
     MixedErmQuery,
     PoolExhaustedError,
+    check_seed,
     feature_list,
     feature_rows,
     loss_eval,
@@ -98,11 +99,6 @@ class GameHistory:
         if len(self.xs) != len(self.ys) + 1:
             raise ConfigError("a history holds one more feature (the current one) than labels")
 
-    @classmethod
-    def from_rounds(cls, rounds: Sequence[tuple], x_cur: Feature) -> "GameHistory":
-        """From played (x, y) rounds plus the current feature."""
-        return cls(feature_rows([x for x, _ in rounds] + [x_cur]), np.array([y for _, y in rounds], dtype=float))
-
     def pairs(self) -> tuple[LabeledPair, ...]:
         """The rounds already played, as labeled pairs."""
         return tuple(LabeledPair(x, y) for x, y in zip(feature_list(self.xs[:-1]), self.ys.tolist()))
@@ -124,8 +120,7 @@ def draw_halluc(pool: SidePool, count: int, rng: np.random.Generator) -> Relaxat
     """Uniform ordered draw of `count` pool entries plus i.i.d. uniform signs; a
     count that is no non-negative integer (ConfigError) or that the pool cannot
     supply (PoolExhaustedError) raises before the RNG is used."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise ConfigError(f"count must be a non-negative integer, got {count!r}")
+    count = check_seed(count, "count")
     if count > pool.size:
         raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool.size}")
     idx, signs = draw_slots(pool.size, count, rng)

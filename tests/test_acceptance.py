@@ -137,17 +137,16 @@ def test_criterion_02_erm_call_budget():
     custom = LossFn("custom", lipschitz=1.0, evaluator=lambda p, y: abs(p - y))
     general = _criterion2_run(ObliviousAdversary(labels.fn), custom)
     sched = EpochSchedule("polynomial", alpha=1.0)
-    general_ok = True
-    worst = 0
+    general_ok, excess = True, []
     for n, calls in zip(general.column("epoch"), general.column("erm_calls")):
         budget = math.ceil(math.sqrt(epoch_length(sched, n))) + 2
-        worst = max(worst, calls - budget)
+        excess.append(calls - budget)
         general_ok = general_ok and calls <= budget
     _verdict(
         "criterion 02 (ERM-call budget)",
         fast_ok and general_ok,
         f"2-call route == 2 on all 512 rounds: {fast_ok}; "
-        f"grid route within ceil(sqrt(M))+2 ({sum(general.column('erm_calls'))} calls, worst excess {worst})",
+        f"grid route within ceil(sqrt(M))+2 ({sum(general.column('erm_calls'))} calls, worst excess {max(excess)})",
     )
 
 

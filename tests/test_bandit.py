@@ -127,10 +127,9 @@ def per_round_bandit_reference(policy_class, env, cost_adversary, T, config):
         gamma = 1.0 / K
     clock = EpochClock(bandit_epoch_schedule())
     trace = RegretTrace(columns=BANDIT_COLUMNS)
-    history = []
     arm_matrix = np.empty((len(policy_class), T), dtype=np.intp)
     costs = np.empty((T, K))
-    qs, arms, epochs = [], [], []
+    xs, qs, arms, epochs = [], [], [], []
     for t in range(1, T + 1):
         if clock.tick():
             pool_arms = arm_matrix[:, : clock.start]
@@ -142,10 +141,11 @@ def per_round_bandit_reference(policy_class, env, cost_adversary, T, config):
         q = mix_q(waterfill_q(gamma * (phis[1:] - phis[0]))[0], gamma, K)
         rng_play = round_rng(config.seed, 5, t)
         arm = int(rng_play.choice(K, p=q / q.sum()))
+        history = (np.array(xs, dtype=float), np.array(arms, dtype=np.intp), costs[: t - 1])
         c_t = np.asarray(cost_adversary(t, x_t, history), dtype=float)
         chat = estimate_cost(arm, float(c_t[arm]), q, gamma, rng_play)
         sums += chat[x_arms]
-        history.append((x_t, arm, float(c_t[arm])))
+        xs.append(x_t)
         costs[t - 1] = c_t
         qs.append(q)
         arms.append(arm)
@@ -622,6 +622,48 @@ class TestRunBandit:
         sched = bandit_epoch_schedule()
         assert [locate(sched, t).j for t in (85, 86, 144, 145)] == [23, 1, 32, 1]
         assert locate(sched, 100).j not in (1, epoch_length(sched, locate(sched, 100).n))
+
+    @pytest.mark.parametrize("features", ["scalar", "vector"])
+    def test_cost_adversary_reads_read_only_views_of_the_game(self, features):
+        # round t's history holds the t-1 contexts, arms and cost vectors played, and no write goes through
+        uniform = FeatureDistribution.uniform()
+        if features == "scalar":
+            cls, env = two_arm_class(), uniform
+        else:
+            cls = PolicyClass([lambda x: 0, lambda x: 1, lambda x: int(x[0] >= 0.5), lambda x: int(x[1] < 0.5)], 2)
+            env = FeatureDistribution.product([uniform, uniform])
+        contexts, seen, played = [], [], []
+
+        def costs(t, x, history):
+            if np.ndim(x):
+                assert not x.flags.writeable
+            contexts.append(np.copy(x))
+            seen.append(tuple(view.copy() for view in history))
+            for view in history:
+                with pytest.raises(ValueError, match="read-only"):
+                    view[...] = 0
+            played.append(np.array([(t % 3) / 2, 1.0 - (t % 2)]))
+            return played[-1]
+
+        T = 30
+        trace = run_bandit(cls, env, costs, T, BanditConfig(seed=4))
+        for t, (xs, arms, cost_vectors) in enumerate(seen, 1):
+            assert xs.dtype == cost_vectors.dtype == np.float64 and arms.dtype == np.intp
+            assert np.array_equal(xs, np.array(contexts[: t - 1]).reshape(t - 1, *np.shape(contexts[0])))
+            assert arms.tolist() == trace.column("arm")[: t - 1]
+            assert np.array_equal(cost_vectors, np.array(played[: t - 1]).reshape(t - 1, 2))
+
+    def test_contexts_of_another_shape_raise_when_their_epoch_opens(self):
+        class ScalarThenVector:
+            drawn = 0
+
+            def sample(self, rng):
+                self.drawn += 1
+                return 0.5 if self.drawn == 1 else np.array([0.5, 0.5])  # epoch 1 is round 1 alone
+
+        cls = PolicyClass([lambda x: 0, lambda x: 1], num_arms=2)
+        with pytest.raises(InputDomainError, match="all scalars or all vectors"):
+            run_bandit(cls, ScalarThenVector(), self._costs, 4, BanditConfig(seed=0))
 
     def test_bad_arm_raises_when_its_epoch_opens(self):
         # epoch 3 holds rounds 5..9; the first policy's 8th call is on round 8's context

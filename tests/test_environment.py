@@ -142,11 +142,14 @@ class TestShiftingProcess:
             sample_feature(d, 0, np.random.default_rng(0))
 
 
+NO_HISTORY = np.empty(0), np.empty(0)  # the game before its first round
+
+
 class TestAdversaries:
     def test_label_range_enforced(self):
         bad = ObliviousAdversary(lambda t, x, rng: 1.5)
         with pytest.raises(AdversaryFault):
-            bad.emit(1, [], 0.5, None, np.random.default_rng(0))
+            bad.emit(1, NO_HISTORY, 0.5, None, np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["oblivious", "adaptive"])
     def test_non_binary_adversary_still_plays_fractional_labels(self, kind):
@@ -154,7 +157,7 @@ class TestAdversaries:
             adv = ObliviousAdversary(lambda t, x, rng: 0.3)
         else:
             adv = AdaptiveAdversary(lambda t, h, x, p, r: 0.3)
-        assert adv.emit(1, [], 0.5, lambda: 0.5, None) == 0.3
+        assert adv.emit(1, NO_HISTORY, 0.5, lambda: 0.5, None) == 0.3
         trace = run_epoch_predictor(
             EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS,
             FeatureDistribution.uniform(), adv, 20, RunConfig(seed=0, probe_mc=2),
@@ -166,15 +169,15 @@ class TestAdversaries:
         adv = noisy_target(lambda x: float(x >= 0.5), p=0.1)
         rng = np.random.default_rng(3)
         n = 20_000
-        flips = sum(adv.emit(1, [], 0.8, None, rng) == 0.0 for _ in range(n))
+        flips = sum(adv.emit(1, NO_HISTORY, 0.8, None, rng) == 0.0 for _ in range(n))
         assert abs(flips - 0.1 * n) <= 3 * math.sqrt(n * 0.1 * 0.9)
         with pytest.raises(ConfigError):
             noisy_target(lambda x: x, p=1.5)
 
     def test_constant_and_periodic(self):
-        assert constant(0.5).emit(1, [], 0.2, None, None) == 0.5
+        assert constant(0.5).emit(1, NO_HISTORY, 0.2, None, None) == 0.5
         adv = periodic([0.0, 1.0, 0.5])
-        assert [adv.emit(t, [], 0.2, None, None) for t in (1, 2, 3, 4)] == [
+        assert [adv.emit(t, NO_HISTORY, 0.2, None, None) for t in (1, 2, 3, 4)] == [
             0.0,
             1.0,
             0.5,
@@ -185,8 +188,8 @@ class TestAdversaries:
 
     def test_flip_to_far_uses_probe(self):
         adv = flip_to_far()
-        assert adv.emit(1, [], 0.5, lambda: 0.7, None) == 0.0
-        assert adv.emit(1, [], 0.5, lambda: 0.2, None) == 1.0
+        assert adv.emit(1, NO_HISTORY, 0.5, lambda: 0.7, None) == 0.0
+        assert adv.emit(1, NO_HISTORY, 0.5, lambda: 0.2, None) == 1.0
 
     def test_semi_adaptive_window(self):
         seen = {}
@@ -196,23 +199,29 @@ class TestAdversaries:
             return 0.0
 
         adv = SemiAdaptiveAdversary(2, fn)
-        history = [(0.1, 0.0), (0.2, 1.0), (0.3, 0.0)]
+        history = np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 0.0])
         adv.emit(4, history, 0.4, None, None)
         assert seen[4] == [0.2, 0.3, 0.4]
         with pytest.raises(ConfigError):
             SemiAdaptiveAdversary(-1, fn)
 
     @pytest.mark.parametrize("window", [0, 1, 2])
-    @pytest.mark.parametrize("played", [0, 1, 2, 5])
-    def test_semi_adaptive_window_equals_full_list(self, window, played):
+    @pytest.mark.parametrize(
+        "played, d", [(0, None), (1, None), (2, None), (5, None), (0, 2), (5, 2)],
+        ids=["0", "1", "2", "5", "0-vector", "5-vector"],
+    )
+    def test_semi_adaptive_window_equals_full_list(self, window, played, d):
         # the last window + 1 features of the whole game, as the full list gave them
         # (window 0: the current feature only), also for a history shorter than the window
         seen = []
         adv = SemiAdaptiveAdversary(window, lambda t, feats, rng: seen.append(feats) or 0.0)
-        history = [(0.1 * (i + 1), float(i % 2)) for i in range(played)]
-        adv.emit(played + 1, history, 0.9, None, None)
-        full = [x for x, _ in history] + [0.9]
-        assert seen == [full[-(window + 1):]]
+        shape = () if d is None else (d,)
+        xs = np.array([np.full(shape, 0.1 * (i + 1)) for i in range(played)]).reshape(played, *shape)
+        x_t = 0.9 if d is None else np.full(d, 0.9)
+        adv.emit(played + 1, (xs, np.arange(played) % 2.0), x_t, None, None)
+        full = [*xs.tolist(), np.asarray(x_t).tolist()]
+        assert len(seen) == 1 and seen[0].dtype == np.float64
+        assert seen[0].tolist() == full[-(window + 1):]
 
     @pytest.mark.parametrize("window", [2.7, math.nan, True, "2", None])
     def test_semi_adaptive_window_must_be_an_integer(self, window):

@@ -275,7 +275,7 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
 
     block = block or T
     predict = predict_binary_fast if loss.kind == "absolute" else predict_general
-    history, xs, ys, yhats, losses, meta = [], [], [], [], [], []
+    xs, ys, yhats, losses, meta = [], [], [], [], []
     for t in range(1, T + 1):
         first = (t - 1) // block * block  # index of the block's first round
         idx = locate(schedule, t - first)
@@ -296,8 +296,8 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
         yhat = predict_on(round_rng(config.seed, 2, t), cls)
         meta.append((first // block + 1, idx.n, idx.j, cls.solve_calls - before))
         oblivious = adversary.kind == "oblivious"
+        history = np.array(xs, dtype=float).reshape(len(xs), *np.shape(x_t)), np.array(ys, dtype=float)
         y_t = adversary.emit(t, history, x_t, None if oblivious else probe, round_rng(config.seed, 4, t))
-        history.append((x_t, y_t))
         xs.append(x_t)
         ys.append(y_t)
         yhats.append(yhat)
@@ -369,6 +369,40 @@ class TestOnlineTrace:
         assert [tuple(map(type, r)) for r in trace.rows] == [tuple(map(type, r)) for r in reference]
         assert comparator.solve_calls == 1 and len(played.states) == (3 if block else 1)
         assert all(np.shares_memory(s.pool.features, played.xs) for s in played.states)
+
+
+class TestAdversaryHistory:
+    @pytest.mark.parametrize("features", ["scalar", "vector"])
+    def test_adaptive_adversary_reads_read_only_views_of_the_game(self, features):
+        # round t's history holds exactly the t-1 rounds the game has written, and no write goes through
+        from relaxplay import ABSOLUTE_LOSS, AdaptiveAdversary
+        from relaxplay.epochs import play_rounds
+
+        uniform = FeatureDistribution.uniform()
+        if features == "scalar":
+            cls, env = ThresholdClass(), uniform
+        else:
+            cls = FiniteClass([lambda x: float(x[0] >= 0.5), lambda x: float(x[1] >= 0.5)], binary=True)
+            env = FeatureDistribution.product([uniform, uniform])
+        seen = []
+
+        def fn(t, history, x_t, probe, rng):
+            seen.append(tuple(view.copy() for view in history))
+            for view in history:
+                with pytest.raises(ValueError, match="read-only"):
+                    view[...] = 0.5
+            return 1.0 if probe() < 0.5 else 0.0
+
+        T = 12
+        played = play_rounds(
+            EpochSchedule("geometric", ratio=1.5), cls, ABSOLUTE_LOSS, env, AdaptiveAdversary(fn), T, T,
+            RunConfig(seed=3, probe_mc=2),
+        )
+        assert len(seen) == T and played.xs.ndim == (1 if features == "scalar" else 2)
+        for t, (xs, ys) in enumerate(seen, 1):
+            assert xs.dtype == ys.dtype == np.float64
+            assert xs.shape == played.xs[: t - 1].shape and ys.shape == (t - 1,)
+            assert np.array_equal(xs, played.xs[: t - 1]) and np.array_equal(ys, played.ys[: t - 1])
 
 
 def _threshold_labels(t, x, rng):

@@ -121,14 +121,14 @@ class TestDrawHalluc:
 class TestInnerSup:
     def test_singleton_no_sup_needed(self):
         cls = FiniteClass.from_constants([0.5])
-        hist = GameHistory.from_rounds([(0.3, 1.0)], 0.6)
+        hist = GameHistory(np.array([0.3, 0.6]), np.array([1.0]))
         config = PredictorConfig(horizon=2)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         assert inner_sup(hist, d, 0.0, cls, config) == pytest.approx(-1.0)
 
     def test_two_constants(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
-        hist = GameHistory.from_rounds([], 0.5)
+        hist = GameHistory(np.array([0.5]), np.array([]))
         config = PredictorConfig(horizon=1)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         assert inner_sup(hist, d, 1.0, cls, config) == pytest.approx(0.0)
@@ -138,7 +138,7 @@ class TestInnerSup:
         from relaxplay import RelaxationDraw
 
         cls = ThresholdClass()
-        hist = GameHistory.from_rounds([], 0.5)
+        hist = GameHistory(np.array([0.5]), np.array([]))
         config = PredictorConfig(horizon=4)
         d = RelaxationDraw(halluc=(0.7,), signs=(1,), indices=(0,))
         assert inner_sup(hist, d, 1.0, cls, config) == pytest.approx(2.0)
@@ -148,7 +148,7 @@ class TestInnerSup:
     def test_inner_sups_match_inner_sup(self):
         rng = np.random.default_rng(4)
         cls = ThresholdClass()
-        hist = GameHistory.from_rounds([(0.2, 1.0), (0.6, 0.0), (0.9, 1.0)], 0.4)
+        hist = GameHistory(np.array([0.2, 0.6, 0.9, 0.4]), np.array([1.0, 0.0, 1.0]))
         config = PredictorConfig(horizon=8)
         d = draw_halluc(SidePool(rng.random(6)), 4, rng)
         ys = [0.0, 0.3, 1.0]
@@ -195,14 +195,14 @@ class TestPredictorConfig:
 class TestPredictGeneral:
     def test_symmetric_two_constants(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
-        hist = GameHistory.from_rounds([], 0.5)
+        hist = GameHistory(np.array([0.5]), np.array([]))
         config = PredictorConfig(horizon=4, yhat_tolerance=1e-4)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         assert predict_general(hist, d, cls, config) == pytest.approx(0.5, abs=1e-3)
 
     def test_singleton_tracks_expert(self):
         cls = FiniteClass.from_constants([0.5])
-        hist = GameHistory.from_rounds([], 0.2)
+        hist = GameHistory(np.array([0.2]), np.array([]))
         config = PredictorConfig(horizon=4, yhat_tolerance=1e-4)
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         assert predict_general(hist, d, cls, config) == pytest.approx(0.5, abs=1e-3)
@@ -213,11 +213,9 @@ class TestPredictGeneral:
         for _ in range(100):
             M = int(rng.integers(1, 5))
             cls = FiniteClass.from_constants([float(c) for c in rng.random(3)])
-            rounds = [
-                (float(x), float(y))
-                for x, y in zip(rng.random(M - 1), rng.random(M - 1))
-            ][: int(rng.integers(0, M))]
-            hist = GameHistory.from_rounds(rounds, float(rng.random()))
+            xs, ys = rng.random(M - 1), rng.random(M - 1)
+            j = int(rng.integers(0, M))
+            hist = GameHistory(np.append(xs[:j], rng.random()), ys[:j])
             pool = SidePool([float(v) for v in rng.random(M)])
             d = draw_halluc(pool, int(rng.integers(0, M)), rng)
             config = PredictorConfig(horizon=M)
@@ -245,7 +243,8 @@ class TestPredictGeneral:
                 [(lambda a: (lambda x: float(x >= a)))(a) for a in consts], binary=True
             )
             j = int(rng.integers(0, M))
-            hist = GameHistory.from_rounds(list(zip(rng.random(j).tolist(), rng.random(j).tolist())), float(rng.random()))
+            xs, ys = rng.random(j), rng.random(j)
+            hist = GameHistory(np.append(xs, rng.random()), ys)
             d = draw_halluc(SidePool(rng.random(M)), M - 1 - j, rng)
             config = PredictorConfig(horizon=M)
 
@@ -265,7 +264,7 @@ class TestPredictGeneral:
         for M in (1, 4, 9, 25):
             cls = ThresholdClass()
             pool = SidePool([float(v) for v in rng.random(M)])
-            hist = GameHistory.from_rounds([(0.5, 1.0)], float(rng.random()))
+            hist = GameHistory(np.array([0.5, rng.random()]), np.array([1.0]))
             d = draw_halluc(pool, M - 1, rng)
             before = cls.solve_calls
             predict_general(hist, d, cls, PredictorConfig(horizon=M))
@@ -275,14 +274,14 @@ class TestPredictGeneral:
 class TestPredictBinaryFast:
     def test_symmetry(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
-        hist = GameHistory.from_rounds([], 0.5)
+        hist = GameHistory(np.array([0.5]), np.array([]))
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         yhat = predict_binary_fast(hist, d, cls, PredictorConfig(horizon=2))
         assert yhat == pytest.approx(0.5)  # G(0) = G(1) = 0 here
 
     def test_exactly_two_calls(self):
         cls = ThresholdClass()
-        hist = GameHistory.from_rounds([(0.3, 0.0)], 0.7)
+        hist = GameHistory(np.array([0.3, 0.7]), np.array([0.0]))
         pool = SidePool([0.2, 0.8])
         d = draw_halluc(pool, 2, np.random.default_rng(1))
         before = cls.solve_calls
@@ -290,7 +289,7 @@ class TestPredictBinaryFast:
         assert cls.solve_calls - before == 2
 
     def test_rejects_custom_loss(self):
-        hist = GameHistory.from_rounds([], 0.5)
+        hist = GameHistory(np.array([0.5]), np.array([]))
         d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
         with pytest.raises(ConfigError, match="absolute loss"):
             predict_binary_fast(hist, d, ThresholdClass(), PredictorConfig(horizon=2, loss=SQUARED_LOSS))
@@ -301,11 +300,8 @@ class TestPredictBinaryFast:
             M = int(rng.integers(1, 6))
             cls = ThresholdClass()
             j = int(rng.integers(0, M))
-            rounds = [
-                (float(x), float(y))
-                for x, y in zip(rng.random(j), rng.integers(0, 2, j))
-            ]
-            hist = GameHistory.from_rounds(rounds, float(rng.random()))
+            xs, ys = rng.random(j), rng.integers(0, 2, j).astype(float)
+            hist = GameHistory(np.append(xs, rng.random()), ys)
             pool = SidePool([float(v) for v in rng.random(M)])
             d = draw_halluc(pool, M - 1 - j if M - 1 - j > 0 else 0, rng)
             config = PredictorConfig(horizon=M, yhat_tolerance=1e-3)

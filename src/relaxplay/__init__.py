@@ -31,7 +31,6 @@ from .predictor import (
     GameHistory,
     PredictorConfig,
     RelaxationDraw,
-    SidePool,
     draw_halluc,
     f_eval,
     inner_sup,

@@ -8,8 +8,8 @@ every profitable 1/gamma atom; minimizing the resulting piecewise-linear
 g(q) over the simplex has the water-filling closed form below, which the
 test suite checks against simplex grid search.
 
-Every policy runs once on each context, filling one (|H|, T) arm matrix an
-epoch at a time; a hallucinated context is a column index into it. Each
+Every policy runs once on each context, filling one (|H|, T) arm matrix
+before round 1; a hallucinated context is a column index into it. Each
 policy's estimated cost over the epoch so far is kept as a running sum, so a
 policy ERM only gathers the costs of its items from a cost matrix by arm and
 adds them, in item order, to those sums. A round's K+1 ERMs differ only in
@@ -34,8 +34,7 @@ from .core import (
     feature_rows,
     lowest_argmin,
 )
-from .environment import sample_feature
-from .epochs import EpochClock, EpochSchedule, RoundStreams
+from .epochs import EpochClock, EpochSchedule, RoundStreams, game_features
 from .predictor import PoolExhaustedError, draw_slots
 from .traces import BANDIT_COLUMNS, RegretTrace, running_total
 
@@ -281,12 +280,11 @@ def run_bandit(
     views of the game's arrays. The trace logs the expected loss <q_t, c_t>,
     the realized cost, and cumulative regret against the best fixed policy in hindsight.
 
-    Each policy runs once on each context. An epoch's contexts (up to T) are
-    sampled, each from its own round's stream, into the game's context array
-    when the epoch opens, and every policy runs on all of them in one
-    `PolicyClass.arms` call; the epoch's pool arms and the comparator reuse
-    those arms. So an arm outside [0, K), or a context shape unlike epoch 1's,
-    on any round of an epoch raises `InputDomainError` before that epoch plays.
+    Every context is sampled before round 1 (`game_features`), and every
+    policy runs on all of them in one `PolicyClass.arms` call, whose arms the
+    pools and the comparator reuse. So contexts of mixed shapes or with a
+    non-finite entry, and an arm outside [0, K), raise `InputDomainError`
+    before any round is played.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
@@ -297,29 +295,21 @@ def run_bandit(
     clock = EpochClock(bandit_epoch_schedule())
     streams = RoundStreams(config.seed, T, (1, 2, 5))
 
-    arm_matrix = np.empty((len(policy_class), T), dtype=np.intp)
+    xs = game_features(env, streams)
+    arm_matrix = policy_class.arms(xs)
     costs = np.empty((T, K))
     qs = np.empty((T, K))
     arms = np.empty(T, dtype=np.intp)
     expected = np.empty(T)
     epochs = np.empty(T, dtype=np.intp)
+    seen_arms, seen_costs = arms.view(), costs.view()  # read-only, for the cost adversary
+    seen_arms.flags.writeable = seen_costs.flags.writeable = False
 
     for t in range(1, T + 1):
         if clock.tick():
             # the pool is every context before the epoch; estimated costs are scoped per epoch
             pool_arms = arm_matrix[:, : clock.start]
             sums = np.zeros(len(policy_class))
-            end = min(clock.start + clock.length, T)
-            contexts = feature_rows([sample_feature(env, s, streams.rngs(1, s)) for s in range(t, end + 1)])
-            if t == 1:  # the game's contexts, and the read-only views the cost adversary reads
-                xs = np.empty((T, *contexts.shape[1:]))
-                seen = xs.view(), arms.view(), costs.view()
-                for view in seen:
-                    view.flags.writeable = False
-            elif contexts.shape[1:] != xs.shape[1:]:
-                raise InputDomainError("features must be all scalars or all vectors of one length")
-            xs[t - 1 : end] = contexts
-            arm_matrix[:, t - 1 : end] = policy_class.arms(contexts)
 
         x_arms = arm_matrix[:, t - 1]
         draw = draw_bandit(clock.start, clock.count, K, gamma, streams.rngs(2, t))
@@ -333,7 +323,8 @@ def run_bandit(
 
         rng_play = streams.rngs(5, t)
         arm = play_arm(q, rng_play)
-        c_t = np.asarray(cost_adversary(t, seen[0][t - 1], tuple(view[: t - 1] for view in seen)), dtype=float)
+        history = xs[: t - 1], seen_arms[: t - 1], seen_costs[: t - 1]
+        c_t = np.asarray(cost_adversary(t, xs[t - 1], history), dtype=float)
         # written so that NaN fails too
         if c_t.shape != (K,) or not np.all((c_t >= 0) & (c_t <= 1)):
             raise InputDomainError(f"cost vector out of [0,1]^K at t={t}")

@@ -20,7 +20,6 @@ class FeatureDistribution:
 
     def __init__(self, kind: str, **params):
         self.kind = kind
-        self.params = params
         if kind == "discrete":
             pts = list(params["points"])
             probs = np.asarray(params["probs"], dtype=float)

@@ -33,7 +33,6 @@ from .predictor import (
     GameHistory,
     PredictorConfig,
     RelaxationDraw,
-    SidePool,
     draw_slots,
     predict_binary_fast,
     predict_binary_fast_batch,
@@ -288,6 +287,21 @@ class RoundStreams:
         return np.random.Generator(np.random.PCG64(_SeedWords(words[t - lo])))
 
 
+def game_features(env, streams: RoundStreams) -> np.ndarray:
+    """The game's features x_1..x_T, each sampled from `env` on its round's
+    stream 1, as one read-only float64 array, (T,) or (T, d).
+
+    Stream 1 is per (seed, 1, t), so this draws what sampling round by round
+    would. Features of mixed shapes, or with a NaN or infinite entry, raise
+    `InputDomainError` here, before any round is played.
+    """
+    xs = feature_rows([sample_feature(env, t, streams.rngs(1, t)) for t in range(1, streams.T + 1)])
+    if not np.isfinite(xs).all():
+        raise InputDomainError("features must be finite")
+    xs.flags.writeable = False
+    return xs
+
+
 def _predict(xs, ys, los, js, draws, confs, cls) -> tuple[list, list]:
     """Predictions of rounds of the game whose features and labels are `xs`
     and `ys`, and each one's ERM calls.
@@ -314,10 +328,11 @@ def _predict(xs, ys, los, js, draws, confs, cls) -> tuple[list, list]:
 
 class _EpochPredictorState:
     """Predictor-side state for one independent segment (one block or run)
-    of the game whose rounds are written to `xs` and `ys`, from index `first`.
+    of the game whose features are `xs` and whose labels are written to
+    `ys`, from index `first`.
 
-    The side pool (the segment's features before the current epoch) is a
-    view of `xs`; the current epoch starts at index `lo` of both arrays.
+    The side pool (the segment's features before the current epoch) is the
+    slice xs[first:lo]; the current epoch starts at index `lo` of both arrays.
     """
 
     def __init__(self, schedule, cls, loss, xs: np.ndarray, ys: np.ndarray, first: int):
@@ -332,7 +347,7 @@ class _EpochPredictorState:
         clock = self.clock
         if clock.tick():
             self.lo = self.first + clock.start
-            self.pool = SidePool(self.game_xs[self.first : self.lo])
+            self.pool = self.game_xs[self.first : self.lo]
             self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
             # the label losses |0 - y| of the epoch's first `summed` rounds, added left to right,
             # and their flip deltas |1 - y| - |0 - y|
@@ -341,8 +356,8 @@ class _EpochPredictorState:
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A hallucination draw for the current round, as (halluc, signs): the
         rest of the epoch, as far as the pool reaches."""
-        idx, signs = draw_slots(self.pool.size, self.clock.count, rng)
-        return self.pool.features[idx], signs
+        idx, signs = draw_slots(len(self.pool), self.clock.count, rng)
+        return self.pool[idx], signs
 
     def probe(self, streams: RoundStreams, t: int, probe_mc: int):
         """Monte-Carlo mean prediction of the current round on its own RNG
@@ -365,7 +380,7 @@ class _EpochPredictorState:
             count = self.clock.count
             slots, signs = np.empty((probe_mc, count), dtype=np.intp), np.empty((probe_mc, count))
             for i in range(probe_mc):
-                slots[i], signs[i] = draw_slots(self.pool.size, count, rng)
+                slots[i], signs[i] = draw_slots(len(self.pool), count, rng)
             for k, y in enumerate(self.game_ys[lo + self.summed : lo + j - 1].tolist(), self.summed):
                 loss0 = abs(0.0 - y)  # as the left-to-right cumsum adds them
                 self.prefix += loss0
@@ -373,7 +388,7 @@ class _EpochPredictorState:
             self.summed = j - 1
             yhats = predict_binary_fast_block(
                 self.game_xs[lo : lo + j], self.prefix, self.flips[: j - 1],
-                self.pool.features, slots, signs, self.probe_cls, self.loss,
+                self.pool, slots, signs, self.probe_cls, self.loss,
             )
             return float(yhats.sum() / probe_mc)  # np.mean's sum and division
 
@@ -410,8 +425,9 @@ def play_rounds(
     (`predict_binary_fast`), whatever the class and labels; a custom loss
     plays `predict_general`'s label grid.
 
-    Each round samples its feature, emits its label (an adversary that is
-    not oblivious first probes that round's mean prediction) and draws its
+    Every round's feature is sampled first, into `played.xs` (`game_features`).
+    Each round then emits its label (an adversary that is not oblivious
+    first probes that round's mean prediction) and draws its
     hallucinations, then joins one queue of rounds that crosses epoch and
     block ends. The queue is predicted in one call when the next round's 2
     rows would take it past MAX_BATCH_ELEMENTS elements, and at the end of
@@ -419,45 +435,38 @@ def play_rounds(
     stream 3 with one oracle clone per segment, and every stream is per
     (seed, stream, t) (`RoundStreams`), so the queue draws exactly what
     round-by-round play would, and erm_calls counts each round's own calls.
-    x_1 is sampled first, to size the game's arrays; the adversary's history
-    is (xs[:t-1], ys[:t-1]), slices of read-only views of `played.xs` and `ys`.
+    The adversary reads x_t = xs[t-1] and the history (xs[:t-1], ys[:t-1]),
+    slices of the read-only `played.xs` and a read-only view of `played.ys`.
     """
     if T < 1:
         raise ConfigError("T must be >= 1")
     oblivious = adversary.kind == "oblivious"
     streams = RoundStreams(config.seed, T, (1, 2, 4) if oblivious else (1, 2, 3, 4))
-    x_t = sample_feature(env, 1, streams.rngs(1, 1))
-    shape = feature_rows([x_t]).shape[1:]
+    xs = game_features(env, streams)
     played = PlayedRounds(
-        xs=np.empty((T, *shape)), ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T),
+        xs=xs, ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T),
         meta=np.empty((T, 4), dtype=np.intp), probed=not oblivious,
     )
-    seen_xs, seen_ys = played.xs.view(), played.ys.view()
-    seen_xs.flags.writeable = seen_ys.flags.writeable = False
+    seen_ys = played.ys.view()
+    seen_ys.flags.writeable = False
     queue, elements = [], 0  # queued rounds as (lo, j, draw, pconf), and their rows' elements
 
     def flush(end: int) -> None:
         """Predict the queued rounds, which end at round `end`."""
         rounds = slice(end - len(queue), end)
-        yhats, calls = _predict(played.xs, played.ys, *zip(*queue), cls)
+        yhats, calls = _predict(xs, played.ys, *zip(*queue), cls)
         played.yhats[rounds] = yhats
         played.losses[rounds] = [loss_eval(loss, p, y) for p, y in zip(yhats, played.ys[rounds].tolist())]
         played.meta[rounds, 3] = calls
         queue.clear()
 
     for t in range(1, T + 1):
-        if t > 1:
-            x_t = sample_feature(env, t, streams.rngs(1, t))
-            # numpy would broadcast a scalar into a vector row; other mismatches raise when written
-            if shape and np.shape(x_t) != shape:
-                raise InputDomainError("features must be all scalars or all vectors of one length")
-        played.xs[t - 1] = x_t
         if (t - 1) % block == 0:
-            state = _EpochPredictorState(schedule, cls, loss, played.xs, played.ys, t - 1)
+            state = _EpochPredictorState(schedule, cls, loss, xs, played.ys, t - 1)
             played.states.append(state)
         state.advance()
         probe = None if oblivious else state.probe(streams, t, config.probe_mc)
-        played.ys[t - 1] = adversary.emit(t, (seen_xs[: t - 1], seen_ys[: t - 1]), x_t, probe, streams.rngs(4, t))
+        played.ys[t - 1] = adversary.emit(t, (xs[: t - 1], seen_ys[: t - 1]), xs[t - 1], probe, streams.rngs(4, t))
         clock = state.clock
         played.meta[t - 1, :3] = len(played.states), clock.n, clock.j
         size = 2 * (clock.j + clock.count)  # its 2 rows: x_1..x_j, then the draw

@@ -21,7 +21,6 @@ from .core import (
     ErmResult,
     Feature,
     HypothesisClass,
-    InputDomainError,
     MixedErmQuery,
     UnsupportedClassError,
     loss_values,
@@ -51,20 +50,6 @@ def _flip_deltas(query: MixedErmQuery) -> tuple[float, np.ndarray, np.ndarray]:
     positions = np.concatenate([xs, xt])
     deltas = np.concatenate([l1 - l0, query.coefficient * query.signs])
     return base, positions, deltas
-
-
-def last_label_rows(query: MixedErmQuery, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_flip_deltas` of `query.with_last_label(y)` for each y of `labels`, as
-    the rows of one `solve_rows` call: they differ only in base and in the
-    last pair's delta, each summed as `_flip_deltas` sums it."""
-    if not np.logical_and.reduce((labels >= 0.0) & (labels <= 1.0)):
-        raise InputDomainError("labels must lie in [0,1]")
-    _, pos, dlt = _flip_deltas(query)
-    w, loss, dlt = query.ws[-1], query.loss, np.tile(dlt, (len(labels), 1))
-    l0, l1 = w * loss_values(loss, 0.0, labels), w * loss_values(loss, 1.0, labels)
-    head = query.ws[:-1] * loss_values(loss, 0.0, query.ys[:-1])
-    dlt[:, len(query.xs) - 1] = l1 - l0
-    return (np.cumsum(head)[-1] + l0 if head.size else l0), np.tile(pos, (len(labels), 1)), dlt
 
 
 class ThresholdClass(HypothesisClass):

@@ -30,21 +30,7 @@ from .core import (
     feature_rows,
     loss_eval,
 )
-from .oracles import last_label_rows, scalar_rows
-
-
-class SidePool:
-    """Observed features standing in for the unknown distribution.
-
-    `features` is one float64 array, (n,) for scalar features or (n, d).
-    """
-
-    def __init__(self, features=()):
-        self.features = feature_rows(features)
-
-    @property
-    def size(self) -> int:
-        return len(self.features)
+from .oracles import scalar_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,15 +102,16 @@ def draw_slots(size: int, count: int, rng: np.random.Generator, shape: tuple = (
     return rng.permutation(size)[:count], _SIGNS[rng.integers(0, 2, size=(count, *shape))]  # integers(0, 2) * 2 - 1
 
 
-def draw_halluc(pool: SidePool, count: int, rng: np.random.Generator) -> RelaxationDraw:
-    """Uniform ordered draw of `count` pool entries plus i.i.d. uniform signs; a
-    count that is no non-negative integer (ConfigError) or that the pool cannot
+def draw_halluc(pool, count: int, rng: np.random.Generator) -> RelaxationDraw:
+    """Uniform ordered draw of `count` features of the side pool (the observed
+    features, stacked by `feature_rows`) plus i.i.d. uniform signs; a count
+    that is no non-negative integer (ConfigError) or that the pool cannot
     supply (PoolExhaustedError) raises before the RNG is used."""
-    count = check_seed(count, "count")
-    if count > pool.size:
-        raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {pool.size}")
-    idx, signs = draw_slots(pool.size, count, rng)
-    return RelaxationDraw(pool.features[idx], signs, idx)
+    count, pool = check_seed(count, "count"), feature_rows(pool)
+    if count > len(pool):
+        raise PoolExhaustedError(f"requested {count} hallucinations from a pool of {len(pool)}")
+    idx, signs = draw_slots(len(pool), count, rng)
+    return RelaxationDraw(pool[idx], signs, idx)
 
 
 def _sup_query(xs, ys, signs, feats, loss: LossFn) -> MixedErmQuery:
@@ -161,13 +148,11 @@ def inner_sups(
     cls: HypothesisClass,
     config: PredictorConfig,
 ) -> np.ndarray:
-    """inner_sup at each label of `probe_ys`, one solve each (as rows of one
-    `solve_rows` call when the class has it). The queries differ only in the
-    probe label, so the history and the draw are checked once.
+    """inner_sup at each label of `probe_ys`, one solve each. The queries
+    differ only in the probe label, so the history and the draw are checked
+    once.
     """
     query = _probe_query(history, draw, 0.0, config.loss)
-    if cls.solve_rows is not None:
-        return -cls.solve_rows(*last_label_rows(query, np.asarray(probe_ys, dtype=float)))[1]
     return np.array([-cls.solve(query.with_last_label(y)).objective for y in np.asarray(probe_ys).tolist()])
 
 
@@ -328,8 +313,6 @@ def predict_binary_fast_block(
     # draw i's rows 2i and 2i+1 as pos[i] and dlt[i]
     pos, dlt = np.empty((draws, 2, j + count)), np.empty((draws, 2, j + count))
     pos[:, :, :j], pos[:, :, j:] = xs, pool[slots][:, None]
-    if not np.isfinite(pos).all():
-        raise InputDomainError("features must be finite")
     dlt[:, :, : j - 1], dlt[:, :, j - 1] = pair_dlt, _PROBE_DLT
     dlt[:, :, j:] = (-2.0 * loss.lipschitz * signs)[:, None]  # the sup query negates the signs
     rows = (2 * draws, j + count)
@@ -346,7 +329,7 @@ def _sup_value(xs, ys, signs, feats, cls: HypothesisClass, loss: LossFn) -> floa
 def relaxation_R(
     j: int,
     history: tuple,
-    pool: SidePool,
+    pool,
     cls: HypothesisClass,
     config: PredictorConfig,
     mc_samples: int,
@@ -357,17 +340,18 @@ def relaxation_R(
     """Monte-Carlo estimate (mean, stderr) of the surrogate relaxation R_j.
 
     R_j = E[sup_h 2L sum_{i>j} eps_i h(x~_i) - L_j^h], hallucinations drawn
-    from the pool. `history` is the j realized rounds as (xs, ys) arrays.
+    from the pool (features, as `feature_rows` stacks them). `history` is
+    the j realized rounds as (xs, ys) arrays.
     With `true_env` (anything with a .sample(rng) method; diagnostic use
     only) this is R~_j instead: slot j+1 is drawn from the true feature
     source, with its own sign, and only the later slots from the pool.
     """
     xs, ys = history
-    count = config.horizon - j
+    count, pool = config.horizon - j, feature_rows(pool)
     if count < 0:
         raise ConfigError("j exceeds the horizon")
     if count == 0:
-        return _sup_value(xs, ys, (), pool.features[:0], cls, config.loss), 0.0
+        return _sup_value(xs, ys, (), pool[:0], cls, config.loss), 0.0
     vals = np.empty(mc_samples)
     for k in range(mc_samples):
         if true_env is None:

@@ -31,7 +31,6 @@ from .environment import FeatureDistribution
 from .predictor import (
     GameHistory,
     PredictorConfig,
-    SidePool,
     draw_halluc,
     f_eval,
     _y_grid,
@@ -114,14 +113,14 @@ def _history(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _grid_game(scenario) -> tuple[PredictorConfig, SidePool, np.ndarray]:
+def _grid_game(scenario) -> tuple[PredictorConfig, np.ndarray, np.ndarray]:
     """The predictor config, side pool and adversary label grid (step
     `y_step`, 1 included) of a tiny game scenario."""
     config = PredictorConfig(
         horizon=scenario.horizon, loss=scenario.loss,
         y_grid_step=scenario.y_step, yhat_tolerance=min(scenario.y_step, 1e-2),
     )
-    return config, SidePool(scenario.pool_features), _y_grid(config)
+    return config, feature_rows(scenario.pool_features), _y_grid(config)
 
 
 @dataclass
@@ -501,7 +500,7 @@ def discrepancy_probe(
     cls, loss, M = scenario.cls, scenario.loss, scenario.horizon
     N = len(scenario.pool_features)
     config = PredictorConfig(horizon=M, loss=loss)
-    pool = SidePool(scenario.pool_features)
+    pool = feature_rows(scenario.pool_features)
     L = loss.lipschitz
 
     rows = []

@@ -13,7 +13,6 @@ from relaxplay import (
     FeatureDistribution,
     InputDomainError,
     PolicyClass,
-    SidePool,
     bandit_epoch_schedule,
     draw_bandit,
     epoch_length,
@@ -80,7 +79,7 @@ def enumerate_policy_erm(cls, items):
 def enumerate_phi_values(est, pool, x_j, draw, cls, gamma):
     K = cls.num_arms
     base = [(x, w) for x, w in est if np.any(w)]
-    for x, eps, z in zip(feature_list(pool.features[draw.indices]), draw.signs, draw.zs):
+    for x, eps, z in zip(feature_list(pool[draw.indices]), draw.signs, draw.zs):
         if z != 0.0:
             base.append((x, 2.0 * z * np.asarray(eps, dtype=float)))
     out = [enumerate_policy_erm(cls, base + [(x_j, np.zeros(K))])[1]]
@@ -95,7 +94,7 @@ def slot_loop_draw(pool, count, K, gamma, rng):
     """(indices, signs, zs) drawn one slot at a time."""
     if count == 0:
         return np.arange(0), np.empty((0, K), dtype=int), np.empty(0)
-    idx = rng.permutation(pool.size)[:count]
+    idx = rng.permutation(len(pool))[:count]
     signs = [rng.integers(0, 2, size=K) * 2 - 1 for _ in range(count)]
     zs = [(1.0 / gamma) if rng.random() < gamma * K else 0.0 for _ in range(count)]
     return idx, np.array(signs), np.array(zs)
@@ -309,9 +308,9 @@ class TestArmMatrix:
 
 class TestDrawBandit:
     def test_shapes_and_ranges(self):
-        pool = SidePool([0.1, 0.2, 0.3, 0.4])
+        pool = np.array([0.1, 0.2, 0.3, 0.4])
         gamma = 0.25
-        d = draw_bandit(pool.size, 3, 2, gamma, np.random.default_rng(0))
+        d = draw_bandit(len(pool), 3, 2, gamma, np.random.default_rng(0))
         assert len(d.indices) == len(d.signs) == len(d.zs) == 3
         assert len(set(d.indices.tolist())) == 3 and set(d.indices.tolist()) <= set(range(4))
         for eps, z in zip(d.signs, d.zs):
@@ -319,22 +318,22 @@ class TestDrawBandit:
             assert z in (0.0, 1.0 / gamma)
 
     def test_z_frequency(self):
-        pool = SidePool([0.5, 0.6])
+        pool = np.array([0.5, 0.6])
         gamma, K = 0.1, 2
         rng = np.random.default_rng(1)
         n = 20_000
-        hits = sum(draw_bandit(pool.size, 1, K, gamma, rng).zs[0] > 0 for _ in range(n))
+        hits = sum(draw_bandit(len(pool), 1, K, gamma, rng).zs[0] > 0 for _ in range(n))
         p = gamma * K
         assert abs(hits - p * n) <= 3 * math.sqrt(n * p * (1 - p))
 
     @pytest.mark.parametrize("K", [2, 3])
     def test_matches_slot_loops(self, K):
-        pool = SidePool(np.linspace(0.0, 1.0, 40))
+        pool = np.linspace(0.0, 1.0, 40)
         gamma = 0.3 / K
         for seed in range(12):
             for count in range(0, 38):
                 r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-                d = draw_bandit(pool.size, count, K, gamma, r1)
+                d = draw_bandit(len(pool), count, K, gamma, r1)
                 idx, signs, zs = slot_loop_draw(pool, count, K, gamma, r2)
                 assert np.array_equal(d.indices, idx)
                 assert np.array_equal(d.signs, signs) and d.signs.shape == (count, K)
@@ -347,9 +346,9 @@ class TestPhiValues:
         cls = two_arm_class()
         gamma = 0.2
         est = [(0.3, np.zeros(2)), (0.7, np.zeros(2))]
-        pool = SidePool()
-        d = draw_bandit(pool.size, 0, 2, gamma, np.random.default_rng(0))
-        phis = phi_values(cls.arms(pool.features), epoch_sums(cls, est), x_arms(cls, 0.4), d, cls, gamma)
+        pool = np.empty(0)
+        d = draw_bandit(len(pool), 0, 2, gamma, np.random.default_rng(0))
+        phis = phi_values(cls.arms(pool), epoch_sums(cls, est), x_arms(cls, 0.4), d, cls, gamma)
         assert phis[0] == pytest.approx(0.0)
         # Phi_k places cost 1/gamma on arm k at x=0.4; some policy avoids it
         assert phis[1] == pytest.approx(0.0)
@@ -359,19 +358,19 @@ class TestPhiValues:
         # one policy: Phi_k - Phi_0 = (1/gamma) 1{h(x)=k}
         gamma = 0.25
         cls = PolicyClass([lambda x: int(x >= 0.5)], num_arms=2)
-        pool = SidePool()
-        d = draw_bandit(pool.size, 0, 2, gamma, np.random.default_rng(0))
-        phis = phi_values(cls.arms(pool.features), epoch_sums(cls, []), x_arms(cls, 0.8), d, cls, gamma)
+        pool = np.empty(0)
+        d = draw_bandit(len(pool), 0, 2, gamma, np.random.default_rng(0))
+        phis = phi_values(cls.arms(pool), epoch_sums(cls, []), x_arms(cls, 0.8), d, cls, gamma)
         assert phis[1] - phis[0] == pytest.approx(0.0)
         assert phis[2] - phis[0] == pytest.approx(1.0 / gamma)
 
     def test_exactly_k_plus_one_calls(self):
         cls = two_arm_class()
-        pool = SidePool([0.1])
-        d = draw_bandit(pool.size, 1, 2, 0.3, np.random.default_rng(2))
+        pool = np.array([0.1])
+        d = draw_bandit(len(pool), 1, 2, 0.3, np.random.default_rng(2))
         sums = epoch_sums(cls, [(0.2, np.array([1.0, 2.0]))])
         before = cls.solve_calls
-        phi_values(cls.arms(pool.features), sums, x_arms(cls, 0.6), d, cls, 0.3)
+        phi_values(cls.arms(pool), sums, x_arms(cls, 0.6), d, cls, 0.3)
         assert cls.solve_calls - before == 3
 
     def test_matches_brute_force(self):
@@ -383,10 +382,10 @@ class TestPhiValues:
                 (float(rng.random()), rng.choice([0.0, 1.0 / gamma], size=2))
                 for _ in range(4)
             ]
-            pool = SidePool([float(v) for v in rng.random(3)])
-            d = draw_bandit(pool.size, 2, 2, gamma, rng)
+            pool = rng.random(3)
+            d = draw_bandit(len(pool), 2, 2, gamma, rng)
             x_j = float(rng.random())
-            phis = phi_values(cls.arms(pool.features), epoch_sums(cls, est), x_arms(cls, x_j), d, cls, gamma)
+            phis = phi_values(cls.arms(pool), epoch_sums(cls, est), x_arms(cls, x_j), d, cls, gamma)
 
             def brute(extra_w):
                 best = math.inf
@@ -394,7 +393,7 @@ class TestPhiValues:
                     obj = sum(float(w[arm(cls, h, x)]) for x, w in est)
                     obj += sum(
                         2.0 * z * float(eps[arm(cls, h, x)])
-                        for x, eps, z in zip(pool.features[d.indices], d.signs, d.zs)
+                        for x, eps, z in zip(pool[d.indices], d.signs, d.zs)
                     )
                     obj += float(extra_w[arm(cls, h, x_j)])
                     best = min(best, obj)
@@ -416,7 +415,7 @@ class TestPhiValues:
             pool = rng.random(int(rng.integers(1, 150)))
             pool_arms = mine.arms(pool)
             sums = (rng.random((int(rng.integers(0, 40)), len(mine))) < 0.3).sum(axis=0) / gamma
-            d = draw_bandit(pool.size, int(rng.integers(0, pool.size + 1)), K, gamma, rng)
+            d = draw_bandit(len(pool), int(rng.integers(0, len(pool) + 1)), K, gamma, rng)
             xa = x_arms(mine, float(rng.random()))
             got = phi_values(pool_arms, sums, xa, d, mine, gamma)
             assert np.array_equal(got, per_round_phi_values(pool_arms, sums, xa, d, theirs, gamma))
@@ -440,13 +439,13 @@ class TestPhiValues:
             st.lists(st.tuples(self.features, st.lists(weight, min_size=K, max_size=K)), max_size=12),
             label="estimated history",
         )
-        pool = SidePool(data.draw(st.lists(self.features, max_size=12), label="pool"))
-        count = data.draw(st.integers(0, pool.size), label="count")
+        pool = np.array(data.draw(st.lists(self.features, max_size=12), label="pool"))
+        count = data.draw(st.integers(0, len(pool)), label="count")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         x_j = data.draw(self.features, label="x_j")
-        d = draw_bandit(pool.size, count, K, gamma, np.random.default_rng(seed))
+        d = draw_bandit(len(pool), count, K, gamma, np.random.default_rng(seed))
 
-        phis = phi_values(cls.arms(pool.features), epoch_sums(cls, est), x_arms(cls, x_j), d, cls, gamma)
+        phis = phi_values(cls.arms(pool), epoch_sums(cls, est), x_arms(cls, x_j), d, cls, gamma)
         assert np.array_equal(phis, enumerate_phi_values(est, pool, x_j, d, cls, gamma))
         assert policy_erm(cls, est) == enumerate_policy_erm(cls, est)
 
@@ -653,20 +652,28 @@ class TestRunBandit:
             assert arms.tolist() == trace.column("arm")[: t - 1]
             assert np.array_equal(cost_vectors, np.array(played[: t - 1]).reshape(t - 1, 2))
 
-    def test_contexts_of_another_shape_raise_when_their_epoch_opens(self):
-        class ScalarThenVector:
+    @pytest.mark.parametrize(
+        "later,match",
+        [(np.array([0.5, 0.5]), "all scalars or all vectors"), (float("nan"), "finite"), (float("inf"), "finite")],
+        ids=["shape", "nan", "inf"],
+    )
+    def test_bad_contexts_raise_before_round_1(self, later, match):
+        # every context is sampled and checked before the cost adversary or any policy runs
+        class GoodThenBad:
             drawn = 0
 
             def sample(self, rng):
                 self.drawn += 1
-                return 0.5 if self.drawn == 1 else np.array([0.5, 0.5])  # epoch 1 is round 1 alone
+                return 0.5 if self.drawn == 1 else later  # epoch 1 is round 1 alone
 
-        cls = PolicyClass([lambda x: 0, lambda x: 1], num_arms=2)
-        with pytest.raises(InputDomainError, match="all scalars or all vectors"):
-            run_bandit(cls, ScalarThenVector(), self._costs, 4, BanditConfig(seed=0))
+        env, seen = GoodThenBad(), []
+        cls = PolicyClass([lambda x: seen.append(x) or 0, lambda x: 1], num_arms=2)
+        with pytest.raises(InputDomainError, match=match):
+            run_bandit(cls, env, lambda t, x, history: seen.append(t) or self._costs(t, x, history), 4, BanditConfig())
+        assert env.drawn == 4 and seen == []
 
-    def test_bad_arm_raises_when_its_epoch_opens(self):
-        # epoch 3 holds rounds 5..9; the first policy's 8th call is on round 8's context
+    def test_bad_arm_raises_before_round_1(self):
+        # the first policy's 8th call is on round 8's context, in epoch 3 (rounds 5..9)
         calls, seen = [], []
 
         def policy(x):
@@ -680,7 +687,7 @@ class TestRunBandit:
         cls = PolicyClass([policy, lambda x: 1], num_arms=2)
         with pytest.raises(InputDomainError, match="arm 5 outside"):
             run_bandit(cls, FeatureDistribution.uniform(), costs, 20, BanditConfig(seed=0))
-        assert seen == [1, 2, 3, 4]
+        assert seen == []
 
     def test_epoch_schedule(self):
         sched = bandit_epoch_schedule()

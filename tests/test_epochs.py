@@ -269,7 +269,7 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
     round rebuilds its pool and history from the features and labels played.
     """
     from relaxplay import (
-        GameHistory, PredictorConfig, SidePool, best_in_hindsight, draw_halluc, loss_eval,
+        GameHistory, PredictorConfig, best_in_hindsight, draw_halluc, loss_eval,
         predict_binary_fast, predict_general, round_rng, sample_feature,
     )
 
@@ -280,13 +280,13 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
         first = (t - 1) // block * block  # index of the block's first round
         idx = locate(schedule, t - first)
         M = epoch_length(schedule, idx.n)
-        pool = SidePool(np.array(xs[first : first + idx.start]))
+        pool = np.array(xs[first : first + idx.start])
         x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
         hist = GameHistory(np.array(xs[first + idx.start :] + [x_t]), np.array(ys[first + idx.start :]))
         pconf = PredictorConfig(horizon=M, loss=loss)
 
         def predict_on(rng, c):
-            return predict(hist, draw_halluc(pool, min(M - idx.j, pool.size), rng), c, pconf)
+            return predict(hist, draw_halluc(pool, min(M - idx.j, len(pool)), rng), c, pconf)
 
         def probe():
             rng, c = round_rng(config.seed, 3, t), cls.clone()
@@ -368,7 +368,7 @@ class TestOnlineTrace:
         assert trace.rows == reference
         assert [tuple(map(type, r)) for r in trace.rows] == [tuple(map(type, r)) for r in reference]
         assert comparator.solve_calls == 1 and len(played.states) == (3 if block else 1)
-        assert all(np.shares_memory(s.pool.features, played.xs) for s in played.states)
+        assert all(np.shares_memory(s.pool, played.xs) for s in played.states)
 
 
 class TestAdversaryHistory:
@@ -391,9 +391,10 @@ class TestAdversaryHistory:
             for view in history:
                 with pytest.raises(ValueError, match="read-only"):
                     view[...] = 0.5
+            contexts.append(x_t)
             return 1.0 if probe() < 0.5 else 0.0
 
-        T = 12
+        T, contexts = 12, []
         played = play_rounds(
             EpochSchedule("geometric", ratio=1.5), cls, ABSOLUTE_LOSS, env, AdaptiveAdversary(fn), T, T,
             RunConfig(seed=3, probe_mc=2),
@@ -403,6 +404,14 @@ class TestAdversaryHistory:
             assert xs.dtype == ys.dtype == np.float64
             assert xs.shape == played.xs[: t - 1].shape and ys.shape == (t - 1,)
             assert np.array_equal(xs, played.xs[: t - 1]) and np.array_equal(ys, played.ys[: t - 1])
+        # x_t is xs[t-1] of the one read-only feature array: an np.float64, or a read-only row of it
+        assert not played.xs.flags.writeable
+        for t, x_t in enumerate(contexts, 1):
+            if features == "scalar":
+                assert type(x_t) is np.float64 and x_t == played.xs[t - 1]
+            else:
+                assert x_t.base is played.xs and not x_t.flags.writeable
+                assert np.array_equal(x_t, played.xs[t - 1])
 
 
 def _threshold_labels(t, x, rng):
@@ -603,22 +612,30 @@ class TestChunkedPlay:
 
     @pytest.mark.parametrize("adversary", ["oblivious", "flip_to_far"])
     def test_nan_feature_raises(self, adversary):
+        # a NaN or infinite feature on any round raises when the features are sampled, before round 1
         from relaxplay import ABSOLUTE_LOSS, InputDomainError
         from relaxplay.environment import flip_to_far
 
-        class HalfNan:
-            # draws as FeatureDistribution.discrete([0.2, nan], [0.5, 0.5]) would; that
-            # distribution is rejected when built, so the NaN comes from a bare process
-            def sample(self, rng):
-                return [0.2, float("nan")][rng.choice(2, p=[0.5, 0.5])]
+        class HalfBad:
+            # draws as FeatureDistribution.discrete([0.2, bad], [0.5, 0.5]) would; that
+            # distribution is rejected when built, so the bad entry comes from a bare process
+            def __init__(self, bad):
+                self.bad = bad
 
-        env = HalfNan()
+            def sample(self, rng):
+                return [0.2, self.bad][rng.choice(2, p=[0.5, 0.5])]
+
+        labelled = []
         adv = flip_to_far() if adversary == "flip_to_far" else ObliviousAdversary(_threshold_labels)
-        with pytest.raises(InputDomainError):
-            run_epoch_predictor(
-                EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS, env, adv, 20,
-                RunConfig(seed=0, probe_mc=2),
-            )
+        emit = adv.emit
+        adv.emit = lambda t, *args: labelled.append(t) or emit(t, *args)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InputDomainError, match="finite"):
+                run_epoch_predictor(
+                    EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS, HalfBad(bad), adv, 20,
+                    RunConfig(seed=0, probe_mc=2),
+                )
+        assert labelled == []
 
     def test_scalar_after_vector_features_raises(self):
         # each distribution is valid on its own; the game's one feature array holds one shape
@@ -688,7 +705,7 @@ def reference_probe(state, rng, probe_mc):
 
     cls, j, lo = state.probe_cls.clone(), state.clock.j, state.lo
     history = GameHistory(state.game_xs[lo : lo + j], state.game_ys[lo : lo + j - 1])
-    count = min(state.clock.length - j, state.pool.size)
+    count = min(state.clock.length - j, len(state.pool))
     return float(np.mean([
         predict_binary_fast(history, draw_halluc(state.pool, count, rng), cls, state.pconf) for _ in range(probe_mc)
     ]))
@@ -749,24 +766,8 @@ class TestEpochPredictorState:
             state.game_ys[3 + t] = float(rng.integers(0, 2))
         assert state.probe_cls.solve_calls == 2 * 3 * 20 and cls.solve_calls == 0
 
-    @pytest.mark.parametrize("where", ["history", "pool"])
-    def test_nan_feature_in_the_block_raises(self, where):
-        # the linear schedule's epoch 1 is round 1; round 2 opens epoch 2, whose
-        # history is x_2 and whose one hallucination is x_1, so a NaN x_2 or x_1
-        # reaches round 2's block
-        from relaxplay import InputDomainError
-
-        state, streams = _state_and_streams(self.SCHEDULES["linear"], ThresholdClass(), 0, 2)
-        state.game_xs[:2] = (0.5, np.nan) if where == "history" else (np.nan, 0.5)
-        state.game_ys[0] = 1.0
-        state.advance()
-        state.advance()
-        assert (state.clock.n, state.clock.j, state.clock.count) == (2, 1, 1)
-        with pytest.raises(InputDomainError, match="finite"):
-            state.probe(streams, 2, 2)()
-        assert state.probe_cls.solve_calls == 0
-
-    def test_nan_feature_of_a_custom_process_raises_in_the_probe(self):
+    def test_nan_feature_of_a_custom_process_raises_before_any_probe(self):
+        # round 3's NaN is sampled with every other feature, before round 1 emits or probes
         from relaxplay import ABSOLUTE_LOSS, AdaptiveAdversary, InputDomainError
 
         class NanAtThree:
@@ -778,21 +779,18 @@ class TestEpochPredictorState:
                 self.drawn += 1
                 return float("nan") if self.drawn == 3 else float(rng.random())
 
-        raised = []
+        env, labelled = NanAtThree(), []
 
         def fn(t, history, x_t, probe, rng):
-            try:
-                return 1.0 if probe() < 0.5 else 0.0
-            except InputDomainError:
-                raised.append(t)
-                raise
+            labelled.append(t)
+            return 1.0 if probe() < 0.5 else 0.0
 
         with pytest.raises(InputDomainError, match="finite"):
             run_epoch_predictor(
-                EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS, NanAtThree(),
+                EpochSchedule("polynomial", alpha=1.0), ThresholdClass(), ABSOLUTE_LOSS, env,
                 AdaptiveAdversary(fn), 10, RunConfig(seed=0, probe_mc=2),
             )
-        assert raised == [3]
+        assert env.drawn == 10 and labelled == []
 
 
 class TestProbeErmCalls:

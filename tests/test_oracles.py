@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxplay import (
-    ABSOLUTE_LOSS,
     ConfigError,
     ErmResult,
     FiniteClass,
-    InputDomainError,
     IntervalClass,
     LabeledPair,
     LipschitzClass,
@@ -21,7 +19,7 @@ from relaxplay import (
     query_objective,
     reference_solve,
 )
-from relaxplay.oracles import _flip_deltas, last_label_rows
+from relaxplay.oracles import _flip_deltas
 from relaxplay.predictor import MAX_BATCH_ELEMENTS
 
 
@@ -629,47 +627,6 @@ class TestSolveRows:
         assert handles.tolist() == objectives.tolist() == [0.0, 0.0, 0.0]
         assert cls.solve_calls == 3
         assert ThresholdClass().solve(MixedErmQuery()) == ErmResult(0.0, 0.0)
-
-
-SQUARED_LOSS = LossFn("custom", lipschitz=2.0, evaluator=lambda p, y: (p - y) ** 2)
-
-
-class TestLastLabelRows:
-    """A query's rows for a grid of last labels, solved in one `solve_rows` call,
-    equal `solve` of `with_last_label(y)` label by label."""
-
-    feature = TestSolveRows.feature
-    label = TestSolveRows.label
-    query = st.builds(
-        lambda pairs, signed, coefficient, loss: MixedErmQuery(
-            pairs=[LabeledPair(x, y, w) for x, y, w in pairs],
-            signed=[SignedTerm(s, x) for x, s in signed],
-            coefficient=coefficient,
-            loss=loss,
-        ),
-        st.lists(st.tuples(feature, label, st.sampled_from((1.0, 0.5, 2.0, 0.1))), min_size=1, max_size=6),
-        st.lists(st.tuples(feature, st.sampled_from((-1, 1))), max_size=6),
-        st.sampled_from((2.0, 4.0, 1.0, 0.0)),
-        st.sampled_from((ABSOLUTE_LOSS, SQUARED_LOSS)),
-    )
-
-    @pytest.mark.parametrize("make", [ThresholdClass, lambda: IntervalClass(0.25)], ids=["threshold", "interval"])
-    @settings(max_examples=150, deadline=None)
-    @given(query=query, labels=st.lists(label, min_size=1, max_size=25))
-    def test_equals_per_label_solve(self, make, query, labels):
-        cls = make()
-        handles, objectives = cls.solve_rows(*last_label_rows(query, np.array(labels)))
-        assert cls.solve_calls == len(labels)
-        for y, handle, objective in zip(labels, handles, objectives.tolist()):
-            res = make().solve(query.with_last_label(y))
-            assert objective == res.objective
-            assert handle == res.hypothesis
-
-    @pytest.mark.parametrize("bad", [-0.5, 1.5, float("nan")])
-    def test_rejects_labels_outside_unit_interval(self, bad):
-        query = MixedErmQuery(pairs=[LabeledPair(0.3, 0.0)])
-        with pytest.raises(InputDomainError):
-            last_label_rows(query, np.array([0.0, bad]))
 
 
 @st.composite

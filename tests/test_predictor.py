@@ -17,7 +17,6 @@ from relaxplay import (
     PoolExhaustedError,
     PredictorConfig,
     RelaxationDraw,
-    SidePool,
     ThresholdClass,
     UnsupportedClassError,
     draw_halluc,
@@ -37,22 +36,22 @@ SQUARED_LOSS = LossFn("custom", lipschitz=2.0, evaluator=lambda p, y: (p - y) **
 
 class TestDrawHalluc:
     def test_full_draw_is_permutation(self):
-        pool = SidePool([0.1, 0.2, 0.3, 0.4, 0.5])
+        pool = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         d = draw_halluc(pool, 5, np.random.default_rng(0))
         assert sorted(d.halluc) == [0.1, 0.2, 0.3, 0.4, 0.5]
         assert all(s in (-1, 1) for s in d.signs)
 
     def test_empty_draw(self):
-        d = draw_halluc(SidePool([0.1]), 0, np.random.default_rng(0))
+        d = draw_halluc(np.array([0.1]), 0, np.random.default_rng(0))
         assert len(d.halluc) == 0 and len(d.signs) == 0
 
     def test_pool_exhaustion(self):
         with pytest.raises(PoolExhaustedError):
-            draw_halluc(SidePool([0.1]), 2, np.random.default_rng(0))
+            draw_halluc(np.array([0.1]), 2, np.random.default_rng(0))
 
     def test_ordered_pair_uniformity(self):
         # 3 elements, count 2: each of the 6 ordered pairs has probability 1/6
-        pool = SidePool([0.0, 0.5, 1.0])
+        pool = np.array([0.0, 0.5, 1.0])
         rng = np.random.default_rng(42)
         n = 100_000
         counts = {}
@@ -67,7 +66,7 @@ class TestDrawHalluc:
             assert abs(c - n * p) <= 3 * sigma
 
     def test_sign_uniformity(self):
-        pool = SidePool([0.0, 0.5, 1.0])
+        pool = np.array([0.0, 0.5, 1.0])
         rng = np.random.default_rng(7)
         total = sum(sum(draw_halluc(pool, 3, rng).signs) for _ in range(20_000))
         assert abs(total) <= 3 * math.sqrt(3 * 20_000)
@@ -76,21 +75,21 @@ class TestDrawHalluc:
     def reference_draw(pool, count, rng):
         """The draw as it was written before draws went through `draw_slots`."""
         if count == 0:
-            return pool.features[:0], np.empty(0), np.empty(0, dtype=np.intp)
-        idx = rng.permutation(pool.size)[:count]
+            return pool[:0], np.empty(0), np.empty(0, dtype=np.intp)
+        idx = rng.permutation(len(pool))[:count]
         signs = rng.integers(0, 2, size=count) * 2 - 1
-        return pool.features[idx], signs, idx
+        return pool[idx], signs, idx
 
     def test_internal_draw_equals_reference(self):
         for size in (0, 1, 2, 5, 39, 40, 41, 599, 600):
-            pool = SidePool(np.random.default_rng(size).random(size))
+            pool = np.random.default_rng(size).random(size)
             for count in range(min(40, size) + 1):
                 ref_rng, slot_rng, draw_rng = (np.random.default_rng([size, count]) for _ in range(3))
                 halluc, signs, idx = self.reference_draw(pool, count, ref_rng)
-                slot_idx, slot_signs = draw_slots(pool.size, count, slot_rng)
+                slot_idx, slot_signs = draw_slots(len(pool), count, slot_rng)
                 d = draw_halluc(pool, count, draw_rng)
                 for got_halluc, got_signs, got_idx in (
-                    (pool.features[slot_idx], slot_signs, slot_idx), (d.halluc, d.signs, d.indices)
+                    (pool[slot_idx], slot_signs, slot_idx), (d.halluc, d.signs, d.indices)
                 ):
                     assert got_halluc.tolist() == halluc.tolist()
                     assert got_signs.tolist() == signs.tolist()
@@ -100,14 +99,15 @@ class TestDrawHalluc:
     @pytest.mark.parametrize(
         "pool,count,error",
         [
-            (SidePool([0.1, 0.2]), -1, ConfigError),
-            (SidePool([0.1, 0.2]), 1.0, ConfigError),
-            (SidePool([0.1, 0.2]), "1", ConfigError),
-            (SidePool([0.1, 0.2]), True, ConfigError),
-            (SidePool([0.1, 0.2]), None, ConfigError),
-            (SidePool([0.1, 0.2]), 3, PoolExhaustedError),
-            (SidePool(), 1, PoolExhaustedError),
-            (SidePool(), 4, PoolExhaustedError),
+            (np.array([0.1, 0.2]), -1, ConfigError),
+            (np.array([0.1, 0.2]), 1.0, ConfigError),
+            (np.array([0.1, 0.2]), "1", ConfigError),
+            (np.array([0.1, 0.2]), True, ConfigError),
+            (np.array([0.1, 0.2]), None, ConfigError),
+            (np.array([0.1, 0.2]), 3, PoolExhaustedError),
+            (np.empty(0), 1, PoolExhaustedError),
+            (np.empty(0), 4, PoolExhaustedError),
+            (np.full((3, 2), 0.5), 4, PoolExhaustedError),  # 3 vector features, 6 entries
         ],
     )
     def test_bad_count_raises_before_rng_use(self, pool, count, error):
@@ -116,6 +116,8 @@ class TestDrawHalluc:
         with pytest.raises(error):
             draw_halluc(pool, count, rng)
         assert rng.bit_generator.state == state
+        if error is PoolExhaustedError:  # the pool holds len(pool) features, and all of them can be drawn
+            assert draw_halluc(pool, len(pool), rng).halluc.shape == pool.shape
 
 
 class TestInnerSup:
@@ -123,14 +125,14 @@ class TestInnerSup:
         cls = FiniteClass.from_constants([0.5])
         hist = GameHistory(np.array([0.3, 0.6]), np.array([1.0]))
         config = PredictorConfig(horizon=2)
-        d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
+        d = draw_halluc(np.empty(0), 0, np.random.default_rng(0))
         assert inner_sup(hist, d, 0.0, cls, config) == pytest.approx(-1.0)
 
     def test_two_constants(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
         hist = GameHistory(np.array([0.5]), np.array([]))
         config = PredictorConfig(horizon=1)
-        d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
+        d = draw_halluc(np.empty(0), 0, np.random.default_rng(0))
         assert inner_sup(hist, d, 1.0, cls, config) == pytest.approx(0.0)
 
     def test_threshold_matches_negated_oracle_example(self):
@@ -150,7 +152,7 @@ class TestInnerSup:
         cls = ThresholdClass()
         hist = GameHistory(np.array([0.2, 0.6, 0.9, 0.4]), np.array([1.0, 0.0, 1.0]))
         config = PredictorConfig(horizon=8)
-        d = draw_halluc(SidePool(rng.random(6)), 4, rng)
+        d = draw_halluc(rng.random(6), 4, rng)
         ys = [0.0, 0.3, 1.0]
         sups = inner_sups(hist, d, ys, cls, config)
         assert sups.tolist() == [inner_sup(hist, d, y, cls, config) for y in ys]
@@ -166,7 +168,7 @@ class TestInnerSup:
         for trial in range(20):
             j = int(rng.integers(1, 6))
             hist = GameHistory(rng.random(j), rng.integers(0, 2, j - 1).astype(float))
-            d = draw_halluc(SidePool(rng.random(8)), int(rng.integers(0, 8)), rng)
+            d = draw_halluc(rng.random(8), int(rng.integers(0, 8)), rng)
             config = PredictorConfig(horizon=12, loss=loss)
             grid = np.append(np.arange(0.0, 1.0, 1.0 / int(rng.integers(1, 25))), 1.0)
             cls = make()
@@ -197,14 +199,14 @@ class TestPredictGeneral:
         cls = FiniteClass.from_constants([0.0, 1.0])
         hist = GameHistory(np.array([0.5]), np.array([]))
         config = PredictorConfig(horizon=4, yhat_tolerance=1e-4)
-        d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
+        d = draw_halluc(np.empty(0), 0, np.random.default_rng(0))
         assert predict_general(hist, d, cls, config) == pytest.approx(0.5, abs=1e-3)
 
     def test_singleton_tracks_expert(self):
         cls = FiniteClass.from_constants([0.5])
         hist = GameHistory(np.array([0.2]), np.array([]))
         config = PredictorConfig(horizon=4, yhat_tolerance=1e-4)
-        d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
+        d = draw_halluc(np.empty(0), 0, np.random.default_rng(0))
         assert predict_general(hist, d, cls, config) == pytest.approx(0.5, abs=1e-3)
 
     def test_against_2d_grid_minimax(self):
@@ -216,7 +218,7 @@ class TestPredictGeneral:
             xs, ys = rng.random(M - 1), rng.random(M - 1)
             j = int(rng.integers(0, M))
             hist = GameHistory(np.append(xs[:j], rng.random()), ys[:j])
-            pool = SidePool([float(v) for v in rng.random(M)])
+            pool = rng.random(M)
             d = draw_halluc(pool, int(rng.integers(0, M)), rng)
             config = PredictorConfig(horizon=M)
 
@@ -245,7 +247,7 @@ class TestPredictGeneral:
             j = int(rng.integers(0, M))
             xs, ys = rng.random(j), rng.random(j)
             hist = GameHistory(np.append(xs, rng.random()), ys)
-            d = draw_halluc(SidePool(rng.random(M)), M - 1 - j, rng)
+            d = draw_halluc(rng.random(M), M - 1 - j, rng)
             config = PredictorConfig(horizon=M)
 
             yhat = predict_general(hist, d, cls, config)
@@ -263,7 +265,7 @@ class TestPredictGeneral:
         rng = np.random.default_rng(9)
         for M in (1, 4, 9, 25):
             cls = ThresholdClass()
-            pool = SidePool([float(v) for v in rng.random(M)])
+            pool = rng.random(M)
             hist = GameHistory(np.array([0.5, rng.random()]), np.array([1.0]))
             d = draw_halluc(pool, M - 1, rng)
             before = cls.solve_calls
@@ -275,14 +277,14 @@ class TestPredictBinaryFast:
     def test_symmetry(self):
         cls = FiniteClass.from_constants([0.0, 1.0])
         hist = GameHistory(np.array([0.5]), np.array([]))
-        d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
+        d = draw_halluc(np.empty(0), 0, np.random.default_rng(0))
         yhat = predict_binary_fast(hist, d, cls, PredictorConfig(horizon=2))
         assert yhat == pytest.approx(0.5)  # G(0) = G(1) = 0 here
 
     def test_exactly_two_calls(self):
         cls = ThresholdClass()
         hist = GameHistory(np.array([0.3, 0.7]), np.array([0.0]))
-        pool = SidePool([0.2, 0.8])
+        pool = np.array([0.2, 0.8])
         d = draw_halluc(pool, 2, np.random.default_rng(1))
         before = cls.solve_calls
         predict_binary_fast(hist, d, cls, PredictorConfig(horizon=4))
@@ -290,7 +292,7 @@ class TestPredictBinaryFast:
 
     def test_rejects_custom_loss(self):
         hist = GameHistory(np.array([0.5]), np.array([]))
-        d = draw_halluc(SidePool(), 0, np.random.default_rng(0))
+        d = draw_halluc(np.empty(0), 0, np.random.default_rng(0))
         with pytest.raises(ConfigError, match="absolute loss"):
             predict_binary_fast(hist, d, ThresholdClass(), PredictorConfig(horizon=2, loss=SQUARED_LOSS))
 
@@ -302,7 +304,7 @@ class TestPredictBinaryFast:
             j = int(rng.integers(0, M))
             xs, ys = rng.random(j), rng.integers(0, 2, j).astype(float)
             hist = GameHistory(np.append(xs, rng.random()), ys)
-            pool = SidePool([float(v) for v in rng.random(M)])
+            pool = rng.random(M)
             d = draw_halluc(pool, M - 1 - j if M - 1 - j > 0 else 0, rng)
             config = PredictorConfig(horizon=M, yhat_tolerance=1e-3)
 
@@ -337,7 +339,7 @@ def absolute_loss_instance(rng, kind):
     ys = rng.random(j - 1)
     ys[rng.random(j - 1) < 0.25] = rng.integers(0, 2)
     hist = GameHistory(rng.random(j), ys)
-    d = draw_halluc(SidePool(rng.random(M)), M - j, rng)
+    d = draw_halluc(rng.random(M), M - j, rng)
     return IDENTITY_CLASSES[kind](), hist, d, PredictorConfig(horizon=M)
 
 
@@ -374,9 +376,9 @@ def epoch_rounds(rng, M, pool_size, binary=True):
     order, as a (halluc, signs) pair."""
     xs = rng.random(M)
     ys = rng.integers(0, 2, M).astype(float) if binary else rng.random(M)
-    pool = SidePool(rng.random(pool_size))
+    pool = rng.random(pool_size)
     js = list(range(1, M + 1))
-    draws = [draw_halluc(pool, min(M - j, pool.size), rng) for j in js]
+    draws = [draw_halluc(pool, min(M - j, len(pool)), rng) for j in js]
     return xs, ys, js, [(d.halluc, d.signs) for d in draws]
 
 
@@ -458,13 +460,13 @@ class TestRelaxations:
         cls = FiniteClass.from_constants([0.5])
         history = (np.array([0.3]), np.array([1.0]))
         config = PredictorConfig(horizon=1)
-        mean, se = relaxation_R(1, history, SidePool(), cls, config, 1, np.random.default_rng(0))
+        mean, se = relaxation_R(1, history, np.empty(0), cls, config, 1, np.random.default_rng(0))
         assert mean == pytest.approx(-0.5) and se == 0.0
 
     def test_singleton_signs_mean_out(self):
         cls = FiniteClass.from_constants([0.5])
         history = (np.array([0.3, 0.9]), np.array([1.0, 0.0]))
-        pool = SidePool([0.1, 0.2, 0.6, 0.7])
+        pool = np.array([0.1, 0.2, 0.6, 0.7])
         config = PredictorConfig(horizon=4)
         mean, se = relaxation_R(2, history, pool, cls, config, 4000, np.random.default_rng(1))
         # sup_h = 2*sum(eps)*0.5 - L_2 with L_2 = 0.5 + 0.5
@@ -473,7 +475,7 @@ class TestRelaxations:
     def test_two_constants_last_slot(self):
         # j = M-1, empty history: E max(0, 2*eps) = 1
         cls = FiniteClass.from_constants([0.0, 1.0])
-        pool = SidePool([0.5])
+        pool = np.array([0.5])
         config = PredictorConfig(horizon=2)
         mean, se = relaxation_R(1, (np.empty(0), np.empty(0)), pool, cls, config, 4000, np.random.default_rng(2))
         assert mean == pytest.approx(1.0, abs=4 * se + 1e-9)
@@ -482,7 +484,7 @@ class TestRelaxations:
         from relaxplay import FeatureDistribution
 
         cls = ThresholdClass()
-        pool = SidePool([0.4])
+        pool = np.array([0.4])
         env = FeatureDistribution.point_mass(0.4)
         config = PredictorConfig(horizon=2)
         rng = np.random.default_rng(3)

@@ -57,17 +57,19 @@ class PolicyClass:
     def arms(self, xs) -> np.ndarray:
         """The (|H|, n) arm matrix of the features `xs`: entry [h, i] is h(x_i).
 
-        Each policy runs once per feature; the range 0 <= arm < K is checked
-        once for the whole matrix.
+        Each policy runs once per feature; that every arm is a whole number
+        with 0 <= arm < K is checked once for the whole matrix.
         """
         feats = feature_list(feature_rows(xs))
         arms = np.array(
-            [[int(policy(x)) for x in feats] for policy in self.policies], dtype=np.intp
+            [[policy(x) for x in feats] for policy in self.policies], dtype=float
         ).reshape(len(self.policies), len(feats))
-        if arms.size and not (arms.min() >= 0 and arms.max() < self.num_arms):
-            bad = arms[(arms < 0) | (arms >= self.num_arms)][0]
-            raise InputDomainError(f"policy emitted arm {bad} outside [0,{self.num_arms})")
-        return arms
+        # written so that NaN fails too
+        ok = (arms >= 0) & (arms < self.num_arms) & (arms == np.floor(arms))
+        if not ok.all():
+            bad = arms[~ok][0]
+            raise InputDomainError(f"policy emitted arm {bad:g} outside the whole numbers in [0,{self.num_arms})")
+        return arms.astype(np.intp)
 
     def clone(self) -> "PolicyClass":
         other = PolicyClass(self.policies, self.num_arms)
@@ -85,10 +87,9 @@ def gamma_default(class_size: int, K: int, M: int) -> float:
 @dataclass(frozen=True, eq=False)
 class ArmCosts:
     """Items of a policy ERM as arrays: `arms[h, i]` is policy h's arm at
-    item i and `weights[i]` is item i's cost vector, shape (n, K).
-
-    Built directly, the arrays are used as given; `from_pairs` converts and
-    checks (feature, cost vector) pairs.
+    item i and `weights[i]` is item i's cost vector, shape (n, K). The
+    arrays are used as given, not copied or checked; `PolicyClass.arms`
+    builds a checked arm matrix.
     """
 
     arms: np.ndarray
@@ -97,33 +98,15 @@ class ArmCosts:
     def __len__(self) -> int:
         return len(self.weights)
 
-    @classmethod
-    def from_pairs(cls, policy_class: PolicyClass, items: Sequence[tuple[Feature, np.ndarray]]) -> "ArmCosts":
-        items = list(items)
-        K = policy_class.num_arms
-        try:
-            weights = np.array([np.asarray(w, dtype=float) for _, w in items]).reshape(len(items), K)
-        except ValueError as e:
-            raise InputDomainError(f"each cost vector needs {K} entries") from e
-        if not np.isfinite(weights).all():
-            raise InputDomainError("cost weights must be finite")
-        return cls(policy_class.arms([x for x, _ in items]), weights)
 
-
-def policy_erm(
-    policy_class: PolicyClass,
-    items: ArmCosts | Sequence[tuple[Feature, np.ndarray]],
-    base: Optional[np.ndarray] = None,
-) -> tuple[int, float]:
+def policy_erm(policy_class: PolicyClass, items: ArmCosts, base: Optional[np.ndarray] = None) -> tuple[int, float]:
     """inf_h base[h] + sum_i w_i[h(x_i)] over the table; lowest index wins ties.
 
-    `items` is an `ArmCosts` or a sequence of (feature, cost vector) pairs;
-    `base` (default 0) is each policy's cost from items summed earlier. Each
-    policy's terms add one at a time in item order, after its base.
+    `items` holds each policy's arms at the items and the items' cost
+    vectors; `base` (default 0) is each policy's cost from items summed
+    earlier. Each policy's terms add one at a time in item order, after its base.
     """
     policy_class.solve_calls += 1
-    if not isinstance(items, ArmCosts):
-        items = ArmCosts.from_pairs(policy_class, items)
     objs = np.zeros(len(policy_class)) if base is None else base
     if len(items):
         terms = items.weights[np.arange(len(items)), items.arms]

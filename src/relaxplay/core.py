@@ -1,19 +1,19 @@
-"""Shared domain types: losses, weighted samples, and the mixed-ERM oracle contract.
+"""Shared domain types: losses, labeled samples, and the mixed-ERM oracle contract.
 
 A feature is a scalar in [0,1] or a 1-d numpy vector with entries in [0,1].
 Hypothesis classes map features to [0,1] and expose a single `solve` entry
-point that minimizes a weighted empirical loss plus signed linear terms.
+point that minimizes an empirical loss plus signed linear terms.
 
 A `MixedErmQuery` holds its terms as float64 arrays: pair features `xs`
-(shape (n,) for scalar features, (n, d) for d-vectors), labels `ys` and
-weights `ws`, signed-term features `signed_xs` and signs `signs`. It is built
-either from those arrays (used as given, not copied) or from sequences of
-`LabeledPair` / `SignedTerm` (converted once), and it is validated once, when
-built: non-finite features, labels outside [0,1], non-finite or negative
-weights, signs other than +-1 and a non-finite or negative coefficient raise
-`InputDomainError`. `with_last_label(y)` derives the same query with another
-last label and checks only that label, so a grid of probe labels over one
-history is checked once. Solvers read the arrays and never re-check them.
+(shape (n,) for scalar features, (n, d) for d-vectors), labels `ys`,
+signed-term features `signed_xs` and signs `signs`. It is built either from
+those arrays (used as given, not copied) or from sequences of `LabeledPair` /
+`SignedTerm` (converted once), and it is validated once, when built:
+non-finite features, labels outside [0,1], signs other than +-1 and a
+non-finite or negative coefficient raise `InputDomainError`.
+`with_last_label(y)` derives the same query with another last label and
+checks only that label, so a grid of probe labels over one history is
+checked once. Solvers read the arrays and never re-check them.
 """
 
 from __future__ import annotations
@@ -155,12 +155,9 @@ def loss_values(loss: LossFn, prediction: float, labels: np.ndarray) -> np.ndarr
 class LabeledPair:
     x: Feature
     y: float
-    weight: float = 1.0
 
     def __post_init__(self):
         check_unit(self.y, "label")
-        if not (0.0 <= self.weight < math.inf):
-            raise InputDomainError(f"weight must be finite and nonnegative, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -201,15 +198,15 @@ def _term_arrays(xs, values, name: str, what: str) -> tuple[np.ndarray, np.ndarr
 
 
 class MixedErmQuery:
-    """The oracle task: minimize sum_i w_i*loss(h(x_i), y_i) + C*sum_j eps_j*h(x~_j).
+    """The oracle task: minimize sum_i loss(h(x_i), y_i) + C*sum_j eps_j*h(x~_j).
 
     Give the pair terms either as `pairs` (LabeledPair sequence) or as arrays
-    `xs`, `ys` and optionally `ws` (default all 1), and the signed terms
-    either as `signed` (SignedTerm sequence) or as arrays `signed_xs` and
-    `signs`. `pairs` and `signed` stay readable as sequences of term objects.
+    `xs` and `ys`, and the signed terms either as `signed` (SignedTerm
+    sequence) or as arrays `signed_xs` and `signs`. `pairs` and `signed`
+    stay readable as sequences of term objects.
     """
 
-    __slots__ = ("xs", "ys", "ws", "signed_xs", "signs", "coefficient", "loss")
+    __slots__ = ("xs", "ys", "signed_xs", "signs", "coefficient", "loss")
 
     def __init__(
         self,
@@ -220,17 +217,15 @@ class MixedErmQuery:
         *,
         xs=None,
         ys=None,
-        ws=None,
         signed_xs=None,
         signs=None,
     ):
-        if xs is None and ys is None and ws is None:
+        if xs is None and ys is None:
             pairs = tuple(pairs)
             xs = [p.x for p in pairs]
             ys = [p.y for p in pairs]
-            ws = [p.weight for p in pairs]
         elif len(pairs) or xs is None:
-            raise InputDomainError("give the pairs either as LabeledPair terms or as arrays xs, ys (, ws)")
+            raise InputDomainError("give the pairs either as LabeledPair terms or as arrays xs, ys")
         if signed_xs is None and signs is None:
             signed = tuple(signed)
             signed_xs = [s.x for s in signed]
@@ -242,14 +237,6 @@ class MixedErmQuery:
         # y * (y - 1) <= 0 exactly for y in [0,1]; it is positive or NaN otherwise
         if ys.size and not np.maximum.reduce(ys * (ys - 1.0)) <= 0.0:
             raise InputDomainError("labels must lie in [0,1]")
-        if ws is None:
-            ws = np.full(len(xs), 1.0)
-        else:
-            ws = np.asarray(ws, dtype=float)
-            if ws.shape != ys.shape:
-                raise InputDomainError(f"pairs need one weight per label, got shapes {ws.shape} and {ys.shape}")
-            if ws.size and not (ws.min() >= 0.0 and ws.max() < math.inf):
-                raise InputDomainError("weights must be finite and nonnegative")
         signed_xs, signs = _term_arrays(signed_xs, signs, "signed terms", "sign")
         if not np.logical_and.reduce(np.abs(signs) == 1.0):
             raise InputDomainError("signs must be -1 or +1")
@@ -257,7 +244,7 @@ class MixedErmQuery:
         if not (0.0 <= coefficient < math.inf):
             raise InputDomainError(f"coefficient C must be finite and nonnegative, got {coefficient!r}")
 
-        self.xs, self.ys, self.ws = xs, ys, ws
+        self.xs, self.ys = xs, ys
         self.signed_xs, self.signs = signed_xs, signs
         self.coefficient, self.loss = coefficient, loss
 
@@ -266,7 +253,7 @@ class MixedErmQuery:
         ys = self.ys.copy()
         ys[-1] = check_unit(y, "label")
         other = object.__new__(MixedErmQuery)
-        other.xs, other.ys, other.ws = self.xs, ys, self.ws
+        other.xs, other.ys = self.xs, ys
         other.signed_xs, other.signs = self.signed_xs, self.signs
         other.coefficient, other.loss = self.coefficient, self.loss
         return other
@@ -274,7 +261,7 @@ class MixedErmQuery:
     @property
     def pairs(self) -> Sequence[LabeledPair]:
         return _Terms(
-            lambda i: LabeledPair(_feature_at(self.xs, i), float(self.ys[i]), float(self.ws[i])),
+            lambda i: LabeledPair(_feature_at(self.xs, i), float(self.ys[i])),
             len(self.xs),
         )
 
@@ -339,18 +326,18 @@ def objective_values(cls: HypothesisClass, handles: Sequence, query: MixedErmQue
     lie in [0,1]. Its terms (pairs, then signed terms) are added in order
     from 0.0, as a running sum adds them.
     """
-    pairs = list(zip(feature_list(query.xs), query.ys.tolist(), query.ws.tolist()))
+    pairs = list(zip(feature_list(query.xs), query.ys.tolist()))
     signed = list(zip(feature_list(query.signed_xs), (query.coefficient * query.signs).tolist()))
     evaluate = cls.evaluate
     evaluator = None if query.loss.kind == "absolute" else query.loss.evaluator
     out = []
     for h in handles:
         total = 0.0
-        for x, y, w in pairs:
+        for x, y in pairs:
             v = evaluate(h, x)
             if not 0.0 <= v <= 1.0:
                 raise InputDomainError(f"hypothesis values must lie in [0,1], got {v!r}")
-            total += w * (abs(v - y) if evaluator is None else float(evaluator(v, y)))
+            total += abs(v - y) if evaluator is None else float(evaluator(v, y))
         for x, cs in signed:
             total += cs * evaluate(h, x)
         out.append(total)

@@ -39,6 +39,10 @@ def _fail(path: str, message: str):
 
 
 def _get(d: dict, key: str, path: str, default=_fail):
+    """Field `key` of the object `d` at `path`, or `default`; a missing required
+    field, or a `d` that is not an object, is a ConfigError under its path."""
+    if not isinstance(d, dict):
+        _fail(path, f"must be an object, got {d!r}")
     if key not in d:
         if default is _fail:
             _fail(f"{path}.{key}", "missing required field")
@@ -58,11 +62,17 @@ def _real(d: dict, key: str, path: str, default=_fail) -> float:
     return _check_real(_get(d, key, path, default), f"{path}.{key}")
 
 
-def _reals(d: dict, key: str, path: str, default=_fail) -> list[float]:
-    """Field `key` as a list of floats, each checked as `_real` checks one, under `path.key[i]`."""
+def _list(d: dict, key: str, path: str, items: str, default=_fail) -> list:
+    """Field `key` if it is a list (or tuple) of `items`; else ConfigError under its path."""
     values = _get(d, key, path, default)
     if not isinstance(values, (list, tuple)):
-        _fail(f"{path}.{key}", f"must be a list of numbers, got {values!r}")
+        _fail(f"{path}.{key}", f"must be a list of {items}, got {values!r}")
+    return values
+
+
+def _reals(d: dict, key: str, path: str, default=_fail) -> list[float]:
+    """Field `key` as a list of floats, each checked as `_real` checks one, under `path.key[i]`."""
+    values = _list(d, key, path, "numbers", default)
     return [_check_real(v, f"{path}.{key}[{i}]") for i, v in enumerate(values)]
 
 
@@ -115,7 +125,7 @@ def build_distribution(spec: dict, path: str) -> FeatureDistribution:
 def build_env(spec: dict, path: str = "env"):
     if _get(spec, "kind", path) == "shifting":
         segments = []
-        for i, seg in enumerate(_get(spec, "segments", path)):
+        for i, seg in enumerate(_list(spec, "segments", path, "segments")):
             where = f"{path}.segments[{i}]"
             segments.append(
                 (
@@ -130,7 +140,7 @@ def build_env(spec: dict, path: str = "env"):
 def build_adversary(spec: dict, path: str = "adversary"):
     name = _get(spec, "name", path)
     catalog = envmod.builtin_adversaries()
-    if name not in catalog:
+    if not isinstance(name, str) or name not in catalog:
         _fail(f"{path}.name", f"unknown adversary {name!r} (have {sorted(catalog)})")
     if name == "noisy_target":
         a = _real(spec, "target_threshold", path, 0.5)
@@ -174,7 +184,7 @@ def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
     kind = _get(spec, "kind", path)
     K = check_count(_get(spec, "K", path, 2), f"{path}.K")
     if kind == "constant":
-        arms = [check_seed(a, f"{path}.arms[{i}]") for i, a in enumerate(_get(spec, "arms", path))]
+        arms = [check_seed(a, f"{path}.arms[{i}]") for i, a in enumerate(_list(spec, "arms", path, "arms"))]
         return PolicyClass([(lambda a: (lambda x: a))(a) for a in arms], K)
     if kind == "threshold_arm":
         ths = _reals(spec, "thresholds", path)
@@ -183,7 +193,7 @@ def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
         )
     if kind == "mixed":
         policies = []
-        for i, a in enumerate(_get(spec, "arms", path, [])):
+        for i, a in enumerate(_list(spec, "arms", path, "arms", [])):
             policies.append((lambda c: (lambda x: c))(check_seed(a, f"{path}.arms[{i}]")))
         for a in _reals(spec, "thresholds", path, []):
             policies.append((lambda c: (lambda x: 1 if x >= c else 0))(a))
@@ -250,7 +260,8 @@ def _resolve_common(config: dict):
     mode = _get(config, "mode", "config")
     if mode not in MODES:
         _fail("config.mode", f"unknown mode {mode!r} (have {MODES})")
-    seeds = [check_seed(s, f"config.seeds[{i}]") for i, s in enumerate(_get(config, "seeds", "config", [0]))]
+    seeds = _list(config, "seeds", "config", "seeds", [0])
+    seeds = [check_seed(s, f"config.seeds[{i}]") for i, s in enumerate(seeds)]
     if not seeds:
         _fail("config.seeds", "need at least one seed")
     return mode, seeds
@@ -263,7 +274,8 @@ def run_one_trace(config: dict, T: int, seed: int) -> RegretTrace:
         policies = build_policies(_get(config, "policies", "config"))
         env = build_env(_get(config, "env", "config"))
         costs = build_costs(_get(config, "costs", "config"))
-        bconf = BanditConfig(gamma=config.get("gamma"), seed=seed)
+        gamma = config.get("gamma")  # None: gamma_default
+        bconf = BanditConfig(gamma=None if gamma is None else _check_real(gamma, "config.gamma"), seed=seed)
         return run_bandit(policies, env, costs, T, bconf)
 
     cls = build_class(_get(config, "class", "config"))
@@ -291,6 +303,8 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
     """
     mode, seeds = _resolve_common(config)
     out = out_dir or config.get("out")
+    if out and not isinstance(out, (str, os.PathLike)):
+        _fail("config.out", f"must be a directory path, got {out!r}")
     chash = config_hash(config)
     summary = {
         "config_hash": chash,
@@ -326,7 +340,8 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
             summary.update(rademacher_mean=float(np.mean(means)), rademacher_std=float(np.std(means)), T=T)
         else:
             if config.get("horizons"):
-                horizons = [check_count(h, f"config.horizons[{i}]") for i, h in enumerate(config["horizons"])]
+                horizons = _list(config, "horizons", "config", "horizons")
+                horizons = [check_count(h, f"config.horizons[{i}]") for i, h in enumerate(horizons)]
             else:
                 horizons = [check_count(_get(config, "T", "config"), "config.T")]
             if any(b <= a for a, b in zip(horizons, horizons[1:])):

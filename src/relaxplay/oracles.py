@@ -44,8 +44,8 @@ def _flip_deltas(query: MixedErmQuery) -> tuple[float, np.ndarray, np.ndarray]:
     signed terms). `base` is summed in order, as a running sum would be.
     """
     xs, xt = scalar_rows(query.xs), scalar_rows(query.signed_xs)
-    l0 = query.ws * loss_values(query.loss, 0.0, query.ys)
-    l1 = query.ws * loss_values(query.loss, 1.0, query.ys)
+    l0 = loss_values(query.loss, 0.0, query.ys)
+    l1 = loss_values(query.loss, 1.0, query.ys)
     base = float(np.cumsum(l0)[-1]) if l0.size else 0.0
     positions = np.concatenate([xs, xt])
     deltas = np.concatenate([l1 - l0, query.coefficient * query.signs])
@@ -260,10 +260,10 @@ class LipschitzClass(HypothesisClass):
         points = np.concatenate([scalar_rows(query.xs), scalar_rows(query.signed_xs)])
         if not points.size:
             return ErmResult((np.zeros(1), np.zeros(1)), 0.0)
-        # per point: label, weight and signed coefficient, zero where a term has none
-        pad = np.zeros(len(query.signs))
+        # per point: label, pair weight (1 for a pair) and signed coefficient, zero where a term has none
+        n, pad = len(query.ys), np.zeros(len(query.signs))
         order = points.argsort(kind="stable")
-        terms = ((query.ys, pad), (query.ws, pad), (np.zeros(len(query.ys)), query.coefficient * query.signs))
+        terms = ((query.ys, pad), (np.ones(n), pad), (np.zeros(n), query.coefficient * query.signs))
         ys, ws, cs = (np.concatenate(parts)[order] for parts in terms)
         values = _chain_values(points[order], ys, ws, cs)
         return ErmResult((points[order], values), float(np.sum(ws * np.abs(values - ys)) + np.sum(cs * values)))

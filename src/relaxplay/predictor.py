@@ -25,6 +25,7 @@ from .core import (
     LossFn,
     MixedErmQuery,
     PoolExhaustedError,
+    check_count,
     check_seed,
     feature_list,
     feature_rows,
@@ -347,6 +348,7 @@ def relaxation_R(
     source, with its own sign, and only the later slots from the pool.
     """
     xs, ys = history
+    mc_samples = check_count(mc_samples, "mc_samples")
     count, pool = config.horizon - j, feature_rows(pool)
     if count < 0:
         raise ConfigError("j exceeds the horizon")

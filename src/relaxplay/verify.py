@@ -24,6 +24,7 @@ from .core import (
     LossFn,
     MixedErmQuery,
     best_in_hindsight,
+    check_count,
     feature_rows,
     loss_eval,
 )
@@ -92,6 +93,7 @@ def estimate_rademacher(
             for signs in itertools.product((-1, 1), repeat=T)
         ]
         return float(np.mean(vals)), 0.0
+    mc_samples = check_count(mc_samples, "mc_samples")
     vals = np.empty(mc_samples)
     for k in range(mc_samples):
         signs = rng.integers(0, 2, size=T) * 2 - 1
@@ -161,6 +163,7 @@ def check_admissibility(
     are Monte-Carlo with per-draw suprema.
     """
     cls, loss = scenario.cls, scenario.loss
+    mc_samples = check_count(mc_samples, "mc_samples")
     config, pool, grid = _grid_game(scenario)
 
     worst = -np.inf
@@ -416,6 +419,7 @@ def check_decomposition(
     greedily realizes each round's per-draw sup over the y-grid.
     """
     cls, loss, M = scenario.cls, scenario.loss, scenario.horizon
+    mc_samples = check_count(mc_samples, "mc_samples")
     config, pool, grid = _grid_game(scenario)
 
     regrets = np.empty(mc_samples)
@@ -498,6 +502,7 @@ def discrepancy_probe(
     Histories are sampled from the scenario's law with uniform {0,1} labels.
     """
     cls, loss, M = scenario.cls, scenario.loss, scenario.horizon
+    mc_samples = check_count(mc_samples, "mc_samples")
     N = len(scenario.pool_features)
     config = PredictorConfig(horizon=M, loss=loss)
     pool = feature_rows(scenario.pool_features)

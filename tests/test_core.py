@@ -75,10 +75,6 @@ class TestDomainTypes:
         with pytest.raises(InputDomainError):
             LabeledPair(0.5, 1.5)
 
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InputDomainError):
-            LabeledPair(0.5, 0.5, weight=-1.0)
-
     def test_signed_term_sign(self):
         with pytest.raises(InputDomainError):
             SignedTerm(2, 0.5)
@@ -113,12 +109,12 @@ class TestQueryObjective:
     def test_matches_hand_computation(self):
         cls = FiniteClass.from_constants([0.3])
         query = MixedErmQuery(
-            pairs=(LabeledPair(0.1, 1.0, weight=2.0),),
+            pairs=(LabeledPair(0.1, 1.0),),
             signed=(SignedTerm(-1, 0.9),),
             coefficient=3.0,
         )
-        # 2*|0.3-1| + 3*(-1)*0.3 = 1.4 - 0.9
-        assert query_objective(cls, 0, query) == pytest.approx(0.5)
+        # |0.3-1| + 3*(-1)*0.3 = 0.7 - 0.9
+        assert query_objective(cls, 0, query) == pytest.approx(-0.2)
 
     def test_solve_result_consistent_with_objective(self):
         rng = np.random.default_rng(7)
@@ -142,8 +138,8 @@ class TestQueryObjective:
 def running_objective(cls, handle, query):
     """The objective as one running sum over the terms, each loss through loss_eval."""
     total = 0.0
-    for x, y, w in zip(query.xs.tolist(), query.ys.tolist(), query.ws.tolist()):
-        total += w * loss_eval(query.loss, cls.evaluate(handle, x), y)
+    for x, y in zip(query.xs.tolist(), query.ys.tolist()):
+        total += loss_eval(query.loss, cls.evaluate(handle, x), y)
     for x, s in zip(query.signed_xs.tolist(), query.signs.tolist()):
         total += query.coefficient * s * cls.evaluate(handle, x)
     return total
@@ -160,7 +156,7 @@ class TestObjectiveValues:
         for _ in range(200):
             n, k = int(rng.integers(0, 9)), int(rng.integers(0, 9))
             query = MixedErmQuery(
-                xs=rng.random(n), ys=rng.random(n), ws=rng.random(n) * 3, signed_xs=rng.random(k),
+                xs=rng.random(n), ys=rng.random(n), signed_xs=rng.random(k),
                 signs=rng.choice([-1.0, 1.0], k), coefficient=float(rng.random() * 4), loss=loss,
             )
             values = objective_values(cls, range(len(cls)), query)
@@ -180,22 +176,17 @@ class TestObjectiveValues:
 class TestQueryArrays:
     def test_terms_become_arrays(self):
         query = MixedErmQuery(
-            pairs=(LabeledPair(0.1, 1.0, weight=2.0), LabeledPair(0.4, 0.0)),
+            pairs=(LabeledPair(0.1, 1.0), LabeledPair(0.4, 0.0)),
             signed=(SignedTerm(-1, 0.9),),
             coefficient=3.0,
         )
         assert query.xs.dtype == np.float64 and query.xs.tolist() == [0.1, 0.4]
-        assert query.ys.tolist() == [1.0, 0.0] and query.ws.tolist() == [2.0, 1.0]
+        assert query.ys.tolist() == [1.0, 0.0]
         assert query.signed_xs.tolist() == [0.9] and query.signs.tolist() == [-1.0]
         assert len(query.pairs) == 2 and len(query.signed) == 1
-        assert query.pairs[0] == LabeledPair(0.1, 1.0, weight=2.0)
+        assert query.pairs[0] == LabeledPair(0.1, 1.0)
         assert list(query.pairs) == list(query.pairs[:])
         assert query.signed[-1] == SignedTerm(-1, 0.9)
-
-    def test_array_form_defaults_weights(self):
-        query = MixedErmQuery(xs=[0.2, 0.7], ys=[0.0, 1.0])
-        assert query.ws.tolist() == [1.0, 1.0]
-        assert len(query.signed) == 0
 
     def test_vector_features_are_rows(self):
         query = MixedErmQuery(pairs=(LabeledPair(np.array([0.1, 0.2]), 0.5),))
@@ -227,17 +218,6 @@ class TestQueryValidation:
 
     nan, inf = float("nan"), float("inf")
 
-    def test_nan_weight_rejected(self):
-        with pytest.raises(InputDomainError):
-            LabeledPair(0.3, 1.0, weight=self.nan)
-        with pytest.raises(InputDomainError):
-            MixedErmQuery(xs=[0.3], ys=[1.0], ws=[self.nan])
-
-    @pytest.mark.parametrize("w", [-1.0, float("inf")])
-    def test_bad_array_weight_rejected(self, w):
-        with pytest.raises(InputDomainError):
-            MixedErmQuery(xs=[0.3, 0.5], ys=[1.0, 0.0], ws=[1.0, w])
-
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_features_rejected(self, x):
         with pytest.raises(InputDomainError):
@@ -267,8 +247,6 @@ class TestQueryValidation:
     def test_shape_mismatches_rejected(self):
         with pytest.raises(InputDomainError):
             MixedErmQuery(xs=[0.1, 0.2], ys=[1.0])
-        with pytest.raises(InputDomainError):
-            MixedErmQuery(xs=[0.1, 0.2], ys=[1.0, 0.0], ws=[1.0])
         with pytest.raises(InputDomainError):
             MixedErmQuery(signed_xs=[0.1], signs=[1.0, -1.0])
         with pytest.raises(InputDomainError):

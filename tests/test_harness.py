@@ -544,6 +544,37 @@ class TestCli:
         assert cli_main(args) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode,bad,message",
+        [
+            ("online", "seeds=5", "config.seeds: must be a list of seeds, got 5"),
+            ("online", "horizons=5", "config.horizons: must be a list of horizons, got 5"),
+            ("online", "class=3", "class: must be an object, got 3"),
+            ("online", "class=kind", "class: must be an object, got 'kind'"),
+            ("online", "adversary=null", "adversary: must be an object, got None"),
+            ("online", "schedule=7", "schedule: must be an object, got 7"),
+            ("online", "adversary.name=[1]", "adversary.name: unknown adversary [1]"),
+            ("online", "out=5", "config.out: must be a directory path, got 5"),
+            ("online", 'env={"kind":"shifting","segments":5}', "env.segments: must be a list of segments, got 5"),
+            ("bandit", 'policies={"kind":"constant","arms":3}', "policies.arms: must be a list of arms, got 3"),
+            ("bandit", "gamma=abc", "config.gamma: must be a finite number, got 'abc'"),
+        ],
+        ids=[
+            "seeds", "horizons", "class_int", "class_str", "adversary_null", "schedule", "adversary_name", "out",
+            "segments", "arms", "gamma",
+        ],
+    )
+    def test_malformed_field_exit_two(self, capsys, mode, bad, message):
+        # a config error under the field's path, not a TypeError traceback
+        sets = ["env.kind=uniform"]
+        if mode == "online":
+            sets += ["class.kind=threshold", "adversary.name=constant", "adversary.value=1"]
+        else:
+            sets += ["costs.name=constant", "costs.values=[0.0,1.0]", 'policies={"kind":"constant","arms":[0,1]}']
+        args = [mode, "--horizons", "8"] + [a for s in sets + [bad] for a in ("--set", s)]
+        assert cli_main(args) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_rademacher_shifting_env_exit_two(self, capsys):
         # the estimate samples one distribution; a shifting env is a config error, not a traceback
         args = ["rademacher", "--set", "T=8", "--set", "class.kind=threshold", "--set", "env.kind=shifting",

@@ -192,7 +192,7 @@ def lipschitz_lp(query):
     n, m = len(points), len(query.xs)
     if n == 0:
         return 0.0
-    cost = np.concatenate([np.zeros(m), query.coefficient * query.signs, query.ws])
+    cost = np.concatenate([np.zeros(m), query.coefficient * query.signs, np.ones(m)])
     rows, bounds = [], []
     for k, y in enumerate(query.ys.tolist()):
         for s in (1.0, -1.0):  # s*(v_k - y) <= t_k
@@ -244,23 +244,22 @@ class TestLipschitzAgainstLp:
             else:
                 xs, signed_xs = rng.random(n_pairs), rng.random(n_signed)
             ys = rng.integers(0, 2, n_pairs).astype(float) if i % 2 else rng.random(n_pairs)
-            ws = rng.uniform(0.0, 3.0, n_pairs) * (rng.random(n_pairs) > 0.2)  # some zero weights
             C = 0.0 if i % 7 == 0 else float(rng.uniform(0.0, 4.0))
             self._check(MixedErmQuery(
-                xs=xs, ys=ys, ws=ws, signed_xs=signed_xs, signs=rng.integers(0, 2, n_signed) * 2 - 1.0, coefficient=C,
+                xs=xs, ys=ys, signed_xs=signed_xs, signs=rng.integers(0, 2, n_signed) * 2 - 1.0, coefficient=C,
             ))
 
     feature = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
 
     @settings(max_examples=100, deadline=None)
     @given(
-        pairs=st.lists(st.tuples(feature, st.floats(0.0, 1.0), st.floats(0.0, 3.0)), max_size=8),
+        pairs=st.lists(st.tuples(feature, st.floats(0.0, 1.0)), max_size=8),
         signed=st.lists(st.tuples(feature, st.sampled_from((-1.0, 1.0))), max_size=8),
         coefficient=st.floats(0.0, 3.0),
     )
     def test_property(self, pairs, signed, coefficient):
         self._check(MixedErmQuery(
-            xs=[p[0] for p in pairs], ys=[p[1] for p in pairs], ws=[p[2] for p in pairs],
+            xs=[p[0] for p in pairs], ys=[p[1] for p in pairs],
             signed_xs=[s[0] for s in signed], signs=[s[1] for s in signed], coefficient=coefficient,
         ))
 
@@ -325,9 +324,9 @@ def enumerate_interval_solve(gamma, query):
         return (0.0, g), 0.0
     base = 0.0
     deltas = []
-    for y, w in zip(query.ys.tolist(), query.ws.tolist()):
-        base += w * loss_eval(query.loss, 0.0, y)
-        deltas.append(w * (loss_eval(query.loss, 1.0, y) - loss_eval(query.loss, 0.0, y)))
+    for y in query.ys.tolist():
+        base += loss_eval(query.loss, 0.0, y)
+        deltas.append(loss_eval(query.loss, 1.0, y) - loss_eval(query.loss, 0.0, y))
     deltas += [query.coefficient * s for s in query.signs.tolist()]
     dlt = np.asarray(deltas)
 
@@ -423,11 +422,10 @@ def widest_interval_solve(gamma, query):
     )[::-1]
 
 
-def weighted_query(rng, n_pairs, n_signed, feat):
+def feature_query(rng, n_pairs, n_signed, feat):
     return MixedErmQuery(
         xs=[feat() for _ in range(n_pairs)],
         ys=rng.random(n_pairs),
-        ws=rng.uniform(0.0, 2.0, n_pairs),
         signed_xs=[feat() for _ in range(n_signed)],
         signs=rng.integers(0, 2, n_signed) * 2.0 - 1.0,
         coefficient=float(rng.uniform(0.0, 3.0)),
@@ -443,7 +441,7 @@ class TestIntervalAgainstEnumeration:
         for k in range(500):
             gamma = self.GAMMAS[k % 3]
             cls = IntervalClass(gamma)
-            query = weighted_query(rng, int(rng.integers(0, 7)), int(rng.integers(0, 6)), feat)
+            query = feature_query(rng, int(rng.integers(0, 7)), int(rng.integers(0, 6)), feat)
             res = cls.solve(query)
             _, ref = reference(gamma, query)
             assert res.objective == pytest.approx(ref, abs=1e-9)
@@ -473,7 +471,7 @@ class TestIntervalAgainstEnumeration:
         rng = np.random.default_rng(54)
         for k in range(200):
             gamma = self.GAMMAS[k % 3]
-            query = weighted_query(rng, int(rng.integers(0, 7)), int(rng.integers(0, 6)), rng.random)
+            query = feature_query(rng, int(rng.integers(0, 7)), int(rng.integers(0, 6)), rng.random)
             _, ref = enumerate_interval_solve(gamma, query)
             assert widest_interval_solve(gamma, query)[1] == pytest.approx(ref, abs=1e-9)
 
@@ -511,7 +509,7 @@ class TestArrayAndTermQueriesAgree:
 
     terms = st.lists(
         st.tuples(
-            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 3.0), st.sampled_from((-1, 1))
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from((-1, 1))
         ),
         max_size=5,
     )
@@ -530,16 +528,15 @@ class TestArrayAndTermQueriesAgree:
     @given(pair_terms=terms, signed_terms=terms, coefficient=st.floats(0.0, 3.0))
     def test_identical_solve(self, make, pair_terms, signed_terms, coefficient):
         from_terms = MixedErmQuery(
-            pairs=[LabeledPair(x, y, w) for x, y, w, _ in pair_terms],
-            signed=[SignedTerm(s, x) for x, _, _, s in signed_terms],
+            pairs=[LabeledPair(x, y) for x, y, _ in pair_terms],
+            signed=[SignedTerm(s, x) for x, _, s in signed_terms],
             coefficient=coefficient,
         )
         from_arrays = MixedErmQuery(
             xs=np.array([t[0] for t in pair_terms]),
             ys=np.array([t[1] for t in pair_terms]),
-            ws=np.array([t[2] for t in pair_terms]),
             signed_xs=np.array([t[0] for t in signed_terms]),
-            signs=np.array([t[3] for t in signed_terms], dtype=float),
+            signs=np.array([t[2] for t in signed_terms], dtype=float),
             coefficient=coefficient,
         )
         r1, r2 = make().solve(from_terms), make().solve(from_arrays)
@@ -571,11 +568,11 @@ class TestSolveRows:
     label = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
     query = st.builds(
         lambda pairs, signed, coefficient: MixedErmQuery(
-            pairs=[LabeledPair(x, y, w) for x, y, w in pairs],
+            pairs=[LabeledPair(x, y) for x, y in pairs],
             signed=[SignedTerm(s, x) for x, s in signed],
             coefficient=coefficient,
         ),
-        st.lists(st.tuples(feature, label, st.sampled_from((1.0, 0.5, 2.0))), max_size=5),
+        st.lists(st.tuples(feature, label), max_size=5),
         st.lists(st.tuples(feature, st.sampled_from((-1, 1))), max_size=5),
         st.sampled_from((2.0, 1.0, 0.0)),
     )

@@ -11,6 +11,7 @@ from relaxplay import (
     DiscrepancyScenario,
     FeatureDistribution,
     FiniteClass,
+    PredictorConfig,
     ThresholdClass,
     check_admissibility,
     check_decomposition,
@@ -20,6 +21,7 @@ from relaxplay import (
     default_sensitivity_generator,
     discrepancy_probe,
     estimate_rademacher,
+    relaxation_R,
     standard_checks,
 )
 
@@ -56,6 +58,37 @@ class TestRademacher:
         exact, _ = estimate_rademacher(cls, feats, 0, np.random.default_rng(1), exhaustive=True)
         mc, se = estimate_rademacher(cls, feats, 800, np.random.default_rng(2))
         assert abs(mc - exact) <= 3 * se + 1e-9
+
+
+class TestMonteCarloCounts:
+    """Every Monte Carlo estimate takes a positive integer sample count: a
+    config error, not a NaN mean of no draws or a bare numpy error."""
+
+    env = FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5])
+
+    @pytest.mark.parametrize("mc", [0, -1, 2.5, True])
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda mc, rng: relaxation_R(
+                1, (np.array([0.4]), np.array([1.0])), [0.4], ThresholdClass(), PredictorConfig(horizon=2), mc, rng
+            ),
+            lambda mc, rng: estimate_rademacher(ThresholdClass(), [0.2, 0.8], mc, rng),
+            lambda mc, rng: check_admissibility(
+                AdmissibilityScenario(ThresholdClass(), TestMonteCarloCounts.env, 2, [0.2, 0.8]), mc, rng
+            ),
+            lambda mc, rng: check_decomposition(
+                DecompositionScenario(ThresholdClass(), TestMonteCarloCounts.env, 2, [0.2, 0.8]), mc, rng
+            ),
+            lambda mc, rng: discrepancy_probe(
+                DiscrepancyScenario(ThresholdClass(), TestMonteCarloCounts.env, 2, [0.2, 0.8]), mc, rng
+            ),
+        ],
+        ids=["relaxation_R", "rademacher", "admissibility", "decomposition", "discrepancy"],
+    )
+    def test_bad_count_rejected(self, estimate, mc):
+        with pytest.raises(ConfigError, match="mc_samples must be a positive integer"):
+            estimate(mc, np.random.default_rng(0))
 
 
 class TestAdmissibility:

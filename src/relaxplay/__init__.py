@@ -58,8 +58,6 @@ from .epochs import (
     RunConfig,
     alpha_from_q,
     epoch_length,
-    locate,
-    round_rng,
     run_epoch_predictor,
 )
 from .shifting import block_length, blocks_straddling_changes, run_shifting

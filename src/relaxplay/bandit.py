@@ -14,11 +14,19 @@ policy's estimated cost over the epoch so far is kept as a running sum, so a
 policy ERM only gathers the costs of its items from a cost matrix by arm and
 adds them, in item order, to those sums. A round's K+1 ERMs differ only in
 the current context's cost, so they share one gather and one such sum.
+
+The rest of a round's K-arm step (the K+1 minima, water-filling, mixing,
+the arm draw and the cost estimate) works on lists of Python floats, since
+numpy's per-call cost outweighs the arithmetic on K floats; each operation
+rounds as its numpy form did, sums over K terms included (`vector_sum`).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -147,11 +155,11 @@ def draw_bandit(
 def phi_values(
     pool_arms: np.ndarray,
     sums: np.ndarray,
-    x_arms: np.ndarray,
+    x_arms: Sequence[int],
     draw: BanditDraw,
     policy_class: PolicyClass,
     gamma: float,
-) -> np.ndarray:
+) -> list:
     """Phi_0..Phi_K: the K+1 policy ERMs of a round, from one gather-cumsum.
 
     `pool_arms` is the arm matrix of the pool's contexts, so the draw's
@@ -164,73 +172,80 @@ def phi_values(
     The K+1 objectives share everything but the current context's term, so
     each policy's partial sum is formed once, adding `sums` and then the
     slot terms left to right as `policy_erm` does, and the current term goes
-    last in every column. The calls count as K+1 policy ERMs.
+    last in every objective. The calls count as K+1 policy ERMs. The minima
+    are taken over Python floats, `lowest_argmin`'s ties included.
     """
     K = policy_class.num_arms
     policy_class.solve_calls += K + 1
-    used = np.flatnonzero(draw.zs)
+    (used,) = draw.zs.nonzero()
     partial = sums
     if used.size:
-        slot_weights = (2.0 * draw.zs[used])[:, None] * draw.signs[used]
-        terms = slot_weights[np.arange(used.size), pool_arms[:, draw.indices[used]]]
+        # terms[h, i] = 2 Z eps[a] of slot used[i] at policy h's arm a there; `take` reads `signs` flat
+        flat = pool_arms.take(draw.indices.take(used), axis=1) + used * K
+        terms = draw.signs.take(flat) * (2.0 * draw.zs.take(used))
         terms[:, 0] += sums
-        # cumsum adds left to right whatever the layout; np.sum pairs terms along a contiguous row
-        partial = np.cumsum(terms, axis=1)[:, -1]
-    current = np.zeros((len(partial), K + 1))
-    current[np.arange(len(partial)), x_arms + 1] = 1.0 / gamma
-    objs = partial[:, None] + current
-    return np.array([col[lowest_argmin(col)] for col in objs.T.tolist()])
+        # cumsum (add.accumulate) adds left to right whatever the layout; np.sum pairs terms along a row
+        partial = np.add.accumulate(terms, axis=1)[:, -1]
+    partial, bump = partial.tolist(), 1.0 / gamma
+    # Phi_{k+1} adds 1/gamma to each policy that plays arm k here and 0.0 to the rest; no arm is -1, so k = -1 is Phi_0
+    objs = [[p + (bump if a == k else 0.0) for p, a in zip(partial, x_arms)] for k in range(-1, K)]
+    return [obj[lowest_argmin(obj)] for obj in objs]
 
 
-def waterfill_q(b: np.ndarray) -> tuple[np.ndarray, float]:
+def vector_sum(values: Sequence[float]) -> float:
+    """`np.sum` of the float64 vector `values`, bit for bit: numpy adds left
+    to right below 8 terms and pairwise from 8 terms on."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def waterfill_q(b: Sequence[float]) -> tuple[list, float]:
     """Minimize g(q) = sum_k max(0, q_k - max(b_k, 0)) over the simplex.
 
     With s = sum_k max(b_k, 0): if s >= 1 the mass fits under the caps
     (q_k = b_k^+/s, g = 0); otherwise the shortfall 1-s spreads evenly
-    (q_k = b_k^+ + (1-s)/K, g = 1-s).
+    (q_k = b_k^+ + (1-s)/K, g = 1-s). A NaN b_k makes every q_k NaN.
     """
-    b = np.asarray(b, dtype=float)
-    bp = np.maximum(b, 0.0)
-    s = float(bp.sum())
-    K = b.size
+    bp = [max(v, 0.0) for v in b]  # keeps a NaN, as np.maximum does
+    s = vector_sum(bp)
     if s >= 1.0:
-        q = bp / s
-        g = 0.0
-    else:
-        q = bp + (1.0 - s) / K
-        g = 1.0 - s
-    return q, g
+        return [v / s for v in bp], 0.0
+    fill = (1.0 - s) / len(bp)
+    return [v + fill for v in bp], 1.0 - s
 
 
-def mix_q(q_hat: np.ndarray, gamma: float, K: int) -> np.ndarray:
+def mix_q(q_hat: Sequence[float], gamma: float, K: int) -> list:
     """q = (1 - gamma*K) q_hat + gamma*1; keeps every arm probability >= gamma."""
     if gamma * K > 1.0 + 1e-12:
         raise ConfigError("need gamma*K <= 1")
-    return (1.0 - gamma * K) * np.asarray(q_hat, dtype=float) + gamma
+    scale = 1.0 - gamma * K
+    return [scale * v + gamma for v in q_hat]
 
 
-def play_arm(q: np.ndarray, rng: np.random.Generator) -> int:
+def play_arm(q: Sequence[float], rng: np.random.Generator) -> int:
     """The arm `rng.choice(len(q), p=q / q.sum())` draws, and the same use of
     `rng`: one uniform located in the normalized cdf of p.
 
-    `choice` also validates p on every call; the caller checks q instead.
+    `choice` also validates p on every call; the caller checks that q is
+    finite and nonnegative instead.
     """
-    cdf = np.cumsum(q / q.sum())
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    total = vector_sum(q)
+    cdf = list(itertools.accumulate([v / total for v in q]))
+    last = cdf[-1]
+    return bisect.bisect_right([c / last for c in cdf], rng.random())
 
 
-def estimate_cost(
-    arm: int, observed: float, q: np.ndarray, gamma: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Unbiased estimate (1/gamma) I e_arm with I ~ Bernoulli(gamma*c/q[arm])."""
-    if q[arm] < gamma - 1e-12:
+def estimate_cost(arm: int, observed: float, q: Sequence[float], gamma: float, rng: np.random.Generator) -> float:
+    """The played arm's entry of the unbiased estimate (1/gamma) I e_arm with
+    I ~ Bernoulli(gamma*c/q[arm]); every other entry is 0."""
+    if not q[arm] >= gamma - 1e-12:  # written so that NaN fails too
         raise AssertionError("mixing floor violated: q[arm] < gamma")
     p = gamma * observed / q[arm]
-    chat = np.zeros(len(q))
-    if rng.random() < p:
-        chat[arm] = 1.0 / gamma
-    return chat
+    return 1.0 / gamma if rng.random() < p else 0.0
 
 
 @dataclass
@@ -239,8 +254,12 @@ class BanditConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma is not None and not self.gamma > 0:
-            raise ConfigError("gamma must be positive")
+        # a finite gamma above 1/K is clamped to 1/K when the game starts (metadata["gamma"])
+        gamma = self.gamma
+        if gamma is not None and (
+            isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0 < gamma < math.inf
+        ):
+            raise ConfigError(f"gamma must be a positive finite number, got {gamma!r}")
         check_seed(self.seed)
 
 
@@ -269,22 +288,21 @@ def run_bandit(
     non-finite entry, and an arm outside [0, K), raise `InputDomainError`
     before any round is played.
     """
-    if T < 1:
-        raise ConfigError("T must be >= 1")
+    T = check_count(T, "T")
     K = policy_class.num_arms
     gamma = config.gamma if config.gamma is not None else gamma_default(len(policy_class), K, T)
     if gamma * K > 1.0:
         gamma = 1.0 / K
+    floor = gamma - 1e-12
     clock = EpochClock(bandit_epoch_schedule())
     streams = RoundStreams(config.seed, T, (1, 2, 5))
 
     xs = game_features(env, streams)
     arm_matrix = policy_class.arms(xs)
+    arm_rows = arm_matrix.T.tolist()  # each round's arms, one per policy
     costs = np.empty((T, K))
-    qs = np.empty((T, K))
     arms = np.empty(T, dtype=np.intp)
-    expected = np.empty(T)
-    epochs = np.empty(T, dtype=np.intp)
+    qs, epochs = [], []
     seen_arms, seen_costs = arms.view(), costs.view()  # read-only, for the cost adversary
     seen_arms.flags.writeable = seen_costs.flags.writeable = False
 
@@ -294,32 +312,36 @@ def run_bandit(
             pool_arms = arm_matrix[:, : clock.start]
             sums = np.zeros(len(policy_class))
 
-        x_arms = arm_matrix[:, t - 1]
         draw = draw_bandit(clock.start, clock.count, K, gamma, streams.rngs(2, t))
-        phis = phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
-        b = gamma * (phis[1:] - phis[0])
-        q_hat, _ = waterfill_q(b)
+        phis = phi_values(pool_arms, sums, arm_rows[t - 1], draw, policy_class, gamma)
+        phi0 = phis[0]
+        q_hat, _ = waterfill_q([gamma * (phi - phi0) for phi in phis[1:]])
         q = mix_q(q_hat, gamma, K)
-        # the validation `choice` made of p: finite, and at the mixing floor or above
-        if not (q.min() >= gamma - 1e-12 and q.max() < math.inf):
+        # the validation `choice` made of p: finite, and at the mixing floor or above (NaN fails)
+        if not all(floor <= v < math.inf for v in q):
             raise AssertionError(f"mixing floor violated: q={q} at t={t}")
 
         rng_play = streams.rngs(5, t)
         arm = play_arm(q, rng_play)
         history = xs[: t - 1], seen_arms[: t - 1], seen_costs[: t - 1]
         c_t = np.asarray(cost_adversary(t, xs[t - 1], history), dtype=float)
+        c = c_t.tolist()
         # written so that NaN fails too
-        if c_t.shape != (K,) or not np.all((c_t >= 0) & (c_t <= 1)):
+        if c_t.shape != (K,) or not all(0.0 <= v <= 1.0 for v in c):
             raise InputDomainError(f"cost vector out of [0,1]^K at t={t}")
-        chat = estimate_cost(arm, float(c_t[arm]), q, gamma, rng_play)
-        sums += chat[x_arms]
+        chat = estimate_cost(arm, c[arm], q, gamma, rng_play)
+        if chat:
+            # the policies that play `arm` here; the others would add 0.0, which leaves a sum as it is
+            sums[arm_matrix[:, t - 1] == arm] += chat
 
         costs[t - 1] = c_t
-        qs[t - 1] = q
         arms[t - 1] = arm
-        expected[t - 1] = q @ c_t
-        epochs[t - 1] = clock.n
+        qs.append(q)
+        epochs.append(clock.n)
 
+    qs = np.array(qs)
+    # one vector-vector matmul per round, as `q @ c_t` is
+    expected = np.matmul(qs[:, None, :], costs[:, :, None])[:, 0, 0]
     comp_class = policy_class.clone()
     h_star, _ = policy_erm(comp_class, ArmCosts(arm_matrix, costs))
     rounds = np.arange(T)
@@ -328,7 +350,7 @@ def run_bandit(
         columns=BANDIT_COLUMNS,
         rows=list(
             zip(
-                range(1, T + 1), epochs.tolist(), arms.tolist(), qs.min(axis=1).tolist(),
+                range(1, T + 1), epochs, arms.tolist(), qs.min(axis=1).tolist(),
                 expected.tolist(), costs[rounds, arms].tolist(), cum_regret.tolist(),
             )
         ),

@@ -97,30 +97,9 @@ def epoch_length(schedule: EpochSchedule, n: int) -> int:
     return max(1, _round_half_up(schedule.exact_length(n)))
 
 
-@dataclass(frozen=True)
-class EpochIndex:
-    n: int
-    j: int
-    start: int  # S(n) = sum of lengths of epochs before n
-
-
-def locate(schedule: EpochSchedule, t: int) -> EpochIndex:
-    """The unique (n, j) with S(n) < t <= S(n+1) and j = t - S(n)."""
-    if t < 1:
-        raise ConfigError("time index starts at 1")
-    n, start = 1, 0
-    while True:
-        m = epoch_length(schedule, n)
-        if t <= start + m:
-            return EpochIndex(n, t - start, start)
-        start += m
-        n += 1
-
-
 class EpochClock:
     """The epoch walk of one segment, which every runner advances: round j of
-    epoch n, whose `length` rounds follow the `start` rounds of earlier epochs
-    (`locate` is its reference).
+    epoch n, whose `length` rounds follow the `start` rounds of earlier epochs.
 
     A round hallucinates the rest of its epoch from the features of earlier
     epochs, `count` = min(length - j, start) of them; `shortfall` counts the
@@ -159,16 +138,6 @@ class RunConfig:
     def __post_init__(self):
         check_seed(self.seed)
         check_count(self.probe_mc, "probe_mc")
-
-
-def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
-    """The generator of one stream at round t: the reference that every
-    runner's `RoundStreams` reproduces bit for bit.
-
-    Streams: 1 features, 2 hallucination draws, 3 probes, 4 adversary noise,
-    5 the bandit's arm play and cost estimate.
-    """
-    return np.random.default_rng([seed, stream, t])
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -250,12 +219,14 @@ class _SeedWords(ISeedSequence):
 
 
 class RoundStreams:
-    """The generators `round_rng(seed, stream, t)` of one game, for rounds 1..T.
+    """The generators `np.random.default_rng([seed, stream, t])` of one game,
+    for rounds 1..T. Streams: 1 features, 2 hallucination draws, 3 probes,
+    4 adversary noise, 5 the bandit's arm play and cost estimate.
 
     Each stream's PCG64 seed words come from one numpy pass of SeedSequence's
     hash over a window of SEED_WINDOW rounds, refilled when a round outside
     the window is asked for, so `rngs(stream, t)` skips SeedSequence and is
-    bit-identical to `round_rng(seed, stream, t)`.
+    bit-identical to `default_rng([seed, stream, t])`.
     """
 
     def __init__(self, seed: int, T: int, streams):
@@ -438,8 +409,7 @@ def play_rounds(
     The adversary reads x_t = xs[t-1] and the history (xs[:t-1], ys[:t-1]),
     slices of the read-only `played.xs` and a read-only view of `played.ys`.
     """
-    if T < 1:
-        raise ConfigError("T must be >= 1")
+    T = check_count(T, "T")
     oblivious = adversary.kind == "oblivious"
     streams = RoundStreams(config.seed, T, (1, 2, 4) if oblivious else (1, 2, 3, 4))
     xs = game_features(env, streams)

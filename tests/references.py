@@ -1,0 +1,34 @@
+"""Reference implementations that the package's faster code is checked against."""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from relaxplay import ConfigError, EpochSchedule, epoch_length
+
+
+def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
+    """The generator of one stream at round t, which `RoundStreams.rngs`
+    reproduces bit for bit."""
+    return np.random.default_rng([seed, stream, t])
+
+
+@dataclass(frozen=True)
+class EpochIndex:
+    n: int
+    j: int
+    start: int  # S(n) = sum of lengths of epochs before n
+
+
+def locate(schedule: EpochSchedule, t: int) -> EpochIndex:
+    """The unique (n, j) with S(n) < t <= S(n+1) and j = t - S(n): where
+    `EpochClock` stands at round t."""
+    if t < 1:
+        raise ConfigError("time index starts at 1")
+    n, start = 1, 0
+    while True:
+        m = epoch_length(schedule, n)
+        if t <= start + m:
+            return EpochIndex(n, t - start, start)
+        start += m
+        n += 1

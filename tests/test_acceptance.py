@@ -410,7 +410,7 @@ def test_criterion_10_bandit_minimax_pieces():
     for arm, c in ((0, 0.6), (1, 0.3)):
         n = 100_000
         total = sum(
-            estimate_cost(arm, c, q, gamma, rng)[arm] for _ in range(n)
+            estimate_cost(arm, c, q, gamma, rng) for _ in range(n)
         )
         p = gamma * c / q[arm]
         sigma = math.sqrt(p * (1 - p)) / gamma / math.sqrt(n)

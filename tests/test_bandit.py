@@ -18,19 +18,20 @@ from relaxplay import (
     epoch_length,
     estimate_cost,
     gamma_default,
-    locate,
     mix_q,
     phi_values,
     play_arm,
     policy_erm,
-    round_rng,
     run_bandit,
     waterfill_q,
 )
+from relaxplay import bandit
+from relaxplay.bandit import vector_sum
 from relaxplay.core import feature_list
 from relaxplay.environment import sample_feature
 from relaxplay.epochs import EpochClock
 from relaxplay.traces import BANDIT_COLUMNS, RegretTrace
+from references import locate, round_rng
 
 
 def two_arm_class():
@@ -106,6 +107,40 @@ def slot_loop_draw(pool, count, K, gamma, rng):
     return idx, np.array(signs), np.array(zs)
 
 
+# The K-arm step on numpy K-vectors, which the Python-float helpers replaced.
+
+
+def numpy_waterfill_q(b):
+    b = np.asarray(b, dtype=float)
+    bp = np.maximum(b, 0.0)
+    s = float(bp.sum())
+    if s >= 1.0:
+        return bp / s, 0.0
+    return bp + (1.0 - s) / b.size, 1.0 - s
+
+
+def numpy_mix_q(q_hat, gamma, K):
+    if gamma * K > 1.0 + 1e-12:
+        raise ConfigError("need gamma*K <= 1")
+    return (1.0 - gamma * K) * np.asarray(q_hat, dtype=float) + gamma
+
+
+def numpy_play_arm(q, rng):
+    cdf = np.cumsum(q / q.sum())
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def numpy_estimate_cost(arm, observed, q, gamma, rng):
+    if q[arm] < gamma - 1e-12:
+        raise AssertionError("mixing floor violated: q[arm] < gamma")
+    p = gamma * observed / q[arm]
+    chat = np.zeros(len(q))
+    if rng.random() < p:
+        chat[arm] = 1.0 / gamma
+    return chat
+
+
 # The per-round bandit loop that the epoch-batched `run_bandit` replaced:
 # each round runs the policies on its own context, makes K+1 separate policy
 # ERMs, draws its arm with `Generator.choice` and builds its trace row.
@@ -143,12 +178,12 @@ def per_round_bandit_reference(policy_class, env, cost_adversary, T, config):
         x_arms = arm_matrix[:, t - 1] = policy_class.arms([x_t])[:, 0]
         draw = draw_bandit(clock.start, clock.count, K, gamma, round_rng(config.seed, 2, t))
         phis = per_round_phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
-        q = mix_q(waterfill_q(gamma * (phis[1:] - phis[0]))[0], gamma, K)
+        q = numpy_mix_q(numpy_waterfill_q(gamma * (phis[1:] - phis[0]))[0], gamma, K)
         rng_play = round_rng(config.seed, 5, t)
         arm = int(rng_play.choice(K, p=q / q.sum()))
         history = (np.array(xs, dtype=float), np.array(arms, dtype=np.intp), costs[: t - 1])
         c_t = np.asarray(cost_adversary(t, x_t, history), dtype=float)
-        chat = estimate_cost(arm, float(c_t[arm]), q, gamma, rng_play)
+        chat = numpy_estimate_cost(arm, float(c_t[arm]), q, gamma, rng_play)
         sums += chat[x_arms]
         xs.append(x_t)
         costs[t - 1] = c_t
@@ -457,15 +492,17 @@ class TestPlayArm:
     def test_matches_choice_and_its_rng_use(self):
         rng = np.random.default_rng(11)
         for i in range(2000):
-            K = int(rng.integers(2, 6))
+            # K = 9 sums q pairwise in numpy
+            K = 9 if i % 4 == 0 else int(rng.integers(2, 6))
             gamma = float(rng.uniform(0.01, 1.0 / K))
             # negative b's put their arms at the gamma floor
-            q = mix_q(waterfill_q(rng.uniform(-1.0, 1.0, size=K))[0], gamma, K)
+            q = mix_q(waterfill_q(rng.uniform(-1.0, 1.0, size=K).tolist())[0], gamma, K)
             if i % 5 == 0:
-                q = np.full(K, 1.0 / K)
+                q = [1.0 / K] * K
             mine = np.random.default_rng([7, i])
             theirs = np.random.default_rng([7, i])
-            assert play_arm(q, mine) == int(theirs.choice(K, p=q / q.sum()))
+            p = np.array(q)
+            assert play_arm(q, mine) == int(theirs.choice(K, p=p / p.sum()))
             assert mine.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -473,25 +510,82 @@ class TestPlayArm:
     )
     def test_uniform_on_a_cdf_step(self, q, u):
         # a uniform equal to a cdf value takes the arm to its right, as choice does
-        q = np.array(q)
         mine, theirs = generator_with_next_random(u), generator_with_next_random(u)
         assert generator_with_next_random(u).random() == u
-        assert play_arm(q, mine) == int(theirs.choice(len(q), p=q / q.sum()))
+        p = np.array(q)
+        assert play_arm(q, mine) == int(theirs.choice(len(q), p=p / p.sum()))
+
+
+def k_vectors(rng, K):
+    """Vectors of K floats of mixed signs and magnitudes, some with ties and zeros."""
+    v = rng.uniform(-1.0, 2.0, size=K) * 10.0 ** rng.integers(-6, 3, size=K)
+    v[rng.random(K) < 0.2] = 0.0
+    if rng.random() < 0.2:
+        v[:] = v[0]
+    return v
+
+
+class TestNumpyReferences:
+    """The Python-float K-arm step against the numpy bodies it replaced, bit for bit."""
+
+    KS = [2, 3, 4, 5, 7, 8, 9, 16, 17, 130]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 300])
+    def test_vector_sum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            v = k_vectors(rng, n) if n else np.empty(0)
+            assert repr(vector_sum(v.tolist())) == repr(float(v.sum()))
+        assert repr(vector_sum([-0.0] * n)) == repr(float((-np.zeros(n)).sum()))
+
+    @pytest.mark.parametrize("K", KS)
+    def test_waterfill_mix_play_and_estimate(self, K):
+        rng = np.random.default_rng(K)
+        for i in range(300):
+            b = k_vectors(rng, K)
+            q_hat, g = waterfill_q(b.tolist())
+            want_q_hat, want_g = numpy_waterfill_q(b)
+            assert q_hat == want_q_hat.tolist() and g == want_g
+            gamma = float(rng.uniform(0.001, 1.0 / K))
+            q = mix_q(q_hat, gamma, K)
+            want_q = numpy_mix_q(want_q_hat, gamma, K)
+            assert q == want_q.tolist()
+            mine, theirs = np.random.default_rng([K, i]), np.random.default_rng([K, i])
+            arm = play_arm(q, mine)
+            assert arm == numpy_play_arm(want_q, theirs)
+            observed = float(rng.choice([0.0, 1.0, rng.random()]))
+            chat = estimate_cost(arm, observed, q, gamma, mine)
+            want_chat = numpy_estimate_cost(arm, observed, want_q, gamma, theirs)
+            assert [chat if k == arm else 0.0 for k in range(K)] == want_chat.tolist()
+            assert mine.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("K", [2, 3, 9])
+    def test_nan_in_any_position(self, K):
+        for k in range(K):
+            b = [0.5] * K
+            b[k] = math.nan
+            q, _ = waterfill_q(b)
+            assert np.array_equal(q, numpy_waterfill_q(np.array(b))[0], equal_nan=True)
+            assert all(math.isnan(v) for v in mix_q(q, 0.5 / K, K))
+            q = [1.0 / K] * K
+            q[k] = math.nan
+            with pytest.raises(AssertionError, match="mixing floor"):
+                estimate_cost(k, 0.5, q, 0.5 / K, np.random.default_rng(0))
 
 
 class TestWaterfill:
     def test_interior_example(self):
-        q, g = waterfill_q(np.array([0.3, 0.2]))
+        q, g = waterfill_q([0.3, 0.2])
         assert q == pytest.approx([0.55, 0.45])
         assert g == pytest.approx(0.5)
 
     def test_saturated_example(self):
-        q, g = waterfill_q(np.array([1.5, 0.5]))
+        q, g = waterfill_q([1.5, 0.5])
         assert q == pytest.approx([0.75, 0.25])
         assert g == pytest.approx(0.0)
 
     def test_all_nonpositive(self):
-        q, g = waterfill_q(np.array([0.0, -0.4]))
+        q, g = waterfill_q([0.0, -0.4])
         assert q == pytest.approx([0.5, 0.5])
         assert g == pytest.approx(1.0)
 
@@ -503,7 +597,8 @@ class TestWaterfill:
         grid = np.arange(0.0, 1.0 + 1e-12, 0.001)
         for _ in range(50):
             b = rng.uniform(-1, 2, size=2)
-            q, g = waterfill_q(b)
+            q, g = waterfill_q(b.tolist())
+            q = np.array(q)
             assert np.all(q >= -1e-12) and q.sum() == pytest.approx(1.0)
             assert g == pytest.approx(g_of(q, b), abs=1e-12)
             best = min(g_of(np.array([a, 1 - a]), b) for a in grid)
@@ -515,37 +610,35 @@ class TestWaterfill:
         gamma = 0.2
         b1 = gamma * (phis[1:] - phis[0])
         b2 = gamma * ((phis[1:] + 7.0) - (phis[0] + 7.0))
-        q1, _ = waterfill_q(b1)
-        q2, _ = waterfill_q(b2)
+        q1, _ = waterfill_q(b1.tolist())
+        q2, _ = waterfill_q(b2.tolist())
         assert q1 == pytest.approx(q2)
 
 
 class TestMixAndEstimate:
     def test_mix_examples(self):
-        q = mix_q(np.array([1.0, 0.0]), 0.1, 2)
+        q = mix_q([1.0, 0.0], 0.1, 2)
         assert q == pytest.approx([0.9, 0.1])
-        assert np.all(mix_q(np.array([0.0, 1.0]), 0.25, 2) >= 0.25 - 1e-12)
+        assert min(mix_q([0.0, 1.0], 0.25, 2)) >= 0.25 - 1e-12
         with pytest.raises(ConfigError):
-            mix_q(np.array([0.5, 0.5]), 0.6, 2)
+            mix_q([0.5, 0.5], 0.6, 2)
 
     def test_zero_cost_gives_zero_estimate(self):
         rng = np.random.default_rng(0)
-        q = np.array([0.5, 0.5])
-        chat = estimate_cost(0, 0.0, q, 0.1, rng)
-        assert np.all(chat == 0.0)
+        assert estimate_cost(0, 0.0, [0.5, 0.5], 0.1, rng) == 0.0
 
     def test_floor_assertion(self):
         with pytest.raises(AssertionError):
-            estimate_cost(0, 0.5, np.array([0.05, 0.95]), 0.1, np.random.default_rng(0))
+            estimate_cost(0, 0.5, [0.05, 0.95], 0.1, np.random.default_rng(0))
 
     def test_unbiasedness(self):
         rng = np.random.default_rng(5)
-        q = np.array([0.3, 0.7])
+        q = [0.3, 0.7]
         gamma, arm, c = 0.1, 0, 0.6
         n = 100_000
         total = 0.0
         for _ in range(n):
-            total += estimate_cost(arm, c, q, gamma, rng)[arm]
+            total += estimate_cost(arm, c, q, gamma, rng)
         # E chat[arm] = c / q[arm]; one sample has variance p(1-p)/gamma^2
         p = gamma * c / q[arm]
         mean, target = total / n, c / q[arm]
@@ -591,6 +684,62 @@ class TestRunBandit:
         with pytest.raises(ConfigError):
             BanditConfig(gamma=math.nan)
 
+    @pytest.mark.parametrize("K", [2, 3, 9])
+    def test_nan_fails_each_check_in_any_position(self, K, monkeypatch):
+        cls, env = mixed_table(K), FeatureDistribution.uniform()
+        for k in range(K):
+            def nan_at_k(t, x, history):
+                c = np.full(K, 0.5)
+                c[k] = math.nan
+                return c
+
+            with pytest.raises(InputDomainError, match="cost vector"):
+                run_bandit(cls, env, nan_at_k, 5, BanditConfig(seed=1))
+            with monkeypatch.context() as m:
+                # a probability vector with one NaN entry, as the mixing step would hand on
+                m.setattr(bandit, "mix_q", lambda q_hat, gamma, K: [math.nan if i == k else 1.0 / K for i in range(K)])
+                with pytest.raises(AssertionError, match="mixing floor"):
+                    run_bandit(cls, env, feature_costs(K), 5, BanditConfig(seed=1))
+
+    @pytest.mark.parametrize("T", [2.5, True, 0, -1, "8", None])
+    def test_T_must_be_a_positive_integer(self, T):
+        with pytest.raises(ConfigError, match="T must be a positive integer"):
+            run_bandit(two_arm_class(), FeatureDistribution.uniform(), self._costs, T, BanditConfig())
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, True, False, 0.0, -0.1, "0.1"])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ConfigError, match="gamma"):
+            BanditConfig(gamma=gamma)
+
+    def test_gamma_above_inverse_k_is_clamped(self):
+        env = FeatureDistribution.uniform()
+        for gamma, played in [(0.9, 0.5), (np.float64(0.75), 0.5), (1, 0.5), (0.25, 0.25)]:
+            trace = run_bandit(two_arm_class(), env, self._costs, 20, BanditConfig(gamma=gamma))
+            assert trace.metadata["gamma"] == played
+        assert run_bandit(mixed_table(3), env, feature_costs(3), 20, BanditConfig(gamma=0.5)).metadata["gamma"] == 1 / 3
+
+    def test_each_round_calls_the_module_draw_and_phi_values_once(self, monkeypatch):
+        # the benchmark's tracer wraps both by name and reads each draw's zs
+        draws, phi_calls = [], []
+        draw_bandit, phi_values = bandit.draw_bandit, bandit.phi_values
+
+        def counted_draw(*args, **kwargs):
+            draws.append(draw_bandit(*args, **kwargs))
+            return draws[-1]
+
+        def counted_phi_values(*args, **kwargs):
+            phi_calls.append(args[3])
+            return phi_values(*args, **kwargs)
+
+        monkeypatch.setattr(bandit, "draw_bandit", counted_draw)
+        monkeypatch.setattr(bandit, "phi_values", counted_phi_values)
+        T = 150
+        run_bandit(mixed_table(3), FeatureDistribution.uniform(), feature_costs(3), T, BanditConfig(seed=5))
+        assert len(draws) == len(phi_calls) == T
+        assert all(draw is seen for draw, seen in zip(draws, phi_calls))
+        assert all(isinstance(d.zs, np.ndarray) and d.zs.shape == d.indices.shape for d in draws)
+        assert sum(d.zs.size for d in draws) > 0 and any(np.any(d.zs) for d in draws)
+
     def test_halluc_shortfall(self, tmp_path):
         sched = bandit_epoch_schedule()
         T = 40
@@ -605,7 +754,7 @@ class TestRunBandit:
         trace.to_csv(tmp_path / "t.csv")
         assert "shortfall" not in (tmp_path / "t.csv").read_text()
 
-    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("K", [2, 3, 4, 9])
     @pytest.mark.parametrize("gamma", [None, "fixed"])
     # 85 and 144 end epochs 8 and 10; 100 and 150 end mid-epoch
     @pytest.mark.parametrize("T", [1, 2, 85, 100, 144, 150])
@@ -619,6 +768,36 @@ class TestRunBandit:
             assert got.rows == want.rows
             assert got.metadata == want.metadata
             assert mine.solve_calls == theirs.solve_calls == (K + 1) * T
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_round_reference_property(self, data):
+        K = data.draw(st.sampled_from([2, 3, 4, 5, 8, 9]), label="K")
+        # policies from a small menu, so duplicates and ties occur
+        menu = st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.9]), st.integers(0, K - 1), st.integers(0, K - 1))
+        specs = data.draw(st.lists(menu, min_size=2, max_size=10), label="policies")  # gamma_default needs |H| >= 2
+
+        def table():
+            return PolicyClass([(lambda a, lo, hi: (lambda x: hi if x >= a else lo))(*spec) for spec in specs], K)
+
+        gamma = data.draw(st.one_of(st.none(), st.floats(1e-3, 1.5 / K)), label="gamma")
+        T = data.draw(st.integers(1, 120), label="T")
+        config = BanditConfig(gamma=gamma, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        menu_costs = data.draw(
+            st.lists(st.lists(st.sampled_from([0.0, 0.5, 1.0, 0.3]), min_size=K, max_size=K), min_size=1, max_size=5),
+            label="cost vectors",
+        )
+
+        def costs(t, x, history):
+            return np.array(menu_costs[(t + int(x >= 0.5)) % len(menu_costs)])
+
+        env = FeatureDistribution.uniform()
+        mine, theirs = table(), table()
+        got = run_bandit(mine, env, costs, T, config)
+        want = per_round_bandit_reference(theirs, env, costs, T, config)
+        assert got.rows == want.rows
+        assert got.metadata == want.metadata
+        assert mine.solve_calls == theirs.solve_calls == (K + 1) * T
 
     def test_reference_horizons_end_on_and_inside_epochs(self):
         sched = bandit_epoch_schedule()

@@ -16,10 +16,11 @@ from relaxplay import (
     ThresholdClass,
     alpha_from_q,
     epoch_length,
-    locate,
     run_epoch_predictor,
 )
 from relaxplay.environment import constant as constant_adversary
+from relaxplay.epochs import play_rounds
+from references import locate, round_rng
 
 
 class TestAlphaFromQ:
@@ -204,6 +205,19 @@ class TestRunEpochPredictor:
         trace = self._run(cls, adversary, 12)
         assert all(c == 2 for c in trace.column("erm_calls"))
 
+    @pytest.mark.parametrize("T", [2.5, True, 0, -3, "8", None])
+    def test_T_must_be_a_positive_integer(self, T):
+        # checked at the entry of the game loop, before any feature is drawn
+        from relaxplay import ABSOLUTE_LOSS
+
+        env = FeatureDistribution.uniform()
+        sched = EpochSchedule("polynomial", alpha=1.0)
+        adversary = constant_adversary(1.0)
+        with pytest.raises(ConfigError, match="T must be a positive integer"):
+            play_rounds(sched, ThresholdClass(), ABSOLUTE_LOSS, env, adversary, T, 4, RunConfig())
+        with pytest.raises(ConfigError, match="T must be a positive integer"):
+            self._run(ThresholdClass(), adversary, T)
+
     def test_drift_metadata(self):
         cls = FiniteClass.from_constants([0.5])
         env = FeatureDistribution.uniform()
@@ -270,7 +284,7 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
     """
     from relaxplay import (
         GameHistory, PredictorConfig, best_in_hindsight, draw_halluc, loss_eval,
-        predict_binary_fast, predict_general, round_rng, sample_feature,
+        predict_binary_fast, predict_general, sample_feature,
     )
 
     block = block or T
@@ -358,7 +372,7 @@ class TestOnlineTrace:
 
     @pytest.mark.parametrize("name", ["scalar", "vector", "custom_loss"])
     def test_rows_equal_per_round_loop(self, name):
-        from relaxplay.epochs import online_trace, play_rounds
+        from relaxplay.epochs import online_trace
 
         cls, loss, env, adversary, block = self.game(name)
         schedule, T = EpochSchedule("geometric", ratio=1.5), 20
@@ -376,7 +390,6 @@ class TestAdversaryHistory:
     def test_adaptive_adversary_reads_read_only_views_of_the_game(self, features):
         # round t's history holds exactly the t-1 rounds the game has written, and no write goes through
         from relaxplay import ABSOLUTE_LOSS, AdaptiveAdversary
-        from relaxplay.epochs import play_rounds
 
         uniform = FeatureDistribution.uniform()
         if features == "scalar":

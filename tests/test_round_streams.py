@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxplay import BanditConfig, ConfigError, RoundStreams, RunConfig, round_rng
+from relaxplay import BanditConfig, ConfigError, RoundStreams, RunConfig
 from relaxplay.epochs import SEED_WINDOW, _SeedWords
+from references import round_rng
 
 SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3]
 STREAMS = (1, 2, 3, 4, 5)

@@ -153,7 +153,8 @@ class TestRunShifting:
         assert a.rows == b.rows
 
     def test_shortfall_and_drift_metadata(self):
-        from relaxplay import epoch_length, locate
+        from relaxplay import epoch_length
+        from references import locate
 
         sched = EpochSchedule("geometric", ratio=1.5)
         T, K = 40, 3

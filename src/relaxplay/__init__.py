@@ -78,12 +78,10 @@ from .bandit import (
     waterfill_q,
 )
 from .verify import (
-    AdmissibilityScenario,
-    CheckReport,
-    DecompositionScenario,
     BinaryInstance,
-    DiscrepancyScenario,
+    CheckReport,
     SensitivityInstance,
+    TinyGame,
     check_admissibility,
     check_decomposition,
     check_fact2,

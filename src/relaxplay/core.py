@@ -9,11 +9,14 @@ A `MixedErmQuery` holds its terms as float64 arrays: pair features `xs`
 signed-term features `signed_xs` and signs `signs`. It is built either from
 those arrays (used as given, not copied) or from sequences of `LabeledPair` /
 `SignedTerm` (converted once), and it is validated once, when built:
-non-finite features, labels outside [0,1], signs other than +-1 and a
-non-finite or negative coefficient raise `InputDomainError`.
-`with_last_label(y)` derives the same query with another last label and
-checks only that label, so a grid of probe labels over one history is
-checked once. Solvers read the arrays and never re-check them.
+non-finite features, pair and signed-term features of different shapes
+(all must be scalars, or all d-vectors of one d), labels outside [0,1],
+signs other than +-1 and a non-finite or negative coefficient raise
+`InputDomainError`. `with_last_label(y)` derives the same query with another
+last label and checks only that label, so a grid of probe labels over one
+history is checked once. Solvers read the arrays and never re-check them;
+`objective_values` checks that each hypothesis value it adds, at a pair or
+at a signed term, lies in [0,1].
 """
 
 from __future__ import annotations
@@ -240,6 +243,10 @@ class MixedErmQuery:
         signed_xs, signs = _term_arrays(signed_xs, signs, "signed terms", "sign")
         if not np.logical_and.reduce(np.abs(signs) == 1.0):
             raise InputDomainError("signs must be -1 or +1")
+        if len(xs) and len(signed_xs) and xs.shape[1:] != signed_xs.shape[1:]:
+            raise InputDomainError(
+                f"pair and signed-term features must have one shape, got {xs.shape[1:]} and {signed_xs.shape[1:]}"
+            )
         coefficient = float(coefficient)
         if not (0.0 <= coefficient < math.inf):
             raise InputDomainError(f"coefficient C must be finite and nonnegative, got {coefficient!r}")
@@ -322,9 +329,9 @@ class HypothesisClass:
 def objective_values(cls: HypothesisClass, handles: Sequence, query: MixedErmQuery) -> list[float]:
     """The mixed objective of `query` at each hypothesis of `handles`.
 
-    Each hypothesis is evaluated once per term; its values at the pairs must
-    lie in [0,1]. Its terms (pairs, then signed terms) are added in order
-    from 0.0, as a running sum adds them.
+    Each hypothesis is evaluated once per term; its values at the pairs and
+    at the signed terms must lie in [0,1]. Its terms (pairs, then signed
+    terms) are added in order from 0.0, as a running sum adds them.
     """
     pairs = list(zip(feature_list(query.xs), query.ys.tolist()))
     signed = list(zip(feature_list(query.signed_xs), (query.coefficient * query.signs).tolist()))
@@ -339,7 +346,10 @@ def objective_values(cls: HypothesisClass, handles: Sequence, query: MixedErmQue
                 raise InputDomainError(f"hypothesis values must lie in [0,1], got {v!r}")
             total += abs(v - y) if evaluator is None else float(evaluator(v, y))
         for x, cs in signed:
-            total += cs * evaluate(h, x)
+            v = evaluate(h, x)
+            if not 0.0 <= v <= 1.0:
+                raise InputDomainError(f"hypothesis values must lie in [0,1], got {v!r}")
+            total += cs * v
         out.append(total)
     return out
 

@@ -25,14 +25,15 @@ def running_total(values) -> np.ndarray:
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
 def _format_column(values: tuple) -> list:
     """`_fmt` of each value. For a column of plain floats, ints and strings
     that is `str`, as str(float) is repr(float); float subclasses such as
-    numpy scalars take `_fmt` value by value."""
+    numpy float64 take `_fmt` value by value, written as the Python float
+    they hold (numpy 2's repr would write "np.float64(0.1)")."""
     if set(map(type, values)) <= {float, int, str}:
         return list(map(str, values))
     return list(map(_fmt, values))

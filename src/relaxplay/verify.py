@@ -2,9 +2,11 @@
 
 Each check Monte-Carlos or enumerates both sides of one inequality on tiny
 fixtures and reports a pass/fail with explicit 3-sigma slack. A Rademacher
-estimator and a report-only discrepancy probe round out the suite. Every
-check is deterministic given its seed; the negative controls (corrupted
-predictor, scaled relaxation) must fail.
+estimator and a report-only discrepancy probe round out the suite. The
+relaxation checks (admissibility, decomposition, discrepancy) all play one
+game type, `TinyGame`; each check takes its own knobs as keyword arguments.
+Every check is deterministic given its seed; the negative controls
+(corrupted predictor, scaled relaxation) must fail.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     loss_eval,
 )
 from .environment import FeatureDistribution
+from .oracles import FiniteClass
 from .predictor import (
     GameHistory,
     PredictorConfig,
@@ -115,84 +118,83 @@ def _history(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _grid_game(scenario) -> tuple[PredictorConfig, np.ndarray, np.ndarray]:
-    """The predictor config, side pool and adversary label grid (step
-    `y_step`, 1 included) of a tiny game scenario."""
-    config = PredictorConfig(
-        horizon=scenario.horizon, loss=scenario.loss,
-        y_grid_step=scenario.y_step, yhat_tolerance=min(scenario.y_step, 1e-2),
-    )
-    return config, feature_rows(scenario.pool_features), _y_grid(config)
-
-
-@dataclass
-class AdmissibilityScenario:
-    """A tiny game slice: discrete feature law, small class, short horizon.
-
-    Each history fixture holds the realized rounds as (xs, ys) arrays; the
-    check runs at slot j = len(ys) + 1. `predict_offset` corrupts the
-    prediction for negative-control runs.
-    """
+@dataclass(frozen=True)
+class TinyGame:
+    """A tiny side-information game: small class, short horizon, a side pool
+    and an adversary label grid of step `y_step` (1 included). The checks
+    read it and never change it."""
 
     cls: HypothesisClass
     env: FeatureDistribution
     horizon: int
     pool_features: Sequence[Feature]
-    histories: Sequence[tuple] = (((), ()),)
     loss: LossFn = ABSOLUTE_LOSS
     y_step: float = 0.05
-    predict_offset: float = 0.0
 
-    def __post_init__(self):
-        if self.env.kind != "discrete":
-            raise ConfigError("admissibility check needs a finite feature support")
-        self.histories = [_history(xs, ys) for xs, ys in self.histories]
-        for _, ys in self.histories:
-            if len(ys) + 1 > self.horizon:
-                raise ConfigError("history fixture longer than the horizon allows")
+    def setup(self) -> tuple[PredictorConfig, np.ndarray, np.ndarray]:
+        """The predictor config, side pool and adversary label grid."""
+        config = PredictorConfig(
+            horizon=self.horizon, loss=self.loss,
+            y_grid_step=self.y_step, yhat_tolerance=min(self.y_step, 1e-2),
+        )
+        return config, feature_rows(self.pool_features), _y_grid(config)
+
+
+def _grid_round(game, config, pool, grid, history, count, rng, offset=0.0) -> tuple[float, list]:
+    """One round at `history` (its last feature the current one): a pool draw
+    of `count` slots, the inner sup at each grid label and the minimax
+    prediction moved by `offset` and clipped to [0,1]. Returns the prediction
+    and, per grid label y, loss(prediction, y) + sup."""
+    draw = draw_halluc(pool, count, rng)
+    sups = inner_sups(history, draw, grid, game.cls, config)
+    yhat = float(np.clip(minimax_step(grid, sups, config) + offset, 0.0, 1.0))
+    return yhat, [loss_eval(game.loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist())]
 
 
 def check_admissibility(
-    scenario: AdmissibilityScenario, mc_samples: int, rng: np.random.Generator
+    game: TinyGame,
+    mc_samples: int,
+    rng: np.random.Generator,
+    histories: Sequence[tuple] = (((), ()),),
+    predict_offset: float = 0.0,
 ) -> CheckReport:
     """Per-slot one-step inequality: the played value plus the next relaxation
     never exceeds the previous relaxation (with the true law in the new slot).
 
-    The outer feature expectation is exact over the discrete support; the sup
-    over the adversary's label runs on the scenario's y-grid; playout draws
-    are Monte-Carlo with per-draw suprema.
+    Each history holds the realized rounds as (xs, ys) arrays; the check runs
+    at slot j = len(ys) + 1. `predict_offset` corrupts the prediction for
+    negative-control runs. The outer feature expectation is exact over the
+    law's discrete support; the sup over the adversary's label runs on the
+    game's y-grid; playout draws are Monte-Carlo with per-draw suprema.
     """
-    cls, loss = scenario.cls, scenario.loss
+    if game.env.kind != "discrete":
+        raise ConfigError("admissibility check needs a finite feature support")
+    histories = [_history(xs, ys) for xs, ys in histories]
+    if any(len(ys) + 1 > game.horizon for _, ys in histories):
+        raise ConfigError("history fixture longer than the horizon allows")
     mc_samples = check_count(mc_samples, "mc_samples")
-    config, pool, grid = _grid_game(scenario)
+    config, pool, grid = game.setup()
 
-    worst = -np.inf
-    worst_se = 0.0
+    worst, worst_se = -np.inf, 0.0
     all_pass = True
     per_fixture = []
-    for xs, ys in scenario.histories:
+    for xs, ys in histories:
         j = len(ys) + 1
-        count = scenario.horizon - j
+        count = game.horizon - j
 
-        lhs_mean = 0.0
-        lhs_var = 0.0
-        for x_j, p_x in zip(scenario.env.points, scenario.env.probs):
+        lhs_mean, lhs_var = 0.0, 0.0
+        for x_j, p_x in zip(game.env.points, game.env.probs):
             if p_x == 0.0:
                 continue
             history = GameHistory(feature_rows([*xs, x_j]), ys)
             vals = np.empty(mc_samples)
             for k in range(mc_samples):
-                draw = draw_halluc(pool, count, rng)
-                sups = inner_sups(history, draw, grid, cls, config)
-                yhat = float(np.clip(minimax_step(grid, sups, config) + scenario.predict_offset, 0.0, 1.0))
-                vals[k] = max(loss_eval(loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist()))
+                vals[k] = max(_grid_round(game, config, pool, grid, history, count, rng, predict_offset)[1])
             lhs_mean += p_x * float(vals.mean())
             if mc_samples > 1:
                 lhs_var += (p_x ** 2) * float(vals.var(ddof=1)) / mc_samples
 
-        rhs, rhs_se = relaxation_R(
-            j - 1, (xs, ys), pool, cls, config, mc_samples, rng, true_env=scenario.env
-        )
+        rhs, rhs_se = relaxation_R(j - 1, (xs, ys), pool, game.cls, config, mc_samples, rng, true_env=game.env)
         se = math.sqrt(lhs_var + rhs_se ** 2)
         margin = lhs_mean - rhs
         ok = bool(margin <= 3.0 * se + 1e-9)
@@ -269,8 +271,6 @@ def check_sensitivity(
 
 def default_sensitivity_generator(max_history: int = 3, max_tail: int = 3):
     """Random finite binary classes with random histories/tails/probes."""
-    from .oracles import FiniteClass
-
     def gen(rng: np.random.Generator) -> SensitivityInstance:
         n_h = int(rng.integers(2, 7))
         thresholds = rng.random(n_h)
@@ -358,8 +358,6 @@ def check_fact2(
 
 def default_binary_generator(max_class: int = 8, max_history: int = 4):
     """Random finite {0,1}-valued classes over a small discrete domain."""
-    from .oracles import FiniteClass
-
     def gen(rng: np.random.Generator) -> BinaryInstance:
         domain = [float(v) for v in rng.random(5)]
         n_h = int(rng.integers(2, max_class + 1))
@@ -389,38 +387,26 @@ def default_binary_generator(max_class: int = 8, max_history: int = 4):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DecompositionScenario:
-    """Tiny side-information game with a greedy grid-sup label adversary.
-
-    `rtilde_scale` multiplies the initial-relaxation term. The greedy
-    adversary realizes only part of that term, so a negative control needs
-    a scale that pushes the whole bound below the measured regret
-    (e.g. -1.0), not merely below 1.
-    """
-
-    cls: HypothesisClass
-    env: FeatureDistribution
-    horizon: int
-    pool_features: Sequence[Feature]
-    loss: LossFn = ABSOLUTE_LOSS
-    y_step: float = 0.05
-    inner_mc: int = 32
-    rtilde_scale: float = 1.0
-
-
 def check_decomposition(
-    scenario: DecompositionScenario, mc_samples: int, rng: np.random.Generator
+    game: TinyGame,
+    mc_samples: int,
+    rng: np.random.Generator,
+    inner_mc: int = 32,
+    rtilde_scale: float = 1.0,
 ) -> CheckReport:
     """Side-information regret is at most the initial relaxation plus the
     summed per-slot gaps between the true-law and pool-drawn relaxations.
 
     Both sides are Monte-Carlo over full game playthroughs; the adversary
-    greedily realizes each round's per-draw sup over the y-grid.
+    greedily realizes each round's per-draw sup over the y-grid, and each
+    relaxation takes `inner_mc` draws. `rtilde_scale` multiplies the
+    initial-relaxation term. The greedy adversary realizes only part of that
+    term, so a negative control needs a scale that pushes the whole bound
+    below the measured regret (e.g. -1.0), not merely below 1.
     """
-    cls, loss, M = scenario.cls, scenario.loss, scenario.horizon
+    cls, loss, M = game.cls, game.loss, game.horizon
     mc_samples = check_count(mc_samples, "mc_samples")
-    config, pool, grid = _grid_game(scenario)
+    config, pool, grid = game.setup()
 
     regrets = np.empty(mc_samples)
     gaps = np.empty(mc_samples)
@@ -430,12 +416,9 @@ def check_decomposition(
         ys: list = []
         preds: list = []
         for j in range(1, M + 1):
-            x_j = scenario.env.sample(rng)
+            x_j = game.env.sample(rng)
             history = GameHistory(feature_rows(xs + [x_j]), np.array(ys, dtype=float))
-            draw = draw_halluc(pool, M - j, rng)
-            sups = inner_sups(history, draw, grid, cls, config)
-            yhat = minimax_step(grid, sups, config)
-            scores = [loss_eval(loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist())]
+            yhat, scores = _grid_round(game, config, pool, grid, history, M - j, rng)
             xs.append(x_j)
             ys.append(float(grid[int(np.argmax(scores))]))
             preds.append(yhat)
@@ -444,15 +427,13 @@ def check_decomposition(
         _, comp = best_in_hindsight(cls, X, Y, loss)
         regrets[g] = sum(loss_eval(loss, yh, y) for y, yh in zip(ys, preds)) - comp
 
-        r0, se0 = relaxation_R(0, (X[:0], Y[:0]), pool, cls, config, scenario.inner_mc, rng, true_env=scenario.env)
-        total = scenario.rtilde_scale * r0
-        var = (scenario.rtilde_scale * se0) ** 2
+        r0, se0 = relaxation_R(0, (X[:0], Y[:0]), pool, cls, config, inner_mc, rng, true_env=game.env)
+        total = rtilde_scale * r0
+        var = (rtilde_scale * se0) ** 2
         for j in range(1, M):
             prefix = (X[:j], Y[:j])
-            rt, set_ = relaxation_R(
-                j, prefix, pool, cls, config, scenario.inner_mc, rng, true_env=scenario.env
-            )
-            rj, sej = relaxation_R(j, prefix, pool, cls, config, scenario.inner_mc, rng)
+            rt, set_ = relaxation_R(j, prefix, pool, cls, config, inner_mc, rng, true_env=game.env)
+            rj, sej = relaxation_R(j, prefix, pool, cls, config, inner_mc, rng)
             total += rt - rj
             var += set_ ** 2 + sej ** 2
         gaps[g] = total
@@ -484,35 +465,23 @@ def check_decomposition(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DiscrepancyScenario:
-    cls: HypothesisClass
-    env: FeatureDistribution
-    horizon: int
-    pool_features: Sequence[Feature]
-    loss: LossFn = ABSOLUTE_LOSS
-
-
-def discrepancy_probe(
-    scenario: DiscrepancyScenario, mc_samples: int, rng: np.random.Generator
-) -> CheckReport:
+def discrepancy_probe(game: TinyGame, mc_samples: int, rng: np.random.Generator) -> CheckReport:
     """Measured gap between true-law and pool-drawn relaxations per slot,
     reported against a sqrt(j/N)-shaped reference curve. No pass/fail.
 
-    Histories are sampled from the scenario's law with uniform {0,1} labels.
+    Histories are sampled from the game's law with uniform {0,1} labels.
     """
-    cls, loss, M = scenario.cls, scenario.loss, scenario.horizon
+    cls, M = game.cls, game.horizon
     mc_samples = check_count(mc_samples, "mc_samples")
-    N = len(scenario.pool_features)
-    config = PredictorConfig(horizon=M, loss=loss)
-    pool = feature_rows(scenario.pool_features)
-    L = loss.lipschitz
+    config, pool, _ = game.setup()
+    N = len(pool)
+    L = game.loss.lipschitz
 
     rows = []
     for j in range(1, M):
-        rounds = [(scenario.env.sample(rng), float(rng.integers(0, 2))) for _ in range(j)]
+        rounds = [(game.env.sample(rng), float(rng.integers(0, 2))) for _ in range(j)]
         history = _history([x for x, _ in rounds], [y for _, y in rounds])
-        rt, set_ = relaxation_R(j, history, pool, cls, config, mc_samples, rng, true_env=scenario.env)
+        rt, set_ = relaxation_R(j, history, pool, cls, config, mc_samples, rng, true_env=game.env)
         rj, sej = relaxation_R(j, history, pool, cls, config, mc_samples, rng)
         ref = L * math.sqrt(j * math.log(max(2.0, j * L * N)) / N)
         rows.append({
@@ -540,49 +509,20 @@ def discrepancy_probe(
 
 def standard_checks(seed: int, mc_samples: int = 64) -> list:
     """The canned tiny-fixture battery behind the `verify` CLI subcommand."""
-    from .oracles import FiniteClass
-
     reports = []
     rng = np.random.default_rng([seed, 11])
     two = FiniteClass.from_constants([0.0, 1.0])
-    env = FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5])
-    reports.append(
-        check_admissibility(
-            AdmissibilityScenario(
-                cls=two,
-                env=env,
-                horizon=2,
-                pool_features=[0.2, 0.8],
-                histories=[([], []), ([0.2], [1.0])],
-            ),
-            mc_samples,
-            rng,
-        )
-    )
+    game = TinyGame(two, FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]), horizon=2, pool_features=[0.2, 0.8])
+    reports.append(check_admissibility(game, mc_samples, rng, histories=[([], []), ([0.2], [1.0])]))
     rng = np.random.default_rng([seed, 12])
     reports.append(check_sensitivity(default_sensitivity_generator(), 50, rng))
     rng = np.random.default_rng([seed, 13])
     reports.append(check_fact2(default_binary_generator(), 100, rng))
     rng = np.random.default_rng([seed, 14])
-    reports.append(
-        check_decomposition(
-            DecompositionScenario(
-                cls=two, env=env, horizon=2, pool_features=[0.2, 0.8],
-                inner_mc=max(8, mc_samples // 4),
-            ),
-            max(8, mc_samples // 4),
-            rng,
-        )
-    )
+    inner = max(8, mc_samples // 4)
+    reports.append(check_decomposition(game, inner, rng, inner_mc=inner))
     rng = np.random.default_rng([seed, 15])
     pool = [float(x) for x in rng.random(16)]
-    reports.append(
-        discrepancy_probe(
-            DiscrepancyScenario(
-                cls=two, env=FeatureDistribution.uniform(), horizon=3, pool_features=pool
-            ),
-            mc_samples,
-            rng,
-        )
-    )
+    uniform = TinyGame(two, FeatureDistribution.uniform(), horizon=3, pool_features=pool)
+    reports.append(discrepancy_probe(uniform, mc_samples, rng))
     return reports

@@ -13,7 +13,6 @@ import pytest
 
 from relaxplay import (
     ABSOLUTE_LOSS,
-    AdmissibilityScenario,
     BanditConfig,
     EpochSchedule,
     FeatureDistribution,
@@ -28,6 +27,7 @@ from relaxplay import (
     ShiftingProcess,
     SignedTerm,
     ThresholdClass,
+    TinyGame,
     block_length,
     blocks_straddling_changes,
     check_admissibility,
@@ -150,17 +150,16 @@ def test_criterion_02_erm_call_budget():
     )
 
 
-def _admissibility_scenarios(offset=0.0):
-    two = AdmissibilityScenario(
+def _admissibility_scenarios():
+    """(game, histories) pairs of criterion 03's two fixtures."""
+    two = TinyGame(
         cls=FiniteClass.from_constants([0.0, 1.0]),
         env=FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]),
         horizon=2,
         pool_features=[0.2, 0.8],
-        histories=(([], []), ([0.2], [1.0])),
-        predict_offset=offset,
     )
     thresholds = [0.1, 0.3, 0.45, 0.6, 0.8, 0.95]
-    six = AdmissibilityScenario(
+    six = TinyGame(
         cls=FiniteClass(
             [(lambda a: (lambda x: 1.0 if x >= a else 0.0))(a) for a in thresholds],
             binary=True,
@@ -168,22 +167,23 @@ def _admissibility_scenarios(offset=0.0):
         env=FeatureDistribution.discrete([0.2, 0.4, 0.6, 0.9], [0.25] * 4),
         horizon=3,
         pool_features=[0.2, 0.4, 0.6, 0.9],
-        histories=(([], []), ([0.4], [1.0]), ([0.4, 0.9], [1.0, 0.0])),
-        predict_offset=offset,
     )
-    return [two, six]
+    return [
+        (two, (([], []), ([0.2], [1.0]))),
+        (six, (([], []), ([0.4], [1.0]), ([0.4, 0.9], [1.0, 0.0]))),
+    ]
 
 
 def test_criterion_03_admissibility():
     start = time.time()
     rng = np.random.default_rng(33)
+    scenarios = _admissibility_scenarios()
     reports = [
-        check_admissibility(s, 2000, rng) for s in _admissibility_scenarios()
+        check_admissibility(game, 2000, rng, histories=h) for game, h in scenarios
     ]
     clean_ok = all(r.passed for r in reports)
-    corrupted = check_admissibility(
-        _admissibility_scenarios(offset=0.45)[0], 2000, rng
-    )
+    game, histories = scenarios[0]
+    corrupted = check_admissibility(game, 2000, rng, histories=histories, predict_offset=0.45)
     elapsed = time.time() - start
     _verdict(
         "criterion 03 (admissibility + negative control)",

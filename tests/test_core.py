@@ -12,6 +12,7 @@ from relaxplay import (
     SignedTerm,
     ThresholdClass,
     best_in_hindsight,
+    estimate_rademacher,
     loss_eval,
     lowest_argmin,
     query_objective,
@@ -171,6 +172,17 @@ class TestObjectiveValues:
             objective_values(cls, [0, 1], query)
         with pytest.raises(InputDomainError):
             cls.solve(query)
+        # values at signed terms are checked too
+        step = FiniteClass([lambda x: 0.5 if x < 0.5 else 7.0])
+        signed_only = MixedErmQuery(signed_xs=[0.9], signs=[-1.0], coefficient=1.0)
+        with pytest.raises(InputDomainError):
+            objective_values(step, [0], signed_only)
+        with pytest.raises(InputDomainError):
+            step.solve(MixedErmQuery(xs=[0.1], ys=[1.0], signed_xs=[0.9], signs=[-1.0], coefficient=1.0))
+        with pytest.raises(InputDomainError):
+            estimate_rademacher(step, [0.9, 0.9], 0, np.random.default_rng(0), exhaustive=True)
+        with pytest.raises(InputDomainError):
+            estimate_rademacher(step, [0.9, 0.9], 8, np.random.default_rng(0))
 
 
 class TestQueryArrays:
@@ -251,6 +263,26 @@ class TestQueryValidation:
             MixedErmQuery(signed_xs=[0.1], signs=[1.0, -1.0])
         with pytest.raises(InputDomainError):
             MixedErmQuery(pairs=(LabeledPair(0.1, 1.0), LabeledPair(np.array([0.1, 0.2]), 0.0)))
+
+    @pytest.mark.parametrize(
+        "pair_x, signed_x",
+        [([0.1, 0.2], 0.5), (0.5, [0.1, 0.2]), ([0.1, 0.2], [0.3, 0.4, 0.5]), ([0.1], 0.5)],
+        ids=["d2-scalar", "scalar-d2", "d2-d3", "d1-scalar"],
+    )
+    def test_pair_and_signed_features_share_one_shape(self, pair_x, signed_x):
+        with pytest.raises(InputDomainError, match="one shape"):
+            MixedErmQuery(xs=[pair_x, pair_x], ys=[0.0, 1.0], signed_xs=[signed_x], signs=[1.0], coefficient=1.0)
+        with pytest.raises(InputDomainError, match="one shape"):
+            MixedErmQuery(
+                pairs=(LabeledPair(np.array(pair_x), 0.0),), signed=(SignedTerm(1, np.array(signed_x)),), coefficient=1.0
+            )
+
+    def test_one_shape_needs_both_term_lists(self):
+        # an empty term list has no feature shape to disagree with
+        assert MixedErmQuery(xs=[[0.1, 0.2]], ys=[1.0], coefficient=1.0).xs.shape == (1, 2)
+        assert MixedErmQuery(signed_xs=[[0.1, 0.2, 0.3]], signs=[1.0], coefficient=1.0).signed_xs.shape == (1, 3)
+        both = MixedErmQuery(xs=[[0.1, 0.2]], ys=[1.0], signed_xs=[[0.3, 0.4]], signs=[-1.0], coefficient=1.0)
+        assert both.xs.shape == both.signed_xs.shape == (1, 2)
 
     def test_nan_feature_no_longer_solves_to_zero(self):
         # a NaN feature used to fall outside every threshold cell silently

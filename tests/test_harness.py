@@ -446,7 +446,7 @@ def rowwise_csv(trace: RegretTrace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(trace.columns)
         for r in trace.rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in r])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in r])
 
 
 class TestCsvWriter:
@@ -482,13 +482,20 @@ class TestCsvWriter:
             trace = self.vector_trace()
             assert ";" in trace.rows[0][trace.columns.index("x")]
         elif kind == "numpy_scalars":
-            # float subclasses keep their repr, row by row
+            # float subclasses are written as the Python floats they hold, row by row
             trace = RegretTrace(columns=("t", "x", "y"), rows=[(1, np.float64(0.5), 0.25), (2, 0.125, np.int64(3))])
         else:
             trace = RegretTrace()
         trace.to_csv(tmp_path / "columns.csv")
         rowwise_csv(trace, tmp_path / "rows.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        rows = [(1, np.float64(0.1), np.int64(3), 0.25), (2, np.float64(1 / 3), np.int64(-4), np.float64(0.5))]
+        RegretTrace(columns=("t", "x", "y", "loss"), rows=rows).to_csv(tmp_path / "t.csv")
+        back = read_trace_csv(tmp_path / "t.csv").rows
+        assert back == [(1, 0.1, 3.0, 0.25), (2, 1 / 3, -4.0, 0.5)]
+        assert all(type(v) is float for row in back for v in row[1:])
 
 
 class TestCli:

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from relaxplay import (
-    AdmissibilityScenario,
     CheckReport,
     ConfigError,
-    DecompositionScenario,
-    DiscrepancyScenario,
     FeatureDistribution,
     FiniteClass,
     PredictorConfig,
     ThresholdClass,
+    TinyGame,
     check_admissibility,
     check_decomposition,
     check_fact2,
@@ -64,7 +62,7 @@ class TestMonteCarloCounts:
     """Every Monte Carlo estimate takes a positive integer sample count: a
     config error, not a NaN mean of no draws or a bare numpy error."""
 
-    env = FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5])
+    game = TinyGame(ThresholdClass(), FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]), 2, [0.2, 0.8])
 
     @pytest.mark.parametrize("mc", [0, -1, 2.5, True])
     @pytest.mark.parametrize(
@@ -74,15 +72,9 @@ class TestMonteCarloCounts:
                 1, (np.array([0.4]), np.array([1.0])), [0.4], ThresholdClass(), PredictorConfig(horizon=2), mc, rng
             ),
             lambda mc, rng: estimate_rademacher(ThresholdClass(), [0.2, 0.8], mc, rng),
-            lambda mc, rng: check_admissibility(
-                AdmissibilityScenario(ThresholdClass(), TestMonteCarloCounts.env, 2, [0.2, 0.8]), mc, rng
-            ),
-            lambda mc, rng: check_decomposition(
-                DecompositionScenario(ThresholdClass(), TestMonteCarloCounts.env, 2, [0.2, 0.8]), mc, rng
-            ),
-            lambda mc, rng: discrepancy_probe(
-                DiscrepancyScenario(ThresholdClass(), TestMonteCarloCounts.env, 2, [0.2, 0.8]), mc, rng
-            ),
+            lambda mc, rng: check_admissibility(TestMonteCarloCounts.game, mc, rng),
+            lambda mc, rng: check_decomposition(TestMonteCarloCounts.game, mc, rng),
+            lambda mc, rng: discrepancy_probe(TestMonteCarloCounts.game, mc, rng),
         ],
         ids=["relaxation_R", "rademacher", "admissibility", "decomposition", "discrepancy"],
     )
@@ -92,28 +84,37 @@ class TestMonteCarloCounts:
 
 
 class TestAdmissibility:
-    def _scenario(self, histories=(([], []), ([0.2], [1.0])), **kw):
-        return AdmissibilityScenario(
-            cls=FiniteClass.from_constants([0.0, 1.0]),
-            env=FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]),
+    histories = (([], []), ([0.2], [1.0]))
+
+    def _game(self, cls=None, env=None):
+        return TinyGame(
+            cls=FiniteClass.from_constants([0.0, 1.0]) if cls is None else cls,
+            env=FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]) if env is None else env,
             horizon=2,
             pool_features=[0.2, 0.8],
-            histories=histories,
-            **kw,
         )
 
     def test_passes_on_clean_fixture(self):
-        rep = check_admissibility(self._scenario(), 300, np.random.default_rng(0))
+        rep = check_admissibility(self._game(), 300, np.random.default_rng(0), histories=self.histories)
         assert rep.passed is True
         assert rep.instances == 2
 
     def test_history_needs_one_label_per_feature(self):
         with pytest.raises(ConfigError, match="one label per feature"):
-            self._scenario(histories=(([0.2, 0.8], [1.0]),))
+            check_admissibility(self._game(), 10, np.random.default_rng(0), histories=(([0.2, 0.8], [1.0]),))
+
+    def test_law_must_be_discrete(self):
+        game = self._game(env=FeatureDistribution.uniform())
+        with pytest.raises(ConfigError, match="finite feature support"):
+            check_admissibility(game, 10, np.random.default_rng(0))
+
+    def test_history_must_fit_the_horizon(self):
+        with pytest.raises(ConfigError, match="longer than the horizon"):
+            check_admissibility(self._game(), 10, np.random.default_rng(0), histories=(([0.2, 0.8], [1.0, 0.0]),))
 
     def test_corrupted_prediction_fails(self):
         rep = check_admissibility(
-            self._scenario(predict_offset=0.45), 1200, np.random.default_rng(0)
+            self._game(), 1200, np.random.default_rng(0), histories=self.histories, predict_offset=0.45
         )
         assert rep.passed is False
         assert rep.worst_margin > 0
@@ -122,13 +123,12 @@ class TestAdmissibility:
     def test_one_grid_solve_per_draw(self, make):
         # each (support point, draw) solves the label grid once and takes its
         # prediction from those sups; relaxation_R adds one solve per draw
-        scenario = self._scenario()
-        scenario.cls = cls = make()
+        game = self._game(cls=make())
         mc = 5
-        check_admissibility(scenario, mc, np.random.default_rng(3))
-        grid_size = len(np.append(np.arange(0.0, 1.0, scenario.y_step), 1.0))
-        support = sum(p > 0 for p in scenario.env.probs)
-        assert cls.solve_calls == len(scenario.histories) * (support * mc * grid_size + mc)
+        check_admissibility(game, mc, np.random.default_rng(3), histories=self.histories)
+        grid_size = len(np.append(np.arange(0.0, 1.0, game.y_step), 1.0))
+        support = sum(p > 0 for p in game.env.probs)
+        assert game.cls.solve_calls == len(self.histories) * (support * mc * grid_size + mc)
 
 
 class TestSensitivity:
@@ -148,23 +148,20 @@ class TestFact2:
 
 
 class TestDecomposition:
-    def _scenario(self, **kw):
-        return DecompositionScenario(
-            cls=FiniteClass.from_constants([0.0, 1.0]),
-            env=FeatureDistribution.discrete([0.3, 0.7], [0.5, 0.5]),
-            horizon=3,
-            pool_features=[0.3, 0.7, 0.5],
-            inner_mc=16,
-            **kw,
-        )
+    game = TinyGame(
+        cls=FiniteClass.from_constants([0.0, 1.0]),
+        env=FeatureDistribution.discrete([0.3, 0.7], [0.5, 0.5]),
+        horizon=3,
+        pool_features=[0.3, 0.7, 0.5],
+    )
 
     def test_passes_on_clean_fixture(self):
-        rep = check_decomposition(self._scenario(), 60, np.random.default_rng(5))
+        rep = check_decomposition(self.game, 60, np.random.default_rng(5), inner_mc=16)
         assert rep.passed is True
 
     def test_negated_initial_term_fails(self):
         rep = check_decomposition(
-            self._scenario(rtilde_scale=-1.0), 60, np.random.default_rng(5)
+            self.game, 60, np.random.default_rng(5), inner_mc=16, rtilde_scale=-1.0
         )
         assert rep.passed is False
 
@@ -172,7 +169,7 @@ class TestDecomposition:
 class TestDiscrepancy:
     def test_report_only(self):
         rep = discrepancy_probe(
-            DiscrepancyScenario(
+            TinyGame(
                 cls=ThresholdClass(),
                 env=FeatureDistribution.uniform(),
                 horizon=3,
@@ -183,6 +180,26 @@ class TestDiscrepancy:
         )
         assert rep.passed is None
         assert "rows" in rep.details
+
+
+class TestOneGame:
+    def test_three_checks_share_one_game_and_leave_it_unchanged(self):
+        pool = [0.2, 0.4, 0.8]
+        game = TinyGame(
+            FiniteClass.from_constants([0.0, 1.0]), FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]), 3, pool
+        )
+        before = dict(vars(game))
+        rng = np.random.default_rng(8)
+        reports = [
+            check_admissibility(game, 20, rng, histories=(([], []), ([0.8], [0.0]))),
+            check_decomposition(game, 8, rng, inner_mc=8),
+            discrepancy_probe(game, 8, rng),
+        ]
+        assert [r.passed for r in reports] == [True, True, None]
+        assert vars(game) == before and all(a is b for a, b in zip(vars(game).values(), before.values()))
+        assert pool == [0.2, 0.4, 0.8]
+        with pytest.raises(AttributeError):
+            game.horizon = 4
 
 
 class TestStandardChecks:

@@ -10,7 +10,7 @@ formula is logged in the trace metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -312,11 +312,13 @@ class _EpochPredictorState:
         self.loss = loss
         self.game_xs, self.game_ys, self.first = xs, ys, first
         self.pool = self.lo = self.pconf = None  # set when the first round opens epoch 1
+        self.drifts = []  # the clock's rounding drift as each epoch opens
 
     def advance(self) -> None:
         """Move to the next local round, whose feature the game has written."""
         clock = self.clock
         if clock.tick():
+            self.drifts.append(clock.drift)
             self.lo = self.first + clock.start
             self.pool = self.game_xs[self.first : self.lo]
             self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
@@ -368,16 +370,30 @@ class _EpochPredictorState:
 
 @dataclass
 class PlayedRounds:
-    """A played game as T-length arrays, each round written once, plus each
-    segment's final predictor state."""
+    """A played game as T-length arrays, each round written once.
+
+    The segments' clocks and probe clones leave what the trace metadata
+    reads in `meta` and `drifts`, as they stood after every round, so the
+    first rounds of a game are a played game too (`prefix`).
+    """
 
     xs: np.ndarray  # float64 features, (T,) or (T, d)
     ys: np.ndarray
     yhats: np.ndarray
     losses: np.ndarray
-    meta: np.ndarray  # (T, 4) ints: block, epoch, j and erm_calls of each round
+    # (T, 6) ints: block, epoch and j of each round, its segment's hallucination
+    # shortfall and probe oracle calls so far, and the round's erm_calls
+    meta: np.ndarray
+    drifts: list  # per segment, its rounding drift so far as each of its epochs opens
     probed: bool  # whether the adversary probed each round's mean prediction
-    states: list = field(default_factory=list)
+
+    def prefix(self, T: int) -> "PlayedRounds":
+        """The first T rounds, which are the game of T rounds with the same
+        block: no round reads the horizon, and each round's randomness is its
+        own (`RoundStreams`)."""
+        return PlayedRounds(
+            self.xs[:T], self.ys[:T], self.yhats[:T], self.losses[:T], self.meta[:T], self.drifts, self.probed
+        )
 
 
 def play_rounds(
@@ -415,7 +431,7 @@ def play_rounds(
     xs = game_features(env, streams)
     played = PlayedRounds(
         xs=xs, ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T),
-        meta=np.empty((T, 4), dtype=np.intp), probed=not oblivious,
+        meta=np.empty((T, 6), dtype=np.intp), drifts=[], probed=not oblivious,
     )
     seen_ys = played.ys.view()
     seen_ys.flags.writeable = False
@@ -427,18 +443,18 @@ def play_rounds(
         yhats, calls = _predict(xs, played.ys, *zip(*queue), cls)
         played.yhats[rounds] = yhats
         played.losses[rounds] = [loss_eval(loss, p, y) for p, y in zip(yhats, played.ys[rounds].tolist())]
-        played.meta[rounds, 3] = calls
+        played.meta[rounds, 5] = calls
         queue.clear()
 
     for t in range(1, T + 1):
         if (t - 1) % block == 0:
             state = _EpochPredictorState(schedule, cls, loss, xs, played.ys, t - 1)
-            played.states.append(state)
+            played.drifts.append(state.drifts)
         state.advance()
         probe = None if oblivious else state.probe(streams, t, config.probe_mc)
         played.ys[t - 1] = adversary.emit(t, (xs[: t - 1], seen_ys[: t - 1]), xs[t - 1], probe, streams.rngs(4, t))
         clock = state.clock
-        played.meta[t - 1, :3] = len(played.states), clock.n, clock.j
+        played.meta[t - 1, :5] = len(played.drifts), clock.n, clock.j, clock.shortfall, state.probe_cls.solve_calls
         size = 2 * (clock.j + clock.count)  # its 2 rows: x_1..x_j, then the draw
         if queue and elements + size > MAX_BATCH_ELEMENTS:
             flush(t - 1)
@@ -454,9 +470,9 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
     hindsight, and that comparator oracle (a clone of `cls`).
 
     The cumulative columns are running totals of the per-round losses. The
-    metadata sums each segment's rounding drift and hallucination shortfall;
-    a probed game's also counts the probes' oracle calls, which the
-    erm_calls column leaves out.
+    metadata sums each segment's rounding drift and hallucination shortfall
+    as they stood after its last round; a probed game's also counts the
+    probes' oracle calls, which the erm_calls column leaves out.
     """
     comparator = cls.clone()
     h_star, _ = best_in_hindsight(comparator, loss=loss, xs=played.xs, ys=played.ys)
@@ -464,7 +480,7 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
     comp_losses = [loss_eval(loss, comparator.evaluate(h_star, x), y) for x, y in zip(feature_list(played.xs), ys)]
     cum_loss = running_total(played.losses)
     xs = played.xs.tolist() if played.xs.ndim == 1 else [";".join(map(repr, x)) for x in played.xs.tolist()]
-    blocks, epochs, js, erm_calls = played.meta.T.tolist()
+    blocks, epochs, js, _, _, erm_calls = played.meta.T.tolist()
     trace = RegretTrace(
         columns=ONLINE_COLUMNS,
         rows=list(
@@ -474,13 +490,45 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
             )
         ),
     )
-    clocks = [state.clock for state in played.states]
+    # each segment's last round, in segment order
+    last = played.meta[np.flatnonzero(np.diff(played.meta[:, 0], append=0))].tolist()
     trace.metadata.update(
-        rounding_drift=sum(c.drift for c in clocks), halluc_shortfall=sum(c.shortfall for c in clocks),
+        rounding_drift=sum(played.drifts[row[0] - 1][row[1] - 1] for row in last),
+        halluc_shortfall=sum(row[3] for row in last),
     )
     if played.probed:
-        trace.metadata["probe_erm_calls"] = sum(state.probe_cls.solve_calls for state in played.states)
+        trace.metadata["probe_erm_calls"] = sum(row[4] for row in last)
     return trace, comparator
+
+
+def epoch_traces(
+    schedule: EpochSchedule,
+    cls: HypothesisClass,
+    loss: LossFn,
+    env,
+    adversary: Adversary,
+    horizons,
+    config: RunConfig,
+):
+    """Yield the per-round trace of the game of each horizon T in `horizons`,
+    one at a time, all cut from one game of max(horizons) rounds.
+
+    The game of T rounds is the first T rounds of any longer game
+    (`PlayedRounds.prefix`), so each trace is the one playing T rounds alone
+    gives: its cum_regret column is measured against the best fixed
+    hypothesis in hindsight over its T rounds, and its metadata and epoch
+    additivity check are its own. erm_calls counts the oracle calls of each
+    round's own prediction (probes use a cloned oracle).
+    """
+    horizons = [check_count(T, "T") for T in horizons]
+    longest = max(horizons)
+    played = play_rounds(schedule, cls, loss, env, adversary, longest, longest, config)
+    for T in horizons:
+        prefix = played.prefix(T)
+        trace, comparator = online_trace(cls, loss, prefix)
+        _check_epoch_additivity(trace, comparator, loss, prefix)
+        trace.metadata.update(seed=config.seed, T=T, adversary=adversary.kind)
+        yield trace
 
 
 def run_epoch_predictor(
@@ -492,16 +540,9 @@ def run_epoch_predictor(
     T: int,
     config: RunConfig,
 ) -> RegretTrace:
-    """Play the full T-round game and return the per-round trace.
-
-    The trace's cum_regret column is measured against the best fixed
-    hypothesis in hindsight over all T rounds; erm_calls counts the oracle
-    calls of each round's own prediction (probes use a cloned oracle).
-    """
-    played = play_rounds(schedule, cls, loss, env, adversary, T, T, config)
-    trace, comparator = online_trace(cls, loss, played)
-    _check_epoch_additivity(trace, comparator, loss, played)
-    trace.metadata.update(seed=config.seed, T=T, adversary=adversary.kind)
+    """Play the full T-round game and return its per-round trace: the
+    one-horizon case of `epoch_traces`."""
+    (trace,) = epoch_traces(schedule, cls, loss, env, adversary, [T], config)
     return trace
 
 

@@ -21,7 +21,7 @@ from . import environment as envmod
 from .bandit import BanditConfig, PolicyClass, run_bandit
 from .core import ABSOLUTE_LOSS, ConfigError, LossFn, check_count, check_seed
 from .environment import FeatureDistribution, ShiftingProcess
-from .epochs import EpochSchedule, RunConfig, alpha_from_q, run_epoch_predictor
+from .epochs import EpochSchedule, RunConfig, alpha_from_q, epoch_traces
 from .oracles import FiniteClass, IntervalClass, LipschitzClass, ThresholdClass
 from .shifting import run_shifting
 from .traces import RegretTrace
@@ -262,32 +262,58 @@ def _resolve_common(config: dict):
         _fail("config.mode", f"unknown mode {mode!r} (have {MODES})")
     seeds = _list(config, "seeds", "config", "seeds", [0])
     seeds = [check_seed(s, f"config.seeds[{i}]") for i, s in enumerate(seeds)]
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            _fail(f"config.seeds[{i}]", f"repeats seed {seed}; each seed plays once")
     if not seeds:
         _fail("config.seeds", "need at least one seed")
     return mode, seeds
 
 
-def run_one_trace(config: dict, T: int, seed: int) -> RegretTrace:
-    """One fresh trace for (config, horizon, seed); fresh oracle instances."""
-    mode = config["mode"]
-    if mode == "bandit":
-        policies = build_policies(_get(config, "policies", "config"))
-        env = build_env(_get(config, "env", "config"))
-        costs = build_costs(_get(config, "costs", "config"))
-        gamma = config.get("gamma")  # None: gamma_default
-        bconf = BanditConfig(gamma=None if gamma is None else _check_real(gamma, "config.gamma"), seed=seed)
-        return run_bandit(policies, env, costs, T, bconf)
-
+def _full_information_game(config: dict, seed: int):
+    """The class, loss, env, adversary, schedule and run config of an online
+    or shifting config, as fresh instances."""
     cls = build_class(_get(config, "class", "config"))
     loss = build_loss(config.get("loss"))
     env = build_env(_get(config, "env", "config"))
     adversary = build_adversary(_get(config, "adversary", "config"))
     schedule = build_schedule(config.get("schedule", {}))
     rconf = RunConfig(seed=seed, probe_mc=check_count(config.get("probe_mc", 64), "config.probe_mc"))
-    if mode == "shifting":
-        K = check_count(_get(config, "K", "config"), "config.K")
-        return run_shifting(cls, loss, env, adversary, T, K, schedule, rconf)
-    return run_epoch_predictor(schedule, cls, loss, env, adversary, T, rconf)
+    return cls, loss, env, adversary, schedule, rconf
+
+
+def run_traces(config: dict, horizons: Sequence[int], seed: int):
+    """Fresh traces for (config, seed), one per horizon of the increasing
+    `horizons`, yielded one at a time; fresh oracle instances.
+
+    An online sweep plays one game of max(horizons) rounds and cuts each
+    horizon's trace from its first T rounds (`epochs.epoch_traces`). A
+    shifting sweep plays one game per horizon, because its block length B
+    depends on T, and so does a bandit sweep, because γ is set from T.
+    """
+    mode = config["mode"]
+    if mode not in ("bandit", "shifting"):
+        cls, loss, env, adversary, schedule, rconf = _full_information_game(config, seed)
+        yield from epoch_traces(schedule, cls, loss, env, adversary, horizons, rconf)
+        return
+    for T in horizons:
+        if mode == "bandit":
+            policies = build_policies(_get(config, "policies", "config"))
+            env = build_env(_get(config, "env", "config"))
+            costs = build_costs(_get(config, "costs", "config"))
+            gamma = config.get("gamma")  # None: gamma_default
+            bconf = BanditConfig(gamma=None if gamma is None else _check_real(gamma, "config.gamma"), seed=seed)
+            yield run_bandit(policies, env, costs, T, bconf)
+        else:
+            cls, loss, env, adversary, schedule, rconf = _full_information_game(config, seed)
+            K = check_count(_get(config, "K", "config"), "config.K")
+            yield run_shifting(cls, loss, env, adversary, T, K, schedule, rconf)
+
+
+def run_one_trace(config: dict, T: int, seed: int) -> RegretTrace:
+    """One fresh trace for (config, horizon, seed): the one-horizon case of `run_traces`."""
+    (trace,) = run_traces(config, [T], seed)
+    return trace
 
 
 def _erm_calls_of(trace: RegretTrace) -> int:
@@ -296,6 +322,12 @@ def _erm_calls_of(trace: RegretTrace) -> int:
 
 def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
     """Execute the configured mode for every (horizon, seed) pair.
+
+    Seeds run one after another, and each seed's traces are built and
+    written one horizon at a time (`run_traces`): an online sweep plays one
+    game per seed, of the longest horizon, and cuts the shorter horizons'
+    traces from its first rounds, with the bytes playing each (horizon,
+    seed) alone gives.
 
     Returns the summary dict; when `out_dir` (or config["out"]) is set, also
     writes one CSV per trace plus summary.json. Partial outputs are removed
@@ -346,16 +378,14 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
                 horizons = [check_count(_get(config, "T", "config"), "config.T")]
             if any(b <= a for a, b in zip(horizons, horizons[1:])):
                 _fail("config.horizons", "must be strictly increasing")
-            per_horizon = []
+            finals = {T: [] for T in horizons}
+            diagnostics = {T: {key: [] for key in TRACE_DIAGNOSTICS} for T in horizons}
             erm_total = 0
-            for T in horizons:
-                finals = []
-                diagnostics = {key: [] for key in TRACE_DIAGNOSTICS}
-                for seed in seeds:
-                    trace = run_one_trace(config, T, seed)
+            for seed in seeds:
+                for T, trace in zip(horizons, run_traces(config, horizons, seed)):
                     trace.metadata["config_hash"] = chash
-                    finals.append(trace.final_regret)
-                    for key, values in diagnostics.items():
+                    finals[T].append(trace.final_regret)
+                    for key, values in diagnostics[T].items():
                         if key in trace.metadata:
                             values.append(trace.metadata[key])
                     erm_total += _erm_calls_of(trace)
@@ -364,14 +394,15 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
                         path = os.path.join(out, f"{mode}_T{T}_seed{seed}_{chash}.csv")
                         trace.to_csv(path)
                         written.append(path)
-                per_horizon.append(
-                    {
-                        "T": T,
-                        "mean_regret": float(np.mean(finals)),
-                        "std_regret": float(np.std(finals)),
-                        **{key: values for key, values in diagnostics.items() if values},
-                    }
-                )
+            per_horizon = [
+                {
+                    "T": T,
+                    "mean_regret": float(np.mean(finals[T])),
+                    "std_regret": float(np.std(finals[T])),
+                    **{key: values for key, values in diagnostics[T].items() if values},
+                }
+                for T in horizons
+            ]
             summary.update(
                 mean_regret=per_horizon[-1]["mean_regret"],
                 std_regret=per_horizon[-1]["std_regret"],

@@ -342,7 +342,7 @@ def reference_online_rows(cls, loss, played):
     for t in range(1, len(played.ys) + 1):
         x = played.xs[t - 1] if played.xs.ndim == 2 else float(played.xs[t - 1])
         y, yhat, loss_t = (float(column[t - 1]) for column in (played.ys, played.yhats, played.losses))
-        block, n, j, erm_calls = (int(v) for v in played.meta[t - 1])
+        block, n, j, _, _, erm_calls = (int(v) for v in played.meta[t - 1])
         cum_loss += loss_t
         cum_comp += loss_eval(loss, comparator.evaluate(h_star, x), y)
         x_repr = ";".join(repr(float(v)) for v in x) if isinstance(x, np.ndarray) else x
@@ -381,8 +381,7 @@ class TestOnlineTrace:
         reference = reference_online_rows(cls, loss, played)
         assert trace.rows == reference
         assert [tuple(map(type, r)) for r in trace.rows] == [tuple(map(type, r)) for r in reference]
-        assert comparator.solve_calls == 1 and len(played.states) == (3 if block else 1)
-        assert all(np.shares_memory(s.pool, played.xs) for s in played.states)
+        assert comparator.solve_calls == 1 and played.meta[-1, 0] == len(played.drifts) == (3 if block else 1)
 
 
 class TestAdversaryHistory:
@@ -757,6 +756,7 @@ class TestEpochPredictorState:
         for t in range(1, rounds + 1):
             state.game_xs[first + t - 1] = _feature(rng)
             state.advance()
+            assert state.pool.base is state.game_xs  # the side pool is a view of the game's features
             solved.clear()  # the reference's clone below copies the recording solve_rows
             got = state.probe(streams, t, probe_mc)()
             assert solved == [2 * probe_mc]  # one solve_rows call a probe, one row per probe label a draw

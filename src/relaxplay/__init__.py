@@ -54,7 +54,6 @@ from .environment import (
 from .epochs import (
     EpochClock,
     EpochSchedule,
-    RoundStreams,
     RunConfig,
     alpha_from_q,
     epoch_length,

@@ -42,7 +42,7 @@ from .core import (
     feature_rows,
     lowest_argmin,
 )
-from .epochs import EpochClock, EpochSchedule, RoundStreams, game_features
+from .epochs import EpochClock, EpochSchedule, game_features, game_streams
 from .predictor import PoolExhaustedError, draw_slots
 from .traces import BANDIT_COLUMNS, RegretTrace, running_total
 
@@ -287,6 +287,10 @@ def run_bandit(
     pools and the comparator reuse. So contexts of mixed shapes or with a
     non-finite entry, and an arm outside [0, K), raise `InputDomainError`
     before any round is played.
+
+    The game's streams (`game_streams`) are consumed in round order: stream
+    1 samples the contexts, stream 2 draws each round's hallucinations and
+    stream 5 plays its arm and then estimates its cost.
     """
     T = check_count(T, "T")
     K = policy_class.num_arms
@@ -295,9 +299,9 @@ def run_bandit(
         gamma = 1.0 / K
     floor = gamma - 1e-12
     clock = EpochClock(bandit_epoch_schedule())
-    streams = RoundStreams(config.seed, T, (1, 2, 5))
+    features, draws, plays = game_streams(config.seed, 1, 2, 5)
 
-    xs = game_features(env, streams)
+    xs = game_features(env, features, T)
     arm_matrix = policy_class.arms(xs)
     arm_rows = arm_matrix.T.tolist()  # each round's arms, one per policy
     costs = np.empty((T, K))
@@ -312,7 +316,7 @@ def run_bandit(
             pool_arms = arm_matrix[:, : clock.start]
             sums = np.zeros(len(policy_class))
 
-        draw = draw_bandit(clock.start, clock.count, K, gamma, streams.rngs(2, t))
+        draw = draw_bandit(clock.start, clock.count, K, gamma, draws)
         phis = phi_values(pool_arms, sums, arm_rows[t - 1], draw, policy_class, gamma)
         phi0 = phis[0]
         q_hat, _ = waterfill_q([gamma * (phi - phi0) for phi in phis[1:]])
@@ -321,15 +325,14 @@ def run_bandit(
         if not all(floor <= v < math.inf for v in q):
             raise AssertionError(f"mixing floor violated: q={q} at t={t}")
 
-        rng_play = streams.rngs(5, t)
-        arm = play_arm(q, rng_play)
+        arm = play_arm(q, plays)
         history = xs[: t - 1], seen_arms[: t - 1], seen_costs[: t - 1]
         c_t = np.asarray(cost_adversary(t, xs[t - 1], history), dtype=float)
         c = c_t.tolist()
         # written so that NaN fails too
         if c_t.shape != (K,) or not all(0.0 <= v <= 1.0 for v in c):
             raise InputDomainError(f"cost vector out of [0,1]^K at t={t}")
-        chat = estimate_cost(arm, c[arm], q, gamma, rng_play)
+        chat = estimate_cost(arm, c[arm], q, gamma, plays)
         if chat:
             # the policies that play `arm` here; the others would add 0.0, which leaves a sum as it is
             sums[arm_matrix[:, t - 1] == arm] += chat

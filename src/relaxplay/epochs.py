@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .core import (
     ConfigError,
@@ -140,133 +139,27 @@ class RunConfig:
         check_count(self.probe_mc, "probe_mc")
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
+def game_streams(seed: int, *streams: int) -> list:
+    """The game's generators `np.random.default_rng([seed, stream])`, one per
+    stream. Streams: 1 features, 2 hallucination draws, 3 probes, 4 adversary
+    noise, 5 the bandit's arm play and cost estimate.
 
-SEED_WINDOW = 4096  # rounds of seed words a RoundStreams table fills at a time
-
-
-def _u32_words(n: int) -> list:
-    """A non-negative integer as SeedSequence reads it: little-endian 32-bit words."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> 16)
-
-
-def _pcg64_seed_words(entropy: list) -> np.ndarray:
-    """The words `SeedSequence(entropy).generate_state(4, np.uint64)` returns, for
-    a batch of entropies at once.
-
-    `entropy` lists uint32 arrays, one per entropy word, each of shape (1,)
-    (the same word in every entropy) or (n,); the result has shape (n, 4).
-    All arithmetic is on uint32 arrays, which wrap silently as the C code does.
+    Each stream is consumed in round order, and no round's use of it reads
+    the horizon, so the first T rounds of a longer game draw what the game of
+    T rounds draws.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
-
-    # generate_state: 8 uint32 words cycling through the pool, read as 4
-    # little-endian uint64 pairs
-    hash_const = _INIT_B
-    halves = []
-    for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        halves.append((value ^ (value >> 16)).astype(np.uint64))
-    out = np.empty((max(h.size for h in halves), 4), dtype=np.uint64)
-    for k in range(4):
-        out[:, k] = halves[2 * k] | (halves[2 * k + 1] << 32)
-    return out
+    seed = check_seed(seed)
+    return [np.random.default_rng([seed, check_seed(stream, "stream")]) for stream in streams]
 
 
-class _SeedWords(ISeedSequence):
-    """A seed sequence whose PCG64 state words are already known."""
+def game_features(env, rng: np.random.Generator, T: int) -> np.ndarray:
+    """The game's features x_1..x_T, sampled from `env` in round order on
+    `rng` (the game's stream 1), as one read-only float64 array, (T,) or (T, d).
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("_SeedWords only seeds PCG64 (4 uint64 words)")
-        return self.words
-
-
-class RoundStreams:
-    """The generators `np.random.default_rng([seed, stream, t])` of one game,
-    for rounds 1..T. Streams: 1 features, 2 hallucination draws, 3 probes,
-    4 adversary noise, 5 the bandit's arm play and cost estimate.
-
-    Each stream's PCG64 seed words come from one numpy pass of SeedSequence's
-    hash over a window of SEED_WINDOW rounds, refilled when a round outside
-    the window is asked for, so `rngs(stream, t)` skips SeedSequence and is
-    bit-identical to `default_rng([seed, stream, t])`.
-    """
-
-    def __init__(self, seed: int, T: int, streams):
-        seed = check_seed(seed)
-        if not 1 <= T <= _MASK32:
-            raise ConfigError(f"T must lie in [1, 2**32 - 1], got {T}")
-        self.T = T
-        self._prefix = {}  # stream -> its entropy words before t
-        self._windows = {}  # stream -> (first round of the window, its seed words)
-        for stream in streams:
-            words = _u32_words(seed) + _u32_words(check_seed(stream, "stream"))
-            self._prefix[stream] = [np.array([w], dtype=np.uint32) for w in words]
-
-    def _fill(self, stream: int, t: int):
-        if stream not in self._prefix:
-            raise ConfigError(f"stream {stream} is not one of {sorted(self._prefix)}")
-        if not 1 <= t <= self.T:
-            raise ConfigError(f"round {t} outside 1..{self.T}")
-        lo = (t - 1) // SEED_WINDOW * SEED_WINDOW + 1
-        ts = np.arange(lo, min(lo + SEED_WINDOW, self.T + 1), dtype=np.uint32)
-        self._windows[stream] = window = (lo, _pcg64_seed_words(self._prefix[stream] + [ts]))
-        return window
-
-    def rngs(self, stream: int, t: int) -> np.random.Generator:
-        """The generator of `stream` at round t."""
-        lo, words = self._windows.get(stream, (1, ()))
-        if not lo <= t < lo + len(words):
-            lo, words = self._fill(stream, t)
-        return np.random.Generator(np.random.PCG64(_SeedWords(words[t - lo])))
-
-
-def game_features(env, streams: RoundStreams) -> np.ndarray:
-    """The game's features x_1..x_T, each sampled from `env` on its round's
-    stream 1, as one read-only float64 array, (T,) or (T, d).
-
-    Stream 1 is per (seed, 1, t), so this draws what sampling round by round
-    would. Features of mixed shapes, or with a NaN or infinite entry, raise
+    Features of mixed shapes, or with a NaN or infinite entry, raise
     `InputDomainError` here, before any round is played.
     """
-    xs = feature_rows([sample_feature(env, t, streams.rngs(1, t)) for t in range(1, streams.T + 1)])
+    xs = feature_rows([sample_feature(env, t, rng) for t in range(1, T + 1)])
     if not np.isfinite(xs).all():
         raise InputDomainError("features must be finite")
     xs.flags.writeable = False
@@ -332,40 +225,50 @@ class _EpochPredictorState:
         idx, signs = draw_slots(len(self.pool), self.clock.count, rng)
         return self.pool[idx], signs
 
-    def probe(self, streams: RoundStreams, t: int, probe_mc: int):
-        """Monte-Carlo mean prediction of the current round on its own RNG
-        stream and the segment's one oracle clone; never touches the game's
-        RNG or counts. The probe_mc draws share the one history, j and count,
-        so under the absolute loss a class with `solve_rows` solves them as
-        one row block; else each draw is predicted as a queued round would be.
+    def probe(self, rng: np.random.Generator, probe_mc: int):
+        """The current round's probe: its Monte-Carlo mean prediction over
+        probe_mc draws from `rng` (the game's stream 3) on the segment's one
+        oracle clone; never touches the game's other streams or counts.
+
+        The first call draws and predicts, and every later call returns the
+        same value, so stream 3 moves once in each round that probes,
+        however often the adversary asks. The probe_mc draws share the one
+        history, j and count, so under the absolute loss a class with
+        `solve_rows` solves them as one row block; else each draw is
+        predicted as a queued round would be.
         """
+        value = []
 
         def probe() -> float:
-            rng = streams.rngs(3, t)
-            lo, j = self.lo, self.clock.j
-            if not (self.loss.kind == "absolute" and self.probe_cls.solve_rows is not None):
-                draws = [self.draw(rng) for _ in range(probe_mc)]
-                yhats, _ = _predict(
-                    self.game_xs, self.game_ys, [lo] * probe_mc, [j] * probe_mc, draws,
-                    [self.pconf] * probe_mc, self.probe_cls,
-                )
-                return float(np.mean(yhats))
-            count = self.clock.count
-            slots, signs = np.empty((probe_mc, count), dtype=np.intp), np.empty((probe_mc, count))
-            for i in range(probe_mc):
-                slots[i], signs[i] = draw_slots(len(self.pool), count, rng)
-            for k, y in enumerate(self.game_ys[lo + self.summed : lo + j - 1].tolist(), self.summed):
-                loss0 = abs(0.0 - y)  # as the left-to-right cumsum adds them
-                self.prefix += loss0
-                self.flips[k] = abs(1.0 - y) - loss0
-            self.summed = j - 1
-            yhats = predict_binary_fast_block(
-                self.game_xs[lo : lo + j], self.prefix, self.flips[: j - 1],
-                self.pool, slots, signs, self.probe_cls, self.loss,
-            )
-            return float(yhats.sum() / probe_mc)  # np.mean's sum and division
+            if not value:
+                value.append(self._probe_mean(rng, probe_mc))
+            return value[0]
 
         return probe
+
+    def _probe_mean(self, rng: np.random.Generator, probe_mc: int) -> float:
+        lo, j = self.lo, self.clock.j
+        if not (self.loss.kind == "absolute" and self.probe_cls.solve_rows is not None):
+            draws = [self.draw(rng) for _ in range(probe_mc)]
+            yhats, _ = _predict(
+                self.game_xs, self.game_ys, [lo] * probe_mc, [j] * probe_mc, draws,
+                [self.pconf] * probe_mc, self.probe_cls,
+            )
+            return float(np.mean(yhats))
+        count = self.clock.count
+        slots, signs = np.empty((probe_mc, count), dtype=np.intp), np.empty((probe_mc, count))
+        for i in range(probe_mc):
+            slots[i], signs[i] = draw_slots(len(self.pool), count, rng)
+        for k, y in enumerate(self.game_ys[lo + self.summed : lo + j - 1].tolist(), self.summed):
+            loss0 = abs(0.0 - y)  # as the left-to-right cumsum adds them
+            self.prefix += loss0
+            self.flips[k] = abs(1.0 - y) - loss0
+        self.summed = j - 1
+        yhats = predict_binary_fast_block(
+            self.game_xs[lo : lo + j], self.prefix, self.flips[: j - 1],
+            self.pool, slots, signs, self.probe_cls, self.loss,
+        )
+        return float(yhats.sum() / probe_mc)  # np.mean's sum and division
 
 
 @dataclass
@@ -389,8 +292,8 @@ class PlayedRounds:
 
     def prefix(self, T: int) -> "PlayedRounds":
         """The first T rounds, which are the game of T rounds with the same
-        block: no round reads the horizon, and each round's randomness is its
-        own (`RoundStreams`)."""
+        block: no round reads the horizon, and the game's streams are
+        consumed in round order (`game_streams`)."""
         return PlayedRounds(
             self.xs[:T], self.ys[:T], self.yhats[:T], self.losses[:T], self.meta[:T], self.drifts, self.probed
         )
@@ -419,16 +322,17 @@ def play_rounds(
     block ends. The queue is predicted in one call when the next round's 2
     rows would take it past MAX_BATCH_ELEMENTS elements, and at the end of
     the game. No adversary sees the game's own predictions: a probe runs on
-    stream 3 with one oracle clone per segment, and every stream is per
-    (seed, stream, t) (`RoundStreams`), so the queue draws exactly what
-    round-by-round play would, and erm_calls counts each round's own calls.
+    stream 3 with one oracle clone per segment, and the hallucinations are
+    drawn from stream 2 as each round joins the queue, so the queue draws
+    exactly what round-by-round play would, and erm_calls counts each
+    round's own calls. Stream 4 is the adversary's noise (`game_streams`).
     The adversary reads x_t = xs[t-1] and the history (xs[:t-1], ys[:t-1]),
     slices of the read-only `played.xs` and a read-only view of `played.ys`.
     """
     T = check_count(T, "T")
     oblivious = adversary.kind == "oblivious"
-    streams = RoundStreams(config.seed, T, (1, 2, 4) if oblivious else (1, 2, 3, 4))
-    xs = game_features(env, streams)
+    features, draws, probes, noise = game_streams(config.seed, 1, 2, 3, 4)
+    xs = game_features(env, features, T)
     played = PlayedRounds(
         xs=xs, ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T),
         meta=np.empty((T, 6), dtype=np.intp), drifts=[], probed=not oblivious,
@@ -451,15 +355,15 @@ def play_rounds(
             state = _EpochPredictorState(schedule, cls, loss, xs, played.ys, t - 1)
             played.drifts.append(state.drifts)
         state.advance()
-        probe = None if oblivious else state.probe(streams, t, config.probe_mc)
-        played.ys[t - 1] = adversary.emit(t, (xs[: t - 1], seen_ys[: t - 1]), xs[t - 1], probe, streams.rngs(4, t))
+        probe = None if oblivious else state.probe(probes, config.probe_mc)
+        played.ys[t - 1] = adversary.emit(t, (xs[: t - 1], seen_ys[: t - 1]), xs[t - 1], probe, noise)
         clock = state.clock
         played.meta[t - 1, :5] = len(played.drifts), clock.n, clock.j, clock.shortfall, state.probe_cls.solve_calls
         size = 2 * (clock.j + clock.count)  # its 2 rows: x_1..x_j, then the draw
         if queue and elements + size > MAX_BATCH_ELEMENTS:
             flush(t - 1)
             elements = 0
-        queue.append((state.lo, clock.j, state.draw(streams.rngs(2, t)), state.pconf))
+        queue.append((state.lo, clock.j, state.draw(draws), state.pconf))
         elements += size
     flush(T)
     return played

@@ -91,16 +91,26 @@ class GameHistory:
         return tuple(LabeledPair(x, y) for x, y in zip(feature_list(self.xs[:-1]), self.ys.tolist()))
 
 
+PERMUTE_MAX_SLOTS = 400  # pools this small are permuted whole, larger ones sampled with `choice`
+
+
 def draw_slots(size: int, count: int, rng: np.random.Generator, shape: tuple = ()) -> tuple:
     """`count` distinct slots out of `size`, in uniform order, and one sign
     array of `shape` per slot, for a checked `count`.
 
-    `rng` gives a permutation of the slots, then the sign bits slot by slot;
-    no RNG use when `count` is 0.
+    `rng` gives the slots, then one uniform per sign, slot by slot; a sign
+    is -1 where its uniform falls below 1/2 (exactly half of the doubles
+    `random` returns), else +1. No RNG use when `count` is 0. A pool of
+    more than PERMUTE_MAX_SLOTS slots is sampled with `Generator.choice`,
+    which costs O(count) there instead of a whole permutation's O(size).
     """
     if count == 0:
         return np.empty(0, dtype=np.intp), np.empty((0, *shape))
-    return rng.permutation(size)[:count], _SIGNS[rng.integers(0, 2, size=(count, *shape))]  # integers(0, 2) * 2 - 1
+    if size > PERMUTE_MAX_SLOTS:
+        slots = rng.choice(size, count, replace=False)
+    else:
+        slots = rng.permutation(size)[:count]
+    return slots, np.copysign(1.0, rng.random((count, *shape)) - 0.5)
 
 
 def draw_halluc(pool, count: int, rng: np.random.Generator) -> RelaxationDraw:
@@ -225,7 +235,6 @@ def predict_binary_fast(
 MAX_BATCH_ELEMENTS = 1 << 16
 # the flip deltas |1 - y| - |0 - y| of the probe labels y = 0, 1, whose losses |0 - y| are 0 and 1
 _PROBE_DLT = np.array([1.0, -1.0])
-_SIGNS = np.array([-1, 1])  # a draw's signs by the bit drawn
 
 
 def predict_binary_fast_batch(

@@ -2,15 +2,7 @@
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from relaxplay import ConfigError, EpochSchedule, epoch_length
-
-
-def round_rng(seed: int, stream: int, t: int) -> np.random.Generator:
-    """The generator of one stream at round t, which `RoundStreams.rngs`
-    reproduces bit for bit."""
-    return np.random.default_rng([seed, stream, t])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from relaxplay.core import feature_list
 from relaxplay.environment import sample_feature
 from relaxplay.epochs import EpochClock
 from relaxplay.traces import BANDIT_COLUMNS, RegretTrace
-from references import locate, round_rng
+from references import locate
 
 
 def two_arm_class():
@@ -102,7 +102,7 @@ def slot_loop_draw(pool, count, K, gamma, rng):
     if count == 0:
         return np.arange(0), np.empty((0, K), dtype=int), np.empty(0)
     idx = rng.permutation(len(pool))[:count]
-    signs = [rng.integers(0, 2, size=K) * 2 - 1 for _ in range(count)]
+    signs = [np.where(rng.random(K) < 0.5, -1.0, 1.0) for _ in range(count)]
     zs = [(1.0 / gamma) if rng.random() < gamma * K else 0.0 for _ in range(count)]
     return idx, np.array(signs), np.array(zs)
 
@@ -170,20 +170,20 @@ def per_round_bandit_reference(policy_class, env, cost_adversary, T, config):
     arm_matrix = np.empty((len(policy_class), T), dtype=np.intp)
     costs = np.empty((T, K))
     xs, qs, arms, epochs = [], [], [], []
+    features, draws, plays = (np.random.default_rng([config.seed, stream]) for stream in (1, 2, 5))
     for t in range(1, T + 1):
         if clock.tick():
             pool_arms = arm_matrix[:, : clock.start]
             sums = np.zeros(len(policy_class))
-        x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
+        x_t = sample_feature(env, t, features)
         x_arms = arm_matrix[:, t - 1] = policy_class.arms([x_t])[:, 0]
-        draw = draw_bandit(clock.start, clock.count, K, gamma, round_rng(config.seed, 2, t))
+        draw = draw_bandit(clock.start, clock.count, K, gamma, draws)
         phis = per_round_phi_values(pool_arms, sums, x_arms, draw, policy_class, gamma)
         q = numpy_mix_q(numpy_waterfill_q(gamma * (phis[1:] - phis[0]))[0], gamma, K)
-        rng_play = round_rng(config.seed, 5, t)
-        arm = int(rng_play.choice(K, p=q / q.sum()))
+        arm = int(plays.choice(K, p=q / q.sum()))
         history = (np.array(xs, dtype=float), np.array(arms, dtype=np.intp), costs[: t - 1])
         c_t = np.asarray(cost_adversary(t, x_t, history), dtype=float)
-        chat = numpy_estimate_cost(arm, float(c_t[arm]), q, gamma, rng_play)
+        chat = numpy_estimate_cost(arm, float(c_t[arm]), q, gamma, plays)
         sums += chat[x_arms]
         xs.append(x_t)
         costs[t - 1] = c_t

@@ -20,7 +20,7 @@ from relaxplay import (
 )
 from relaxplay.environment import constant as constant_adversary
 from relaxplay.epochs import play_rounds
-from references import locate, round_rng
+from references import locate
 
 
 class TestAlphaFromQ:
@@ -280,7 +280,9 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
     """Trace rows of the game played one round at a time: sample, predict, emit.
 
     The predictor restarts every `block` rounds (never, by default). Each
-    round rebuilds its pool and history from the features and labels played.
+    round rebuilds its pool and history from the features and labels played,
+    and draws from the game's per-stream generators in round order; a probe
+    draws on its round's first call and returns that value on every call.
     """
     from relaxplay import (
         GameHistory, PredictorConfig, best_in_hindsight, draw_halluc, loss_eval,
@@ -290,28 +292,33 @@ def per_round_reference(schedule, cls, loss, env, adversary, T, config, block=No
     block = block or T
     predict = predict_binary_fast if loss.kind == "absolute" else predict_general
     xs, ys, yhats, losses, meta = [], [], [], [], []
+    features, draws, probes, noise = (np.random.default_rng([config.seed, stream]) for stream in (1, 2, 3, 4))
     for t in range(1, T + 1):
         first = (t - 1) // block * block  # index of the block's first round
         idx = locate(schedule, t - first)
         M = epoch_length(schedule, idx.n)
         pool = np.array(xs[first : first + idx.start])
-        x_t = sample_feature(env, t, round_rng(config.seed, 1, t))
+        x_t = sample_feature(env, t, features)
         hist = GameHistory(np.array(xs[first + idx.start :] + [x_t]), np.array(ys[first + idx.start :]))
         pconf = PredictorConfig(horizon=M, loss=loss)
 
         def predict_on(rng, c):
             return predict(hist, draw_halluc(pool, min(M - idx.j, len(pool)), rng), c, pconf)
 
+        probed = []  # the round's probe value, once drawn
+
         def probe():
-            rng, c = round_rng(config.seed, 3, t), cls.clone()
-            return float(np.mean([predict_on(rng, c) for _ in range(config.probe_mc)]))
+            if not probed:
+                c = cls.clone()
+                probed.append(float(np.mean([predict_on(probes, c) for _ in range(config.probe_mc)])))
+            return probed[0]
 
         before = cls.solve_calls
-        yhat = predict_on(round_rng(config.seed, 2, t), cls)
+        yhat = predict_on(draws, cls)
         meta.append((first // block + 1, idx.n, idx.j, cls.solve_calls - before))
         oblivious = adversary.kind == "oblivious"
         history = np.array(xs, dtype=float).reshape(len(xs), *np.shape(x_t)), np.array(ys, dtype=float)
-        y_t = adversary.emit(t, history, x_t, None if oblivious else probe, round_rng(config.seed, 4, t))
+        y_t = adversary.emit(t, history, x_t, None if oblivious else probe, noise)
         xs.append(x_t)
         ys.append(y_t)
         yhats.append(yhat)
@@ -694,13 +701,14 @@ class TestChunkedPlay:
 
 def _state_and_streams(schedule, cls, seed, T, first=0):
     """A segment's state over game arrays whose `first` entries, before the
-    segment, are NaN (a state that read them would raise), and the streams."""
+    segment, are NaN (a state that read them would raise), and the game's
+    stream-3 generator, which its probes draw from in round order."""
     from relaxplay import ABSOLUTE_LOSS
-    from relaxplay.epochs import RoundStreams, _EpochPredictorState
+    from relaxplay.epochs import _EpochPredictorState
 
     xs, ys = np.full(first + T, np.nan), np.full(first + T, np.nan)
     state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, xs, ys, first)
-    return state, RoundStreams(seed, T, (1, 2, 3, 4))
+    return state, np.random.default_rng([seed, 3])
 
 
 def _feature(rng):
@@ -710,7 +718,7 @@ def _feature(rng):
 
 def reference_probe(state, rng, probe_mc):
     """The probe as it was before the row block: each draw through
-    `draw_halluc` on the round's stream-3 generator `rng`, each prediction
+    `draw_halluc` on the game's stream-3 generator `rng`, each prediction
     through `predict_binary_fast` on a fresh clone, and np.mean over the
     predictions."""
     from relaxplay import GameHistory, draw_halluc, predict_binary_fast
@@ -746,36 +754,37 @@ class TestEpochPredictorState:
         from relaxplay import IntervalClass
 
         cls = ThresholdClass() if kind == "threshold" else IntervalClass(0.25)
-        state, streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds, first)
-        _, ref_streams = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds)
+        state, probes = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds, first)
+        _, ref_rng = _state_and_streams(self.SCHEDULES[schedule], cls, seed, rounds)
         solve_rows, solved = state.probe_cls.solve_rows, []  # the rows of each solve_rows call
         state.probe_cls.solve_rows = lambda base, pos, dlt: solved.append(len(pos)) or solve_rows(base, pos, dlt)
         rng = np.random.default_rng(seed)
-        rngs, asked = streams.rngs, []
-        streams.rngs = lambda stream, t: asked.append((stream, rngs(stream, t))) or asked[-1][1]
         for t in range(1, rounds + 1):
             state.game_xs[first + t - 1] = _feature(rng)
             state.advance()
             assert state.pool.base is state.game_xs  # the side pool is a view of the game's features
             solved.clear()  # the reference's clone below copies the recording solve_rows
-            got = state.probe(streams, t, probe_mc)()
+            probe = state.probe(probes, probe_mc)
+            got = probe()
             assert solved == [2 * probe_mc]  # one solve_rows call a probe, one row per probe label a draw
-            assert [stream for stream, _ in asked] == [3] * t  # one stream-3 generator per probe, nothing else
-            ref_rng = ref_streams.rngs(3, t)
+            drawn = probes.bit_generator.state
+            assert probe() == got and probes.bit_generator.state == drawn  # a second call draws nothing more
+            assert solved == [2 * probe_mc]  # and solves nothing more
             assert got == reference_probe(state, ref_rng, probe_mc)
-            assert asked[-1][1].bit_generator.state == ref_rng.bit_generator.state  # the same draws, no more
+            assert probes.bit_generator.state == ref_rng.bit_generator.state  # the same draws, no more
             state.game_ys[first + t - 1] = float(rng.integers(0, 2)) if binary else float(rng.random())
         assert cls.solve_calls == 0  # the game's own oracle is never asked
 
     def test_probe_falls_back_without_solve_rows(self):
         # a binary class without solve_rows keeps the per-draw route, on the one probe clone
         cls = FiniteClass([lambda x: float(x >= 0.3), lambda x: float(x >= 0.7)], binary=True)
-        state, streams = _state_and_streams(self.SCHEDULES["linear"], cls, 1, 20, first=4)
+        state, probes = _state_and_streams(self.SCHEDULES["linear"], cls, 1, 20, first=4)
+        _, ref_rng = _state_and_streams(self.SCHEDULES["linear"], cls, 1, 20)
         rng = np.random.default_rng(1)
         for t in range(1, 21):
             state.game_xs[3 + t] = _feature(rng)
             state.advance()
-            assert state.probe(streams, t, 3)() == reference_probe(state, streams.rngs(3, t), 3)
+            assert state.probe(probes, 3)() == reference_probe(state, ref_rng, 3)
             state.game_ys[3 + t] = float(rng.integers(0, 2))
         assert state.probe_cls.solve_calls == 2 * 3 * 20 and cls.solve_calls == 0
 
@@ -838,3 +847,61 @@ class TestProbeErmCalls:
         adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
         trace = self._run(adversary, 20, 3)
         assert "probe_erm_calls" not in trace.metadata
+
+
+class TestProbeStream:
+    """Stream 3 is one generator per game: each round that probes draws from
+    it once, on the probe's first call, whatever the horizon."""
+
+    SCHEDULE = EpochSchedule("polynomial", alpha=1.0)
+
+    @staticmethod
+    def _play(adversary, T, block):
+        from relaxplay import ABSOLUTE_LOSS
+
+        env = FeatureDistribution.uniform()
+        return play_rounds(
+            TestProbeStream.SCHEDULE, ThresholdClass(), ABSOLUTE_LOSS, env, adversary, T, block,
+            RunConfig(seed=11, probe_mc=3),
+        )
+
+    @pytest.mark.parametrize("kind", ["threshold", "interval"])
+    def test_probing_twice_a_round_writes_the_same_trace(self, tmp_path, kind):
+        from relaxplay import ABSOLUTE_LOSS, AdaptiveAdversary
+
+        def adversary(calls):
+            # labels with the last of `calls` probes of the round, and noise from stream 4
+            def fn(t, history, x_t, probe, rng):
+                values = [probe() for _ in range(calls)]
+                return float(values[-1] < 0.5) if rng.random() < 0.9 else float(rng.random() < 0.5)
+
+            return AdaptiveAdversary(fn)
+
+        written = []
+        for calls in (1, 2):
+            trace = run_epoch_predictor(
+                self.SCHEDULE, _play_class(kind), ABSOLUTE_LOSS, FeatureDistribution.uniform(), adversary(calls),
+                60, RunConfig(seed=11, probe_mc=3),
+            )
+            trace.to_csv(tmp_path / f"{calls}.csv")
+            written.append(((tmp_path / f"{calls}.csv").read_bytes(), trace.metadata))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_probing_on_even_rounds_keeps_every_prefix(self, block):
+        from relaxplay import ABSOLUTE_LOSS, AdaptiveAdversary
+        from relaxplay.epochs import online_trace
+
+        def fn(t, history, x_t, probe, rng):
+            if t % 2:
+                return float(rng.random() < 0.5)
+            return float(probe() < 0.5)
+
+        longest = 70
+        played = self._play(AdaptiveAdversary(fn), longest, block or longest)
+        for T in (1, 2, 9, 10, 33, 50, 69):  # cuts inside epochs, on probed and unprobed rounds
+            alone, prefix = self._play(AdaptiveAdversary(fn), T, block or T), played.prefix(T)
+            for name in ("xs", "ys", "yhats", "losses", "meta"):
+                assert np.array_equal(getattr(prefix, name), getattr(alone, name)), (T, name)
+            (want, _), (got, _) = (online_trace(ThresholdClass(), ABSOLUTE_LOSS, p) for p in (alone, prefix))
+            assert got.rows == want.rows and got.metadata == want.metadata

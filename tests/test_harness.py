@@ -416,14 +416,14 @@ class TestPinnedTraces:
     @pytest.mark.parametrize(
         "config,digest",
         [
-            (PINNED_ONLINE, "cfa25dc1a3a0187b59c4b876ffb6a9f14e7174805333c07534618fd8c25f3245"),
-            (PINNED_BANDIT, "b05c238a4b6a0207c2ec75412efe9470f982be7e66b61a53eeaf84ef3e7dc858"),
-            (PINNED_ADAPTIVE, "162d4284267cc2953f79081a01cf1ebae9c445ddfe29a2103b034ca9446708ef"),
-            (PINNED_BANDIT_K3, "d40d02fc76184d21bc103df7afb0fe4354b1a1112038164afb625705659e8e67"),
-            (PINNED_SHIFTING, "50532c52f44bd3b516be1d9d91dc1ee7d15f865b42379af6e8a7df12f252e114"),
-            (PINNED_ADAPTIVE_INTERVAL, "38db2d707add70368a6b589153ec3ff86c32ba6020dce260c88bdbc88b9ea08d"),
-            (PINNED_GENERAL, "3023f72193326754292f13f691662fe96899153b18f043fdfc633c8c7b14e3d0"),
-            (PINNED_FINITE_FAST, "e3a2c162076b348dc612ed6d94e083fbf82595117457a1a78578912b86b9da13"),
+            (PINNED_ONLINE, "00d7be37b54bf2148d09dd92926459221521dc9fe3d17780766da2d5272319a2"),
+            (PINNED_BANDIT, "e273debd28e0ead34550dc50c1c7008f6057ca0dc91c7f72de249442b0747365"),
+            (PINNED_ADAPTIVE, "d42f8389a840caa9f3cd32c1c5a0e7f21729c81b958bd7ba05d784854f218001"),
+            (PINNED_BANDIT_K3, "1625546cfce66132aa3373e6456db05eee7c976f2bd01c453fffe3566d55281e"),
+            (PINNED_SHIFTING, "6483fde206bbdf181347c52c1ece2421f56c1e20fad8e7a3eafe69ab350367ef"),
+            (PINNED_ADAPTIVE_INTERVAL, "0d69bce2e33d554e7769b01c293c3f140751f11dfdcaa54b2ab5fce76735da3c"),
+            (PINNED_GENERAL, "ba112d00d9fd5cca36e75f803bb615e9c295c3f48649fc4d3a5a547c8c1ba6d4"),
+            (PINNED_FINITE_FAST, "d32cc50fd21eee90a1b36003046a27941f06a0c07fa0cba7c087b0af806879ed"),
         ],
         ids=["online", "bandit", "adaptive", "bandit_k3", "shifting_interval", "adaptive_interval", "general",
              "finite_fast"],
@@ -436,7 +436,7 @@ class TestPinnedTraces:
     def test_verify_summary_sha256(self, tmp_path):
         run_experiment({"mode": "verify", "seeds": [5], "mc_samples": 6}, out_dir=str(tmp_path))
         (summary,) = tmp_path.glob("summary_verify_*.json")
-        digest = "97037e94b3d976f59e515d6ca1bd5d1ddad5d5c982e84c201d02c8ae7c67a53e"
+        digest = "58c1f8cdbf58bee72e673bb5cf888df2ee9409af7c9cb5a0f215e1ab8508fe50"
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == digest
 
 def rowwise_csv(trace: RegretTrace, path) -> None:

@@ -29,7 +29,7 @@ from relaxplay import (
     predict_general,
     relaxation_R,
 )
-from relaxplay.predictor import draw_slots
+from relaxplay.predictor import PERMUTE_MAX_SLOTS, draw_slots
 
 SQUARED_LOSS = LossFn("custom", lipschitz=2.0, evaluator=lambda p, y: (p - y) ** 2)
 
@@ -65,6 +65,23 @@ class TestDrawHalluc:
         for c in counts.values():
             assert abs(c - n * p) <= 3 * sigma
 
+    @pytest.mark.parametrize("size", [3 * (PERMUTE_MAX_SLOTS // 3), 3 * (PERMUTE_MAX_SLOTS // 3 + 1)])
+    def test_ordered_pair_uniformity_on_each_side_of_the_cutoff(self, size):
+        # count 3 of a permuted pool (up to the cutoff) or a `choice` one (above it): slots fall
+        # into thirds by slot mod 3, and the thirds of positions (0, 1) and (1, 2) form each
+        # ordered pair with probability m (m - [same third]) / (size (size - 1)), m = size / 3
+        rng = np.random.default_rng(size)
+        n, m = 60_000, size // 3
+        for first, second in ((0, 1), (1, 2)):
+            counts = np.zeros((3, 3))
+            for _ in range(n):
+                slots, _ = draw_slots(size, 3, rng)
+                counts[slots[first] % 3, slots[second] % 3] += 1
+            for a in range(3):
+                for b in range(3):
+                    p = m * (m - (a == b)) / (size * (size - 1))
+                    assert abs(counts[a, b] - n * p) <= 3 * math.sqrt(n * p * (1 - p))
+
     def test_sign_uniformity(self):
         pool = np.array([0.0, 0.5, 1.0])
         rng = np.random.default_rng(7)
@@ -73,15 +90,20 @@ class TestDrawHalluc:
 
     @staticmethod
     def reference_draw(pool, count, rng):
-        """The draw as it was written before draws went through `draw_slots`."""
+        """The draw written out: the slots (a whole permutation's first
+        `count` up to PERMUTE_MAX_SLOTS, else `choice` without replacement),
+        then one uniform per sign, -1 below 1/2."""
         if count == 0:
             return pool[:0], np.empty(0), np.empty(0, dtype=np.intp)
-        idx = rng.permutation(len(pool))[:count]
-        signs = rng.integers(0, 2, size=count) * 2 - 1
+        if len(pool) > PERMUTE_MAX_SLOTS:
+            idx = rng.choice(len(pool), count, replace=False)
+        else:
+            idx = rng.permutation(len(pool))[:count]
+        signs = np.array([-1.0 if rng.random() < 0.5 else 1.0 for _ in range(count)])
         return pool[idx], signs, idx
 
     def test_internal_draw_equals_reference(self):
-        for size in (0, 1, 2, 5, 39, 40, 41, 599, 600):
+        for size in (0, 1, 2, 5, 39, 40, 41, PERMUTE_MAX_SLOTS, PERMUTE_MAX_SLOTS + 1, 599, 600):
             pool = np.random.default_rng(size).random(size)
             for count in range(min(40, size) + 1):
                 ref_rng, slot_rng, draw_rng = (np.random.default_rng([size, count]) for _ in range(3))

@@ -1,94 +1,59 @@
-"""`RoundStreams` against its reference `round_rng`, and seed validation."""
+"""The game's per-stream generators (`game_streams`) and seed validation."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from relaxplay import BanditConfig, ConfigError, RoundStreams, RunConfig
-from relaxplay.epochs import SEED_WINDOW, _SeedWords
-from references import round_rng
+from relaxplay import BanditConfig, ConfigError, RunConfig
+from relaxplay.epochs import game_streams
 
 SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70 + 3]
 STREAMS = (1, 2, 3, 4, 5)
-T = 2 * SEED_WINDOW + 5
-# the first and last round, and both sides of each window edge, visited out of order
-ROUNDS = [T, 1, SEED_WINDOW + 1, SEED_WINDOW, SEED_WINDOW - 1, 2 * SEED_WINDOW, 2 * SEED_WINDOW + 1, 2]
 
 
-def assert_same_generator(got: np.random.Generator, want: np.random.Generator):
-    assert got.bit_generator.state == want.bit_generator.state
-    assert got.random(3).tolist() == want.random(3).tolist()
-    assert got.integers(0, 2**62, size=2).tolist() == want.integers(0, 2**62, size=2).tolist()
+class TestGameStreams:
+    @pytest.mark.parametrize("seed", [*SEEDS, np.uint64(2**63 + 5), np.int64(4)])
+    def test_one_generator_per_stream(self, seed):
+        for stream, rng in zip(STREAMS, game_streams(seed, *STREAMS)):
+            want = np.random.default_rng([int(seed), stream])
+            assert rng.bit_generator.state == want.bit_generator.state
 
-
-class TestMatchesRoundRng:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_every_stream_at_window_edges(self, seed):
-        streams = RoundStreams(seed, T, STREAMS)
-        for stream in STREAMS:
-            for t in ROUNDS:
-                assert_same_generator(streams.rngs(stream, t), round_rng(seed, stream, t))
-
-    def test_every_round_of_a_short_game(self):
-        streams = RoundStreams(7, 40, (1, 2, 4))
-        for t in range(1, 41):
-            for stream in (1, 2, 4):
-                assert_same_generator(streams.rngs(stream, t), round_rng(7, stream, t))
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.one_of(st.integers(0, 2**33), st.integers(0, 2**80)),
-        stream=st.sampled_from(STREAMS),
-        t=st.integers(1, 3 * SEED_WINDOW),
-        extra=st.integers(0, 50),
-    )
-    def test_property(self, seed, stream, t, extra):
-        streams = RoundStreams(seed, t + extra, (stream,))
-        assert_same_generator(streams.rngs(stream, t), round_rng(seed, stream, t))
-
-    def test_numpy_integer_seed(self):
-        streams = RoundStreams(np.uint64(2**63 + 5), 10, (2,))
-        assert_same_generator(streams.rngs(2, 10), round_rng(2**63 + 5, 2, 10))
-
-    def test_seeding_raises_no_warning(self):
+    def test_huge_seeds_raise_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in SEEDS:
-                streams = RoundStreams(seed, T, STREAMS)
-                for stream in STREAMS:
-                    for t in ROUNDS:
-                        streams.rngs(stream, t).random()
+                for rng in game_streams(seed, *STREAMS):
+                    rng.random(3)
+
+
+    def test_games_with_a_huge_seed_raise_no_warning(self):
+        from relaxplay import (
+            ABSOLUTE_LOSS, EpochSchedule, FeatureDistribution, ObliviousAdversary, PolicyClass, ThresholdClass,
+            run_bandit, run_epoch_predictor,
+        )
+
+        env = FeatureDistribution.uniform()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_epoch_predictor(
+                EpochSchedule("polynomial"), ThresholdClass(), ABSOLUTE_LOSS, env,
+                ObliviousAdversary(lambda t, x, rng: float(rng.random() < 0.5)), 30, RunConfig(seed=2**70 + 3),
+            )
+            policies = PolicyClass([lambda x: 0, lambda x: 1], num_arms=2)
+            run_bandit(policies, env, lambda t, x, history: np.array([0.0, 1.0]), 30, BanditConfig(seed=2**70 + 3))
 
 
 class TestValidation:
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_bad_seed(self, seed):
         with pytest.raises(ConfigError):
-            RoundStreams(seed, 10, (1,))
-
-    @pytest.mark.parametrize("T", [0, -3, 2**32])
-    def test_bad_horizon(self, T):
-        with pytest.raises(ConfigError):
-            RoundStreams(0, T, (1,))
+            game_streams(seed, 1)
 
     def test_bad_stream(self):
-        with pytest.raises(ConfigError):
-            RoundStreams(0, 10, (-1,))
-        with pytest.raises(ConfigError):
-            RoundStreams(0, 10, (1,)).rngs(2, 1)
-
-    @pytest.mark.parametrize("t", [0, 11])
-    def test_round_outside_game(self, t):
-        with pytest.raises(ConfigError):
-            RoundStreams(0, 10, (1,)).rngs(1, t)
-
-    def test_seed_words_only_seed_pcg64(self):
-        words = np.zeros(4, dtype=np.uint64)
-        with pytest.raises(ValueError):
-            np.random.MT19937(_SeedWords(words))
+        for stream in (-1, 1.5, True):
+            with pytest.raises(ConfigError):
+                game_streams(0, 1, stream)
 
 
 class TestConfigSeeds:

@@ -37,6 +37,7 @@ from .predictor import (
     predict_binary_fast_batch,
     predict_binary_fast_block,
     predict_general,
+    row_route,
 )
 from .traces import ONLINE_COLUMNS, RegretTrace, running_total
 
@@ -166,24 +167,21 @@ def game_features(env, rng: np.random.Generator, T: int) -> np.ndarray:
     return xs
 
 
-def _predict(xs, ys, los, js, draws, confs, cls) -> tuple[list, list]:
-    """Predictions of rounds of the game whose features and labels are `xs`
-    and `ys`, and each one's ERM calls.
+def _predict(played, rounds, confs, cls) -> tuple[list, list]:
+    """Predictions of rounds of the game `played`, and each one's ERM calls.
 
-    Round r is local round js[r] of the epoch that starts at index los[r]
-    of those arrays, played on the draw draws[r] under that epoch's
-    PredictorConfig confs[r]. Under the absolute loss a class with
-    `solve_rows` solves all rounds in one batch, and every round then makes
-    the same calls; else the rounds are predicted one at a time.
+    Each round is (lo, j, halluc, signs), as `predict_binary_fast_batch`
+    reads it, under its epoch's PredictorConfig in `confs`. On the row
+    route (`row_route`) all rounds are solved in one batch, and every round
+    then makes the same calls; else they are predicted one at a time.
     """
-    loss = confs[0].loss
-    if loss.kind == "absolute" and cls.solve_rows is not None:
+    if row_route(cls, confs[0].loss):
         before = cls.solve_calls
-        yhats = predict_binary_fast_batch(xs, ys, los, js, draws, cls, loss)
-        return yhats.tolist(), [(cls.solve_calls - before) // len(js)] * len(js)
-    predict = predict_binary_fast if loss.kind == "absolute" else predict_general
-    yhats, calls = [], []
-    for lo, j, draw, pconf in zip(los, js, draws, confs):
+        yhats = predict_binary_fast_batch(played.xs, played.sums, played.flips, rounds, cls)
+        return yhats.tolist(), [(cls.solve_calls - before) // len(rounds)] * len(rounds)
+    predict = predict_binary_fast if confs[0].loss.kind == "absolute" else predict_general
+    xs, ys, yhats, calls = played.xs, played.ys, [], []
+    for (lo, j, *draw), pconf in zip(rounds, confs):
         before = cls.solve_calls
         yhats.append(predict(GameHistory(xs[lo : lo + j], ys[lo : lo + j - 1]), RelaxationDraw(*draw), cls, pconf))
         calls.append(cls.solve_calls - before)
@@ -192,32 +190,32 @@ def _predict(xs, ys, los, js, draws, confs, cls) -> tuple[list, list]:
 
 class _EpochPredictorState:
     """Predictor-side state for one independent segment (one block or run)
-    of the game whose features are `xs` and whose labels are written to
-    `ys`, from index `first`.
+    of the game `played`, from index `first`.
 
     The side pool (the segment's features before the current epoch) is the
-    slice xs[first:lo]; the current epoch starts at index `lo` of both arrays.
+    slice played.xs[first:lo]; the current epoch starts at index `lo` of
+    the game's arrays. It writes each round's `played.sums` entry.
     """
 
-    def __init__(self, schedule, cls, loss, xs: np.ndarray, ys: np.ndarray, first: int):
+    def __init__(self, schedule, cls, loss, played: PlayedRounds, first: int):
         self.clock = EpochClock(schedule)
         self.probe_cls = cls.clone()  # every probe of the segment solves on this one clone
         self.loss = loss
-        self.game_xs, self.game_ys, self.first = xs, ys, first
+        self.played, self.first = played, first
         self.pool = self.lo = self.pconf = None  # set when the first round opens epoch 1
         self.drifts = []  # the clock's rounding drift as each epoch opens
 
     def advance(self) -> None:
-        """Move to the next local round, whose feature the game has written."""
-        clock = self.clock
+        """Move to the next local round, whose feature the game has written,
+        and write its label-loss prefix, which its probe reads."""
+        clock, played = self.clock, self.played
         if clock.tick():
             self.drifts.append(clock.drift)
             self.lo = self.first + clock.start
-            self.pool = self.game_xs[self.first : self.lo]
+            self.pool = played.xs[self.first : self.lo]
             self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
-            # the label losses |0 - y| of the epoch's first `summed` rounds, added left to right,
-            # and their flip deltas |1 - y| - |0 - y|
-            self.prefix, self.summed, self.flips = 0.0, 0, np.empty(clock.length)
+        i = self.lo + clock.j - 1
+        played.sums[i] = 0.0 if clock.j == 1 else played.sums[i - 1] + abs(0.0 - played.ys[i - 1])
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A hallucination draw for the current round, as (halluc, signs): the
@@ -233,9 +231,9 @@ class _EpochPredictorState:
         The first call draws and predicts, and every later call returns the
         same value, so stream 3 moves once in each round that probes,
         however often the adversary asks. The probe_mc draws share the one
-        history, j and count, so under the absolute loss a class with
-        `solve_rows` solves them as one row block; else each draw is
-        predicted as a queued round would be.
+        history, j and count, so on the row route (`row_route`) they are
+        solved as one row block; else each draw is predicted as a queued
+        round would be.
         """
         value = []
 
@@ -247,26 +245,17 @@ class _EpochPredictorState:
         return probe
 
     def _probe_mean(self, rng: np.random.Generator, probe_mc: int) -> float:
-        lo, j = self.lo, self.clock.j
-        if not (self.loss.kind == "absolute" and self.probe_cls.solve_rows is not None):
-            draws = [self.draw(rng) for _ in range(probe_mc)]
-            yhats, _ = _predict(
-                self.game_xs, self.game_ys, [lo] * probe_mc, [j] * probe_mc, draws,
-                [self.pconf] * probe_mc, self.probe_cls,
-            )
+        lo, j, played = self.lo, self.clock.j, self.played
+        if not row_route(self.probe_cls, self.loss):
+            rounds = [(lo, j, *self.draw(rng)) for _ in range(probe_mc)]
+            yhats, _ = _predict(played, rounds, [self.pconf] * probe_mc, self.probe_cls)
             return float(np.mean(yhats))
         count = self.clock.count
         slots, signs = np.empty((probe_mc, count), dtype=np.intp), np.empty((probe_mc, count))
         for i in range(probe_mc):
             slots[i], signs[i] = draw_slots(len(self.pool), count, rng)
-        for k, y in enumerate(self.game_ys[lo + self.summed : lo + j - 1].tolist(), self.summed):
-            loss0 = abs(0.0 - y)  # as the left-to-right cumsum adds them
-            self.prefix += loss0
-            self.flips[k] = abs(1.0 - y) - loss0
-        self.summed = j - 1
         yhats = predict_binary_fast_block(
-            self.game_xs[lo : lo + j], self.prefix, self.flips[: j - 1],
-            self.pool, slots, signs, self.probe_cls, self.loss,
+            played.xs, played.sums, played.flips, lo, j, self.pool, slots, signs, self.probe_cls
         )
         return float(yhats.sum() / probe_mc)  # np.mean's sum and division
 
@@ -284,6 +273,10 @@ class PlayedRounds:
     ys: np.ndarray
     yhats: np.ndarray
     losses: np.ndarray
+    # the fast path's label sums: each round's label-loss prefix, |0 - y| of its epoch's
+    # earlier rounds added left to right, and its label's flip delta |1 - y| - |0 - y|
+    sums: np.ndarray
+    flips: np.ndarray
     # (T, 6) ints: block, epoch and j of each round, its segment's hallucination
     # shortfall and probe oracle calls so far, and the round's erm_calls
     meta: np.ndarray
@@ -295,7 +288,8 @@ class PlayedRounds:
         block: no round reads the horizon, and the game's streams are
         consumed in round order (`game_streams`)."""
         return PlayedRounds(
-            self.xs[:T], self.ys[:T], self.yhats[:T], self.losses[:T], self.meta[:T], self.drifts, self.probed
+            self.xs[:T], self.ys[:T], self.yhats[:T], self.losses[:T], self.sums[:T], self.flips[:T], self.meta[:T],
+            self.drifts, self.probed,
         )
 
 
@@ -326,6 +320,9 @@ def play_rounds(
     drawn from stream 2 as each round joins the queue, so the queue draws
     exactly what round-by-round play would, and erm_calls counts each
     round's own calls. Stream 4 is the adversary's noise (`game_streams`).
+    The fast path's label sums are written once per round: the prefix in
+    `played.sums` as the round opens, the flip delta in `played.flips` when
+    `emit` returns; the queue's and the probe's row builders read both.
     The adversary reads x_t = xs[t-1] and the history (xs[:t-1], ys[:t-1]),
     slices of the read-only `played.xs` and a read-only view of `played.ys`.
     """
@@ -334,36 +331,40 @@ def play_rounds(
     features, draws, probes, noise = game_streams(config.seed, 1, 2, 3, 4)
     xs = game_features(env, features, T)
     played = PlayedRounds(
-        xs=xs, ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T),
+        xs=xs, ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T), sums=np.empty(T), flips=np.empty(T),
         meta=np.empty((T, 6), dtype=np.intp), drifts=[], probed=not oblivious,
     )
     seen_ys = played.ys.view()
     seen_ys.flags.writeable = False
-    queue, elements = [], 0  # queued rounds as (lo, j, draw, pconf), and their rows' elements
+    queue, confs, elements = [], [], 0  # queued (lo, j, halluc, signs), their configs, their rows' elements
 
     def flush(end: int) -> None:
         """Predict the queued rounds, which end at round `end`."""
         rounds = slice(end - len(queue), end)
-        yhats, calls = _predict(xs, played.ys, *zip(*queue), cls)
+        yhats, calls = _predict(played, queue, confs, cls)
         played.yhats[rounds] = yhats
         played.losses[rounds] = [loss_eval(loss, p, y) for p, y in zip(yhats, played.ys[rounds].tolist())]
         played.meta[rounds, 5] = calls
         queue.clear()
+        confs.clear()
 
     for t in range(1, T + 1):
         if (t - 1) % block == 0:
-            state = _EpochPredictorState(schedule, cls, loss, xs, played.ys, t - 1)
+            state = _EpochPredictorState(schedule, cls, loss, played, t - 1)
             played.drifts.append(state.drifts)
         state.advance()
         probe = None if oblivious else state.probe(probes, config.probe_mc)
         played.ys[t - 1] = adversary.emit(t, (xs[: t - 1], seen_ys[: t - 1]), xs[t - 1], probe, noise)
+        y = float(played.ys[t - 1])
+        played.flips[t - 1] = abs(1.0 - y) - abs(0.0 - y)
         clock = state.clock
         played.meta[t - 1, :5] = len(played.drifts), clock.n, clock.j, clock.shortfall, state.probe_cls.solve_calls
         size = 2 * (clock.j + clock.count)  # its 2 rows: x_1..x_j, then the draw
         if queue and elements + size > MAX_BATCH_ELEMENTS:
             flush(t - 1)
             elements = 0
-        queue.append((state.lo, clock.j, state.draw(draws), state.pconf))
+        queue.append((state.lo, clock.j, *state.draw(draws)))
+        confs.append(state.pconf)
         elements += size
     flush(T)
     return played

@@ -237,94 +237,87 @@ MAX_BATCH_ELEMENTS = 1 << 16
 _PROBE_DLT = np.array([1.0, -1.0])
 
 
+def row_route(cls: HypothesisClass, loss: LossFn) -> bool:
+    """Whether the row builders below predict for `cls` under `loss`: the
+    absolute loss, whose Lipschitz constant is 1, and a class with `solve_rows`."""
+    return loss.kind == "absolute" and cls.solve_rows is not None
+
+
 def predict_binary_fast_batch(
     xs: np.ndarray,
-    ys: np.ndarray,
-    los: Sequence[int],
-    js: Sequence[int],
-    draws: Sequence[tuple],
+    sums: np.ndarray,
+    flips: np.ndarray,
+    rounds: Sequence[tuple],
     cls: HypothesisClass,
-    loss: LossFn = ABSOLUTE_LOSS,
 ) -> np.ndarray:
-    """predict_binary_fast for many rounds of one game, bit for bit, in batched solves.
+    """Absolute-loss predict_binary_fast for many rounds of one game, bit for bit, in batched solves.
 
-    Round r is round j = js[r] of the epoch that starts at index lo = los[r]
-    of the game arrays: its history is xs[lo:lo+j], ys[lo:lo+j-1], and its
-    draw is draws[r], a (halluc, signs) pair. Its two queries become two
-    flip-delta rows (probe label 0, then 1) for `cls.solve_rows`; rows of
-    one length are solved together, whatever their epoch, at most
-    MAX_BATCH_ELEMENTS elements at a time, and each row counts one solve
-    call. The query sums its labels' losses in order, so a row's base is
-    the left-to-right `cumsum` of |0 - y| from its epoch's start plus the
-    probe label's loss; a pair's flip delta is |1 - y| - |0 - y|.
+    Game round i has feature xs[i], label-loss prefix sums[i] (|0 - y| of
+    its epoch's earlier rounds, added left to right) and flip delta
+    flips[i] = |1 - y| - |0 - y|. Each round is (lo, j, halluc, signs):
+    round j of the epoch that starts at index lo, on the draw (halluc,
+    signs). Its two queries become two flip-delta rows (probe label 0, then
+    1) for `cls.solve_rows`, of base sums[lo+j-1] plus the probe label's
+    loss; rows of one length are solved together, whatever their epoch, at
+    most MAX_BATCH_ELEMENTS elements at a time; each row counts one call.
     """
-    if not cls.is_binary or loss.kind != "absolute":
-        raise ConfigError("fast path needs a binary-valued class and absolute loss")
-    if not len(los) == len(js) == len(draws):
-        raise ConfigError("need one epoch offset and one draw per round")
-    ends = {}  # epoch offset -> the last local round it predicts
-    for lo, j in zip(los, js):
-        ends[lo] = max(ends.get(lo, j), j)
-    sums = {}  # epoch offset -> (label-loss prefix, pair flip deltas)
-    for lo, j in ends.items():
-        labels = ys[lo : lo + j - 1]
-        l0 = np.abs(0.0 - labels)
-        sums[lo] = [0.0, *l0.cumsum().tolist()], np.abs(1.0 - labels) - l0
-    xs, hallucs = scalar_rows(xs), [scalar_rows(halluc) for halluc, _ in draws]
+    if cls.solve_rows is None:
+        raise ConfigError("the fast path's rows need a class with solve_rows")
+    xs = scalar_rows(xs)
     groups = {}  # row length -> its rounds, in order
-    for r, (j, h) in enumerate(zip(js, hallucs)):
-        groups.setdefault(j + len(h), []).append(r)
-    yhats = np.empty(len(js))
+    for r, (_, j, halluc, _) in enumerate(rounds):
+        groups.setdefault(j + len(halluc), []).append(r)
+    yhats = np.empty(len(rounds))
     for n in sorted(groups):
         same = groups[n]
         step = max(1, MAX_BATCH_ELEMENTS // (2 * max(n, 1)))
-        for rounds in (same[i : i + step] for i in range(0, len(same), step)):
+        for chunk in (same[i : i + step] for i in range(0, len(same), step)):
             # rows 2i and 2i+1 (probe label 0, then 1): x_1..x_j, then the round's draw
-            pos, dlt, base = np.empty((2 * len(rounds), n)), np.empty((2 * len(rounds), n)), []
-            for i, r in enumerate(rounds):
-                lo, j, two = los[r], js[r], slice(2 * i, 2 * i + 2)
-                prefix, pair_dlt = sums[lo]
-                pos[two, :j], pos[two, j:] = xs[lo : lo + j], hallucs[r]
-                dlt[two, : j - 1], dlt[two, j - 1] = pair_dlt[: j - 1], _PROBE_DLT
-                dlt[two, j:] = -2.0 * loss.lipschitz * draws[r][1]  # the sup query negates the signs
-                base += (prefix[j - 1], prefix[j - 1] + 1.0)
+            pos, dlt, base = np.empty((2 * len(chunk), n)), np.empty((2 * len(chunk), n)), []
+            for i, r in enumerate(chunk):
+                lo, j, halluc, signs = rounds[r]
+                two, prefix = slice(2 * i, 2 * i + 2), sums[lo + j - 1]
+                pos[two, :j], pos[two, j:] = xs[lo : lo + j], scalar_rows(halluc)
+                dlt[two, : j - 1], dlt[two, j - 1] = flips[lo : lo + j - 1], _PROBE_DLT
+                dlt[two, j:] = -2.0 * signs  # the sup query negates the signs
+                base += (prefix, prefix + 1.0)
             if not np.isfinite(pos).all():
                 raise InputDomainError("features must be finite")
             _, objectives = cls.solve_rows(np.array(base), pos, dlt)
             # 1 + g1 - g0 with g = -objective, added in the same order
-            yhats[rounds] = np.clip((1.0 - objectives[1::2] + objectives[0::2]) / 2.0, 0.0, 1.0)
+            yhats[chunk] = np.clip((1.0 - objectives[1::2] + objectives[0::2]) / 2.0, 0.0, 1.0)
     return yhats
 
 
 def predict_binary_fast_block(
     xs: np.ndarray,
-    base: float,
-    pair_dlt: np.ndarray,
+    sums: np.ndarray,
+    flips: np.ndarray,
+    lo: int,
+    j: int,
     pool: np.ndarray,
     slots: np.ndarray,
     signs: np.ndarray,
     cls: HypothesisClass,
-    loss: LossFn = ABSOLUTE_LOSS,
 ) -> np.ndarray:
-    """predict_binary_fast of many draws over one history, bit for bit, in one `solve_rows` call.
+    """Absolute-loss predict_binary_fast of many draws over one history, bit for bit, in one `solve_rows` call.
 
-    The history is xs = x_1..x_j (the current feature last); its played
-    labels' losses |0 - y| sum, left to right, to `base`, and `pair_dlt`
-    holds their flip deltas |1 - y| - |0 - y|. Draw i hallucinates
+    The history is round j of the epoch at index lo of the game's arrays,
+    read as `predict_binary_fast_batch` reads them. Draw i hallucinates
     pool[slots[i]] with signs[i]; `slots` and `signs` are (draws, count), a
-    `draw_slots` draw per row. Draw i's two queries (probe label 0, then 1)
-    are rows 2i and 2i+1 of one (2 draws, j + count) block, whose history
+    `draw_slots` draw per row. Its two queries (probe label 0, then 1) are
+    rows 2i and 2i+1 of one (2 draws, j + count) block, whose history
     columns are written once for all rows; each row counts one solve call.
     """
-    if not cls.is_binary or loss.kind != "absolute":
-        raise ConfigError("fast path needs a binary-valued class and absolute loss")
-    xs, pool = scalar_rows(xs), scalar_rows(pool)
-    (draws, count), j = slots.shape, len(xs)
+    if cls.solve_rows is None:
+        raise ConfigError("the fast path's rows need a class with solve_rows")
+    xs, pool, base = scalar_rows(xs[lo : lo + j]), scalar_rows(pool), sums[lo + j - 1]
+    draws, count = slots.shape
     # draw i's rows 2i and 2i+1 as pos[i] and dlt[i]
     pos, dlt = np.empty((draws, 2, j + count)), np.empty((draws, 2, j + count))
     pos[:, :, :j], pos[:, :, j:] = xs, pool[slots][:, None]
-    dlt[:, :, : j - 1], dlt[:, :, j - 1] = pair_dlt, _PROBE_DLT
-    dlt[:, :, j:] = (-2.0 * loss.lipschitz * signs)[:, None]  # the sup query negates the signs
+    dlt[:, :, : j - 1], dlt[:, :, j - 1] = flips[lo : lo + j - 1], _PROBE_DLT
+    dlt[:, :, j:] = (-2.0 * signs)[:, None]  # the sup query negates the signs
     rows = (2 * draws, j + count)
     _, objectives = cls.solve_rows(np.array((base, base + 1.0) * draws), pos.reshape(rows), dlt.reshape(rows))
     # 1 + g1 - g0 with g = -objective, added in the same order; the method is np.clip without its dispatch

@@ -118,10 +118,15 @@ def _history(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+Y_STEP = 0.05  # a tiny game's adversary label grid step
+SENSITIVITY_MAX_ROUNDS = SENSITIVITY_MAX_TAIL = 3  # the sensitivity generator's most realized rounds and tail slots
+BINARY_MAX_CLASS, BINARY_MAX_ROUNDS = 8, 4  # the binary generator's most hypotheses and realized rounds
+
+
 @dataclass(frozen=True)
 class TinyGame:
     """A tiny side-information game: small class, short horizon, a side pool
-    and an adversary label grid of step `y_step` (1 included). The checks
+    and an adversary label grid of step Y_STEP (1 included). The checks
     read it and never change it."""
 
     cls: HypothesisClass
@@ -129,13 +134,12 @@ class TinyGame:
     horizon: int
     pool_features: Sequence[Feature]
     loss: LossFn = ABSOLUTE_LOSS
-    y_step: float = 0.05
 
     def setup(self) -> tuple[PredictorConfig, np.ndarray, np.ndarray]:
         """The predictor config, side pool and adversary label grid."""
         config = PredictorConfig(
             horizon=self.horizon, loss=self.loss,
-            y_grid_step=self.y_step, yhat_tolerance=min(self.y_step, 1e-2),
+            y_grid_step=Y_STEP, yhat_tolerance=1e-2,
         )
         return config, feature_rows(self.pool_features), _y_grid(config)
 
@@ -269,7 +273,7 @@ def check_sensitivity(
     )
 
 
-def default_sensitivity_generator(max_history: int = 3, max_tail: int = 3):
+def default_sensitivity_generator():
     """Random finite binary classes with random histories/tails/probes."""
     def gen(rng: np.random.Generator) -> SensitivityInstance:
         n_h = int(rng.integers(2, 7))
@@ -278,8 +282,8 @@ def default_sensitivity_generator(max_history: int = 3, max_tail: int = 3):
             [(lambda a: (lambda x: 1.0 if x >= a else 0.0))(a) for a in thresholds],
             binary=True,
         )
-        j = int(rng.integers(0, max_history + 1))
-        tail = int(rng.integers(0, max_tail + 1))
+        j = int(rng.integers(0, SENSITIVITY_MAX_ROUNDS + 1))
+        tail = int(rng.integers(0, SENSITIVITY_MAX_TAIL + 1))
         xs, ys = rng.random((j, 2)).T  # x_1, y_1, x_2, ... in draw order
         return SensitivityInstance(
             cls=cls,
@@ -356,18 +360,18 @@ def check_fact2(
     )
 
 
-def default_binary_generator(max_class: int = 8, max_history: int = 4):
+def default_binary_generator():
     """Random finite {0,1}-valued classes over a small discrete domain."""
     def gen(rng: np.random.Generator) -> BinaryInstance:
         domain = [float(v) for v in rng.random(5)]
-        n_h = int(rng.integers(2, max_class + 1))
+        n_h = int(rng.integers(2, BINARY_MAX_CLASS + 1))
         tables = [
             {x: float(rng.integers(0, 2)) for x in domain} for _ in range(n_h)
         ]
         cls = FiniteClass(
             [(lambda tb: (lambda x: tb[x]))(tb) for tb in tables], binary=True
         )
-        j = int(rng.integers(0, max_history + 1))
+        j = int(rng.integers(0, BINARY_MAX_ROUNDS + 1))
         tail = int(rng.integers(0, 4))
         pick = lambda: domain[int(rng.integers(0, len(domain)))]
         rounds = [(pick(), float(rng.integers(0, 2))) for _ in range(j)]

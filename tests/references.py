@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from relaxplay import ConfigError, EpochSchedule, epoch_length
 
 
@@ -24,3 +26,15 @@ def locate(schedule: EpochSchedule, t: int) -> EpochIndex:
             return EpochIndex(n, t - start, start)
         start += m
         n += 1
+
+
+def label_sums(ys, starts) -> tuple:
+    """The fast path's label sums of a game whose labels are `ys` and whose
+    epochs start at the indices `starts` (increasing), as game-length arrays:
+    each round's label-loss prefix, one left-to-right `cumsum` of |0 - y|
+    per epoch, and each label's flip delta |1 - y| - |0 - y|. Rounds before
+    the first start are NaN."""
+    l0, sums = np.abs(0.0 - ys), np.full(len(ys), np.nan)
+    for lo, end in zip(starts, [*starts[1:], len(ys)]):
+        sums[lo:end] = [0.0, *l0[lo : end - 1].cumsum().tolist()]
+    return sums, np.abs(1.0 - ys) - l0

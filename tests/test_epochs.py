@@ -20,7 +20,7 @@ from relaxplay import (
 )
 from relaxplay.environment import constant as constant_adversary
 from relaxplay.epochs import play_rounds
-from references import locate
+from references import label_sums, locate
 
 
 class TestAlphaFromQ:
@@ -552,13 +552,13 @@ class TestChunkedPlay:
         solve_rows, batches = cls.solve_rows, []  # per batch: (its row lengths, the lengths solved)
         batch = epochs.predict_binary_fast_batch
 
-        def counted(xs, ys, los, js, draws, *args):
+        def counted(xs, sums, flips, rounds, *args):
             solved = []
-            batches.append(({j + len(h) for j, (h, _) in zip(js, draws)}, solved))
+            batches.append(({j + len(h) for _, j, h, _ in rounds}, solved))
             # only the batch's own solves: the comparators solve on clones, which would copy a wrapper
             cls.solve_rows = lambda base, pos, dlt: solved.append(pos.shape[1]) or solve_rows(base, pos, dlt)
             try:
-                return batch(xs, ys, los, js, draws, *args)
+                return batch(xs, sums, flips, rounds, *args)
             finally:
                 del cls.solve_rows
 
@@ -601,7 +601,7 @@ class TestChunkedPlay:
         block, blocks = epochs.predict_binary_fast_block, []  # per probe: its oracle and its solve_rows calls' rows
 
         def counted(*args):
-            probe_cls, solved = args[-2], []
+            probe_cls, solved = args[-1], []
             solve_rows = probe_cls.solve_rows
             probe_cls.solve_rows = lambda base, pos, dlt: solved.append(len(pos)) or solve_rows(base, pos, dlt)
             try:
@@ -678,9 +678,9 @@ class TestChunkedPlay:
         batches = []
         batch = epochs.predict_binary_fast_batch
 
-        def counted(xs, ys, los, js, *args):
-            batches.append(len(js))
-            return batch(xs, ys, los, js, *args)
+        def counted(xs, sums, flips, rounds, *args):
+            batches.append(len(rounds))
+            return batch(xs, sums, flips, rounds, *args)
 
         monkeypatch.setattr(epochs, "predict_binary_fast_batch", counted)
 
@@ -704,11 +704,18 @@ def _state_and_streams(schedule, cls, seed, T, first=0):
     segment, are NaN (a state that read them would raise), and the game's
     stream-3 generator, which its probes draw from in round order."""
     from relaxplay import ABSOLUTE_LOSS
-    from relaxplay.epochs import _EpochPredictorState
+    from relaxplay.epochs import PlayedRounds, _EpochPredictorState
 
-    xs, ys = np.full(first + T, np.nan), np.full(first + T, np.nan)
-    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, xs, ys, first)
+    xs, ys, sums, flips = (np.full(first + T, np.nan) for _ in range(4))
+    played = PlayedRounds(xs, ys, None, None, sums, flips, None, [], True)
+    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, played, first)
     return state, np.random.default_rng([seed, 3])
+
+
+def _label(state, i, y):
+    """Write game round i's label y and its flip delta, as the game does when `emit` returns."""
+    state.played.ys[i] = y
+    state.played.flips[i] = abs(1.0 - y) - abs(0.0 - y)
 
 
 def _feature(rng):
@@ -724,7 +731,7 @@ def reference_probe(state, rng, probe_mc):
     from relaxplay import GameHistory, draw_halluc, predict_binary_fast
 
     cls, j, lo = state.probe_cls.clone(), state.clock.j, state.lo
-    history = GameHistory(state.game_xs[lo : lo + j], state.game_ys[lo : lo + j - 1])
+    history = GameHistory(state.played.xs[lo : lo + j], state.played.ys[lo : lo + j - 1])
     count = min(state.clock.length - j, len(state.pool))
     return float(np.mean([
         predict_binary_fast(history, draw_halluc(state.pool, count, rng), cls, state.pconf) for _ in range(probe_mc)
@@ -760,9 +767,9 @@ class TestEpochPredictorState:
         state.probe_cls.solve_rows = lambda base, pos, dlt: solved.append(len(pos)) or solve_rows(base, pos, dlt)
         rng = np.random.default_rng(seed)
         for t in range(1, rounds + 1):
-            state.game_xs[first + t - 1] = _feature(rng)
+            state.played.xs[first + t - 1] = _feature(rng)
             state.advance()
-            assert state.pool.base is state.game_xs  # the side pool is a view of the game's features
+            assert state.pool.base is state.played.xs  # the side pool is a view of the game's features
             solved.clear()  # the reference's clone below copies the recording solve_rows
             probe = state.probe(probes, probe_mc)
             got = probe()
@@ -772,7 +779,7 @@ class TestEpochPredictorState:
             assert solved == [2 * probe_mc]  # and solves nothing more
             assert got == reference_probe(state, ref_rng, probe_mc)
             assert probes.bit_generator.state == ref_rng.bit_generator.state  # the same draws, no more
-            state.game_ys[first + t - 1] = float(rng.integers(0, 2)) if binary else float(rng.random())
+            _label(state, first + t - 1, float(rng.integers(0, 2)) if binary else float(rng.random()))
         assert cls.solve_calls == 0  # the game's own oracle is never asked
 
     def test_probe_falls_back_without_solve_rows(self):
@@ -782,10 +789,10 @@ class TestEpochPredictorState:
         _, ref_rng = _state_and_streams(self.SCHEDULES["linear"], cls, 1, 20)
         rng = np.random.default_rng(1)
         for t in range(1, 21):
-            state.game_xs[3 + t] = _feature(rng)
+            state.played.xs[3 + t] = _feature(rng)
             state.advance()
             assert state.probe(probes, 3)() == reference_probe(state, ref_rng, 3)
-            state.game_ys[3 + t] = float(rng.integers(0, 2))
+            _label(state, 3 + t, float(rng.integers(0, 2)))
         assert state.probe_cls.solve_calls == 2 * 3 * 20 and cls.solve_calls == 0
 
     def test_nan_feature_of_a_custom_process_raises_before_any_probe(self):
@@ -813,6 +820,40 @@ class TestEpochPredictorState:
                 AdaptiveAdversary(fn), 10, RunConfig(seed=0, probe_mc=2),
             )
         assert env.drawn == 10 and labelled == []
+
+
+class TestLabelSums:
+    """The game writes each round's label-loss prefix and flip delta once;
+    both equal the per-epoch left-to-right `cumsum` reference bit for bit."""
+
+    @pytest.mark.parametrize("game", ["oblivious", "probing", "shifting"])
+    def test_game_arrays_equal_per_epoch_cumsum(self, game, monkeypatch):
+        import relaxplay.shifting as shifting
+        from relaxplay import ABSOLUTE_LOSS, AdaptiveAdversary, IntervalClass, ShiftingProcess, run_shifting
+
+        def fn(t, history, x_t, probe, rng):  # labels off {0, 1}, so the sums' order shows in their bits
+            return float(np.clip(probe() + rng.uniform(-0.4, 0.4), 0.0, 1.0))
+
+        if game == "oblivious":
+            adversary = ObliviousAdversary(lambda t, x, rng: float(rng.random()))
+        else:
+            adversary = AdaptiveAdversary(fn)
+        sched, T, config = EpochSchedule("geometric", ratio=1.5), 90, RunConfig(seed=9, probe_mc=2)
+        if game == "shifting":
+            games, play = [], shifting.play_rounds
+            monkeypatch.setattr(shifting, "play_rounds", lambda *args: games.append(play(*args)) or games[-1])
+            uniform = FeatureDistribution.uniform
+            env = ShiftingProcess([(uniform(0.0, 0.6), 1), (uniform(0.4, 1.0), 40)])
+            run_shifting(IntervalClass(0.25), ABSOLUTE_LOSS, env, adversary, T, 3, sched, config)
+            (played,) = games
+            assert len(played.drifts) > 1  # the blocks restart the sums
+        else:
+            env = FeatureDistribution.uniform()
+            played = play_rounds(sched, ThresholdClass(), ABSOLUTE_LOSS, env, adversary, T, T, config)
+        starts = np.flatnonzero(played.meta[:, 2] == 1)  # every epoch of every block opens at j = 1
+        assert len(starts) > 4 and len(set(played.ys.tolist()) - {0.0, 1.0}) > T // 2
+        sums, flips = label_sums(played.ys, starts.tolist())
+        assert played.sums.tobytes() == sums.tobytes() and played.flips.tobytes() == flips.tobytes()
 
 
 class TestProbeErmCalls:

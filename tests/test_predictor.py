@@ -29,7 +29,8 @@ from relaxplay import (
     predict_general,
     relaxation_R,
 )
-from relaxplay.predictor import PERMUTE_MAX_SLOTS, draw_slots
+from relaxplay.predictor import PERMUTE_MAX_SLOTS, draw_slots, predict_binary_fast_block, row_route
+from references import label_sums
 
 SQUARED_LOSS = LossFn("custom", lipschitz=2.0, evaluator=lambda p, y: (p - y) ** 2)
 
@@ -421,13 +422,12 @@ class TestPredictBinaryFastBatch:
             if trial % 5 == 0:
                 xs[rng.integers(gap, len(xs))] = 1.0  # positions at exactly 1 and duplicates
                 xs[rng.integers(gap, len(xs))] = xs[gap]
-            rounds = [(lo, j, d) for lo, (_, _, js, draws) in zip(starts, epochs) for j, d in zip(js, draws)]
+            rounds = [(lo, j, *d) for lo, (_, _, js, draws) in zip(starts, epochs) for j, d in zip(js, draws)]
             rounds = [rounds[i] for i in rng.permutation(len(rounds))]  # rounds in any order, epochs mixed
-            los, js, draws = (list(column) for column in zip(*rounds))
             cls = make()
-            batched = predict_binary_fast_batch(xs, ys, los, js, draws, cls)
+            batched = predict_binary_fast_batch(xs, *label_sums(ys, starts), rounds, cls)
             assert cls.solve_calls == 2 * len(rounds)
-            for lo, j, d, yhat in zip(los, js, draws, batched.tolist()):
+            for (lo, j, *d), yhat in zip(rounds, batched.tolist()):
                 history = GameHistory(xs[lo : lo + j], ys[lo : lo + j - 1])
                 assert yhat == predict_binary_fast(history, RelaxationDraw(*d), make(), PredictorConfig(horizon=13))
 
@@ -436,8 +436,9 @@ class TestPredictBinaryFastBatch:
 
         rng = np.random.default_rng(5)
         xs, ys, js, draws = epoch_rounds(rng, 30, 40)
-        los = [0] * len(js)
-        whole = predict_binary_fast_batch(xs, ys, los, js, draws, ThresholdClass())
+        sums, flips = label_sums(ys, [0])
+        rounds = [(0, j, *d) for j, d in zip(js, draws)]
+        whole = predict_binary_fast_batch(xs, sums, flips, rounds, ThresholdClass())
         monkeypatch.setattr(predictor, "MAX_BATCH_ELEMENTS", 100)
         cls, sizes = ThresholdClass(), []
         solve_rows = cls.solve_rows
@@ -447,34 +448,41 @@ class TestPredictBinaryFastBatch:
             return solve_rows(base, pos, dlt)
 
         cls.solve_rows = recorded
-        assert predict_binary_fast_batch(xs, ys, los, js, draws, cls).tolist() == whole.tolist()
+        assert predict_binary_fast_batch(xs, sums, flips, rounds, cls).tolist() == whole.tolist()
         assert cls.solve_calls == 60 == sum(rows for rows, _ in sizes)
         assert max(rows * n for rows, n in sizes) <= 100
 
     def test_boundary_errors(self):
         rng = np.random.default_rng(2)
         xs, ys, js, draws = epoch_rounds(rng, 6, 6)
-        los = [0] * len(js)
+        sums, flips = label_sums(ys, [0])
+        rounds = [(0, j, *d) for j, d in zip(js, draws)]
         with pytest.raises(ConfigError):
-            predict_binary_fast_batch(xs, ys, los, js, draws, FiniteClass.from_constants([0.3]))
-        # the class and loss are checked first: with no rounds, and before the feature shape
+            predict_binary_fast_batch(xs, sums, flips, rounds, FiniteClass.from_constants([0.3]))
+        # a {0,1}-valued class has no solve_rows either: the guard reads solve_rows, not is_binary
+        binary = FiniteClass.from_constants([0.0, 1.0])
+        with pytest.raises(ConfigError, match="solve_rows"):
+            predict_binary_fast_batch(xs, sums, flips, rounds, binary)
+        slots, signs = np.zeros((1, 2), dtype=np.intp), np.ones((1, 2))
+        with pytest.raises(ConfigError, match="solve_rows"):
+            predict_binary_fast_block(xs, sums, flips, 0, 3, xs, slots, signs, binary)
+        # the class is checked first: with no rounds, and before the feature shape
         with pytest.raises(ConfigError):
-            predict_binary_fast_batch(xs, ys, [], [], [], FiniteClass.from_constants([0.3]))
+            predict_binary_fast_batch(xs, sums, flips, [], FiniteClass.from_constants([0.3]))
         with pytest.raises(ConfigError):
             predict_binary_fast_batch(
-                np.stack([xs, xs], axis=1), ys, [0], [1], draws[:1], FiniteClass.from_constants([0.3])
+                np.stack([xs, xs], axis=1), sums, flips, rounds[:1], FiniteClass.from_constants([0.3])
             )
-        with pytest.raises(ConfigError):
-            predict_binary_fast_batch(xs, ys, los, js, draws, ThresholdClass(), SQUARED_LOSS)
-        with pytest.raises(ConfigError, match="one epoch offset and one draw per round"):
-            predict_binary_fast_batch(xs, ys, los[1:], js, draws, ThresholdClass())
-        assert predict_binary_fast_batch(xs, ys, [], [], [], ThresholdClass()).shape == (0,)
+        # a custom loss, and a class without solve_rows, stay off the row route
+        assert row_route(ThresholdClass(), ABSOLUTE_LOSS)
+        assert not row_route(ThresholdClass(), SQUARED_LOSS) and not row_route(binary, ABSOLUTE_LOSS)
+        assert predict_binary_fast_batch(xs, sums, flips, [], ThresholdClass()).shape == (0,)
         bad = xs.copy()
         bad[2] = np.nan
         with pytest.raises(InputDomainError):
-            predict_binary_fast_batch(bad, ys, los, js, draws, ThresholdClass())
+            predict_binary_fast_batch(bad, sums, flips, rounds, ThresholdClass())
         with pytest.raises(UnsupportedClassError):
-            predict_binary_fast_batch(np.stack([xs, xs], axis=1), ys, [0], [1], draws[:1], ThresholdClass())
+            predict_binary_fast_batch(np.stack([xs, xs], axis=1), sums, flips, rounds[:1], ThresholdClass())
 
 
 class TestRelaxations:

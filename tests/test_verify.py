@@ -22,6 +22,7 @@ from relaxplay import (
     relaxation_R,
     standard_checks,
 )
+from relaxplay.verify import Y_STEP
 
 
 class TestCheckReport:
@@ -126,7 +127,7 @@ class TestAdmissibility:
         game = self._game(cls=make())
         mc = 5
         check_admissibility(game, mc, np.random.default_rng(3), histories=self.histories)
-        grid_size = len(np.append(np.arange(0.0, 1.0, game.y_step), 1.0))
+        grid_size = len(np.append(np.arange(0.0, 1.0, Y_STEP), 1.0))
         support = sum(p > 0 for p in game.env.probs)
         assert game.cls.solve_calls == len(self.histories) * (support * mc * grid_size + mc)
 

@@ -18,7 +18,6 @@ from .core import (
     best_in_hindsight,
     loss_eval,
     lowest_argmin,
-    query_objective,
 )
 from .oracles import (
     FiniteClass,
@@ -47,7 +46,6 @@ from .environment import (
     ObliviousAdversary,
     SemiAdaptiveAdversary,
     ShiftingProcess,
-    builtin_adversaries,
     noisy_target,
     sample_feature,
 )

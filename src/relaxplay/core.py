@@ -354,11 +354,6 @@ def objective_values(cls: HypothesisClass, handles: Sequence, query: MixedErmQue
     return out
 
 
-def query_objective(cls: HypothesisClass, handle, query: MixedErmQuery) -> float:
-    """The mixed objective of `query` evaluated at a fixed hypothesis."""
-    return objective_values(cls, [handle], query)[0]
-
-
 def best_in_hindsight(cls: HypothesisClass, xs, ys, loss: LossFn = ABSOLUTE_LOSS) -> tuple[object, float]:
     """Class minimizer of the cumulative loss over the sample (xs, ys) (the regret comparator)."""
     query = MixedErmQuery(loss=loss, xs=xs, ys=ys)

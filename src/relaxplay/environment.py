@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AdversaryFault, ConfigError, Feature, best_in_hindsight, check_seed, check_unit
+from .core import AdversaryFault, ConfigError, Feature, HypothesisClass, best_in_hindsight, check_seed, check_unit
 
 
 class FeatureDistribution:
@@ -209,12 +209,13 @@ def flip_to_far() -> AdaptiveAdversary:
     return AdaptiveAdversary(fn)
 
 
-def comparator_squeeze(cls_factory) -> AdaptiveAdversary:
+def comparator_squeeze(cls: HypothesisClass) -> AdaptiveAdversary:
     """Greedy sup proxy: pick y in {0,1} maximizing the probed prediction's
-    loss minus the running best expert's loss increment."""
+    loss minus the running best expert's loss increment; the best expert
+    solves on a clone of `cls`."""
+    helper = cls.clone()
 
     def fn(t, history, x_t, probe, rng):
-        helper = fn.helper
         m = probe()
         xs, ys = history
         if len(ys):
@@ -222,14 +223,9 @@ def comparator_squeeze(cls_factory) -> AdaptiveAdversary:
             hv = helper.evaluate(h_best, x_t)
         else:
             hv = 0.5
-        best_y, best_score = 0.0, -np.inf
-        for y in (0.0, 1.0):
-            score = abs(m - y) - abs(hv - y)
-            if score > best_score:
-                best_y, best_score = y, score
-        return best_y
+        # the label y of the larger score |m - y| - |hv - y|, 0 on a tie
+        return 1.0 if abs(m - 1.0) - abs(hv - 1.0) > abs(m) - abs(hv) else 0.0
 
-    fn.helper = cls_factory()
     return AdaptiveAdversary(fn)
 
 
@@ -244,13 +240,3 @@ def periodic(values: Sequence[float]) -> ObliviousAdversary:
         raise ConfigError("periodic labels need at least one value")
     return ObliviousAdversary(lambda t, x, rng: vals[(t - 1) % len(vals)])
 
-
-def builtin_adversaries() -> dict:
-    """Name -> factory catalog used by the harness config resolver."""
-    return {
-        "noisy_target": noisy_target,
-        "flip_to_far": flip_to_far,
-        "comparator_squeeze": comparator_squeeze,
-        "constant": constant,
-        "periodic": periodic,
-    }

@@ -190,27 +190,26 @@ def _predict(played, rounds, confs, cls) -> tuple[list, list]:
 
 class _EpochPredictorState:
     """Predictor-side state for one independent segment (one block or run)
-    of the game `played`, from index `first`.
+    of the game `played`, from index `first`; its probes solve on
+    `probe_cls`, the game's one probe oracle clone.
 
     The side pool (the segment's features before the current epoch) is the
     slice played.xs[first:lo]; the current epoch starts at index `lo` of
     the game's arrays. It writes each round's `played.sums` entry.
     """
 
-    def __init__(self, schedule, cls, loss, played: PlayedRounds, first: int):
+    def __init__(self, schedule, probe_cls, loss, played: PlayedRounds, first: int):
         self.clock = EpochClock(schedule)
-        self.probe_cls = cls.clone()  # every probe of the segment solves on this one clone
+        self.probe_cls = probe_cls
         self.loss = loss
         self.played, self.first = played, first
         self.pool = self.lo = self.pconf = None  # set when the first round opens epoch 1
-        self.drifts = []  # the clock's rounding drift as each epoch opens
 
     def advance(self) -> None:
         """Move to the next local round, whose feature the game has written,
         and write its label-loss prefix, which its probe reads."""
         clock, played = self.clock, self.played
         if clock.tick():
-            self.drifts.append(clock.drift)
             self.lo = self.first + clock.start
             self.pool = played.xs[self.first : self.lo]
             self.pconf = PredictorConfig(horizon=clock.length, loss=self.loss)
@@ -225,8 +224,8 @@ class _EpochPredictorState:
 
     def probe(self, rng: np.random.Generator, probe_mc: int):
         """The current round's probe: its Monte-Carlo mean prediction over
-        probe_mc draws from `rng` (the game's stream 3) on the segment's one
-        oracle clone; never touches the game's other streams or counts.
+        probe_mc draws from `rng` (the game's stream 3) on the game's one
+        probe oracle clone; never touches the game's other streams or counts.
 
         The first call draws and predicts, and every later call returns the
         same value, so stream 3 moves once in each round that probes,
@@ -264,9 +263,9 @@ class _EpochPredictorState:
 class PlayedRounds:
     """A played game as T-length arrays, each round written once.
 
-    The segments' clocks and probe clones leave what the trace metadata
-    reads in `meta` and `drifts`, as they stood after every round, so the
-    first rounds of a game are a played game too (`prefix`).
+    The game totals the trace metadata reads (hallucination shortfall, probe
+    oracle calls, rounding drift) stand in `meta` and `drift` as they were
+    after every round, so the first rounds of a game are a game too (`prefix`).
     """
 
     xs: np.ndarray  # float64 features, (T,) or (T, d)
@@ -277,10 +276,10 @@ class PlayedRounds:
     # earlier rounds added left to right, and its label's flip delta |1 - y| - |0 - y|
     sums: np.ndarray
     flips: np.ndarray
-    # (T, 6) ints: block, epoch and j of each round, its segment's hallucination
+    # (T, 6) ints: block, epoch and j of each round, the game's hallucination
     # shortfall and probe oracle calls so far, and the round's erm_calls
     meta: np.ndarray
-    drifts: list  # per segment, its rounding drift so far as each of its epochs opens
+    drift: np.ndarray  # float64: the game's rounding drift so far, the segments' drifts summed in order
     probed: bool  # whether the adversary probed each round's mean prediction
 
     def prefix(self, T: int) -> "PlayedRounds":
@@ -289,7 +288,7 @@ class PlayedRounds:
         consumed in round order (`game_streams`)."""
         return PlayedRounds(
             self.xs[:T], self.ys[:T], self.yhats[:T], self.losses[:T], self.sums[:T], self.flips[:T], self.meta[:T],
-            self.drifts, self.probed,
+            self.drift[:T], self.probed,
         )
 
 
@@ -316,13 +315,15 @@ def play_rounds(
     block ends. The queue is predicted in one call when the next round's 2
     rows would take it past MAX_BATCH_ELEMENTS elements, and at the end of
     the game. No adversary sees the game's own predictions: a probe runs on
-    stream 3 with one oracle clone per segment, and the hallucinations are
+    stream 3 with the game's one probe oracle clone, and the hallucinations are
     drawn from stream 2 as each round joins the queue, so the queue draws
     exactly what round-by-round play would, and erm_calls counts each
     round's own calls. Stream 4 is the adversary's noise (`game_streams`).
     The fast path's label sums are written once per round: the prefix in
     `played.sums` as the round opens, the flip delta in `played.flips` when
-    `emit` returns; the queue's and the probe's row builders read both.
+    `emit` returns; the queue's and the probe's row builders read both. A
+    round's `played.meta` row and `played.drift` hold the game totals so far,
+    its segment clock's shortfall and drift added to the earlier segments'.
     The adversary reads x_t = xs[t-1] and the history (xs[:t-1], ys[:t-1]),
     slices of the read-only `played.xs` and a read-only view of `played.ys`.
     """
@@ -332,8 +333,9 @@ def play_rounds(
     xs = game_features(env, features, T)
     played = PlayedRounds(
         xs=xs, ys=np.empty(T), yhats=np.empty(T), losses=np.empty(T), sums=np.empty(T), flips=np.empty(T),
-        meta=np.empty((T, 6), dtype=np.intp), drifts=[], probed=not oblivious,
+        meta=np.empty((T, 6), dtype=np.intp), drift=np.empty(T), probed=not oblivious,
     )
+    probe_cls = cls.clone()  # every probe of the game solves on this one clone
     seen_ys = played.ys.view()
     seen_ys.flags.writeable = False
     queue, confs, elements = [], [], 0  # queued (lo, j, halluc, signs), their configs, their rows' elements
@@ -350,15 +352,18 @@ def play_rounds(
 
     for t in range(1, T + 1):
         if (t - 1) % block == 0:
-            state = _EpochPredictorState(schedule, cls, loss, played, t - 1)
-            played.drifts.append(state.drifts)
+            segment = (t - 1) // block + 1
+            # the earlier segments' shortfall and drift, to which this segment's add
+            shortfall, drift = (int(played.meta[t - 2, 3]), float(played.drift[t - 2])) if t > 1 else (0, 0.0)
+            state = _EpochPredictorState(schedule, probe_cls, loss, played, t - 1)
         state.advance()
         probe = None if oblivious else state.probe(probes, config.probe_mc)
         played.ys[t - 1] = adversary.emit(t, (xs[: t - 1], seen_ys[: t - 1]), xs[t - 1], probe, noise)
         y = float(played.ys[t - 1])
         played.flips[t - 1] = abs(1.0 - y) - abs(0.0 - y)
         clock = state.clock
-        played.meta[t - 1, :5] = len(played.drifts), clock.n, clock.j, clock.shortfall, state.probe_cls.solve_calls
+        played.meta[t - 1, :5] = segment, clock.n, clock.j, shortfall + clock.shortfall, probe_cls.solve_calls
+        played.drift[t - 1] = drift + clock.drift
         size = 2 * (clock.j + clock.count)  # its 2 rows: x_1..x_j, then the draw
         if queue and elements + size > MAX_BATCH_ELEMENTS:
             flush(t - 1)
@@ -375,9 +380,9 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
     hindsight, and that comparator oracle (a clone of `cls`).
 
     The cumulative columns are running totals of the per-round losses. The
-    metadata sums each segment's rounding drift and hallucination shortfall
-    as they stood after its last round; a probed game's also counts the
-    probes' oracle calls, which the erm_calls column leaves out.
+    metadata holds the game's rounding drift and hallucination shortfall
+    after its last round; a probed game's also counts the probes' oracle
+    calls, which the erm_calls column leaves out.
     """
     comparator = cls.clone()
     h_star, _ = best_in_hindsight(comparator, loss=loss, xs=played.xs, ys=played.ys)
@@ -395,14 +400,10 @@ def online_trace(cls: HypothesisClass, loss: LossFn, played: PlayedRounds):
             )
         ),
     )
-    # each segment's last round, in segment order
-    last = played.meta[np.flatnonzero(np.diff(played.meta[:, 0], append=0))].tolist()
-    trace.metadata.update(
-        rounding_drift=sum(played.drifts[row[0] - 1][row[1] - 1] for row in last),
-        halluc_shortfall=sum(row[3] for row in last),
-    )
+    *_, shortfall, probe_calls, _ = played.meta[-1].tolist()
+    trace.metadata.update(rounding_drift=float(played.drift[-1]), halluc_shortfall=shortfall)
     if played.probed:
-        trace.metadata["probe_erm_calls"] = sum(row[4] for row in last)
+        trace.metadata["probe_erm_calls"] = probe_calls
     return trace, comparator
 
 
@@ -431,7 +432,8 @@ def epoch_traces(
     for T in horizons:
         prefix = played.prefix(T)
         trace, comparator = online_trace(cls, loss, prefix)
-        _check_epoch_additivity(trace, comparator, loss, prefix)
+        epoch_starts = np.flatnonzero(prefix.meta[:, 2] == 1).tolist()  # each epoch opens at j = 1
+        segment_regrets(trace, comparator, loss, prefix, epoch_starts, "epoch")
         trace.metadata.update(seed=config.seed, T=T, adversary=adversary.kind)
         yield trace
 
@@ -451,20 +453,16 @@ def run_epoch_predictor(
     return trace
 
 
-def segment_regrets(oracle: HypothesisClass, loss: LossFn, played: PlayedRounds, starts) -> list:
+def segment_regrets(trace, oracle: HypothesisClass, loss: LossFn, played: PlayedRounds, starts, segments) -> list:
     """Each segment's summed losses minus those of its own best fixed
     hypothesis in hindsight; segment i runs from round index starts[i]
-    (0-based) up to the next start, the last one to the end of the game."""
+    (0-based) up to the next start, the last one to the end of the game.
+    The final regret of `trace`, played's trace against one comparator, never
+    exceeds their sum; if it does, an AssertionError names the `segments`."""
     regrets, losses = [], played.losses.tolist()
     for start, end in zip(starts, [*starts[1:], len(losses)]):
         _, comp = best_in_hindsight(oracle, loss=loss, xs=played.xs[start:end], ys=played.ys[start:end])
         regrets.append(sum(losses[start:end]) - comp)
+    if trace.final_regret > sum(regrets) + 1e-9:
+        raise AssertionError(f"{segments} regret additivity violated")
     return regrets
-
-
-def _check_epoch_additivity(trace, comparator, loss, played: PlayedRounds):
-    """Total regret never exceeds the sum of per-epoch regrets measured
-    against per-epoch comparators (which are at least as good per epoch)."""
-    starts = np.flatnonzero(np.diff(played.meta[:, 1], prepend=0)).tolist()  # epochs count from 1
-    if trace.final_regret > sum(segment_regrets(comparator, loss, played, starts)) + 1e-9:
-        raise AssertionError("epoch regret additivity violated")

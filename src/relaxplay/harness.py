@@ -21,7 +21,7 @@ from . import environment as envmod
 from .bandit import BanditConfig, PolicyClass, run_bandit
 from .core import ABSOLUTE_LOSS, ConfigError, LossFn, check_count, check_seed
 from .environment import FeatureDistribution, ShiftingProcess
-from .epochs import EpochSchedule, RunConfig, alpha_from_q, epoch_traces
+from .epochs import EpochSchedule, RunConfig, alpha_from_q, epoch_traces, game_features
 from .oracles import FiniteClass, IntervalClass, LipschitzClass, ThresholdClass
 from .shifting import run_shifting
 from .traces import RegretTrace
@@ -137,26 +137,36 @@ def build_env(spec: dict, path: str = "env"):
     return build_distribution(spec, path)
 
 
-def build_adversary(spec: dict, path: str = "adversary"):
-    name = _get(spec, "name", path)
-    catalog = envmod.builtin_adversaries()
-    if not isinstance(name, str) or name not in catalog:
-        _fail(f"{path}.name", f"unknown adversary {name!r} (have {sorted(catalog)})")
-    if name == "noisy_target":
-        a = _real(spec, "target_threshold", path, 0.5)
-        return envmod.noisy_target(lambda x: 1.0 if x >= a else 0.0, _real(spec, "p", path, 0.1))
-    if name == "flip_to_far":
-        return envmod.flip_to_far()
-    if name == "comparator_squeeze":
-        cls_spec = _get(spec, "class", path)
-        return envmod.comparator_squeeze(lambda: build_class(cls_spec, f"{path}.class"))
-    if name == "constant":
-        return envmod.constant(_real(spec, "value", path))
+def _noisy_target(spec: dict, path: str):
+    a = _real(spec, "target_threshold", path, 0.5)
+    return envmod.noisy_target(lambda x: 1.0 if x >= a else 0.0, _real(spec, "p", path, 0.1))
+
+
+def _periodic(spec: dict, path: str):
     values = _reals(spec, "values", path)
     try:
         return envmod.periodic(values)
     except ConfigError as e:
         _fail(f"{path}.values", str(e))
+
+
+# the adversary catalog: name -> builder(spec, path)
+ADVERSARIES = {
+    "noisy_target": _noisy_target,
+    "flip_to_far": lambda spec, path: envmod.flip_to_far(),
+    "comparator_squeeze": lambda spec, path: envmod.comparator_squeeze(
+        build_class(_get(spec, "class", path), f"{path}.class")
+    ),
+    "constant": lambda spec, path: envmod.constant(_real(spec, "value", path)),
+    "periodic": _periodic,
+}
+
+
+def build_adversary(spec: dict, path: str = "adversary"):
+    name = _get(spec, "name", path)
+    if not isinstance(name, str) or name not in ADVERSARIES:
+        _fail(f"{path}.name", f"unknown adversary {name!r} (have {sorted(ADVERSARIES)})")
+    return ADVERSARIES[name](spec, path)
 
 
 def build_schedule(spec: dict, path: str = "schedule") -> EpochSchedule:
@@ -181,24 +191,17 @@ def build_loss(spec: Optional[dict], path: str = "loss") -> LossFn:
 
 
 def build_policies(spec: dict, path: str = "policies") -> PolicyClass:
+    """The constant policies of `arms`, then per threshold c of `thresholds` arm 1 from c on, else arm 0;
+    "constant" needs only `arms`, "threshold_arm" only `thresholds`, and "mixed" takes either or both."""
     kind = _get(spec, "kind", path)
     K = check_count(_get(spec, "K", path, 2), f"{path}.K")
-    if kind == "constant":
-        arms = [check_seed(a, f"{path}.arms[{i}]") for i, a in enumerate(_list(spec, "arms", path, "arms"))]
-        return PolicyClass([(lambda a: (lambda x: a))(a) for a in arms], K)
-    if kind == "threshold_arm":
-        ths = _reals(spec, "thresholds", path)
-        return PolicyClass(
-            [(lambda a: (lambda x: 1 if x >= a else 0))(a) for a in ths], K
-        )
-    if kind == "mixed":
-        policies = []
-        for i, a in enumerate(_list(spec, "arms", path, "arms", [])):
-            policies.append((lambda c: (lambda x: c))(check_seed(a, f"{path}.arms[{i}]")))
-        for a in _reals(spec, "thresholds", path, []):
-            policies.append((lambda c: (lambda x: 1 if x >= c else 0))(a))
-        return PolicyClass(policies, K)
-    _fail(f"{path}.kind", f"unknown policy kind {kind!r}")
+    if kind not in ("constant", "threshold_arm", "mixed"):
+        _fail(f"{path}.kind", f"unknown policy kind {kind!r}")
+    default = [] if kind == "mixed" else _fail
+    arms = _list(spec, "arms", path, "arms", default) if kind != "threshold_arm" else []
+    policies = [(lambda c: (lambda x: c))(check_seed(a, f"{path}.arms[{i}]")) for i, a in enumerate(arms)]
+    thresholds = _reals(spec, "thresholds", path, default) if kind != "constant" else []
+    return PolicyClass(policies + [(lambda c: (lambda x: 1 if x >= c else 0))(c) for c in thresholds], K)
 
 
 def build_costs(spec: dict, path: str = "costs") -> Callable:
@@ -366,8 +369,7 @@ def run_experiment(config: dict, out_dir: Optional[str] = None) -> dict:
             means = []
             for seed in seeds:
                 rng = np.random.default_rng([seed, 21])
-                feats = [env.sample(rng) for _ in range(T)]
-                mean, _ = estimate_rademacher(build_class(cls_spec), feats, mc, rng)
+                mean, _ = estimate_rademacher(build_class(cls_spec), game_features(env, rng, T), mc, rng)
                 means.append(mean)
             summary.update(rademacher_mean=float(np.mean(means)), rademacher_std=float(np.std(means)), T=T)
         else:

@@ -376,9 +376,9 @@ def f_eval(
     signs: Sequence[int],
     probe_x: Feature,
     cls: HypothesisClass,
-    loss: LossFn = ABSOLUTE_LOSS,
 ) -> float:
-    """The per-slot playout value as a function of the j+1st hallucination.
+    """The per-slot playout value as a function of the j+1st hallucination,
+    under the absolute loss (L = 1).
 
     f(x) = sup_h [2L*eps_{j+1} h(x) + 2L sum_{i>=j+2} eps_i h(x~_i) - L_j^h];
     `history` is the j realized rounds as (xs, ys) arrays, and `signs` covers
@@ -387,4 +387,4 @@ def f_eval(
     if len(signs) != len(tail_halluc) + 1:
         raise ConfigError("need one sign for the probe slot plus one per tail feature")
     feats = feature_rows([probe_x, *tail_halluc])
-    return _sup_value(*history, signs, feats, cls, loss)
+    return _sup_value(*history, signs, feats, cls, ABSOLUTE_LOSS)

@@ -35,14 +35,15 @@ def run_shifting(
     config: RunConfig,
 ) -> RegretTrace:
     """Run the blocked predictor; the scheme uses only the change bound K.
-    `block_length` checks T and K."""
+    `block_length` checks T and K. The final regret never exceeds the sum of
+    the per-block regrets (AssertionError)."""
     B = block_length(T, K)
     played = play_rounds(schedule, cls, loss, env, adversary, T, B, config)
     trace, comparator = online_trace(cls, loss, played)
     trace.metadata.update(
         seed=config.seed, T=T, K=K, block_length=B,
         block_starts=list(range(1, T + 1, B)),
-        block_regrets=segment_regrets(comparator, loss, played, range(0, T, B)),
+        block_regrets=segment_regrets(trace, comparator, loss, played, range(0, T, B), "block"),
         adversary=adversary.kind,
     )
     return trace

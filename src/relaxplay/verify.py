@@ -23,7 +23,6 @@ from .core import (
     ConfigError,
     Feature,
     HypothesisClass,
-    LossFn,
     MixedErmQuery,
     best_in_hindsight,
     check_count,
@@ -125,20 +124,19 @@ BINARY_MAX_CLASS, BINARY_MAX_ROUNDS = 8, 4  # the binary generator's most hypoth
 
 @dataclass(frozen=True)
 class TinyGame:
-    """A tiny side-information game: small class, short horizon, a side pool
-    and an adversary label grid of step Y_STEP (1 included). The checks
-    read it and never change it."""
+    """A tiny side-information game under the absolute loss: small class,
+    short horizon, a side pool and an adversary label grid of step Y_STEP
+    (1 included). The checks read it and never change it."""
 
     cls: HypothesisClass
     env: FeatureDistribution
     horizon: int
     pool_features: Sequence[Feature]
-    loss: LossFn = ABSOLUTE_LOSS
 
     def setup(self) -> tuple[PredictorConfig, np.ndarray, np.ndarray]:
         """The predictor config, side pool and adversary label grid."""
         config = PredictorConfig(
-            horizon=self.horizon, loss=self.loss,
+            horizon=self.horizon, loss=ABSOLUTE_LOSS,
             y_grid_step=Y_STEP, yhat_tolerance=1e-2,
         )
         return config, feature_rows(self.pool_features), _y_grid(config)
@@ -152,7 +150,7 @@ def _grid_round(game, config, pool, grid, history, count, rng, offset=0.0) -> tu
     draw = draw_halluc(pool, count, rng)
     sups = inner_sups(history, draw, grid, game.cls, config)
     yhat = float(np.clip(minimax_step(grid, sups, config) + offset, 0.0, 1.0))
-    return yhat, [loss_eval(game.loss, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist())]
+    return yhat, [loss_eval(ABSOLUTE_LOSS, yhat, y) + s for y, s in zip(grid.tolist(), sups.tolist())]
 
 
 def check_admissibility(
@@ -230,7 +228,6 @@ class SensitivityInstance:
     signs: tuple  # slots j+1..M; len == len(tail_halluc) + 1
     probe_xs: tuple
     perturbed_labels: np.ndarray  # one per label of the history
-    loss: LossFn = ABSOLUTE_LOSS
 
 
 def check_sensitivity(
@@ -241,29 +238,29 @@ def check_sensitivity(
     """Two bounds on the playout value as a function of the free slot:
 
     the spread over probe features is at most 4L, and perturbing the j
-    history labels moves it by at most j * L * max-label-change.
+    history labels moves it by at most j * L * max-label-change, with L = 1,
+    the absolute loss's Lipschitz constant.
     """
     worst = -np.inf
     all_pass = True
     for _ in range(count):
         inst = generator(rng)
-        L = inst.loss.lipschitz
         xs, ys = _history(*inst.history)
         _, pert_ys = _history(xs, inst.perturbed_labels)
         j = len(ys)
 
         vals = np.array([
-            f_eval((xs, ys), inst.tail_halluc, inst.signs, x, inst.cls, inst.loss)
+            f_eval((xs, ys), inst.tail_halluc, inst.signs, x, inst.cls)
             for x in inst.probe_xs
         ])
-        spread_margin = float(vals.max() - vals.min()) - 4.0 * L
+        spread_margin = float(vals.max() - vals.min()) - 4.0
 
         delta = max(np.abs(ys - pert_ys).tolist(), default=0.0)
         pert_vals = np.array([
-            f_eval((xs, pert_ys), inst.tail_halluc, inst.signs, x, inst.cls, inst.loss)
+            f_eval((xs, pert_ys), inst.tail_halluc, inst.signs, x, inst.cls)
             for x in inst.probe_xs
         ])
-        lip_margin = float(np.max(np.abs(vals - pert_vals))) - j * L * delta
+        lip_margin = float(np.max(np.abs(vals - pert_vals))) - j * delta
 
         margin = max(spread_margin, lip_margin)
         all_pass = all_pass and margin <= 1e-9
@@ -273,28 +270,25 @@ def check_sensitivity(
     )
 
 
-def default_sensitivity_generator():
-    """Random finite binary classes with random histories/tails/probes."""
-    def gen(rng: np.random.Generator) -> SensitivityInstance:
-        n_h = int(rng.integers(2, 7))
-        thresholds = rng.random(n_h)
-        cls = FiniteClass(
-            [(lambda a: (lambda x: 1.0 if x >= a else 0.0))(a) for a in thresholds],
-            binary=True,
-        )
-        j = int(rng.integers(0, SENSITIVITY_MAX_ROUNDS + 1))
-        tail = int(rng.integers(0, SENSITIVITY_MAX_TAIL + 1))
-        xs, ys = rng.random((j, 2)).T  # x_1, y_1, x_2, ... in draw order
-        return SensitivityInstance(
-            cls=cls,
-            history=(xs, ys),
-            tail_halluc=tuple(float(rng.random()) for _ in range(tail)),
-            signs=tuple(int(s) for s in rng.integers(0, 2, size=tail + 1) * 2 - 1),
-            probe_xs=tuple(float(rng.random()) for _ in range(8)),
-            perturbed_labels=np.clip(ys + rng.uniform(-0.3, 0.3, size=j), 0.0, 1.0),
-        )
-
-    return gen
+def default_sensitivity_generator(rng: np.random.Generator) -> SensitivityInstance:
+    """A random finite binary class with a random history, tail and probes."""
+    n_h = int(rng.integers(2, 7))
+    thresholds = rng.random(n_h)
+    cls = FiniteClass(
+        [(lambda a: (lambda x: 1.0 if x >= a else 0.0))(a) for a in thresholds],
+        binary=True,
+    )
+    j = int(rng.integers(0, SENSITIVITY_MAX_ROUNDS + 1))
+    tail = int(rng.integers(0, SENSITIVITY_MAX_TAIL + 1))
+    xs, ys = rng.random((j, 2)).T  # x_1, y_1, x_2, ... in draw order
+    return SensitivityInstance(
+        cls=cls,
+        history=(xs, ys),
+        tail_halluc=tuple(float(rng.random()) for _ in range(tail)),
+        signs=tuple(int(s) for s in rng.integers(0, 2, size=tail + 1) * 2 - 1),
+        probe_xs=tuple(float(rng.random()) for _ in range(8)),
+        perturbed_labels=np.clip(ys + rng.uniform(-0.3, 0.3, size=j), 0.0, 1.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,30 +354,27 @@ def check_fact2(
     )
 
 
-def default_binary_generator():
-    """Random finite {0,1}-valued classes over a small discrete domain."""
-    def gen(rng: np.random.Generator) -> BinaryInstance:
-        domain = [float(v) for v in rng.random(5)]
-        n_h = int(rng.integers(2, BINARY_MAX_CLASS + 1))
-        tables = [
-            {x: float(rng.integers(0, 2)) for x in domain} for _ in range(n_h)
-        ]
-        cls = FiniteClass(
-            [(lambda tb: (lambda x: tb[x]))(tb) for tb in tables], binary=True
-        )
-        j = int(rng.integers(0, BINARY_MAX_ROUNDS + 1))
-        tail = int(rng.integers(0, 4))
-        pick = lambda: domain[int(rng.integers(0, len(domain)))]
-        rounds = [(pick(), float(rng.integers(0, 2))) for _ in range(j)]
-        return BinaryInstance(
-            cls=cls,
-            history=_history([x for x, _ in rounds], [y for _, y in rounds]),
-            tail_halluc=tuple(pick() for _ in range(tail)),
-            tail_signs=tuple(int(s) for s in rng.integers(0, 2, size=tail) * 2 - 1),
-            probe_xs=tuple(domain),
-        )
-
-    return gen
+def default_binary_generator(rng: np.random.Generator) -> BinaryInstance:
+    """A random finite {0,1}-valued class over a small discrete domain."""
+    domain = [float(v) for v in rng.random(5)]
+    n_h = int(rng.integers(2, BINARY_MAX_CLASS + 1))
+    tables = [
+        {x: float(rng.integers(0, 2)) for x in domain} for _ in range(n_h)
+    ]
+    cls = FiniteClass(
+        [(lambda tb: (lambda x: tb[x]))(tb) for tb in tables], binary=True
+    )
+    j = int(rng.integers(0, BINARY_MAX_ROUNDS + 1))
+    tail = int(rng.integers(0, 4))
+    pick = lambda: domain[int(rng.integers(0, len(domain)))]
+    rounds = [(pick(), float(rng.integers(0, 2))) for _ in range(j)]
+    return BinaryInstance(
+        cls=cls,
+        history=_history([x for x, _ in rounds], [y for _, y in rounds]),
+        tail_halluc=tuple(pick() for _ in range(tail)),
+        tail_signs=tuple(int(s) for s in rng.integers(0, 2, size=tail) * 2 - 1),
+        probe_xs=tuple(domain),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +399,7 @@ def check_decomposition(
     term, so a negative control needs a scale that pushes the whole bound
     below the measured regret (e.g. -1.0), not merely below 1.
     """
-    cls, loss, M = game.cls, game.loss, game.horizon
+    cls, M = game.cls, game.horizon
     mc_samples = check_count(mc_samples, "mc_samples")
     config, pool, grid = game.setup()
 
@@ -428,8 +419,8 @@ def check_decomposition(
             preds.append(yhat)
 
         X, Y = _history(xs, ys)
-        _, comp = best_in_hindsight(cls, X, Y, loss)
-        regrets[g] = sum(loss_eval(loss, yh, y) for y, yh in zip(ys, preds)) - comp
+        _, comp = best_in_hindsight(cls, X, Y)
+        regrets[g] = sum(loss_eval(ABSOLUTE_LOSS, yh, y) for y, yh in zip(ys, preds)) - comp
 
         r0, se0 = relaxation_R(0, (X[:0], Y[:0]), pool, cls, config, inner_mc, rng, true_env=game.env)
         total = rtilde_scale * r0
@@ -479,7 +470,6 @@ def discrepancy_probe(game: TinyGame, mc_samples: int, rng: np.random.Generator)
     mc_samples = check_count(mc_samples, "mc_samples")
     config, pool, _ = game.setup()
     N = len(pool)
-    L = game.loss.lipschitz
 
     rows = []
     for j in range(1, M):
@@ -487,7 +477,7 @@ def discrepancy_probe(game: TinyGame, mc_samples: int, rng: np.random.Generator)
         history = _history([x for x, _ in rounds], [y for _, y in rounds])
         rt, set_ = relaxation_R(j, history, pool, cls, config, mc_samples, rng, true_env=game.env)
         rj, sej = relaxation_R(j, history, pool, cls, config, mc_samples, rng)
-        ref = L * math.sqrt(j * math.log(max(2.0, j * L * N)) / N)
+        ref = math.sqrt(j * math.log(max(2.0, j * N)) / N)  # L = 1
         rows.append({
             "j": j,
             "discrepancy": rt - rj,
@@ -519,9 +509,9 @@ def standard_checks(seed: int, mc_samples: int = 64) -> list:
     game = TinyGame(two, FeatureDistribution.discrete([0.2, 0.8], [0.5, 0.5]), horizon=2, pool_features=[0.2, 0.8])
     reports.append(check_admissibility(game, mc_samples, rng, histories=[([], []), ([0.2], [1.0])]))
     rng = np.random.default_rng([seed, 12])
-    reports.append(check_sensitivity(default_sensitivity_generator(), 50, rng))
+    reports.append(check_sensitivity(default_sensitivity_generator, 50, rng))
     rng = np.random.default_rng([seed, 13])
-    reports.append(check_fact2(default_binary_generator(), 100, rng))
+    reports.append(check_fact2(default_binary_generator, 100, rng))
     rng = np.random.default_rng([seed, 14])
     inner = max(8, mc_samples // 4)
     reports.append(check_decomposition(game, inner, rng, inner_mc=inner))

@@ -196,11 +196,10 @@ def test_criterion_03_admissibility():
 def test_criterion_04_playout_sensitivity():
     import dataclasses
 
-    base = default_sensitivity_generator()
     probe_grid = tuple(float(v) for v in np.arange(0.0, 1.0001, 0.02))
 
     def gen(rng):
-        return dataclasses.replace(base(rng), probe_xs=probe_grid)
+        return dataclasses.replace(default_sensitivity_generator(rng), probe_xs=probe_grid)
 
     rep = check_sensitivity(gen, 200, np.random.default_rng(34))
     _verdict(
@@ -211,7 +210,7 @@ def test_criterion_04_playout_sensitivity():
 
 
 def test_criterion_05_binary_playout_structure():
-    rep = check_fact2(default_binary_generator(), 1000, np.random.default_rng(35))
+    rep = check_fact2(default_binary_generator, 1000, np.random.default_rng(35))
     _verdict(
         "criterion 05 (binary playout structure)",
         rep.passed is True,

@@ -15,7 +15,6 @@ from relaxplay import (
     estimate_rademacher,
     loss_eval,
     lowest_argmin,
-    query_objective,
 )
 from relaxplay.core import objective_values
 
@@ -115,7 +114,7 @@ class TestQueryObjective:
             coefficient=3.0,
         )
         # |0.3-1| + 3*(-1)*0.3 = 0.7 - 0.9
-        assert query_objective(cls, 0, query) == pytest.approx(-0.2)
+        assert objective_values(cls, [0], query)[0] == pytest.approx(-0.2)
 
     def test_solve_result_consistent_with_objective(self):
         rng = np.random.default_rng(7)
@@ -132,7 +131,7 @@ class TestQueryObjective:
             query = MixedErmQuery(pairs=pairs, signed=signed, coefficient=2.0)
             res = cls.solve(query)
             assert res.objective == pytest.approx(
-                query_objective(cls, res.hypothesis, query), abs=1e-12
+                objective_values(cls, [res.hypothesis], query)[0], abs=1e-12
             )
 
 
@@ -162,7 +161,7 @@ class TestObjectiveValues:
             )
             values = objective_values(cls, range(len(cls)), query)
             assert values == [running_objective(cls, h, query) for h in range(len(cls))]
-            assert query_objective(cls, 2, query) == values[2]
+            assert objective_values(cls, [2], query)[0] == values[2]
 
     def test_values_outside_unit_interval_raise(self):
         cls = FiniteClass([lambda x: 0.5, lambda x: 1.5])

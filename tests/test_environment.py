@@ -19,7 +19,6 @@ from relaxplay import (
     sample_feature,
 )
 from relaxplay.environment import (
-    builtin_adversaries,
     constant,
     flip_to_far,
     noisy_target,
@@ -233,8 +232,10 @@ class TestAdversaries:
         assert adv.window == 3 and type(adv.window) is int
 
     def test_catalog(self):
-        cat = builtin_adversaries()
-        assert set(cat) == {
+        # the harness's table is the one catalog of adversary names
+        from relaxplay.harness import ADVERSARIES
+
+        assert set(ADVERSARIES) == {
             "noisy_target",
             "flip_to_far",
             "comparator_squeeze",

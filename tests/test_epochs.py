@@ -262,6 +262,24 @@ class TestHallucinationShortfall:
         trace = self._run(sched, flip_to_far(), 30, probe_mc=3)
         assert trace.metadata["halluc_shortfall"] == expected_shortfall(sched, 30)
 
+    def test_blocked_game_sums_its_blocks(self):
+        # each block restarts the schedule; the metadata adds the blocks' shortfalls and drifts in block order
+        from relaxplay import ABSOLUTE_LOSS, block_length, run_shifting
+
+        sched, T, K = EpochSchedule("geometric", ratio=1.5), 50, 3
+        adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
+        trace = run_shifting(
+            ThresholdClass(), ABSOLUTE_LOSS, FeatureDistribution.uniform(), adversary, T, K, sched, RunConfig(seed=0)
+        )
+        lengths = [min(block_length(T, K), T - first) for first in range(0, T, block_length(T, K))]
+        clocks = [EpochClock(sched) for _ in lengths]
+        for clock, length in zip(clocks, lengths):
+            for _ in range(length):
+                clock.tick()
+        assert len(lengths) > 2 and len(set(lengths)) == 2  # a shorter last block
+        assert trace.metadata["halluc_shortfall"] == sum(expected_shortfall(sched, n) for n in lengths)
+        assert trace.metadata["rounding_drift"] == sum(clock.drift for clock in clocks) > 0.0
+
     def test_linear_schedule_never_falls_short(self):
         sched = EpochSchedule("polynomial", alpha=1.0)
         adversary = ObliviousAdversary(lambda t, x, rng: float(x >= 0.5))
@@ -388,7 +406,7 @@ class TestOnlineTrace:
         reference = reference_online_rows(cls, loss, played)
         assert trace.rows == reference
         assert [tuple(map(type, r)) for r in trace.rows] == [tuple(map(type, r)) for r in reference]
-        assert comparator.solve_calls == 1 and played.meta[-1, 0] == len(played.drifts) == (3 if block else 1)
+        assert comparator.solve_calls == 1 and played.meta[-1, 0] == (3 if block else 1)
 
 
 class TestAdversaryHistory:
@@ -453,7 +471,7 @@ def _chunk_configs():
             30, {},
         ),
         "flip_to_far": (geo, ThresholdClass, flip_to_far, 30, {"probe_mc": 3}),
-        "comparator_squeeze": (poly, ThresholdClass, lambda: comparator_squeeze(ThresholdClass), 30, {"probe_mc": 2}),
+        "comparator_squeeze": (poly, ThresholdClass, lambda: comparator_squeeze(ThresholdClass()), 30, {"probe_mc": 2}),
         # fractional labels on the batched route and the probe block: the label is the probed mean prediction
         "fractional_interval": (
             geo, lambda: IntervalClass(0.25),
@@ -584,7 +602,7 @@ class TestChunkedPlay:
     @pytest.mark.parametrize("adversary", ["oblivious", "flip_to_far", "comparator_squeeze"])
     def test_shifting_rows_equal_per_round_reference(self, adversary, monkeypatch):
         # blocks and epochs end inside the game, so each probe's label-loss
-        # prefix restarts at both; every probe is one row block on its segment's clone
+        # prefix restarts at both; every probe is one row block on the game's one clone
         import relaxplay.epochs as epochs
         from relaxplay import ABSOLUTE_LOSS, IntervalClass, ShiftingProcess, block_length, run_shifting
         from relaxplay.environment import comparator_squeeze, flip_to_far
@@ -595,7 +613,7 @@ class TestChunkedPlay:
         make_adv = {
             "oblivious": lambda: ObliviousAdversary(_threshold_labels),
             "flip_to_far": flip_to_far,
-            "comparator_squeeze": lambda: comparator_squeeze(lambda: IntervalClass(0.25)),
+            "comparator_squeeze": lambda: comparator_squeeze(IntervalClass(0.25)),
         }[adversary]
         config = RunConfig(seed=4, probe_mc=2)
         block, blocks = epochs.predict_binary_fast_block, []  # per probe: its oracle and its solve_rows calls' rows
@@ -622,11 +640,9 @@ class TestChunkedPlay:
             assert blocks == []
         else:
             assert [solved for _, solved in blocks] == [[2 * config.probe_mc]] * T
-            # one clone per block, never the game's own class, whose calls are its rounds' 2 each
-            clones = [probe_cls for probe_cls, _ in blocks]
-            assert [sum(c is clone for c in clones) for clone in dict.fromkeys(clones)] == [
-                min(B, T - first) for first in range(0, T, B)
-            ]
+            # one clone for the whole game, never the game's own class, whose calls are its rounds' 2 each
+            clones = list(dict.fromkeys(probe_cls for probe_cls, _ in blocks))
+            assert len(clones) == 1 and B < T
             assert cls not in clones and cls.solve_calls == 2 * T
 
     @pytest.mark.parametrize("adversary", ["oblivious", "flip_to_far"])
@@ -707,8 +723,8 @@ def _state_and_streams(schedule, cls, seed, T, first=0):
     from relaxplay.epochs import PlayedRounds, _EpochPredictorState
 
     xs, ys, sums, flips = (np.full(first + T, np.nan) for _ in range(4))
-    played = PlayedRounds(xs, ys, None, None, sums, flips, None, [], True)
-    state = _EpochPredictorState(schedule, cls, ABSOLUTE_LOSS, played, first)
+    played = PlayedRounds(xs, ys, None, None, sums, flips, None, None, True)
+    state = _EpochPredictorState(schedule, cls.clone(), ABSOLUTE_LOSS, played, first)
     return state, np.random.default_rng([seed, 3])
 
 
@@ -846,7 +862,7 @@ class TestLabelSums:
             env = ShiftingProcess([(uniform(0.0, 0.6), 1), (uniform(0.4, 1.0), 40)])
             run_shifting(IntervalClass(0.25), ABSOLUTE_LOSS, env, adversary, T, 3, sched, config)
             (played,) = games
-            assert len(played.drifts) > 1  # the blocks restart the sums
+            assert played.meta[-1, 0] > 1  # the blocks restart the sums
         else:
             env = FeatureDistribution.uniform()
             played = play_rounds(sched, ThresholdClass(), ABSOLUTE_LOSS, env, adversary, T, T, config)
@@ -942,7 +958,7 @@ class TestProbeStream:
         played = self._play(AdaptiveAdversary(fn), longest, block or longest)
         for T in (1, 2, 9, 10, 33, 50, 69):  # cuts inside epochs, on probed and unprobed rounds
             alone, prefix = self._play(AdaptiveAdversary(fn), T, block or T), played.prefix(T)
-            for name in ("xs", "ys", "yhats", "losses", "meta"):
+            for name in ("xs", "ys", "yhats", "losses", "meta", "drift"):
                 assert np.array_equal(getattr(prefix, name), getattr(alone, name)), (T, name)
             (want, _), (got, _) = (online_trace(ThresholdClass(), ABSOLUTE_LOSS, p) for p in (alone, prefix))
             assert got.rows == want.rows and got.metadata == want.metadata

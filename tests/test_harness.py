@@ -13,6 +13,7 @@ from relaxplay import (
     EpochSchedule,
     FeatureDistribution,
     FiniteClass,
+    LipschitzClass,
     RunConfig,
     config_hash,
     fit_exponent,
@@ -21,8 +22,8 @@ from relaxplay import (
     run_experiment,
 )
 from relaxplay.cli import main as cli_main
-from relaxplay.environment import builtin_adversaries
 from relaxplay.harness import (
+    ADVERSARIES,
     build_adversary,
     build_class,
     build_costs,
@@ -119,7 +120,7 @@ class TestBuilders:
         with pytest.raises(ConfigError, match=r"adversary\.values: periodic labels need at least one value"):
             build_adversary({"name": "periodic", "values": []})
 
-    @pytest.mark.parametrize("name", sorted(builtin_adversaries()))
+    @pytest.mark.parametrize("name", sorted(ADVERSARIES))
     def test_every_catalog_adversary_plays_2_calls(self, tmp_path, name):
         # every absolute-loss game takes the 2-call route, whatever its labels
         spec = CATALOG_SPECS[name]
@@ -146,6 +147,29 @@ class TestBuilders:
         assert len(pol) >= 2 and pol.num_arms == 2
         costs = build_costs({"name": "constant", "values": [0.0, 1.0]})
         assert list(costs(1, 0.5, [])) == [0.0, 1.0]
+
+    def test_threshold_arm_policies(self):
+        # one policy per threshold c: arm 1 from c on, arm 0 below; `arms` is not read
+        pol = build_policies({"kind": "threshold_arm", "K": 3, "thresholds": [0.25, 0.75], "arms": [2]})
+        assert len(pol) == 2 and pol.num_arms == 3
+        assert [[p(x) for p in pol.policies] for x in (0.0, 0.25, 0.5, 0.75)] == [[0, 0], [1, 0], [1, 0], [1, 1]]
+        with pytest.raises(ConfigError, match=r"^policies\.thresholds: missing required field$"):
+            build_policies({"kind": "threshold_arm", "arms": [0]})
+        with pytest.raises(ConfigError, match=r"^policies\.arms: missing required field$"):
+            build_policies({"kind": "constant", "thresholds": [0.5]})
+
+    def test_feature_gap_costs(self):
+        # the arm on the feature's side of 1/2 (a vector's first entry) costs 1/2 - gap/2, the other 1/2 + gap/2
+        costs = build_costs({"name": "feature_gap", "gap": 0.25})
+        assert costs(1, 0.5, []).tolist() == [0.625, 0.375] and costs(1, 0.25, []).tolist() == [0.375, 0.625]
+        assert costs(1, np.array([0.75, 0.0]), []).tolist() == [0.625, 0.375]
+        assert build_costs({"name": "feature_gap"})(1, 0.0, []).tolist() == [0.25, 0.75]  # gap 1/2 by default
+
+    def test_lipschitz_class(self):
+        assert type(build_class({"kind": "lipschitz"})) is LipschitzClass
+        # a Lipschitz-class game under the absolute loss takes the 2-call route too
+        summary = run_experiment({**ONLINE_CONFIG, "horizons": [4], "class": {"kind": "lipschitz"}})
+        assert summary["mean_regret"] == 1.9445568087124399 and summary["erm_calls_total"] == 2 * 4
 
 
 class TestRealFields:
@@ -277,6 +301,42 @@ class TestRunExperiment:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError, match="config.mode"):
             run_experiment({"mode": "nope"})
+
+    def test_rademacher_summary(self):
+        # each seed draws its T features, then its sign patterns, from np.random.default_rng([seed, 21])
+        cfg = {"mode": "rademacher", "class": {"kind": "threshold"}, "env": {"kind": "uniform"}, "T": 6,
+               "mc_samples": 16, "seeds": [0, 1]}
+        summary = run_experiment(cfg)
+        assert (summary["rademacher_mean"], summary["rademacher_std"], summary["T"]) == (1.15625, 0.15625, 6)
+        assert summary["mean_regret"] is None and summary["erm_calls_total"] is None
+
+    def test_failed_trace_removes_the_written_csvs(self, tmp_path, monkeypatch):
+        import relaxplay.harness as harness
+
+        run_traces = harness.run_traces
+
+        def fail_on_seed_1(config, horizons, seed):
+            if seed == 1:
+                assert len(list(tmp_path.glob("*.csv"))) == 2  # seed 0's two traces are on disk
+                raise RuntimeError("seed 1 failed")
+            yield from run_traces(config, horizons, seed)
+
+        monkeypatch.setattr(harness, "run_traces", fail_on_seed_1)
+        with pytest.raises(RuntimeError, match="seed 1 failed"):
+            run_experiment(dict(ONLINE_CONFIG, seeds=[0, 1], horizons=[8, 16]), out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []  # no CSV and no summary
+
+    def test_exponent_fit_skipped_for_a_nonpositive_mean_regret(self):
+        # every threshold loses 1/2 a round on constant 1/2 labels; the predictions near 1/2 lose less
+        summary = run_experiment(dict(ONLINE_CONFIG, horizons=[4, 8, 16], adversary={"name": "constant", "value": 0.5}))
+        assert min(entry["mean_regret"] for entry in summary["per_horizon"]) <= 0.0
+        assert summary["exponent_fit"] == {"skipped": "nonpositive mean regret"}
+
+    @pytest.mark.parametrize("horizons", [[8, 8], [16, 8]])
+    def test_non_increasing_horizons_rejected(self, tmp_path, horizons):
+        with pytest.raises(ConfigError, match=r"^config\.horizons: must be strictly increasing$"):
+            run_experiment(dict(ONLINE_CONFIG, horizons=horizons), out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None, 2.0])
     @pytest.mark.parametrize("mode", ["online", "bandit"])
@@ -489,6 +549,14 @@ class TestCsvWriter:
         trace.to_csv(tmp_path / "columns.csv")
         rowwise_csv(trace, tmp_path / "rows.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_vector_trace_round_trip(self, tmp_path):
+        # a vector feature's x cell is not a number, so it reads back as the string written
+        trace = self.vector_trace()
+        trace.to_csv(tmp_path / "t.csv")
+        back = read_trace_csv(tmp_path / "t.csv")
+        assert back.columns == trace.columns and back.rows == trace.rows
+        assert all(type(x) is str and ";" in x for x in back.column("x"))
 
     def test_numpy_scalars_round_trip(self, tmp_path):
         rows = [(1, np.float64(0.1), np.int64(3), 0.25), (2, np.float64(1 / 3), np.int64(-4), np.float64(0.5))]

@@ -16,9 +16,9 @@ from relaxplay import (
     ThresholdClass,
     UnsupportedClassError,
     loss_eval,
-    query_objective,
     reference_solve,
 )
+from relaxplay.core import objective_values
 from relaxplay.oracles import _flip_deltas
 from relaxplay.predictor import MAX_BATCH_ELEMENTS
 
@@ -407,7 +407,7 @@ def widest_interval_solve(gamma, query):
     covers and only adds float length, so every coverable set of features is
     covered by some a in {0, the floats just above features} and b in {1, the
     floats just below features} with float length b - a >= gamma. Scores all
-    such pairs with query_objective.
+    such pairs with objective_values.
     """
     cls = IntervalClass(gamma)
     allx = np.concatenate([query.xs, query.signed_xs])
@@ -415,7 +415,7 @@ def widest_interval_solve(gamma, query):
     lefts = np.append(np.nextafter(allx, np.inf), 0.0)
     rights = np.append(np.nextafter(allx, -np.inf), 1.0)
     return min(
-        (query_objective(cls, (float(a), float(b)), query), (float(a), float(b)))
+        (objective_values(cls, [(float(a), float(b))], query)[0], (float(a), float(b)))
         for a in lefts
         for b in rights
         if a >= 0.0 and b <= 1.0 and b - a >= gamma
@@ -445,7 +445,7 @@ class TestIntervalAgainstEnumeration:
             res = cls.solve(query)
             _, ref = reference(gamma, query)
             assert res.objective == pytest.approx(ref, abs=1e-9)
-            assert query_objective(cls, res.hypothesis, query) == pytest.approx(res.objective, abs=1e-9)
+            assert objective_values(cls, [res.hypothesis], query)[0] == pytest.approx(res.objective, abs=1e-9)
             a, b = res.hypothesis
             assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and b - a >= gamma
 
@@ -482,7 +482,7 @@ class TestIntervalAgainstEnumeration:
         query = MixedErmQuery(xs=[0.1, 0.2, 0.1 + 0.2], ys=[0.0, 0.0, 0.0])
         res = cls.solve(query)
         assert res.objective == 0.0
-        assert query_objective(cls, res.hypothesis, query) == res.objective
+        assert objective_values(cls, [res.hypothesis], query)[0] == res.objective
         a, b = res.hypothesis
         assert b - a >= 0.1 and not any(a <= x <= b for x in query.xs)
 

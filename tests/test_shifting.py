@@ -7,6 +7,7 @@ from relaxplay import (
     ABSOLUTE_LOSS,
     ConfigError,
     EpochSchedule,
+    ErmResult,
     FeatureDistribution,
     ObliviousAdversary,
     RunConfig,
@@ -173,3 +174,45 @@ class TestRunShifting:
                 drift += abs(epoch_length(sched, n) - sched.exact_length(n))
         assert trace.metadata["halluc_shortfall"] == expected > 0
         assert trace.metadata["rounding_drift"] == pytest.approx(drift)
+
+
+class ShortSighted(ThresholdClass):
+    """A threshold oracle that under-solves every query shorter than the
+    T-round game: it returns the minimizer with objective len(ys), what a
+    hypothesis that errs on every pair would lose, so each segment's regret
+    against it is at most 0, while the whole game is solved exactly."""
+
+    def __init__(self, T):
+        super().__init__()
+        self.T = T
+
+    def solve(self, query):
+        result = super().solve(query)
+        if len(query.ys) < self.T:
+            return ErmResult(result.hypothesis, float(len(query.ys)))
+        return result
+
+
+class TestRegretAdditivityChecks:
+    """The final regret never exceeds the summed per-epoch (one run) or
+    per-block (blocked run) regrets; an oracle that under-solves the
+    segments' queries breaks that, and the check must say so."""
+
+    @staticmethod
+    def play(segments, cls, T=40):
+        from relaxplay.environment import flip_to_far
+
+        schedule, env = EpochSchedule("polynomial", alpha=1.0), FeatureDistribution.uniform()
+        config = RunConfig(seed=0, probe_mc=2)
+        if segments == "epoch":
+            return run_epoch_predictor(schedule, cls, ABSOLUTE_LOSS, env, flip_to_far(), T, config)
+        return run_shifting(cls, ABSOLUTE_LOSS, env, flip_to_far(), T, 3, schedule, config)
+
+    @pytest.mark.parametrize("segments", ["epoch", "block"])
+    def test_under_solving_oracle_fails_the_check(self, segments):
+        exact = self.play(segments, ThresholdClass())
+        assert exact.final_regret > 0
+        if segments == "block":
+            assert len(exact.metadata["block_starts"]) > 1
+        with pytest.raises(AssertionError, match=f"^{segments} regret additivity violated$"):
+            self.play(segments, ShortSighted(40))

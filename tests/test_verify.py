@@ -135,7 +135,7 @@ class TestAdmissibility:
 class TestSensitivity:
     def test_default_generator_passes(self):
         rep = check_sensitivity(
-            default_sensitivity_generator(), 40, np.random.default_rng(3)
+            default_sensitivity_generator, 40, np.random.default_rng(3)
         )
         assert rep.passed is True
         assert rep.instances == 40
@@ -143,7 +143,7 @@ class TestSensitivity:
 
 class TestFact2:
     def test_default_generator_passes(self):
-        rep = check_fact2(default_binary_generator(), 100, np.random.default_rng(4))
+        rep = check_fact2(default_binary_generator, 100, np.random.default_rng(4))
         assert rep.passed is True
         assert rep.worst_margin <= 1e-9
 
